@@ -30,11 +30,15 @@ def _bench(label, fn, reps, warmup=1):
 
 
 def run_suite():
+    from schur_lattice import (RationalAtP, SchurModule, compute_order,
+                               standard_lattice)
     from schur_lattice._kernels import (BACKEND, digit_histogram, gf_matmul,
                                         gf_rref, line_spin_profile,
                                         minplus_closure_matrix,
+                                        residue_algebra_generators,
                                         residue_ring_closure_rank,
                                         spin_closure)
+    from schur_lattice.building import _reduced_conjugated_basis
     from schur_lattice.fields import GF
 
     rng = np.random.default_rng(0)
@@ -70,13 +74,17 @@ def run_suite():
     rows.append(_bench(f"spin closure GF(3) dim={dim}",
                        lambda: spin_closure(f3, seeds, mats), 5))
 
-    Nl = 8
-    jord = np.eye(Nl, dtype=np.int64)
-    for i in range(Nl - 1):
-        jord[i, i + 1] = 1
-    diag = np.diag(np.arange(Nl, dtype=np.int64) % 3)
-    rows.append(_bench(f"line spins GF(3) N={Nl} (3^{Nl} lines)",
-                       lambda: line_spin_profile(f3, [jord, diag], Nl), 1))
+    # what the BFS spins at the standard class of the (3, (2,1), 3) order:
+    # its reduced basis, and the generating subset it actually spins
+    H = compute_order(SchurModule(3, (2, 1)), RationalAtP(3), rng_seed=0)
+    Nl = H.N
+    basis = _reduced_conjugated_basis(H, standard_lattice(H.spec, Nl))
+    gens, _ = residue_algebra_generators(f3, basis, Nl)
+    rows.append(_bench(f"algebra generators GF(3) N={Nl}",
+                       lambda: residue_algebra_generators(f3, basis, Nl), 3))
+    for label, mats in (("basis", basis), ("gens", gens)):
+        rows.append(_bench(f"line spins GF(3) N={Nl} {len(mats)} {label}",
+                           lambda: line_spin_profile(f3, mats, Nl), 1))
 
     D = rng.integers(0, 50, size=(250, 250)).tolist()
     rows.append(_bench("minplus closure 250x250",

@@ -204,6 +204,49 @@ def residue_ring_closure_rank(fq: GF, mats, N: int) -> int:
     return ech.rank
 
 
+def residue_algebra_generators(fq: GF, mats, N: int):
+    """(S, dim): a generating subset S of the matrices and the dimension
+    of the unital F_q-algebra A they generate; dim = N*N (Burnside) stops
+    the pass early, and S is then partial.
+
+    Greedy and deterministic: a matrix joins S, in input order, only when
+    it is not already in alg(S).  Every matrix is then in alg(S), so
+    alg(mats) is contained in alg(S), which is contained in alg(mats)
+    because S is a subset: the two algebras are equal.  A subspace is
+    S-invariant iff it is alg(S)-invariant (alg(S) is spanned by words
+    in S), so spinning under S gives the same closures as spinning
+    under all the matrices.
+
+    The span is kept closed under left multiplication by S.  Since it
+    holds the identity, it then holds every word in S and so equals
+    alg(S); a new generator only has to hit the elements already there.
+    """
+    ech = GFEchelon(fq, N * N)
+    ident = np.eye(N, dtype=np.int64)
+    ech.insert(ident.reshape(-1))
+    elems = [ident]
+    gens = []
+    full = N * N
+    for m in mats:
+        if ech.rank == full:
+            break
+        g = np.asarray(m, dtype=np.int64)
+        if ech.member(g.reshape(-1)):
+            continue
+        gens.append(g)
+        # left-multiply every element by g; elements found on the way by
+        # every generator
+        pending = [(e, [g]) for e in elems]
+        while pending and ech.rank < full:
+            e, by = pending.pop()
+            for s in by:
+                cand = gf_matmul(fq, s, e)
+                if ech.insert(cand.reshape(-1)):
+                    elems.append(cand)
+                    pending.append((cand, gens))
+    return gens, ech.rank
+
+
 def spin_closure(fq: GF, seed_vectors, mats):
     """Smallest subspace containing the seeds and invariant under every
     matrix (acting on column vectors by left multiplication).

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+# membership is no longer called here, but pipeline_bench's tracer test
+# reads it as building.membership
 from .dvr import (ExactEchelon, Lattice, LatticeClass, MatrixModule,
                   class_distance, congruence_level, full_rank,
                   lattice_intersection, lattice_sum, mat_inv, mat_mul,
@@ -118,9 +120,14 @@ def min_plus_closure(M):
 def detect_graduated(H: MatrixModule):
     """Exponent matrix M with H = {X : val(X_ij) >= m_ij}, or None.
 
-    Computes the entry-wise minimum profile, verifies zero diagonal and
-    triangle closure, then decides exact equality by mutual membership
-    of generating sets.
+    Computes the entry-wise minimum profile M, verifies zero diagonal and
+    triangle closure, then decides H = P(M), P(M) = {X : val(X_ij) >=
+    m_ij}, by comparing indices.  Every basis matrix of H has its (i, j)
+    entry of valuation >= m_ij, so H is contained in P(M).  Both are
+    free of rank N^2, so the length of P(M)/H is val det(H) - val
+    det(P(M)) and is 0 exactly when H = P(M).  The basis pi^{m_ij} E_ij
+    of P(M) gives val det(P(M)) = sum(m_ij), and the elementary divisors
+    of H give val det(H) = sum(H.divisors).
     """
     if not full_rank(H):
         raise NotFullRank("graduated detection needs a full-rank module")
@@ -132,18 +139,8 @@ def detect_graduated(H: MatrixModule):
     closed, neg = _kernels.minplus_closure_matrix(M)
     if neg or any(closed[i][j] != M[i][j] for i in range(N) for j in range(N)):
         return None
-    # H is inside the profile lattice by construction; check the reverse:
-    # every generator uniformizer^{m_ij} E_ij of the profile lattice
-    # must lie in H.
-    spec = H.spec
-    pi = spec.uniformizer()
-    zero = spec.zero()
-    for i in range(N):
-        for j in range(N):
-            gen = [[zero] * N for _ in range(N)]
-            gen[i][j] = pi ** M[i][j]
-            if not membership(H, gen):
-                return None
+    if sum(H.divisors) != sum(map(sum, M)):
+        return None
     return M
 
 
@@ -230,15 +227,18 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int):
 
     Fast path: if the matrices generate the full matrix algebra, there
     are none (Burnside) and no enumeration is needed.  Otherwise lines
-    are spun to their invariant closures and the resulting set is closed
-    under sums; the cap guards the q^N line enumeration.
+    are spun to their invariant closures, under a generating subset of
+    the algebra (which has the same invariant subspaces), and the
+    resulting set is closed under sums; the cap guards the q^N line
+    enumeration.
     """
-    if _kernels.residue_ring_closure_rank(fq, mats, N) == N * N:
+    gens, alg_dim = _kernels.residue_algebra_generators(fq, mats, N)
+    if alg_dim == N * N:
         return []
     q = fq.q
     if q ** N > cap:
         raise CapExceeded(f"residue subspace search: {q}^{N} exceeds {cap}")
-    dims, sigs = _kernels.line_spin_profile(fq, mats, N)
+    dims, sigs = _kernels.line_spin_profile(fq, gens, N)
     found: dict[bytes, np.ndarray] = {}
     for code in np.nonzero((dims > 0) & (dims < N))[0]:
         dim = int(dims[code])

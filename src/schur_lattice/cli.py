@@ -228,13 +228,14 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
             if not agreement:
                 raise InternalInvariantViolation(
                     "polytrope and BFS fixed sets disagree")
-        # every reported class must be exactly invariant
-        for fs in (poly_set, bfs_set):
-            if fs is not None:
-                for c in fs.classes:
-                    if not is_invariant(H, c.rep):
-                        raise InternalInvariantViolation(
-                            "reported class is not invariant")
+        # every reported class must be exactly invariant; a class in both
+        # sets is checked once
+        reported = {c.key(): c for fs in (poly_set, bfs_set) if fs is not None
+                    for c in fs.classes}
+        for c in reported.values():
+            if not is_invariant(H, c.rep):
+                raise InternalInvariantViolation(
+                    "reported class is not invariant")
         primary = bfs_set if bfs_set is not None else poly_set
         if primary is not None and primary.bounded:
             report["convexity"] = convexity_check(primary)

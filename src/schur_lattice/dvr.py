@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (InternalInvariantViolation, NonIntegralInput,
                      NotFullRank, Singular)
@@ -406,7 +407,9 @@ class MatrixModule:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
     def _echelon(self) -> ExactEchelon:
+        """Echelon of the basis, built once; only read afterwards."""
         ech = ExactEchelon(self.spec, self.N * self.N)
         for b in self.basis:
             ech.insert(vectorize(b))
@@ -441,8 +444,7 @@ def congruence_level(M: MatrixModule) -> int:
 
 def membership(M: MatrixModule, X) -> bool:
     """Exact membership of the matrix X in the R-span of M's basis."""
-    ech = M._echelon()
-    return ech.member(vectorize(tuple(tuple(row) for row in X)))
+    return M._echelon.member(vectorize(tuple(tuple(row) for row in X)))
 
 
 def module_add_and_saturate(M: MatrixModule, gens) -> MatrixModule:
@@ -893,6 +895,8 @@ def _saturate_padic_at(spec, images, N, trials, rng, alphabet, module, level,
 
 
 def _saturate_generic(spec, images, N, trials, rng, alphabet, module, level):
+    # compute_order sends p-adic fields to _saturate_padic, so only the
+    # Laurent backend gets here, and its certificate is always sampled.
     ech = ExactEchelon(spec, N * N)
     mats = [identity_matrix(spec, N)] + list(images)
     frontier = []
@@ -929,10 +933,9 @@ def _saturate_generic(spec, images, N, trials, rng, alphabet, module, level):
     rows, _ = ech.canonical_rows()
     divisors = smith_divisors(rows, spec)
     basis = tuple(unvectorize(r, N) for r in rows)
-    exact = isinstance(spec, RationalAtP)
-    label = "exact" if exact else f"certified at level={level}, trials={trials}"
     certificate = {"level": level, "trials": trials, "trials_passed": passed,
-                   "restarts": restarts, "exact": exact, "label": label,
+                   "restarts": restarts, "exact": False,
+                   "label": f"certified at level={level}, trials={trials}",
                    "method": "saturation"}
     return MatrixModule(spec, N, basis, divisors, certificate)
 

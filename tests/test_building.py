@@ -10,10 +10,11 @@ from schur_lattice import (GF, INF, Lattice, LatticeClass, NegativeCycle,
                            SchurLatticeError, SchurModule, class_distance,
                            compute_order, congruence_level, convexity_check,
                            detect_graduated, diagonal_lattice, entry_profile,
-                           fix_bfs, fix_polytrope, invariant_subspaces,
-                           is_invariant, min_plus_closure,
-                           module_from_matrices, residue_generator_rep,
-                           spans_end_residue, standard_lattice)
+                           fix_bfs, fix_polytrope, full_rank,
+                           invariant_subspaces, is_invariant, membership,
+                           min_plus_closure, module_from_matrices,
+                           residue_generator_rep, spans_end_residue,
+                           standard_lattice)
 from schur_lattice.building import ResidueRep
 
 P2 = RationalAtP(2)
@@ -43,6 +44,13 @@ def non_graduated_module():
             m = [[Fraction(0)] * 2 for _ in range(2)]
             m[i][j] = Fraction(2)
             mats.append(fmat(m))
+    return module_from_matrices(P2, mats)
+
+
+def odd_diagonal_module():
+    """{X : X_11 = X_22 mod 2}: full rank, all-zero profile, index 1 in End."""
+    mats = [fmat([[1, 0], [0, 1]]), fmat([[2, 0], [0, 0]]),
+            fmat([[0, 1], [0, 0]]), fmat([[0, 0], [1, 0]])]
     return module_from_matrices(P2, mats)
 
 
@@ -107,6 +115,53 @@ def test_detect_graduated_negative_fixture():
     H = non_graduated_module()
     assert H.rank == 4
     assert entry_profile(H) == ((0, 1), (1, 0))
+    assert detect_graduated(H) is None
+
+
+def _graduated_by_membership(H):
+    """Reference: profile checks, then H = P(M) by N^2 membership tests of
+    the generators uniformizer^{m_ij} E_ij of P(M)."""
+    M = entry_profile(H)
+    N = H.N
+    if any(M[i][i] != 0 for i in range(N)):
+        return None
+    try:
+        if min_plus_closure(M) != M:
+            return None
+    except NegativeCycle:
+        return None
+    spec = H.spec
+    for i in range(N):
+        for j in range(N):
+            gen = [[spec.zero()] * N for _ in range(N)]
+            gen[i][j] = spec.uniformizer() ** M[i][j]
+            if not membership(H, gen):
+                return None
+    return M
+
+
+GRADUATED_GRID = [(n, lam, p) for n in (2, 3)
+                  for lam in ((1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1))
+                  for p in (2, 3, 5)
+                  if 0 < SchurModule(n, lam).N <= 8]
+
+
+@pytest.mark.parametrize("n,lam,p", GRADUATED_GRID, ids=[
+    f"n{n}-{''.join(map(str, lam))}-p{p}" for n, lam, p in GRADUATED_GRID])
+def test_detect_graduated_matches_membership_oracle(n, lam, p):
+    H = compute_order(SchurModule(n, lam), RationalAtP(p), rng_seed=0)
+    assert full_rank(H)
+    assert detect_graduated(H) == _graduated_by_membership(H)
+
+
+@pytest.mark.parametrize("make", [non_graduated_module, odd_diagonal_module])
+def test_detect_graduated_closed_profile_strictly_smaller(make):
+    """Closed zero-diagonal profile, but H is a proper submodule of P(M)."""
+    H = make()
+    M = entry_profile(H)
+    assert min_plus_closure(M) == M
+    assert sum(H.divisors) > sum(map(sum, M))
+    assert _graduated_by_membership(H) is None
     assert detect_graduated(H) is None
 
 

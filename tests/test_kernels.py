@@ -11,9 +11,11 @@ from schur_lattice import GF
 from schur_lattice._kernels import (BACKEND, GFEchelon, digit_histogram,
                                     gf_matmul, gf_matvec, gf_rank, gf_rref,
                                     line_spin_profile, minplus_closure_matrix,
+                                    residue_algebra_generators,
                                     residue_ring_closure_rank, spin_closure,
                                     unpack_gf_rows, _line_spins_py,
                                     _matmul_tables_np)
+from schur_lattice.building import _proper_invariant_subspaces
 
 
 def reference_mul(fq, A, B):
@@ -141,6 +143,59 @@ def test_line_spin_profile_matches_per_line_closure(q, data):
     ref_dims, ref_sigs = _profile_reference(fq, mats, N)
     assert np.array_equal(dims, ref_dims)
     assert np.array_equal(sigs, ref_sigs)
+
+
+def _subspaces_reference(fq, mats, N):
+    """Proper invariant subspaces: per-line spin_closure under every
+    matrix, closed under sums, sorted as _proper_invariant_subspaces."""
+    dims, sigs = _profile_reference(fq, mats, N)
+    found = {}
+    for code in np.nonzero(dims > 0)[0]:
+        rows = unpack_gf_rows(sigs[code], int(dims[code]), fq.q, N)
+        found[rows.tobytes()] = rows
+    grown = True
+    while grown:
+        grown = False
+        for a in list(found.values()):
+            for b in list(found.values()):
+                rows, _ = gf_rref(fq, np.vstack([a, b]))
+                if rows.tobytes() not in found:
+                    found[rows.tobytes()] = rows
+                    grown = True
+    proper = [r for r in found.values() if 0 < r.shape[0] < N]
+    return sorted(proper, key=lambda r: (r.shape[0], r.reshape(-1).tolist()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), data=st.data())
+def test_algebra_generators_match_full_set(q, data):
+    """The selected generators span the same algebra, spin every line to
+    the same closure and give the same invariant subspaces as all the
+    matrices.  Zeroing the block below `split` keeps span(e_1..e_split)
+    invariant, so many draws stop short of the full matrix algebra."""
+    fq = GF(q)
+    N = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, 6))
+    split = data.draw(st.integers(0, N))
+    mats = []
+    for _ in range(k):
+        m = np.array([[data.draw(st.integers(0, q - 1)) for _ in range(N)]
+                      for _ in range(N)], dtype=np.int64)
+        m[split:, :split] = 0
+        mats.append(m)
+    gens, dim = residue_algebra_generators(fq, mats, N)
+    assert dim == residue_ring_closure_rank(fq, mats, N)
+    assert residue_ring_closure_rank(fq, gens, N) == dim
+    rest = iter(mats)  # gens is a subsequence of mats
+    assert all(any(np.array_equal(g, m) for m in rest) for g in gens)
+    if dim < N * N:
+        dims, sigs = line_spin_profile(fq, gens, N)
+        ref_dims, ref_sigs = line_spin_profile(fq, mats, N)
+        assert np.array_equal(dims, ref_dims)
+        assert np.array_equal(sigs, ref_sigs)
+    got = _proper_invariant_subspaces(fq, mats, N, 2 ** 16)
+    ref = _subspaces_reference(fq, mats, N)
+    assert [r.tolist() for r in got] == [r.tolist() for r in ref]
 
 
 def test_line_spin_profile_fallback_lane_agrees():
