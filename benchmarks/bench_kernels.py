@@ -31,14 +31,14 @@ def _bench(label, fn, reps, warmup=1):
 
 def run_suite():
     from schur_lattice import (RationalAtP, SchurModule, compute_order,
-                               standard_lattice)
+                               fix_bfs, standard_lattice)
     from schur_lattice._kernels import (BACKEND, digit_histogram, gf_matmul,
                                         gf_rref, line_spin_profile,
                                         minplus_closure_matrix,
                                         residue_algebra_generators,
                                         residue_ring_closure_rank,
                                         spin_closure)
-    from schur_lattice.building import _reduced_conjugated_basis
+    from schur_lattice.dvr import conjugate_residues
     from schur_lattice.fields import GF
 
     rng = np.random.default_rng(0)
@@ -76,9 +76,15 @@ def run_suite():
 
     # what the BFS spins at the standard class of the (3, (2,1), 3) order:
     # its reduced basis, and the generating subset it actually spins
-    H = compute_order(SchurModule(3, (2, 1)), RationalAtP(3), rng_seed=0)
+    module = SchurModule(3, (2, 1))
+    H = compute_order(module, RationalAtP(3), rng_seed=0)
     Nl = H.N
-    basis = _reduced_conjugated_basis(H, standard_lattice(H.spec, Nl))
+    basis = conjugate_residues(standard_lattice(H.spec, Nl), H.basis)
+    # the invariance test and residues of every BFS class of that order
+    classes = fix_bfs(H, module, H.spec).classes
+    rows.append(_bench(f"conjugate residues {len(classes)} classes N={Nl}",
+                       lambda: [conjugate_residues(c.rep, H.basis)
+                                for c in classes], 5))
     gens, _ = residue_algebra_generators(f3, basis, Nl)
     rows.append(_bench(f"algebra generators GF(3) N={Nl}",
                        lambda: residue_algebra_generators(f3, basis, Nl), 3))

@@ -181,27 +181,12 @@ def residue_ring_closure_rank(fq: GF, mats, N: int) -> int:
 
     Returns the rank of the span of all products of the given N x N
     residue matrices (including the identity); N*N means the matrices
-    generate the full matrix algebra.
+    generate the full matrix algebra.  Left products suffice (see
+    ``residue_algebra_generators``): a span that holds the identity and
+    is closed under left multiplication by the matrices holds every word
+    in them.
     """
-    ech = GFEchelon(fq, N * N)
-    gens = [np.asarray(m, dtype=np.int64) for m in mats]
-    frontier = []
-    ident = np.eye(N, dtype=np.int64)
-    for m in [ident] + gens:
-        if ech.insert(m.reshape(-1)):
-            frontier.append(m)
-    full = N * N
-    while frontier and ech.rank < full:
-        new = []
-        for b in frontier:
-            for g in gens:
-                for cand in (gf_matmul(fq, g, b), gf_matmul(fq, b, g)):
-                    if ech.insert(cand.reshape(-1)):
-                        new.append(cand)
-                        if ech.rank == full:
-                            return full
-        frontier = new
-    return ech.rank
+    return residue_algebra_generators(fq, mats, N)[1]
 
 
 def residue_algebra_generators(fq: GF, mats, N: int):

@@ -13,6 +13,7 @@ to an integer vector u is the span of uniformizer^{u_i} * e_i.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,10 @@ import numpy as np
 from . import _kernels
 # membership is no longer called here, but pipeline_bench's tracer test
 # reads it as building.membership
-from .dvr import (ExactEchelon, Lattice, LatticeClass, MatrixModule,
-                  class_distance, congruence_level, full_rank,
-                  lattice_intersection, lattice_sum, mat_inv, mat_mul,
-                  mat_vec, membership, relative_divisors, standard_lattice)
+from .dvr import (Lattice, LatticeClass, MatrixModule, class_distance,
+                  congruence_level, conjugate_residues, full_rank,
+                  lattice_intersection, lattice_sum, mat_vec, membership,
+                  relative_divisors, standard_lattice)
 from .errors import (CapExceeded, InternalInvariantViolation, NegativeCycle,
                      NotFullRank, SchurLatticeError, Singular)
 from .fields import GF, INF, FieldSpec
@@ -69,6 +70,12 @@ class FixSet:
 
     def keys(self):
         return tuple(c.key() for c in self.classes)
+
+
+def case_label(module: SchurModule, spec: FieldSpec) -> str:
+    """The case, as progress and error messages name it."""
+    return (f"n={module.n} lambda={','.join(map(str, module.lam))} "
+            f"{spec.describe()}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,36 +280,9 @@ def invariant_subspaces(rep: ResidueRep, cap: int = DEFAULT_SUBSPACE_CAP):
 # ---------------------------------------------------------------------------
 
 def is_invariant(H: MatrixModule, L: Lattice) -> bool:
-    """True iff h.v lies in L for every basis matrix h and basis vector v."""
-    ech = ExactEchelon(L.spec, L.m)
-    for w in L.vectors:
-        ech.insert(w)
-    for h in H.basis:
-        for v in L.vectors:
-            if not ech.member(mat_vec(h, v)):
-                return False
-    return True
-
-
-def _reduced_conjugated_basis(H: MatrixModule, L: Lattice):
-    """Reductions mod the uniformizer of B^-1 h B over the L-basis B.
-
-    Integrality of every conjugate is exactly H-invariance of L; a
-    non-integral entry here means the BFS walked to a non-fixed class,
-    which is a bug."""
-    spec = H.spec
-    B = L.basis_matrix()
-    Binv = mat_inv(spec, B)
-    mats = []
-    for h in H.basis:
-        conj = mat_mul(Binv, mat_mul(h, B))
-        for row in conj:
-            for x in row:
-                if spec.val(x) < 0:
-                    raise InternalInvariantViolation(
-                        "BFS reached a class that is not H-invariant")
-        mats.append(tuple(tuple(spec.reduce(x) for x in row) for row in conj))
-    return mats
+    """True iff h L is contained in L for every basis matrix h of H,
+    i.e. every B^-1 h B is integral (see ``conjugate_residues``)."""
+    return conjugate_residues(L, H.basis) is not None
 
 
 def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
@@ -313,8 +293,9 @@ def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
     At each fixed class, neighbors are preimages of the invariant
     subspaces of the residue action of H on L/(uniformizer)L, computed by
     conjugating the H-basis into the L-basis and reducing; every such
-    preimage is H-invariant by construction.  The fixed set lies in the
-    ball of radius congruence_level(H) around the standard class.
+    preimage is H-invariant by construction, and the conjugation of each
+    new class checks it.  The fixed set lies in the ball of radius
+    congruence_level(H) around the standard class.
     """
     if not full_rank(H):
         raise NotFullRank("fix_bfs needs a full-rank order")
@@ -327,13 +308,23 @@ def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
     N = H.N
     fq = spec.residue_field
     pi = spec.uniformizer()
+    label = case_label(module, spec)
+
+    def conjugated(cls):
+        mats = conjugate_residues(cls.rep, H.basis)
+        if mats is None:
+            raise InternalInvariantViolation(
+                f"{label}: stage bfs: class {cls.key()} is not H-invariant")
+        return mats
+
     c0 = LatticeClass(standard_lattice(spec, N))
     visited = {c0.key(): c0}
-    queue = [c0]
+    # each class is conjugated once, when found; the residues wait in the
+    # queue with it
+    queue = deque([(c0, conjugated(c0))])
     while queue:
-        cls = queue.pop(0)
+        cls, mats = queue.popleft()
         L = cls.rep
-        mats = _reduced_conjugated_basis(H, L)
         B = L.basis_matrix()
         for rows in _proper_invariant_subspaces(fq, mats, N, subspace_cap):
             vectors = [tuple(pi * x for x in v) for v in L.vectors]
@@ -347,13 +338,10 @@ def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
             dist = class_distance(c0, neighbor)
             if dist > level:
                 raise InternalInvariantViolation(
-                    f"fixed class at distance {dist} > congruence level "
-                    f"{level}")
-            if not is_invariant(H, neighbor.rep):
-                raise InternalInvariantViolation(
-                    "BFS produced a non-invariant neighbor")
+                    f"{label}: stage bfs: class {key} at distance {dist} > "
+                    f"congruence level {level}")
             visited[key] = neighbor
-            queue.append(neighbor)
+            queue.append((neighbor, conjugated(neighbor)))
     classes = tuple(sorted(visited.values(), key=lambda c: c.key()))
     return FixSet(classes=classes, bounded=True, method="bfs",
                   u_vectors=None)

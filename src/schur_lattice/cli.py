@@ -20,10 +20,11 @@ from importlib import resources
 
 import jsonschema
 
-from .building import (FixSet, convexity_check, detect_graduated,
-                       entry_profile, fix_bfs, fix_polytrope,
-                       invariant_subspaces, is_invariant, min_plus_closure,
-                       residue_generator_rep, spans_end_residue)
+from .building import (FixSet, case_label, convexity_check,
+                       detect_graduated, entry_profile, fix_bfs,
+                       fix_polytrope, invariant_subspaces, is_invariant,
+                       min_plus_closure, residue_generator_rep,
+                       spans_end_residue)
 from .dvr import (MatrixModule, compute_order, congruence_level, full_rank,
                   group_generator_matrices, standard_lattice)
 from .errors import (CapExceeded, InternalInvariantViolation, NotFullRank,
@@ -177,11 +178,15 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         raise CapExceeded(
             f"N = {module.N} exceeds the configured cap {cfg['cap_N']}")
     clock: dict[str, float] = {}
-    label = f"n={n} lambda={','.join(map(str, lam))} {spec.describe()}"
+    label = case_label(module, spec)
     _progress(f"computing order for {label}")
     t0 = time.perf_counter()
-    H = compute_order(module, spec, level=cfg["level"], trials=cfg["trials"],
-                      rng_seed=seed)
+    try:
+        H = compute_order(module, spec, level=cfg["level"],
+                          trials=cfg["trials"], rng_seed=seed)
+    except InternalInvariantViolation as exc:
+        raise InternalInvariantViolation(
+            f"{label}: stage order: {exc}") from exc
     clock["order_s"] = time.perf_counter() - t0
     is_full = full_rank(H)
     profile = entry_profile(H, allow_degenerate=True)
@@ -224,10 +229,13 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         clock["fix_s"] = time.perf_counter() - t0
         agreement = None
         if poly_set is not None and bfs_set is not None:
-            agreement = set(poly_set.keys()) == set(bfs_set.keys())
+            poly_keys, bfs_keys = set(poly_set.keys()), set(bfs_set.keys())
+            agreement = poly_keys == bfs_keys
             if not agreement:
                 raise InternalInvariantViolation(
-                    "polytrope and BFS fixed sets disagree")
+                    f"{label}: stage fix: polytrope and BFS fixed sets "
+                    f"disagree; only polytrope: {sorted(poly_keys - bfs_keys)}"
+                    f"; only BFS: {sorted(bfs_keys - poly_keys)}")
         # every reported class must be exactly invariant; a class in both
         # sets is checked once
         reported = {c.key(): c for fs in (poly_set, bfs_set) if fs is not None
@@ -235,12 +243,15 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         for c in reported.values():
             if not is_invariant(H, c.rep):
                 raise InternalInvariantViolation(
-                    "reported class is not invariant")
+                    f"{label}: stage fix: reported class {c.key()} is not "
+                    f"invariant")
         primary = bfs_set if bfs_set is not None else poly_set
         if primary is not None and primary.bounded:
             report["convexity"] = convexity_check(primary)
             if report["convexity"] is False:
-                raise InternalInvariantViolation("fixed set is not convex")
+                raise InternalInvariantViolation(
+                    f"{label}: stage fix: {primary.method} fixed set is not "
+                    f"convex")
         report["fix"] = {
             "polytrope": _ser_fixset(poly_set),
             "bfs": _ser_fixset(bfs_set),
@@ -256,7 +267,8 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         agree = spans == (len(subs) == 0)
         if not agree:
             raise InternalInvariantViolation(
-                "residue span and invariant-subspace tests disagree")
+                f"{label}: stage irreducible: residue span and "
+                f"invariant-subspace tests disagree")
         clock["irreducible_s"] = time.perf_counter() - t0
         report["irreducible"] = {
             "spans_full": spans,

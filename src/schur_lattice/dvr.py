@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import (InternalInvariantViolation, NonIntegralInput,
@@ -387,6 +388,158 @@ def class_distance(c1: LatticeClass, c2: LatticeClass) -> int:
     """max - min of the relative elementary-divisor valuations."""
     divs = relative_divisors(c1.rep, c2.rep)
     return int(divs[-1] - divs[0])
+
+
+# ---------------------------------------------------------------------------
+# conjugation into a lattice basis
+# ---------------------------------------------------------------------------
+
+class _PadicEntries:
+    """Entries of Z_(p) as Python ints modulo p^m, m = sum(k_i) + e + 1.
+
+    B is scaled by p^s to be integral with val(B_ii) = k_i; each h is
+    scaled by p^e to be integral, so X' = p^e X is what is solved for.
+    """
+
+    def __init__(self, spec: RationalAtP, vectors, mats):
+        p = spec.p
+        s = -min(spec.val(x) for v in vectors for x in v if x)
+        k = [int(spec.val(v[i])) + s for i, v in enumerate(vectors)]
+        # an entry whose denominator p divides has valuation < 0
+        e = max((-int(spec.val(x)) for h in mats for row in h for x in row
+                 if x.denominator % p == 0), default=0)
+        self.p, self.zero = p, 0
+        self.P = p ** (sum(k) + e + 1)
+        self.b_scale = Fraction(p) ** s
+        self.h_scale = p ** e
+        self.pk = [p ** ki for ki in k]
+        # inverse of the unit part of each scaled diagonal entry
+        self.unit_inv = [self._enc(pk / (v[i] * self.b_scale))
+                         for i, (v, pk) in enumerate(zip(vectors, self.pk))]
+
+    def _enc(self, x) -> int:
+        if x.denominator == 1:
+            return x.numerator % self.P
+        return x.numerator * pow(x.denominator, -1, self.P) % self.P
+
+    def b(self, x) -> int:
+        return self._enc(x * self.b_scale)
+
+    def h(self, x) -> int:
+        return self._enc(x * self.h_scale if self.h_scale > 1 else x)
+
+    def div(self, n: int, i: int):
+        n %= self.P
+        if n % self.pk[i]:
+            return None
+        return n // self.pk[i] * self.unit_inv[i] % self.P
+
+    def residue(self, x: int):
+        if x % self.h_scale:
+            return None
+        return x // self.h_scale % self.p
+
+
+class _ExactEntries:
+    """Exact field entries (the F_q(t) backend); nothing is scaled."""
+
+    def __init__(self, spec: FieldSpec, vectors, mats):
+        self.spec, self.zero = spec, spec.zero()
+        self.diag = [v[i] for i, v in enumerate(vectors)]
+
+    def b(self, x):
+        return x
+
+    h = b
+
+    def div(self, n, i: int):
+        x = n / self.diag[i]
+        return x if self.spec.val(x) >= 0 else None
+
+    def residue(self, x):
+        return self.spec.reduce(x)
+
+
+def _is_lower_triangular(L: Lattice) -> bool:
+    """True iff basis vector i vanishes before coordinate i and not at it."""
+    spec = L.spec
+    return all(not spec.is_zero(v[i])
+               and all(spec.is_zero(x) for x in v[:i])
+               for i, v in enumerate(L.vectors))
+
+
+def conjugate_residues(L: Lattice, mats):
+    """Residue matrices of B^-1 h B for each h in mats, or None as soon
+    as one of them is not integral.  B is the basis matrix of L (basis
+    vectors as columns), in L's canonical echelon basis when the stored
+    basis is not lower triangular.
+
+    B^-1 h B is the matrix of h in L's basis, so it is integral iff
+    h L is contained in L: L is invariant under every h iff the result is
+    not None.  Residues are ints as returned by ``spec.reduce``.
+
+    Proof of the method.  In canonical echelon form, basis vector i
+    vanishes before coordinate i, so B is lower triangular with nonzero
+    diagonal; a lattice stored otherwise is first put into canonical form.
+    Scaling B by a nonzero scalar leaves B^-1 h B unchanged, so B may be
+    taken integral, with val(B_ii) = k_i.  X = B^-1 h B solves B X = h B
+    = Y, and forward substitution gives, in each column,
+
+        x_i = n_i / B_ii,   n_i = y_i - sum_{j<i} B_ij x_j.
+
+    For integral h, X is integral iff val(n_i) >= k_i for every i: by
+    induction on i, if x_j is integral for j < i then n_i is integral and
+    x_i is integral iff val(n_i) >= k_i.
+
+    p-adic backend: entries are Python ints modulo p^m.  Let p^e (e >= 0)
+    clear every denominator of every h; then X' = p^e X is solved for
+    with the integral h' = p^e h, and X is integral iff X' is and p^e
+    divides every entry of X'.  Take m = sum(k_i) + e + 1.  Dividing a
+    numerator known modulo p^a by p^{k_i} times a unit gives x_i modulo
+    p^{a - k_i}, and x_i only feeds later rows, so n_i is known modulo
+    p^{m - k_1 - ... - k_{i-1}}, at least p^{k_i + e + 1}, and x_i modulo
+    at least p^{e + 1}.  That decides val(n_i) >= k_i, decides whether
+    p^e divides x_i, and gives x_i / p^e mod p, the residue.
+
+    F_q(t) backend: the same loop runs on exact field elements, divides
+    exactly and reads the valuation of each x_i.
+    """
+    spec = L.spec
+    if not _is_lower_triangular(L):
+        L = Lattice.from_vectors(spec, L.vectors)
+    N, vectors = L.m, L.vectors
+    kind = _PadicEntries if isinstance(spec, RationalAtP) else _ExactEntries
+    ent = kind(spec, vectors, mats)
+    # B[r][j] = vectors[j][r]: nonzero entries of each column (the
+    # diagonal first), and of each row left of the diagonal
+    col_nz = [[(r, ent.b(v[r])) for r in range(j, N)
+               if not spec.is_zero(v[r])] for j, v in enumerate(vectors)]
+    row_nz = [[] for _ in range(N)]
+    for j, col in enumerate(col_nz):
+        for r, b in col[1:]:
+            row_nz[r].append((j, b))
+    out = []
+    for h in mats:
+        hh = [[ent.h(x) for x in row] for row in h]
+        X = []
+        for i in range(N):
+            hi, row = hh[i], []
+            for j in range(N):
+                n = ent.zero
+                for r, b in col_nz[j]:
+                    n = n + hi[r] * b
+                for l, b in row_nz[i]:
+                    n = n - b * X[l][j]
+                x = ent.div(n, i)
+                if x is None:
+                    return None
+                row.append(x)
+            X.append(row)
+        res = tuple(tuple(ent.residue(x) for x in row) for row in X)
+        if any(r is None for row in res for r in row):
+            return None
+        out.append(res)
+    return out
 
 
 # ---------------------------------------------------------------------------

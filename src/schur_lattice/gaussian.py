@@ -20,7 +20,8 @@ from scipy.stats import chi2 as _chi2
 
 from . import _kernels
 from .building import is_invariant
-from .dvr import Lattice, MatrixModule, mat_inv, mat_mul, mat_vec
+from .dvr import (Lattice, MatrixModule, conjugate_residues, mat_mul,
+                  mat_vec)
 from .errors import SchurLatticeError
 from .fields import FieldSpec, LaurentRational, RationalAtP
 
@@ -88,18 +89,14 @@ def chi2_uniform_counts(counts, total: int, q: int,
     return stats, threshold, bool(np.all(stats <= threshold))
 
 
-def _residue_transform(spec: FieldSpec, gauss: LatticeGaussian, word):
-    """Residue matrix of the coordinate action B^-1 * word * B, or None
-    if it is not integral (the lattice is not invariant under the word)."""
-    B = gauss.lattice.basis_matrix()
-    Binv = mat_inv(spec, B)
-    T = mat_mul(Binv, mat_mul(word, B))
-    for row in T:
-        for x in row:
-            if spec.val(x) < 0:
-                return None
-    return np.array([[spec.reduce(x) for x in row] for row in T],
-                    dtype=np.int64)
+def _residue_transform(gauss: LatticeGaussian, word):
+    """Residue matrix of the coordinate action B^-1 * word * B, over the
+    canonical basis B of the lattice, or None if it is not integral (the
+    lattice is not invariant under the word)."""
+    res = conjugate_residues(gauss.lattice, [word])
+    if res is None:
+        return None
+    return np.array(res[0], dtype=np.int64)
 
 
 def invariance_report(gauss: LatticeGaussian, H: MatrixModule, generators,
@@ -132,7 +129,7 @@ def invariance_report(gauss: LatticeGaussian, H: MatrixModule, generators,
             one, zero = spec.one(), spec.zero()
             word = tuple(tuple(one if i == j else zero for j in range(N))
                          for i in range(N))
-        T = _residue_transform(spec, gauss, word)
+        T = _residue_transform(gauss, word)
         if T is None:
             tests.append({"trial": t, "integral": False, "pass": False,
                           "stat_max": None, "threshold": None,

@@ -280,6 +280,37 @@ def test_fix_bfs_full_end_single_class():
     assert S.classes[0].key() == LatticeClass(standard_lattice(P3, 3)).key()
 
 
+def test_fix_bfs_laurent_non_graduated_frozen():
+    """F_2(t), n=2, lambda=(3): a full-rank order that is not graduated,
+    so only the BFS runs; it walks from the standard class to 3 classes."""
+    m = SchurModule(2, (3,))
+    H = compute_order(m, F2T, rng_seed=0)
+    assert full_rank(H) and detect_graduated(H) is None
+    S = fix_bfs(H, m, F2T)
+    assert S.keys() == (
+        (("1", "0", "0", "0"), ("0", "1", "0", "0"), ("0", "0", "1", "0"),
+         ("0", "0", "0", "1")),
+        (("1", "0", "0", "0"), ("0", "1", "1", "0"), ("0", "0", "t", "0"),
+         ("0", "0", "0", "1")),
+        (("t", "0", "0", "0"), ("0", "1", "1", "0"), ("0", "0", "t", "0"),
+         ("0", "0", "0", "t")),
+    )
+    assert convexity_check(S)
+
+
+def test_fix_bfs_laurent_gf4_agrees_with_polytrope():
+    """F_4(t), n=2, lambda=(3): a graduated order over a non-prime residue
+    field; BFS and polytrope both find only the standard class."""
+    F4T = RationalFunctionOverFq(4)
+    m = SchurModule(2, (3,))
+    H = compute_order(m, F4T, rng_seed=0)
+    M = detect_graduated(H)
+    assert M == ((0,) * 4,) * 4
+    S = fix_bfs(H, m, F4T)
+    assert S.keys() == fix_polytrope(M, F4T).keys()
+    assert S.keys() == (LatticeClass(standard_lattice(F4T, 4)).key(),)
+
+
 def test_fix_bfs_rejects_insufficient_radius(order_2adic):
     m = SchurModule(2, (2,))
     with pytest.raises(SchurLatticeError):

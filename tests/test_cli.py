@@ -228,6 +228,62 @@ def test_exit_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_exit_violation_names_case_and_stage(capsys, monkeypatch):
+    """A forced polytrope/BFS disagreement exits 4 and names the case, the
+    stage and the class found by one engine only."""
+    import schur_lattice.cli as cli
+    from schur_lattice.building import FixSet, LatticeClass, diagonal_lattice
+
+    real = cli.fix_polytrope
+
+    def with_extra_class(M, spec, **kwargs):
+        S = real(M, spec, **kwargs)
+        extra = LatticeClass(diagonal_lattice(spec, (2, 0, 0)))
+        return FixSet(classes=S.classes + (extra,), bounded=S.bounded,
+                      method=S.method, u_vectors=S.u_vectors)
+
+    monkeypatch.setattr(cli, "fix_polytrope", with_extra_class)
+    code, out, err = run_main(
+        capsys, ["fix", "--n", "2", "--lambda", "2", "--p", "2"])
+    assert code == 4 and out == ""
+    msg = err.strip().splitlines()[-1]
+    assert msg.startswith("error: internal invariant violation: "
+                          "n=2 lambda=2 {'backend': 'p-adic', 'p': 2}: "
+                          "stage fix: polytrope and BFS fixed sets disagree")
+    assert ("only polytrope: [(('4', '0', '0'), ('0', '1', '0'), "
+            "('0', '0', '1'))]; only BFS: []") in msg
+
+
+def test_exit_violation_in_bfs_names_case_and_stage(capsys, monkeypatch):
+    """A class that fails the BFS invariance check exits 4 with the case
+    and the stage."""
+    import schur_lattice.building as building
+
+    monkeypatch.setattr(building, "conjugate_residues", lambda L, mats: None)
+    code, _, err = run_main(
+        capsys, ["fix", "--n", "2", "--lambda", "2", "--p", "2",
+                 "--method", "bfs"])
+    assert code == 4
+    assert ("n=2 lambda=2 {'backend': 'p-adic', 'p': 2}: stage bfs: class "
+            "(('1', '0', '0'), ('0', '1', '0'), ('0', '0', '1')) is not "
+            "H-invariant") in err
+
+
+def test_exit_violation_in_order_names_case_and_stage(capsys, monkeypatch):
+    import schur_lattice.cli as cli
+    from schur_lattice.errors import InternalInvariantViolation
+
+    def fail(*args, **kwargs):
+        raise InternalInvariantViolation("saturation failed")
+
+    monkeypatch.setattr(cli, "compute_order", fail)
+    code, _, err = run_main(
+        capsys, ["order", "--n", "2", "--lambda", "2", "--p", "3"])
+    assert code == 4
+    assert ("n=2 lambda=2 {'backend': 'p-adic', 'p': 3}: stage order: "
+            "saturation failed") in err
+
+
 def test_console_script_installed():
     out = subprocess.run(
         [sys.executable, "-m", "schur_lattice.cli", "dim", "--n", "2",

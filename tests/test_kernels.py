@@ -98,6 +98,24 @@ def test_residue_ring_closure_rank_commutative():
     assert residue_ring_closure_rank(fq, [diag], 2) == 2
 
 
+def two_sided_closure_rank(fq, mats, N):
+    """Rank of the span of I and every g.b and b.g, grown until nothing
+    is added: the closure that residue_ring_closure_rank once ran."""
+    ech = GFEchelon(fq, N * N)
+    gens = [np.asarray(m, dtype=np.int64) for m in mats]
+    frontier = [m for m in [np.eye(N, dtype=np.int64)] + gens
+                if ech.insert(m.reshape(-1))]
+    while frontier:
+        new = []
+        for b in frontier:
+            for g in gens:
+                for cand in (gf_matmul(fq, g, b), gf_matmul(fq, b, g)):
+                    if ech.insert(cand.reshape(-1)):
+                        new.append(cand)
+        frontier = new
+    return ech.rank
+
+
 def test_spin_closure_grows_to_invariant():
     fq = GF(2)
     # the transvection maps e2 -> e1 + e2: spinning e2 gives the plane
@@ -169,10 +187,11 @@ def _subspaces_reference(fq, mats, N):
 @settings(max_examples=30, deadline=None)
 @given(q=st.sampled_from([2, 3, 4]), data=st.data())
 def test_algebra_generators_match_full_set(q, data):
-    """The selected generators span the same algebra, spin every line to
-    the same closure and give the same invariant subspaces as all the
-    matrices.  Zeroing the block below `split` keeps span(e_1..e_split)
-    invariant, so many draws stop short of the full matrix algebra."""
+    """The selected generators span the same algebra as all the matrices
+    (and as their two-sided closure), spin every line to the same closure
+    and give the same invariant subspaces.  Zeroing the block below
+    `split` keeps span(e_1..e_split) invariant, so many draws stop short
+    of the full matrix algebra."""
     fq = GF(q)
     N = data.draw(st.integers(1, 4))
     k = data.draw(st.integers(0, 6))
@@ -185,6 +204,7 @@ def test_algebra_generators_match_full_set(q, data):
         mats.append(m)
     gens, dim = residue_algebra_generators(fq, mats, N)
     assert dim == residue_ring_closure_rank(fq, mats, N)
+    assert dim == two_sided_closure_rank(fq, mats, N)
     assert residue_ring_closure_rank(fq, gens, N) == dim
     rest = iter(mats)  # gens is a subsequence of mats
     assert all(any(np.array_equal(g, m) for m in rest) for g in gens)
