@@ -184,9 +184,8 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
     try:
         H = compute_order(module, spec, level=cfg["level"],
                           trials=cfg["trials"], rng_seed=seed)
-    except InternalInvariantViolation as exc:
-        raise InternalInvariantViolation(
-            f"{label}: stage order: {exc}") from exc
+    except (CapExceeded, InternalInvariantViolation) as exc:
+        raise type(exc)(f"{label}: stage order: {exc}") from exc
     clock["order_s"] = time.perf_counter() - t0
     is_full = full_rank(H)
     profile = entry_profile(H, allow_degenerate=True)

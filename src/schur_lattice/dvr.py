@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (InternalInvariantViolation, NonIntegralInput,
-                     NotFullRank, Singular)
+from .errors import CapExceeded, NonIntegralInput, NotFullRank, Singular
 from .fields import (INF, FieldSpec, LaurentRational, RationalAtP,
                      unit_sample_set)
 from .schur import SchurModule, rho
@@ -608,23 +607,10 @@ def module_add_and_saturate(M: MatrixModule, gens) -> MatrixModule:
     for g in gens:
         if not is_integral_matrix(spec, g):
             raise NonIntegralInput("generator has an entry with val < 0")
-    N = M.N
-    ech = ExactEchelon(spec, N * N)
-    frontier = []
-    for b in list(M.basis) + gens:
-        if ech.insert(vectorize(b)):
-            frontier.append(b)
-    while frontier:
-        new = []
-        for b in frontier:
-            for g in gens:
-                for cand in (mat_mul(g, b), mat_mul(b, g)):
-                    if ech.insert(vectorize(cand)):
-                        new.append(cand)
-        frontier = new
-    rows, _ = ech.canonical_rows()
-    basis = tuple(unvectorize(r, N) for r in rows)
-    return MatrixModule(spec, N, basis, smith_divisors(rows, spec),
+    lane = _ExactLane(spec, M.N)
+    _close(lane, gens, [b for b in list(M.basis) + gens if lane.insert(b)])
+    basis, divisors = lane.result()
+    return MatrixModule(spec, M.N, basis, divisors,
                         dict(M.certificate))
 
 
@@ -716,60 +702,48 @@ def _int_val(x: int, p: int) -> int:
     return v
 
 
+# Working precision P of the p-adic lane: the echelon starts as p^P * I.
+PRECISION = 128
+
+
 class _IntEchelon:
-    """Echelon basis over Z localized at p, at fixed working precision.
+    """Echelon basis of M + p^P * Z^m over Z localized at p, P = PRECISION.
 
-    All rows live in Z/p^prec with pivot entries normalized to exactly
-    p^k, so candidate reduction never multiplies by stored units and
-    entry sizes stay bounded.  Once the module has full rank with pivot
-    valuations summing to S, the modulus tightens to p^(2S+1): since
-    p^S * Z^m lies inside the row span, reduction modulo p^(2S+1) never
-    moves a vector out of the span, and every reduction artifact sits
-    at scale at least p^(S+1), strictly below the span's top elementary
-    divisor.  A successive-approximation argument then shows the
-    computed span equals the exact one, provided `precision_ok` holds:
-    prec - S of true precision survived every pre-full-rank
-    elimination, so valuations read off stored entries were exact.
+    The echelon starts full rank, as p^P * I, and inserted vectors only
+    enlarge its span, so the span always contains p^P * Z^m.  Rows live
+    in Z/p^k with k = min(P, 2S + 1), S the current pivot-valuation
+    sum, and pivot entries are kept exactly p^v, so candidate reduction
+    never multiplies by stored units and entry sizes stay bounded.
 
-    Zero tests made before full rank are provisional either way; the
-    caller re-checks those candidates afterwards (`insert` under the
-    tightened modulus is exact), and retries everything at higher
-    precision when `precision_ok` fails.
+    Every zero test is exact.  While k = P, reducing modulo p^P never
+    leaves the span.  The row span does contain p^P * Z^m: by downward
+    induction on the pivot column c, p^(P - v_c) times row c is p^P e_c
+    plus an element of the span of the later rows (true of the seed
+    rows, and kept when a row is replaced, because the replaced row is
+    re-inserted).  Once 2S + 1 < P, the row span is a triangular lattice
+    of index p^S, so it contains p^S * Z^m, and reducing modulo
+    p^(2S+1) never leaves it either.  Either way the rows span exactly
+    the module generated by p^P * Z^m and everything inserted, and
+    insert() returns True iff its vector lies outside that module.
     """
 
-    def __init__(self, m: int, p: int, prec: int = 128):
+    def __init__(self, m: int, p: int):
         self.m = m
         self.p = p
-        self.prec = prec
-        self.cap = p ** prec
-        self.pivots: dict[int, tuple[int, int, list]] = {}  # col->(val,unit,row)
-        self.modulus = None  # p^(2S+1) once full rank
-        self._val_sum = 0
-        self._fullrank_val_sum = None
+        top = p ** PRECISION
+        self.modulus = top
+        self.pivots = {c: (PRECISION, [top if i == c else 0
+                                       for i in range(m)])
+                       for c in range(m)}  # col -> (val, row)
+        self._val_sum = PRECISION * m
 
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def precision_ok(self, margin: int = 8) -> bool:
-        """True when pre-full-rank eliminations kept enough precision."""
-        if self._fullrank_val_sum is None:
-            return False
-        return self.prec >= 2 * self._fullrank_val_sum + margin
-
-    def _maybe_tighten_modulus(self):
-        if self.rank < self.m:
-            return
-        if self._fullrank_val_sum is None:
-            self._fullrank_val_sum = self._val_sum
-        exponent = min(2 * self._val_sum + 1, self.prec)
-        mod = self.p ** exponent
-        if self.modulus is None or mod < self.modulus:
+    def _tighten_modulus(self):
+        mod = self.p ** min(2 * self._val_sum + 1, PRECISION)
+        if mod < self.modulus:
+            # every pivot entry p^v has v <= S < 2S + 1 and survives
             self.modulus = mod
-            for col, (val, unit, row) in list(self.pivots.items()):
-                reduced = [x % self.modulus for x in row]
-                reduced[col] = row[col]  # keep the exact pivot entry
-                self.pivots[col] = (val, unit, reduced)
+            for col, (val, row) in list(self.pivots.items()):
+                self.pivots[col] = (val, [x % mod for x in row])
 
     def _normalize(self, v, col, xv, mod):
         """Scale v by the inverse of its pivot unit: pivot entry p^xv."""
@@ -780,68 +754,38 @@ class _IntEchelon:
         return row
 
     def insert(self, v) -> bool:
-        p = self.p
-        mod = self.modulus or self.cap
+        """Add v to the span; True iff the span strictly grew."""
+        p, mod = self.p, self.modulus
         queue = [[x % mod for x in v]]
         changed = False
         while queue:
             v = queue.pop()
-            col = 0
-            while col < self.m:
+            for col in range(self.m):
                 x = v[col]
                 if x == 0:
-                    col += 1
                     continue
                 xv = _int_val(x, p)
-                hit = self.pivots.get(col)
-                if hit is None:
-                    self.pivots[col] = (xv, 1, self._normalize(v, col, xv, mod))
-                    self._val_sum += xv
-                    changed = True
-                    break
-                pval, _, prow = hit
+                pval, prow = self.pivots[col]
                 if xv >= pval:
+                    # both v and prow vanish left of col
                     coef = x // (p ** pval)
-                    v = [(a - coef * b) % mod for a, b in zip(v, prow)]
                     v[col] = 0
-                    col += 1
+                    v[col + 1:] = [(a - coef * b) % mod for a, b
+                                   in zip(v[col + 1:], prow[col + 1:])]
                     continue
-                self.pivots[col] = (xv, 1, self._normalize(v, col, xv, mod))
+                self.pivots[col] = (xv, self._normalize(v, col, xv, mod))
                 self._val_sum += xv - pval
                 queue.append(prow)
                 changed = True
                 break
         if changed:
-            self._maybe_tighten_modulus()
+            self._tighten_modulus()
         return changed
 
-    def member(self, v) -> bool:
-        p = self.p
-        mod = self.modulus or self.cap
-        v = [x % mod for x in v]
-        for col in sorted(self.pivots):
-            x = v[col]
-            if x == 0:
-                continue
-            pval, _, prow = self.pivots[col]
-            if _int_val(x, p) < pval:
-                return False
-            coef = x // (p ** pval)
-            v = [(a - coef * b) % mod for a, b in zip(v, prow)]
-            v[col] = 0
-        return all(x == 0 for x in v)
-
     def canonical_int_rows(self):
-        """Canonical rows: pivot entries exactly p^k, reduced above pivots.
-
-        Only valid once the module has full rank (so reductions modulo the
-        modulus stay inside the module)."""
-        if self.rank < self.m:
-            raise NotFullRank("integer canonical form needs full rank")
-        self._maybe_tighten_modulus()
-        p = self.p
-        mod = self.modulus or self.cap
-        rows = {col: list(row) for col, (_, _, row) in self.pivots.items()}
+        """Canonical rows: pivot entries exactly p^k, reduced above pivots."""
+        p, mod = self.p, self.modulus
+        rows = {col: list(row) for col, (_, row) in self.pivots.items()}
         cols = sorted(rows)
         for c in cols:
             for c2 in cols:
@@ -919,178 +863,135 @@ def _full_end_module(spec: FieldSpec, N: int, certificate) -> MatrixModule:
     return MatrixModule(spec, N, tuple(basis), (0,) * (N * N), certificate)
 
 
-def _saturate_padic(spec, images, N, trials, rng, alphabet, module, level):
-    # The working precision certifies itself (_IntEchelon.precision_ok);
-    # retries are deterministic because the rng stream just continues.
-    prec = 128
-    while True:
-        result = _saturate_padic_at(spec, images, N, trials, rng, alphabet,
-                                    module, level, prec)
-        if result is not None:
-            return result
-        prec *= 4
-        if prec > 4096:
-            raise InternalInvariantViolation(
-                "p-adic saturation could not certify its precision")
+class _PadicLane:
+    """Q_p lane: integer matrices modulo the modulus of an _IntEchelon.
 
+    The saturation computes M + p^P * Z^m exactly (see _IntEchelon), M
+    the true span.  If its top elementary divisor c is below P, it is M.
+    Proof: p^c * Z^m lies in M + p^P * Z^m, so M + p^c * Z^m equals
+    M + p^P * Z^m, and Q = (M + p^c * Z^m) / M is the image of
+    p^P * Z^m = p^(P - c) * p^c * Z^m, that is, Q = p^(P - c) * Q.  Q is
+    a finitely generated module over the local ring Z_(p), and p lies in
+    its maximal ideal, so Q = 0 by Nakayama's lemma.  Otherwise c = P
+    (the result contains p^P * Z^m), and CapExceeded is raised.
+    """
 
-def _saturate_padic_at(spec, images, N, trials, rng, alphabet, module, level,
-                       prec):
-    p = spec.p
-    # exact integer representations of the images
-    int_mats = [[[int(x) for x in row] for row in im] for im in images]
-    ident = [[1 if i == j else 0 for j in range(N)] for i in range(N)]
-    ech = _IntEchelon(N * N, p, prec=prec)
+    exact = True
 
-    def vec(mat):
+    def __init__(self, spec: RationalAtP, N: int):
+        self.spec, self.N = spec, N
+        self.ech = _IntEchelon(N * N, spec.p)
+
+    def enc(self, mat):
+        mod = self.ech.modulus
+        return [[int(x) % mod for x in row] for row in mat]
+
+    def insert(self, mat) -> bool:
+        return self.ech.insert(vectorize(mat))
+
+    def mul(self, A, B):
+        mod, n = self.ech.modulus, len(A)
         out = []
-        for row in mat:
-            out.extend(row)
-        return out
-
-    def unvec_int(v):
-        mod = ech.modulus or ech.cap
-        return [[x % mod for x in v[i * N:(i + 1) * N]] for i in range(N)]
-
-    def reduce_mat(mat):
-        mod = ech.modulus or ech.cap
-        return [[x % mod for x in row] for row in mat]
-
-    def int_mat_mul(A, B):
-        n = len(A)
-        mod = ech.modulus or ech.cap
-        out = []
-        for i in range(n):
-            Ai = A[i]
+        for Ai in A:
             row = []
             for j in range(n):
                 acc = 0
-                for k in range(n):
-                    a = Ai[k]
+                for a, Bk in zip(Ai, B):
                     if a:
-                        acc += a * B[k][j]
+                        acc += a * Bk[j]
                 row.append(acc % mod)
             out.append(row)
         return out
 
-    # Zero tests before full rank are provisional (see _IntEchelon), so
-    # every vector judged dependent then is kept and re-checked once the
-    # tightened modulus makes insert exact.
-    deferred = []
+    def result(self):
+        spec, N = self.spec, self.N
+        rows = self.ech.canonical_int_rows()
+        divisors = _int_smith_divisors(rows, spec.p)
+        if divisors[-1] >= PRECISION:
+            raise CapExceeded(
+                f"p-adic saturation reached the working precision "
+                f"p^{PRECISION}: the order's top elementary divisor is "
+                f"at least {PRECISION}")
+        basis = tuple(unvectorize(tuple(spec.from_int(x) for x in row), N)
+                      for row in rows)
+        return basis, divisors
 
-    def feed(v):
-        if ech.insert(v):
-            return True
-        if ech.modulus is None:
-            deferred.append(v)
-        return False
 
-    frontier = []
-    for mat in [ident] + int_mats:
-        if feed(vec(mat)):
-            frontier.append(reduce_mat(mat))
+class _ExactLane:
+    """Exact lane: field-element matrices in an ExactEchelon."""
+
+    exact = False
+
+    def __init__(self, spec: FieldSpec, N: int):
+        self.spec, self.N = spec, N
+        self.ech = ExactEchelon(spec, N * N)
+
+    def enc(self, mat):
+        return mat
+
+    def insert(self, mat) -> bool:
+        return self.ech.insert(vectorize(mat))
+
+    mul = staticmethod(mat_mul)
+
+    def result(self):
+        rows, _ = self.ech.canonical_rows()
+        return (tuple(unvectorize(r, self.N) for r in rows),
+                smith_divisors(rows, self.spec))
+
+
+def _close(lane, gens, frontier):
+    """Insert g*b and b*g for every gen g and every b in the frontier or
+    added since, until the span is closed under both products."""
     while frontier:
         new = []
         for b in frontier:
-            for g in int_mats:
-                for cand in (int_mat_mul(g, b), int_mat_mul(b, g)):
-                    if feed(vec(cand)):
-                        new.append(reduce_mat(cand))
+            for g in gens:
+                for cand in (lane.mul(g, b), lane.mul(b, g)):
+                    if lane.insert(cand):
+                        new.append(cand)
         frontier = new
 
-    if ech.rank == N * N:
-        frontier = [unvec_int(v) for v in deferred if ech.insert(v)]
-        deferred = []
-        while frontier:
-            new = []
-            for b in frontier:
-                for g in int_mats:
-                    for cand in (int_mat_mul(g, b), int_mat_mul(b, g)):
-                        if ech.insert(vec(cand)):
-                            new.append(reduce_mat(cand))
-            frontier = new
 
-    # randomized enlargement certificate
+def _saturate(lane, spec, images, trials, rng, alphabet, module, level):
+    """Span of the identity and the images, closed under products with the
+    images, then tested with random words until `trials` in a row add
+    nothing; a word that adds something is absorbed and the count
+    restarts."""
+    gens = [lane.enc(im) for im in images]
+    seeds = [lane.enc(identity_matrix(spec, lane.N))] + gens
+    _close(lane, gens, [b for b in seeds if lane.insert(b)])
     passed = 0
     restarts = 0
     while passed < trials:
         word = _random_word_matrix(spec, module.n, alphabet, rng)
-        image = rho(module, word, spec)
-        cand = [[int(x) % ech.cap for x in row] for row in image]
-        if ech.insert(vec(cand)):
+        cand = lane.enc(rho(module, word, spec))
+        if lane.insert(cand):
             restarts += 1
             passed = 0
-            frontier = [reduce_mat(cand)]
-            while frontier:
-                new = []
-                for b in frontier:
-                    for g in int_mats:
-                        for prod in (int_mat_mul(g, b), int_mat_mul(b, g)):
-                            if ech.insert(vec(prod)):
-                                new.append(reduce_mat(prod))
-                frontier = new
+            _close(lane, gens, [cand])
         else:
             passed += 1
-
-    if ech.rank < N * N:
-        raise InternalInvariantViolation(
-            "p-adic saturation did not reach full rank")
-    if not ech.precision_ok():
-        return None
-    rows = ech.canonical_int_rows()
-    divisors = _int_smith_divisors(rows, p)
-    basis = tuple(unvectorize(tuple(spec.from_int(x) for x in row), N)
-                  for row in rows)
+    basis, divisors = lane.result()
+    label = ("exact" if lane.exact
+             else f"certified at level={level}, trials={trials}")
     certificate = {"level": level, "trials": trials, "trials_passed": passed,
-                   "restarts": restarts, "exact": True,
-                   "label": "exact", "method": "saturation"}
-    return MatrixModule(spec, N, basis, divisors, certificate)
+                   "restarts": restarts, "exact": lane.exact,
+                   "label": label, "method": "saturation"}
+    return MatrixModule(spec, lane.N, basis, divisors, certificate)
+
+
+def _saturate_padic(spec, images, N, trials, rng, alphabet, module, level):
+    return _saturate(_PadicLane(spec, N), spec, images, trials, rng,
+                     alphabet, module, level)
 
 
 def _saturate_generic(spec, images, N, trials, rng, alphabet, module, level):
     # compute_order sends p-adic fields to _saturate_padic, so only the
-    # Laurent backend gets here, and its certificate is always sampled.
-    ech = ExactEchelon(spec, N * N)
-    mats = [identity_matrix(spec, N)] + list(images)
-    frontier = []
-    for mat in mats:
-        if ech.insert(vectorize(mat)):
-            frontier.append(mat)
-    while frontier:
-        new = []
-        for b in frontier:
-            for g in images:
-                for cand in (mat_mul(g, b), mat_mul(b, g)):
-                    if ech.insert(vectorize(cand)):
-                        new.append(cand)
-        frontier = new
-    passed = 0
-    restarts = 0
-    while passed < trials:
-        word = _random_word_matrix(spec, module.n, alphabet, rng)
-        image = rho(module, word, spec)
-        if ech.insert(vectorize(image)):
-            restarts += 1
-            passed = 0
-            frontier = [image]
-            while frontier:
-                new = []
-                for b in frontier:
-                    for g in images:
-                        for cand in (mat_mul(g, b), mat_mul(b, g)):
-                            if ech.insert(vectorize(cand)):
-                                new.append(cand)
-                frontier = new
-        else:
-            passed += 1
-    rows, _ = ech.canonical_rows()
-    divisors = smith_divisors(rows, spec)
-    basis = tuple(unvectorize(r, N) for r in rows)
-    certificate = {"level": level, "trials": trials, "trials_passed": passed,
-                   "restarts": restarts, "exact": False,
-                   "label": f"certified at level={level}, trials={trials}",
-                   "method": "saturation"}
-    return MatrixModule(spec, N, basis, divisors, certificate)
+    # Laurent backend gets here, and its certificate is always sampled;
+    # tests call it on RationalAtP as the exact oracle of the p-adic lane.
+    return _saturate(_ExactLane(spec, N), spec, images, trials, rng,
+                     alphabet, module, level)
 
 
 def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
@@ -1101,7 +1002,9 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
     diagonals (from unit_sample_set at the given level), and uniformizer
     diagonals, closes the span under products, and then runs `trials`
     randomized enlargement tests with random generator words; any
-    enlargement is absorbed and the count restarts.
+    enlargement is absorbed and the count restarts.  Over Q_p the result
+    is exact; CapExceeded is raised when its top elementary divisor
+    would reach the working precision PRECISION.
     """
     N = module.N
     if N == 0:

@@ -11,16 +11,12 @@ under the substitution sending letter i to sum_j g[i][j] x_j.  With this
 convention ``rho(g) @ rho(h) == rho(g @ h)`` holds literally.
 
 Straightening coefficients are integers and independent of the scalar
-field, so they are cached per (n, shape) and optionally persisted to the
-directory named by the SCHUR_LATTICE_CACHE environment variable.
+field, so they are cached per (n, shape).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import os
-import tempfile
 
 from .errors import ShapeMismatch, Singular
 from .fields import FieldSpec
@@ -61,50 +57,6 @@ class SchurModule:
         self.index = {T: i for i, T in enumerate(self.basis)}
         self._straighten_cache: dict = {}
         self._rho_memo: dict = {}
-        self._cache_dirty = False
-        self._load_disk_cache()
-
-    # -- persistent straightening cache --------------------------------
-    def _cache_path(self):
-        directory = os.environ.get("SCHUR_LATTICE_CACHE")
-        if not directory:
-            return None
-        os.makedirs(directory, exist_ok=True)
-        name = f"straighten_{self.n}_{'-'.join(map(str, self.lam))}.json"
-        return os.path.join(directory, name)
-
-    def _load_disk_cache(self):
-        path = self._cache_path()
-        if not path or not os.path.exists(path):
-            return
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError):
-            return
-        for key, combo in raw.items():
-            filling = tuple(tuple(int(x) for x in row.split(","))
-                            for row in key.split(";"))
-            self._straighten_cache[filling] = {int(i): int(c)
-                                               for i, c in combo.items()}
-
-    def save_cache(self):
-        """Persist newly computed straightening data, if caching is on."""
-        path = self._cache_path()
-        if not path or not self._cache_dirty:
-            return
-        payload = {";".join(",".join(map(str, row)) for row in filling):
-                   {str(i): c for i, c in combo.items()}
-                   for filling, combo in self._straighten_cache.items()}
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        self._cache_dirty = False
 
     # -- straightening ---------------------------------------------------
     def _validate_filling(self, filling):
@@ -179,7 +131,6 @@ class SchurModule:
                 stack.append(
                     (_filling_from_columns(new_cols, self.lam, self.lamc), coeff))
         self._straighten_cache[filling] = out
-        self._cache_dirty = True
         return out
 
     def straighten(self, filling, coeff=1):
@@ -279,7 +230,6 @@ def rho(module: SchurModule, g, spec: FieldSpec):
                 row[idx] = row[idx] + coeff * c
     result = tuple(tuple(r) for r in out)
     module._rho_memo[memo_key] = result
-    module.save_cache()
     return result
 
 

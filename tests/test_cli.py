@@ -228,6 +228,30 @@ def test_exit_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_order_former_exit4_case_answers(capsys):
+    code, out, _ = run_main(capsys, ["order", "--n", "2", "--lambda", "4",
+                                     "--p", "2", "--json"])
+    assert code == 0
+    assert json.loads(out)["order"]["divisors"][-1] == 3
+
+
+def test_exit_precision_cap_names_case_and_stage(capsys, monkeypatch):
+    """The p-adic order reaching the working precision is a cap: run_case
+    names the case and the stage, and the CLI exits 3."""
+    import schur_lattice.dvr as dvr
+    from schur_lattice.errors import CapExceeded
+
+    monkeypatch.setattr(dvr, "PRECISION", 2)
+    with pytest.raises(CapExceeded, match=r"^n=2 lambda=4 \{'backend': "
+                       r"'p-adic', 'p': 2\}: stage order: p-adic saturation"):
+        run_case({"n": 2, "lambda": [4], "field": "padic", "p": 2},
+                 parts=("order",))
+    code, out, err = run_main(
+        capsys, ["order", "--n", "2", "--lambda", "4", "--p", "2"])
+    assert code == 3 and out == ""
+    assert "error: cap exceeded: n=2 lambda=4" in err
+
+
 def test_exit_violation_names_case_and_stage(capsys, monkeypatch):
     """A forced polytrope/BFS disagreement exits 4 and names the case, the
     stage and the class found by one engine only."""

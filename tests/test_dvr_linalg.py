@@ -1,23 +1,27 @@
 """Tests for valuation-ring linear algebra: echelon forms, lattices,
 homothety classes, and order computation by saturation."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from schur_lattice import (Lattice, LatticeClass, NonIntegralInput,
-                           RationalAtP, RationalFunctionOverFq, SchurModule,
+from schur_lattice import (CapExceeded, Lattice, LatticeClass,
+                           NonIntegralInput, RationalAtP,
+                           RationalFunctionOverFq, SchurModule,
                            Singular, class_distance, compute_order,
                            congruence_level, full_rank, hnf_dvr, lattice_dual,
                            lattice_intersection, lattice_sum, membership,
                            module_add_and_saturate, module_from_matrices,
                            relative_divisors, rho, smith_divisors,
                            standard_lattice)
-from schur_lattice.dvr import (ExactEchelon, group_generator_matrices,
-                               mat_mul, uniformizer_diagonal_matrices,
-                               vectorize)
+from schur_lattice import dvr
+from schur_lattice.dvr import (PRECISION, ExactEchelon, _int_smith_divisors,
+                               _IntEchelon, group_generator_matrices,
+                               mat_mul, saturation_alphabet,
+                               uniformizer_diagonal_matrices, vectorize)
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -346,3 +350,92 @@ def test_echelon_insert_reports_growth(data):
         before = ech.member(v)
         grew = ech.insert(v)
         assert grew == (not before)
+
+
+# ---------------------------------------------------------------------------
+# the p-adic lane: an echelon seeded with p^P * I
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), m=st.integers(1, 4), data=st.data())
+def test_int_echelon_matches_exact_echelon(p, m, data):
+    """The seeded echelon spans M + p^P Z^m: its canonical rows are M's when
+    the top divisor is below P, and a rank-deficient M shows divisor P.
+    Once M has full rank, insert reports growth exactly as ExactEchelon."""
+    entry = st.builds(lambda c, k: c * p ** k, st.integers(-6, 6),
+                      st.integers(0, 3))
+    vecs = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                              max_size=6))
+    ech, ref = _IntEchelon(m, p), ExactEchelon(RationalAtP(p), m)
+    for v in vecs:
+        was_full = ref.rank == m
+        grew = ech.insert(v)
+        ref_grew = ref.insert(tuple(Fraction(x) for x in v))
+        if was_full:
+            assert grew == ref_grew
+    rows = ech.canonical_int_rows()
+    top = _int_smith_divisors(rows, p)[-1]
+    if ref.rank < m:
+        assert top == PRECISION
+    else:
+        assert top < PRECISION
+        assert rows == ref.canonical_rows()[0]
+
+
+# n = 2 cases that exited 4 when the p-adic lane guessed its precision
+# (N <= 7), and (6,1) at p=5, which needed two precision retries
+@pytest.mark.parametrize("lam, p", [
+    ((4,), 2), ((5,), 2), ((6,), 2), ((5, 1), 2), ((6, 1), 2), ((7, 1), 2),
+    ((6, 2), 2), ((5,), 5), ((6, 1), 5)])
+def test_padic_order_matches_exact_lane(lam, p):
+    spec, module = RationalAtP(p), SchurModule(2, lam)
+    H = compute_order(module, spec, trials=8, rng_seed=0)
+    assert H.certificate["method"] == "saturation"
+    alphabet = saturation_alphabet(spec, 2, 1)
+    images = [rho(module, g, spec) for g in alphabet]
+    G = dvr._saturate_generic(spec, images, module.N, 8, random.Random(0),
+                              alphabet, module, 1)
+    assert (H.basis, H.divisors) == (G.basis, G.divisors)
+
+
+# the former exit-4 cases with N >= 8, too large for the exact lane
+@pytest.mark.parametrize("lam, p", [
+    ((7,), 2), ((7,), 5), ((8,), 3), ((8,), 5), ((8,), 7)])
+def test_padic_order_independent_of_precision(lam, p, monkeypatch):
+    """With top divisor c < P the result is M itself, so P = c + 1 gives
+    the same order and certificate as P = 128."""
+    spec, module = RationalAtP(p), SchurModule(2, lam)
+    H = compute_order(module, spec, trials=8, rng_seed=0)
+    assert H.divisors[-1] < PRECISION
+    monkeypatch.setattr(dvr, "PRECISION", H.divisors[-1] + 1)
+    G = compute_order(module, spec, trials=8, rng_seed=0)
+    assert (G.basis, G.divisors, G.certificate) == \
+        (H.basis, H.divisors, H.certificate)
+
+
+@pytest.mark.parametrize("lam", [(2,), (3,)])
+def test_saturation_absorbs_random_words(lam):
+    """Seeded with the group images only, the closure misses the
+    uniformizer diagonals.  The first random word that holds one restarts
+    the count, and the two-sided closure of that word reaches the order,
+    in both lanes."""
+    spec, module = P2, SchurModule(2, lam)
+    alphabet = saturation_alphabet(spec, 2, 1)
+    group = [rho(module, g, spec)
+             for g in group_generator_matrices(spec, 2, 1)]
+    H = compute_order(module, spec, trials=8, rng_seed=0)
+    for saturate in (dvr._saturate_padic, dvr._saturate_generic):
+        G = saturate(spec, group, module.N, 8, random.Random(0), alphabet,
+                     module, 1)
+        assert G.certificate["restarts"] == 1
+        assert (G.basis, G.divisors) == (H.basis, H.divisors)
+
+
+def test_padic_order_raises_cap_at_precision(monkeypatch):
+    """(2,(4),2) has top divisor 3; with P = 2 the lane can only see
+    M + 4 Z^m, whose top divisor is P, and stops."""
+    spec, module = P2, SchurModule(2, (4,))
+    assert compute_order(module, spec, trials=8).divisors[-1] == 3
+    monkeypatch.setattr(dvr, "PRECISION", 2)
+    with pytest.raises(CapExceeded, match="working precision p\\^2"):
+        compute_order(module, spec, trials=8)
