@@ -1,19 +1,11 @@
 #!/usr/bin/env python3
-"""Micro-benchmarks for the hot kernels, numba lane vs numpy fallback.
+"""Micro-benchmarks for the hot kernels.
 
-Default mode runs the whole suite twice in subprocesses -- once with
-SCHUR_LATTICE_BACKEND=numba and once with SCHUR_LATTICE_BACKEND=numpy --
-and prints both tables, so the JIT speedup can be read off directly:
+Runs the suite once, in this process, and prints one table:
 
     python3 benchmarks/bench_kernels.py
-
-Pass --single to benchmark only the backend active in this process.
 """
 
-import argparse
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -32,8 +24,8 @@ def _bench(label, fn, reps, warmup=1):
 def run_suite():
     from schur_lattice import (RationalAtP, SchurModule, compute_order,
                                fix_bfs, standard_lattice)
-    from schur_lattice._kernels import (BACKEND, digit_histogram, gf_matmul,
-                                        gf_rref, line_spin_profile,
+    from schur_lattice._kernels import (digit_histogram, gf_matmul, gf_rref,
+                                        line_spin_profile,
                                         minplus_closure_matrix,
                                         residue_algebra_generators,
                                         residue_ring_closure_rank,
@@ -100,26 +92,10 @@ def run_suite():
     rows.append(_bench("digit_histogram 15x1e6",
                        lambda: digit_histogram(digits, 3), 10))
 
-    print(f"backend: {BACKEND}")
     print(f"{'kernel':<33} {'reps':>4} {'total s':>9} {'per-op ms':>10}")
     for label, reps, total in rows:
         print(f"{label:<33} {reps:>4} {total:>9.3f} {total / reps * 1e3:>10.2f}")
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--single", action="store_true",
-                        help="benchmark only the active backend")
-    args = parser.parse_args()
-    if args.single:
-        run_suite()
-        return
-    for backend in ("numba", "numpy"):
-        env = dict(os.environ, SCHUR_LATTICE_BACKEND=backend)
-        subprocess.run([sys.executable, __file__, "--single"], env=env,
-                       check=True)
-        print()
-
-
 if __name__ == "__main__":
-    main()
+    run_suite()

@@ -1,10 +1,7 @@
-"""Hot numeric kernels: residue-field linear algebra, min-plus closure,
-and digit histograms.
+"""Residue-field and tropical kernels: linear algebra over F_q, line
+spins, min-plus closure and digit histograms.
 
-Two lanes are provided and selected by the ``SCHUR_LATTICE_BACKEND``
-environment variable: ``numba`` (default when importable; JIT-compiled
-loops) and ``numpy`` (pure-numpy fallback, always available).  Exact
-valuation-ring arithmetic never goes through this module -- only
+Exact valuation-ring arithmetic never goes through this module -- only
 residue-field and tropical work, where machine integers are sound.
 
 Residue-field elements are ints in [0, q); arithmetic uses the lookup
@@ -14,61 +11,15 @@ tables from :meth:`GF.tables` (for prime q a direct mod-p path is used).
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .fields import GF
 
-_requested = os.environ.get("SCHUR_LATTICE_BACKEND", "").strip().lower()
-_numba_ok = False
-if _requested != "numpy":
-    try:
-        from numba import njit  # type: ignore
-
-        _numba_ok = True
-    except ImportError:
-        _numba_ok = False
-if not _numba_ok:
-    def njit(*args, **kwargs):  # noqa: D401 - no-op shim
-        """Identity decorator used when numba is not active."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(f):
-            return f
-
-        return deco
-
-BACKEND = "numba" if _numba_ok else "numpy"
-
 
 # ---------------------------------------------------------------------------
 # residue-field matrix multiply
 # ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _matmul_tables_jit(A, B, addt, mult):  # pragma: no cover - jit lane
-    n, k = A.shape
-    m = B.shape[1]
-    out = np.zeros((n, m), dtype=np.int64)
-    for i in range(n):
-        for j in range(m):
-            acc = 0
-            for t in range(k):
-                acc = addt[acc, mult[A[i, t], B[t, j]]]
-            out[i, j] = acc
-    return out
-
-
-def _matmul_tables_np(A, B, addt, mult):
-    n, m = A.shape[0], B.shape[1]
-    out = np.zeros((n, m), dtype=np.int64)
-    for t in range(A.shape[1]):
-        term = mult[A[:, t][:, None], B[t, :][None, :]]
-        out = addt[out, term]
-    return out
-
 
 def gf_matmul(fq: GF, A, B):
     """Matrix product over F_q; int64 arrays in, int64 array out."""
@@ -77,9 +28,10 @@ def gf_matmul(fq: GF, A, B):
     if fq.e == 1:
         return (A @ B) % fq.p
     addt, mult, _ = fq.tables()
-    if _numba_ok:
-        return _matmul_tables_jit(A, B, addt, mult)
-    return _matmul_tables_np(A, B, addt, mult)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for t in range(A.shape[1]):
+        out = addt[out, mult[A[:, t][:, None], B[t, :][None, :]]]
+    return out
 
 
 def gf_matvec(fq: GF, A, v):
@@ -261,128 +213,30 @@ def spin_closure(fq: GF, seed_vectors, mats):
 # batched line-spin enumeration
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _rref_insert_jit(E, piv, rank, w, addt, mult, invt, negt):  # pragma: no cover - jit lane
-    """Insert w into the reduced echelon basis E[:rank]; new rank.
+def line_spin_profile(fq: GF, mats, N: int):
+    """Spin closure of every canonical line of F_q^N under the matrices.
 
-    E stays fully reduced with rows sorted by pivot column; w is
-    clobbered (it becomes the normalized inserted row, or zero).
+    Lines are indexed by codes in [1, q**N): code c encodes the vector
+    whose little-endian base-q digits are those of c, and a code is
+    canonical when its first nonzero digit is 1 (one code per line).
+    Returns ``(dims, sigs)`` over all codes: ``dims[c]`` is the dimension
+    of the smallest subspace containing the line and carried into itself
+    by every matrix (-1 when c is not canonical), and ``sigs[c, r]`` packs
+    row r of the closure's canonical RREF basis as sum_j row[j] * q**j
+    (rows sorted by pivot column; unused rows zero).
+
+    Each line is spun breadth-first over plain lists and the lookup
+    tables of :meth:`GF.tables`, keeping a fully reduced echelon basis.
     """
-    N = E.shape[1]
-    for r in range(rank):
-        cf = w[piv[r]]
-        if cf != 0:
-            ng = negt[cf]
-            for j in range(N):
-                ej = E[r, j]
-                if ej != 0:
-                    w[j] = addt[w[j], mult[ng, ej]]
-    lead = -1
-    for j in range(N):
-        if w[j] != 0:
-            lead = j
-            break
-    if lead < 0:
-        return rank
-    iv = invt[w[lead]]
-    for j in range(N):
-        w[j] = mult[iv, w[j]]
-    for r in range(rank):
-        cf = E[r, lead]
-        if cf != 0:
-            ng = negt[cf]
-            for j in range(N):
-                wj = w[j]
-                if wj != 0:
-                    E[r, j] = addt[E[r, j], mult[ng, wj]]
-    pos = rank
-    for r in range(rank):
-        if piv[r] > lead:
-            pos = r
-            break
-    for r in range(rank, pos, -1):
-        for j in range(N):
-            E[r, j] = E[r - 1, j]
-        piv[r] = piv[r - 1]
-    for j in range(N):
-        E[pos, j] = w[j]
-    piv[pos] = lead
-    return rank + 1
-
-
-@njit(cache=True)
-def _line_spins_jit(mats, addt, mult, invt, negt, q, N, total):  # pragma: no cover - jit lane
+    q = fq.q
+    total = q ** N
+    if total.bit_length() >= 63:
+        raise ValueError("q**N too large for packed line enumeration")
+    matsl = [np.asarray(m, dtype=np.int64).tolist() for m in mats]
+    addl, mull, invl = (t.tolist() for t in fq.tables())
+    negl = [fq.neg(a) for a in range(q)]
     dims = np.full(total, -1, dtype=np.int64)
     sigs = np.zeros((total, N), dtype=np.int64)
-    E = np.zeros((N, N), dtype=np.int64)
-    piv = np.zeros(N, dtype=np.int64)
-    queue = np.zeros((N, N), dtype=np.int64)
-    w = np.zeros(N, dtype=np.int64)
-    powers = np.zeros(N, dtype=np.int64)
-    pw = 1
-    for j in range(N):
-        powers[j] = pw
-        pw *= q
-    k = mats.shape[0]
-    for code in range(1, total):
-        c = code
-        first = -1
-        canonical = True
-        for j in range(N):
-            d = c % q
-            c //= q
-            w[j] = d
-            if d != 0 and first < 0:
-                first = j
-                if d != 1:
-                    canonical = False
-                    break
-        if not canonical:
-            continue
-        rank = 0
-        qn = 0
-        nr = _rref_insert_jit(E, piv, rank, w, addt, mult, invt, negt)
-        if nr > rank:
-            for j in range(N):
-                queue[qn, j] = w[j]
-            qn += 1
-            rank = nr
-        head = 0
-        while head < qn and rank < N:
-            for a in range(k):
-                for i in range(N):
-                    acc = 0
-                    for j in range(N):
-                        mj = mats[a, i, j]
-                        uj = queue[head, j]
-                        if mj != 0 and uj != 0:
-                            acc = addt[acc, mult[mj, uj]]
-                    w[i] = acc
-                nr = _rref_insert_jit(E, piv, rank, w, addt, mult, invt, negt)
-                if nr > rank:
-                    for j in range(N):
-                        queue[qn, j] = w[j]
-                    qn += 1
-                    rank = nr
-            head += 1
-        dims[code] = rank
-        for r in range(rank):
-            acc = 0
-            for j in range(N):
-                acc += E[r, j] * powers[j]
-            sigs[code, r] = acc
-    return dims, sigs
-
-
-def _line_spins_py(mats, addt, mult, invt, negt, q, N, total):
-    """Fallback lane: same algorithm over plain lists and lookup tables."""
-    dims = np.full(total, -1, dtype=np.int64)
-    sigs = np.zeros((total, N), dtype=np.int64)
-    matsl = [m.tolist() for m in mats]
-    addl = addt.tolist()
-    mull = mult.tolist()
-    invl = invt.tolist()
-    negl = negt.tolist()
     powers = [q ** j for j in range(N)]
     rng_n = range(N)
     for code in range(1, total):
@@ -452,33 +306,6 @@ def _line_spins_py(mats, addt, mult, invt, negt, q, N, total):
     return dims, sigs
 
 
-def line_spin_profile(fq: GF, mats, N: int):
-    """Spin closure of every canonical line of F_q^N under the matrices.
-
-    Lines are indexed by codes in [1, q**N): code c encodes the vector
-    whose little-endian base-q digits are those of c, and a code is
-    canonical when its first nonzero digit is 1 (one code per line).
-    Returns ``(dims, sigs)`` over all codes: ``dims[c]`` is the dimension
-    of the smallest subspace containing the line and carried into itself
-    by every matrix (-1 when c is not canonical), and ``sigs[c, r]`` packs
-    row r of the closure's canonical RREF basis as sum_j row[j] * q**j
-    (rows sorted by pivot column; unused rows zero).
-    """
-    q = fq.q
-    total = q ** N
-    if total.bit_length() >= 63:
-        raise ValueError("q**N too large for packed line enumeration")
-    if mats:
-        arr = np.stack([np.asarray(m, dtype=np.int64) for m in mats])
-    else:
-        arr = np.zeros((0, N, N), dtype=np.int64)
-    addt, mult, invt = fq.tables()
-    negt = np.array([fq.neg(a) for a in range(q)], dtype=np.int64)
-    if _numba_ok:
-        return _line_spins_jit(arr, addt, mult, invt, negt, q, N, total)
-    return _line_spins_py(arr, addt, mult, invt, negt, q, N, total)
-
-
 def unpack_gf_rows(packed, dim: int, q: int, N: int):
     """Inverse of the row packing used by :func:`line_spin_profile`."""
     out = np.zeros((dim, N), dtype=np.int64)
@@ -494,39 +321,14 @@ def unpack_gf_rows(packed, dim: int, q: int, N: int):
 # min-plus (tropical) closure
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _floyd_warshall_jit(D):  # pragma: no cover - jit lane
-    n = D.shape[0]
-    for k in range(n):
-        for i in range(n):
-            dik = D[i, k]
-            if dik == np.inf:
-                continue
-            for j in range(n):
-                alt = dik + D[k, j]
-                if alt < D[i, j]:
-                    D[i, j] = alt
-    return D
-
-
-def _floyd_warshall_np(D):
-    n = D.shape[0]
-    for k in range(n):
-        alt = D[:, k][:, None] + D[k, :][None, :]
-        np.minimum(D, alt, out=D)
-    return D
-
-
 def minplus_closure_matrix(M):
     """All-pairs (min, +) closure; entries may be math.inf.
 
     Returns (closed matrix as list of lists, negative_diagonal flag).
     """
     D = np.array([[float(x) for x in row] for row in M], dtype=np.float64)
-    if _numba_ok:
-        D = _floyd_warshall_jit(D)
-    else:
-        D = _floyd_warshall_np(D)
+    for k in range(D.shape[0]):
+        np.minimum(D, D[:, k][:, None] + D[k, :][None, :], out=D)
     neg = bool(np.any(np.diag(D) < 0))
     closed = [[math.inf if np.isinf(x) else int(round(x)) for x in row]
               for row in D]

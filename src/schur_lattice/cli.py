@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -83,11 +84,17 @@ def _parse_lambda(text: str):
     return validate_partition(parts)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an int >= low; anything else exits 2 at parsing."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return parse
 
 
 def _build_spec(field: str, p, q) -> FieldSpec:
@@ -387,8 +394,6 @@ def cmd_irreducible(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.precision < 1:
-        raise SchurLatticeError("--precision must be >= 1")
     lam = _parse_lambda(args.lam)
     spec = _build_spec(args.field, args.p, args.q)
     module = SchurModule(args.n, lam)
@@ -476,10 +481,13 @@ def cmd_scan(args) -> int:
         merged = dict(defaults)
         merged.update(c)
         cases.append(merged)
-    _progress(f"scan: {len(cases)} cases, workers={args.workers}")
+    # the pool starts all its processes at once, so it is never larger
+    # than the work or the machine; reports do not depend on its size
+    workers = min(args.workers, len(cases), os.cpu_count() or 1)
+    _progress(f"scan: {len(cases)} cases, workers={workers}")
     payloads = [json.dumps(c) for c in cases]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_worker, payloads))
     else:
         results = [_scan_worker(p) for p in payloads]
@@ -523,8 +531,10 @@ def _add_common(sp, *, field=True, seed=True):
         sp.add_argument("--q", type=int, default=None,
                         help="residue field size (laurent backend)")
     if seed:
-        sp.add_argument("--level", type=int, default=DEFAULTS["level"])
-        sp.add_argument("--trials", type=int, default=DEFAULTS["trials"])
+        sp.add_argument("--level", type=_int_at_least(1),
+                        default=DEFAULTS["level"])
+        sp.add_argument("--trials", type=_int_at_least(0),
+                        default=DEFAULTS["trials"])
         sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
 
 
@@ -543,13 +553,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dim", help="Schur module dimension")
     sp.add_argument("--lambda", dest="lam", required=True)
-    sp.add_argument("--n", type=_positive_int, required=True)
+    sp.add_argument("--n", type=_int_at_least(1), required=True)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_dim)
 
     sp = sub.add_parser("rho", help="representation matrix of one g")
     sp.add_argument("--lambda", dest="lam", required=True)
-    sp.add_argument("--n", type=_positive_int, required=True)
+    sp.add_argument("--n", type=_int_at_least(1), required=True)
     sp.add_argument("--matrix", required=True,
                     help="semicolon-separated rows, comma-separated entries")
     _add_common(sp, seed=False)
@@ -559,30 +569,31 @@ def build_parser() -> argparse.ArgumentParser:
                      ("irreducible", cmd_irreducible)):
         sp = sub.add_parser(name)
         sp.add_argument("--lambda", dest="lam", required=True)
-        sp.add_argument("--n", type=_positive_int, required=True)
+        sp.add_argument("--n", type=_int_at_least(1), required=True)
         _add_common(sp)
-        sp.add_argument("--cap-N", dest="cap_N", type=int,
+        sp.add_argument("--cap-N", dest="cap_N", type=_int_at_least(1),
                         default=DEFAULTS["cap_N"])
         sp.add_argument("--timings", action="store_true")
         if name == "fix":
             sp.add_argument("--method", choices=("polytrope", "bfs", "both"),
                             default="both")
-            sp.add_argument("--radius", type=int, default=DEFAULTS["radius"],
+            sp.add_argument("--radius", type=_int_at_least(0),
+                            default=DEFAULTS["radius"],
                             help="enumeration radius for unbounded polytropes")
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("scan", help="batch conjecture scan from a config")
     sp.add_argument("config", help="JSON config file (see shipped schema)")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_int_at_least(1), default=1)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("sample", help="lattice Gaussian sampling report")
     sp.add_argument("--lambda", dest="lam", required=True)
-    sp.add_argument("--n", type=_positive_int, required=True)
+    sp.add_argument("--n", type=_int_at_least(1), required=True)
     _add_common(sp)
-    sp.add_argument("--precision", type=int, default=2)
-    sp.add_argument("--count", type=int, default=10_000)
+    sp.add_argument("--precision", type=_int_at_least(1), default=2)
+    sp.add_argument("--count", type=_int_at_least(1), default=10_000)
     sp.set_defaults(func=cmd_sample)
     return ap
 

@@ -940,14 +940,17 @@ class _ExactLane:
                 smith_divisors(rows, self.spec))
 
 
-def _close(lane, gens, frontier):
-    """Insert g*b and b*g for every gen g and every b in the frontier or
-    added since, until the span is closed under both products."""
+def _close(lane, gens, frontier, right=True):
+    """Insert g*b, and b*g when `right`, for every gen g and every b in
+    the frontier or added since, until nothing grows."""
     while frontier:
         new = []
         for b in frontier:
             for g in gens:
-                for cand in (lane.mul(g, b), lane.mul(b, g)):
+                cands = [lane.mul(g, b)]
+                if right:
+                    cands.append(lane.mul(b, g))
+                for cand in cands:
                     if lane.insert(cand):
                         new.append(cand)
         frontier = new
@@ -957,10 +960,21 @@ def _saturate(lane, spec, images, trials, rng, alphabet, module, level):
     """Span of the identity and the images, closed under products with the
     images, then tested with random words until `trials` in a row add
     nothing; a word that adds something is absorbed and the count
-    restarts."""
+    restarts.
+
+    The seed span needs left products only.  Every element it adds is a
+    word in the images, so it lies in the algebra A that they generate.
+    Holding the identity and closed under b -> g*b, it holds every word
+    g_1*g_2*...*g_k = g_1*(g_2*(...*(g_k*I))), so it equals A, which is
+    closed under right products as well.  Over Q_p the lane holds the
+    span plus p^P times the integral matrices, a two-sided ideal, and
+    the same argument gives A plus that ideal.  A restart adds a word
+    cand outside A; its closure must reach A*cand*A, so it forms both
+    products.
+    """
     gens = [lane.enc(im) for im in images]
     seeds = [lane.enc(identity_matrix(spec, lane.N))] + gens
-    _close(lane, gens, [b for b in seeds if lane.insert(b)])
+    _close(lane, gens, [b for b in seeds if lane.insert(b)], right=False)
     passed = 0
     restarts = 0
     while passed < trials:

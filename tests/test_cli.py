@@ -202,6 +202,42 @@ def test_scan_worker_pool_determinism(capsys, scan_config):
     assert seq == par
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps serially
+    and starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, pool_size", [(64, 3), (2, 2), (1, None)])
+def test_scan_pool_never_exceeds_cases_or_cpus(capsys, scan_config,
+                                               monkeypatch, cpus, pool_size):
+    """--workers 1000 on the 3-case config starts a pool of at most
+    min(cases, cpus) processes, and none on one cpu."""
+    from schur_lattice import cli
+
+    _, seq, _ = run_main(capsys, ["scan", scan_config])
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out, _ = run_main(capsys, ["scan", scan_config, "--workers", "1000"])
+    assert code == 0
+    assert out == seq
+    assert RecordingPool.sizes == ([pool_size] if pool_size else [])
+
+
 def test_scan_rejects_malformed_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"cases": [{"n": 2}]}))
@@ -218,6 +254,37 @@ def test_exit_invalid_input(capsys):
     code, _, err = run_main(capsys, ["order", "--n", "2", "--lambda", "2"])
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--count", "0"],
+    ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--count", "-1"],
+    ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--precision", "0"],
+    ["order", "--n", "2", "--lambda", "2", "--p", "2", "--trials", "-3"],
+    ["order", "--n", "2", "--lambda", "2", "--p", "2", "--level", "0"],
+    ["order", "--n", "2", "--lambda", "2", "--p", "2", "--cap-N", "0"],
+    ["order", "--n", "0", "--lambda", "2", "--p", "2"],
+    ["order", "--n", "2", "--lambda", "2", "--p", "2", "--seed", "x"],
+    ["fix", "--n", "2", "--lambda", "2", "--p", "2", "--radius", "-1"],
+    ["scan", "config.json", "--workers", "0"],
+    ["scan", "config.json", "--workers", "-2"],
+])
+def test_out_of_range_flag_exits_2_before_computing(capsys, monkeypatch,
+                                                    argv):
+    """An integer flag below its minimum (the scan schema's, for the keys
+    the schema has), or not an integer, stops argument parsing with
+    exit 2, before any computation."""
+    from schur_lattice import cli
+
+    def no_computation(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for name in ("SchurModule", "compute_order", "run_case", "cmd_scan"):
+        monkeypatch.setattr(cli, name, no_computation)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument" in capsys.readouterr().err
 
 
 def test_exit_cap_exceeded(capsys):

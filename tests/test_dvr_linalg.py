@@ -20,8 +20,9 @@ from schur_lattice import (CapExceeded, Lattice, LatticeClass,
 from schur_lattice import dvr
 from schur_lattice.dvr import (PRECISION, ExactEchelon, _int_smith_divisors,
                                _IntEchelon, group_generator_matrices,
-                               mat_mul, saturation_alphabet,
-                               uniformizer_diagonal_matrices, vectorize)
+                               identity_matrix, mat_mul, saturation_alphabet,
+                               uniformizer_diagonal_matrices, unvectorize,
+                               vectorize)
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -429,6 +430,47 @@ def test_saturation_absorbs_random_words(lam):
                      module, 1)
         assert G.certificate["restarts"] == 1
         assert (G.basis, G.divisors) == (H.basis, H.divisors)
+
+
+def two_sided_span(spec, images, N):
+    """(basis, divisors) of the span of I and the images, grown by g*b
+    and b*g for every image g until nothing is added."""
+    ech = ExactEchelon(spec, N * N)
+    frontier = [m for m in [identity_matrix(spec, N)] + images
+                if ech.insert(vectorize(m))]
+    while frontier:
+        new = []
+        for b in frontier:
+            for g in images:
+                for cand in (mat_mul(g, b), mat_mul(b, g)):
+                    if ech.insert(vectorize(cand)):
+                        new.append(cand)
+        frontier = new
+    rows, _ = ech.canonical_rows()
+    return (tuple(unvectorize(r, N) for r in rows),
+            smith_divisors(rows, spec))
+
+
+@pytest.mark.parametrize("spec, lam", [
+    (P2, (2,)), (P2, (3,)), (P3, (3,)), (P2, (2, 1)),
+    (RationalFunctionOverFq(2), (2,)), (RationalFunctionOverFq(3), (3,)),
+    (RationalFunctionOverFq(4), (2,))])
+@pytest.mark.parametrize("alphabet_of", ["saturation", "group"])
+def test_seed_span_is_two_sided_closure(spec, lam, alphabet_of):
+    """The seed span, closed under left products only, equals the
+    two-sided closure of I and the images, in both lanes."""
+    module = SchurModule(2, lam)
+    alphabet = (saturation_alphabet(spec, 2, 1) if alphabet_of == "saturation"
+                else group_generator_matrices(spec, 2, 1))
+    images = [rho(module, g, spec) for g in alphabet]
+    ref = two_sided_span(spec, images, module.N)
+    saturates = [dvr._saturate_generic]
+    if isinstance(spec, RationalAtP):
+        saturates.append(dvr._saturate_padic)
+    for saturate in saturates:
+        G = saturate(spec, images, module.N, 0, random.Random(0), alphabet,
+                     module, 1)
+        assert (G.basis, G.divisors) == ref
 
 
 def test_padic_order_raises_cap_at_precision(monkeypatch):

@@ -1,4 +1,5 @@
-"""Tests for the residue-field kernels and their numpy fallback lane."""
+"""Tests for the residue-field and tropical kernels, against per-entry
+and per-line reference implementations."""
 
 import math
 
@@ -8,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schur_lattice import GF
-from schur_lattice._kernels import (BACKEND, GFEchelon, digit_histogram,
-                                    gf_matmul, gf_matvec, gf_rank, gf_rref,
+from schur_lattice._kernels import (GFEchelon, digit_histogram, gf_matmul,
+                                    gf_matvec, gf_rank, gf_rref,
                                     line_spin_profile, minplus_closure_matrix,
                                     residue_algebra_generators,
                                     residue_ring_closure_rank, spin_closure,
-                                    unpack_gf_rows, _line_spins_py,
-                                    _matmul_tables_np)
+                                    unpack_gf_rows)
 from schur_lattice.building import _proper_invariant_subspaces
 
 
@@ -30,10 +30,6 @@ def reference_mul(fq, A, B):
     return out
 
 
-def test_backend_is_reported():
-    assert BACKEND in ("numba", "numpy")
-
-
 @settings(max_examples=20, deadline=None)
 @given(q=st.sampled_from([2, 3, 4, 5]), data=st.data())
 def test_gf_matmul_matches_reference(q, data):
@@ -43,15 +39,6 @@ def test_gf_matmul_matches_reference(q, data):
     B = np.array([[data.draw(st.integers(0, q - 1)) for _ in range(3)]
                   for _ in range(3)], dtype=np.int64)
     assert np.array_equal(gf_matmul(fq, A, B), reference_mul(fq, A, B))
-
-
-def test_numpy_lane_matches_table_reference():
-    fq = GF(4)
-    addt, mult, _ = fq.tables()
-    A = np.array([[1, 2], [3, 0]], dtype=np.int64)
-    B = np.array([[2, 2], [1, 3]], dtype=np.int64)
-    got = _matmul_tables_np(A, B, addt, mult)
-    assert np.array_equal(got, reference_mul(fq, A, B))
 
 
 def test_gf_matvec():
@@ -218,19 +205,20 @@ def test_algebra_generators_match_full_set(q, data):
     assert [r.tolist() for r in got] == [r.tolist() for r in ref]
 
 
-def test_line_spin_profile_fallback_lane_agrees():
-    """The pure-python lane and the active lane produce identical output."""
+def test_line_spin_profile_gf4_fixed_case():
+    """A fixed GF(4), N=3 case, where addition and multiplication go
+    through the lookup tables, matches per-line spin_closure.  Both
+    matrices are upper triangular, so span(e_1) and span(e_1, e_2) are
+    invariant, and lines close to subspaces of every dimension."""
     fq = GF(4)
     N = 3
-    mats = [np.array([[2, 1, 0], [0, 2, 1], [0, 0, 2]], dtype=np.int64),
-            np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=np.int64)]
+    mats = [np.array([[2, 1, 0], [0, 3, 1], [0, 0, 2]], dtype=np.int64),
+            np.array([[1, 2, 3], [0, 3, 1], [0, 0, 1]], dtype=np.int64)]
     dims, sigs = line_spin_profile(fq, mats, N)
-    addt, mult, invt = fq.tables()
-    negt = np.array([fq.neg(a) for a in range(fq.q)], dtype=np.int64)
-    dims2, sigs2 = _line_spins_py(np.stack(mats), addt, mult, invt, negt,
-                                  fq.q, N, fq.q ** N)
-    assert np.array_equal(dims, dims2)
-    assert np.array_equal(sigs, sigs2)
+    assert np.bincount(dims[dims > 0]).tolist() == [0, 2, 3, 16]
+    ref_dims, ref_sigs = _profile_reference(fq, mats, N)
+    assert np.array_equal(dims, ref_dims)
+    assert np.array_equal(sigs, ref_sigs)
 
 
 def test_line_spin_profile_no_matrices_gives_lines():
@@ -268,28 +256,3 @@ def test_digit_histogram():
     digits = np.array([[0, 1, 1, 2], [2, 2, 2, 2]], dtype=np.int64)
     hist = digit_histogram(digits, 3)
     assert hist.tolist() == [[1, 2, 1], [0, 0, 4]]
-
-
-def test_backend_env_flag():
-    """SCHUR_LATTICE_BACKEND=numpy forces the fallback lane."""
-    import os
-    import subprocess
-    import sys
-
-    import schur_lattice
-
-    # The variable is read at import, so the check needs a fresh
-    # interpreter.  It keeps the caller's environment and puts the
-    # directory holding the package under test first on PYTHONPATH, so
-    # the child imports this same checkout even when it is not installed.
-    pkg_root = os.path.dirname(os.path.dirname(schur_lattice.__file__))
-    pythonpath = os.pathsep.join(
-        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, SCHUR_LATTICE_BACKEND="numpy",
-               PYTHONPATH=pythonpath)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from schur_lattice._kernels import BACKEND; print(BACKEND)"],
-        env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
