@@ -6,6 +6,7 @@ Runs the suite once, in this process, and prints one table:
     python3 benchmarks/bench_kernels.py
 """
 
+import random
 import time
 
 import numpy as np
@@ -30,6 +31,7 @@ def run_suite():
                                         residue_algebra_generators,
                                         residue_ring_closure_rank,
                                         spin_closure)
+    from schur_lattice import dvr, rho
     from schur_lattice.dvr import conjugate_residues
     from schur_lattice.fields import GF
 
@@ -83,6 +85,19 @@ def run_suite():
     for label, mats in (("basis", basis), ("gens", gens)):
         rows.append(_bench(f"line spins GF(3) N={Nl} {len(mats)} {label}",
                            lambda: line_spin_profile(f3, mats, Nl), 1))
+
+    # the certificate's trial words of the (2, (7), 3) order, imaged as
+    # products of the letter images in the p-adic lane
+    spec3, module = RationalAtP(3), SchurModule(2, (7,))
+    alphabet = dvr.saturation_alphabet(spec3, 2, 1)
+    draw = random.Random(0)
+    words = [dvr._random_word(spec3, 2, len(alphabet), draw)
+             for _ in range(32)]
+    lane = dvr._PadicLane(spec3, module.N)
+    letters = [lane.enc(rho(module, a, spec3)) for a in alphabet]
+    rows.append(_bench("32 words (2,(7),3) letter prods",
+                       lambda: [dvr._word_image(lane, module, letters, *w)
+                                for w in words], 3))
 
     D = rng.integers(0, 50, size=(250, 250)).tolist()
     rows.append(_bench("minplus closure 250x250",

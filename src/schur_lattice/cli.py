@@ -2,7 +2,8 @@
 
 Subcommands: hooks, dim, rho, order, fix, scan, sample, irreducible.
 Reports are JSON, validated against the schema shipped with the package;
-progress goes to stderr, results to stdout.  With a fixed seed, outputs
+results go to stdout, progress to the ``schur_lattice.cli`` logger, which
+main() and the scan workers print on stderr.  With a fixed seed, outputs
 are byte-identical across runs (timings are null unless --timings).
 
 Exit codes: 0 success, 2 invalid input, 3 cap exceeded, 4 internal
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -54,8 +56,25 @@ DEFAULTS = {
 # helpers
 # ---------------------------------------------------------------------------
 
+log = logging.getLogger("schur_lattice.cli")
+
+
 def _progress(msg: str):
-    print(f"[schur-lattice] {msg}", file=sys.stderr, flush=True)
+    log.info(msg)
+
+
+def _log_to_stderr():
+    """Print the progress log on stderr as ``[schur-lattice] ...`` lines,
+    and only there.  main() calls this, and so does each scan worker: a
+    spawn or forkserver worker starts without main()'s setup.  Returns
+    the logger's (handlers, level, propagate) before the call."""
+    saved = (log.handlers[:], log.level, log.propagate)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("[schur-lattice] %(message)s"))
+    log.handlers = [handler]
+    log.setLevel(logging.INFO)
+    log.propagate = False
+    return saved
 
 
 def _load_schema(name: str) -> dict:
@@ -118,7 +137,10 @@ def _parse_matrix(spec: FieldSpec, text: str, n: int):
         entries = [e for e in r.split(",")]
         if len(entries) != n:
             raise SchurLatticeError(f"matrix row needs {n} entries")
-        out.append(tuple(spec.parse(e) for e in entries))
+        try:
+            out.append(tuple(spec.parse(e) for e in entries))
+        except ZeroDivisionError:
+            raise SchurLatticeError(f"matrix row {r.strip()!r} divides by zero")
     return tuple(out)
 
 
@@ -487,7 +509,8 @@ def cmd_scan(args) -> int:
     _progress(f"scan: {len(cases)} cases, workers={workers}")
     payloads = [json.dumps(c) for c in cases]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_log_to_stderr) as pool:
             results = list(pool.map(_scan_worker, payloads))
     else:
         results = [_scan_worker(p) for p in payloads]
@@ -601,6 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    saved = _log_to_stderr()
     try:
         return args.func(args) or 0
     except CapExceeded as exc:
@@ -613,6 +637,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError, jsonschema.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.handlers, level, log.propagate = saved
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ echelon basis unique per module.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -675,17 +676,13 @@ def _random_unit(spec: FieldSpec, rng: random.Random):
     return LaurentRational.make(fq, 0, tuple(coeffs), (1,))
 
 
-def _random_word_matrix(spec: FieldSpec, n: int, alphabet, rng: random.Random):
+def _random_word(spec: FieldSpec, n: int, size: int, rng: random.Random):
+    """One trial word a_1*...*a_k*diag(u_1, ..., u_n), 2 <= k <= 5, as its
+    letter indices into an alphabet of `size` letters and its units;
+    drawn in the order length, letters, units."""
     length = rng.randint(2, 5)
-    word = identity_matrix(spec, n)
-    for _ in range(length):
-        word = mat_mul(word, alphabet[rng.randrange(len(alphabet))])
-    # mix in a random unit diagonal
-    one, zero = spec.one(), spec.zero()
-    dg = [[one if r == c else zero for c in range(n)] for r in range(n)]
-    for i in range(n):
-        dg[i][i] = _random_unit(spec, rng)
-    return mat_mul(word, tuple(tuple(r) for r in dg))
+    word = [rng.randrange(size) for _ in range(length)]
+    return word, [_random_unit(spec, rng) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -956,6 +953,20 @@ def _close(lane, gens, frontier, right=True):
         frontier = new
 
 
+def _word_image(lane, module, letters, word, units):
+    """Lane image rho(W) of the trial word W = a_1*...*a_k*D, D =
+    diag(units), given the letter indices `word` and the lane images
+    `letters` of the alphabet: the product of the letter images with
+    column T scaled by the weight of T (see _saturate)."""
+    units = lane.enc([units])[0]
+    image = letters[word[0]]
+    for i in word[1:]:
+        image = lane.mul(image, letters[i])
+    weights = [math.prod(units[e - 1] for row in T for e in row)
+               for T in module.basis]
+    return lane.enc([[a * w for a, w in zip(row, weights)] for row in image])
+
+
 def _saturate(lane, spec, images, trials, rng, alphabet, module, level):
     """Span of the identity and the images, closed under products with the
     images, then tested with random words until `trials` in a row add
@@ -971,15 +982,27 @@ def _saturate(lane, spec, images, trials, rng, alphabet, module, level):
     the same argument gives A plus that ideal.  A restart adds a word
     cand outside A; its closure must reach A*cand*A, so it forms both
     products.
+
+    A trial word W = a_1*...*a_k*D, D = diag(u_1, ..., u_n), is imaged
+    without straightening (_word_image): rho(W) is the product of the
+    letter images rho(a_i) with column T scaled by the weight of T, the
+    product of u_e over the entries e of T.  Proof: rho is multiplicative
+    in the rows-as-images convention, so rho(W) = rho(a_1)*...*rho(a_k)*
+    rho(D).  D sends letter e to u_e*x_e.  Each column of a semistandard
+    T has distinct entries, and the only nonzero minor of D on those rows
+    is the principal one, so T goes to (prod of u_e over T)*T, and rho(D)
+    is the diagonal of the weights.  The letter images are rho of the
+    alphabet, not the images, which may hold fewer matrices.
     """
     gens = [lane.enc(im) for im in images]
     seeds = [lane.enc(identity_matrix(spec, lane.N))] + gens
     _close(lane, gens, [b for b in seeds if lane.insert(b)], right=False)
+    letters = [lane.enc(rho(module, a, spec)) for a in alphabet]
     passed = 0
     restarts = 0
     while passed < trials:
-        word = _random_word_matrix(spec, module.n, alphabet, rng)
-        cand = lane.enc(rho(module, word, spec))
+        word, units = _random_word(spec, module.n, len(alphabet), rng)
+        cand = _word_image(lane, module, letters, word, units)
         if lane.insert(cand):
             restarts += 1
             passed = 0

@@ -1,7 +1,10 @@
 """Tests for the command-line interface: reports, schemas, exit codes,
 determinism."""
 
+import functools
 import json
+import logging
+import multiprocessing
 import subprocess
 import sys
 
@@ -208,7 +211,7 @@ class RecordingPool:
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -254,6 +257,56 @@ def test_exit_invalid_input(capsys):
     code, _, err = run_main(capsys, ["order", "--n", "2", "--lambda", "2"])
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("field_args, matrix", [
+    (["--p", "3"], "1/0,0;0,1"),
+    (["--field", "laurent", "--q", "2"], "t,1;0,1/0"),
+])
+def test_rho_zero_denominator_exits_2(capsys, field_args, matrix):
+    code, out, err = run_main(
+        capsys, ["rho", "--lambda", "2", "--n", "2", *field_args,
+                 "--matrix", matrix])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: matrix row") and "divides by zero" in err
+
+
+def test_progress_lines_go_to_stderr_only(capsys, caplog):
+    """main() prints progress on stderr as [schur-lattice] lines, passes
+    none of them up to the root logger, and leaves the logger as it was."""
+    from schur_lattice import cli
+    caplog.set_level(logging.INFO)
+    caplog.set_level(logging.WARNING, logger=cli.log.name)
+    code, out, err = run_main(
+        capsys, ["order", "--n", "2", "--lambda", "2", "--p", "2"])
+    assert code == 0
+    assert err == ("[schur-lattice] computing order for n=2 lambda=2 "
+                   "{'backend': 'p-adic', 'p': 2}\n")
+    assert caplog.records == []
+    assert (cli.log.handlers, cli.log.level, cli.log.propagate) == (
+        [], logging.WARNING, True)
+
+
+@pytest.mark.parametrize("method", [
+    m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()])
+def test_scan_workers_print_progress(capfd, scan_config, monkeypatch, method):
+    """Each scan worker prints its cases' progress lines on stderr once,
+    also when it is spawned and does not inherit main()'s logging setup."""
+    from schur_lattice import cli
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+        cli.ProcessPoolExecutor,
+        mp_context=multiprocessing.get_context(method)))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code = main(["scan", scan_config, "--workers", "2"])
+    out, err = capfd.readouterr()
+    assert code == 0
+    lines = err.splitlines()
+    assert lines[0] == "[schur-lattice] scan: 3 cases, workers=2"
+    for lam, p in [(2, 2), (2, 3)]:  # the third case stops at its cap
+        line = (f"[schur-lattice] computing order for n=2 lambda={lam} "
+                f"{{'backend': 'p-adic', 'p': {p}}}")
+        assert lines.count(line) == 1
 
 
 @pytest.mark.parametrize("argv", [

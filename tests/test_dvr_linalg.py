@@ -432,6 +432,56 @@ def test_saturation_absorbs_random_words(lam):
         assert (G.basis, G.divisors) == (H.basis, H.divisors)
 
 
+def word_matrix(spec, alphabet, word, units):
+    """The trial word a_{word[0]}*...*a_{word[-1]}*diag(units) as an n x n
+    matrix, which rho images by straightening."""
+    n = len(units)
+    W = identity_matrix(spec, n)
+    for i in word:
+        W = mat_mul(W, alphabet[i])
+    zero = spec.zero()
+    return mat_mul(W, tuple(tuple(units[r] if r == c else zero
+                                  for c in range(n)) for r in range(n)))
+
+
+def as_lists(mat):
+    return [list(row) for row in mat]
+
+
+WORD_FIELDS = [P2, P3, RationalAtP(5), RationalFunctionOverFq(2),
+               RationalFunctionOverFq(3), RationalFunctionOverFq(4)]
+WORD_SHAPES = [(2, (1,)), (2, (2,)), (2, (1, 1)), (2, (3,)), (2, (2, 1)),
+               (3, (1,)), (3, (2,)), (3, (1, 1))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(WORD_FIELDS), shape=st.sampled_from(WORD_SHAPES),
+       seed=st.integers(0, 2 ** 32 - 1), tight=st.booleans())
+def test_word_image_matches_rho(spec, shape, seed, tight):
+    """The product of the letter images, with columns scaled by the tableau
+    weights, is rho of the drawn word's matrix, in every lane of the field.
+    With `tight`, the p-adic lane's modulus shrinks after the letters are
+    encoded, as it does during a saturation."""
+    n, lam = shape
+    module = SchurModule(n, lam)
+    N = module.N
+    alphabet = saturation_alphabet(spec, n, 1)
+    word, units = dvr._random_word(spec, n, len(alphabet), random.Random(seed))
+    W = word_matrix(spec, alphabet, word, units)
+    lanes = [dvr._ExactLane(spec, N)]
+    if isinstance(spec, RationalAtP):
+        lanes.append(dvr._PadicLane(spec, N))
+    for lane in lanes:
+        letters = [lane.enc(rho(module, a, spec)) for a in alphabet]
+        if tight and isinstance(lane, dvr._PadicLane):
+            for k in range(N * N):
+                lane.ech.insert([spec.p if i == k else 0
+                                 for i in range(N * N)])
+            assert lane.ech.modulus == spec.p ** (2 * N * N + 1)
+        got = dvr._word_image(lane, module, letters, word, units)
+        assert as_lists(got) == as_lists(lane.enc(rho(module, W, spec)))
+
+
 def two_sided_span(spec, images, N):
     """(basis, divisors) of the span of I and the images, grown by g*b
     and b*g for every image g until nothing is added."""
