@@ -134,7 +134,7 @@ def residue_ring_closure_rank(fq: GF, mats, N: int) -> int:
     Returns the rank of the span of all products of the given N x N
     residue matrices (including the identity); N*N means the matrices
     generate the full matrix algebra.  Left products suffice (see
-    ``residue_algebra_generators``): a span that holds the identity and
+    ``_algebra_closure``): a span that holds the identity and
     is closed under left multiplication by the matrices holds every word
     in them.
     """
@@ -143,8 +143,16 @@ def residue_ring_closure_rank(fq: GF, mats, N: int) -> int:
 
 def residue_algebra_generators(fq: GF, mats, N: int):
     """(S, dim): a generating subset S of the matrices and the dimension
-    of the unital F_q-algebra A they generate; dim = N*N (Burnside) stops
-    the pass early, and S is then partial.
+    of the unital F_q-algebra A they generate; see ``_algebra_closure``."""
+    gens, basis = _algebra_closure(fq, mats, N)
+    return gens, len(basis)
+
+
+def _algebra_closure(fq: GF, mats, N: int):
+    """(S, basis): a generating subset S of the matrices and a basis, as
+    N x N arrays, of the unital F_q-algebra A = alg(S) = alg(mats); a
+    basis of N*N elements (Burnside) stops the pass early, and S is then
+    partial.
 
     Greedy and deterministic: a matrix joins S, in input order, only when
     it is not already in alg(S).  Every matrix is then in alg(S), so
@@ -157,6 +165,8 @@ def residue_algebra_generators(fq: GF, mats, N: int):
     The span is kept closed under left multiplication by S.  Since it
     holds the identity, it then holds every word in S and so equals
     alg(S); a new generator only has to hit the elements already there.
+    Each element enters the basis when it grows the echelon, so the
+    basis has exactly dim A elements.
     """
     ech = GFEchelon(fq, N * N)
     ident = np.eye(N, dtype=np.int64)
@@ -181,7 +191,7 @@ def residue_algebra_generators(fq: GF, mats, N: int):
                 if ech.insert(cand.reshape(-1)):
                     elems.append(cand)
                     pending.append((cand, gens))
-    return gens, ech.rank
+    return gens, elems
 
 
 def spin_closure(fq: GF, seed_vectors, mats):
@@ -213,6 +223,9 @@ def spin_closure(fq: GF, seed_vectors, mats):
 # batched line-spin enumeration
 # ---------------------------------------------------------------------------
 
+LINE_CHUNK = 64  # lines per batched product and elimination
+
+
 def line_spin_profile(fq: GF, mats, N: int):
     """Spin closure of every canonical line of F_q^N under the matrices.
 
@@ -225,96 +238,102 @@ def line_spin_profile(fq: GF, mats, N: int):
     row r of the closure's canonical RREF basis as sum_j row[j] * q**j
     (rows sorted by pivot column; unused rows zero).
 
-    Each line is spun breadth-first over plain lists and the lookup
-    tables of :meth:`GF.tables`, keeping a fully reduced echelon basis.
+    The closure of the line through v is A.v = span{b v : b in a basis
+    of A}, where A is the unital algebra the matrices generate.  A.v
+    holds v, because I is in A.  It is A-invariant, because A is closed
+    under products, so it is invariant under every matrix.  Any invariant
+    subspace that holds v is invariant under every word in the matrices,
+    and A is spanned by those words, so it holds A.v.
+
+    So the lines are taken ``LINE_CHUNK`` at a time: one batched product
+    forms the d images b v of each line (d = dim A), and one batched
+    Gauss-Jordan elimination reduces each line's images to the unique
+    canonical RREF basis of their span.  When d = N*N, every closure is
+    all of F_q^N.
     """
     q = fq.q
     total = q ** N
     if total.bit_length() >= 63:
         raise ValueError("q**N too large for packed line enumeration")
-    matsl = [np.asarray(m, dtype=np.int64).tolist() for m in mats]
-    addl, mull, invl = (t.tolist() for t in fq.tables())
-    negl = [fq.neg(a) for a in range(q)]
     dims = np.full(total, -1, dtype=np.int64)
     sigs = np.zeros((total, N), dtype=np.int64)
-    powers = [q ** j for j in range(N)]
-    rng_n = range(N)
-    for code in range(1, total):
-        c = code
-        v = [0] * N
-        first = -1
-        for j in rng_n:
-            d = c % q
-            c //= q
-            v[j] = d
-            if d and first < 0:
-                first = j
-        if v[first] != 1:
-            continue
-        rows: list[list[int]] = []
-        pivs: list[int] = []
-        frontier: list[list[int]] = []
-
-        def insert(w):
-            for r, pc in enumerate(pivs):
-                cf = w[pc]
-                if cf:
-                    mrow = mull[negl[cf]]
-                    row = rows[r]
-                    w = [addl[w[j]][mrow[row[j]]] for j in rng_n]
-            lead = -1
-            for j in rng_n:
-                if w[j]:
-                    lead = j
-                    break
-            if lead < 0:
-                return
-            mrow = mull[invl[w[lead]]]
-            w = [mrow[x] for x in w]
-            for r in range(len(rows)):
-                cf = rows[r][lead]
-                if cf:
-                    mrow = mull[negl[cf]]
-                    row = rows[r]
-                    rows[r] = [addl[row[j]][mrow[w[j]]] for j in rng_n]
-            pos = next((r for r, pc in enumerate(pivs) if pc > lead),
-                       len(pivs))
-            rows.insert(pos, w)
-            pivs.insert(pos, lead)
-            frontier.append(w)
-
-        insert(v)
-        head = 0
-        while head < len(frontier) and len(rows) < N:
-            u = frontier[head]
-            head += 1
-            for mat in matsl:
-                w = [0] * N
-                for i in rng_n:
-                    acc = 0
-                    mi = mat[i]
-                    for j in rng_n:
-                        a = mi[j]
-                        b = u[j]
-                        if a and b:
-                            acc = addl[acc][mull[a][b]]
-                    w[i] = acc
-                insert(w)
-        dims[code] = len(rows)
-        for r, row in enumerate(rows):
-            sigs[code, r] = sum(row[j] * powers[j] for j in rng_n)
+    # canonical codes: digit 1 at the first nonzero place j, any digits above
+    codes = np.concatenate([np.arange(0)] + [
+        np.arange(q ** j, total, q ** (j + 1)) for j in range(N)])
+    powers = q ** np.arange(N, dtype=np.int64)
+    _, basis = _algebra_closure(fq, mats, N)
+    d = len(basis)
+    if d == N * N:
+        dims[codes] = N
+        sigs[codes] = powers
+        return dims, sigs
+    stacked = np.vstack(basis)  # row k*N + i is row i of basis element k
+    top = min(d, N)
+    for start in range(0, codes.size, LINE_CHUNK):
+        chunk = codes[start:start + LINE_CHUNK]
+        vecs = unpack_gf_rows(chunk, q, N)
+        # W[c, k] = basis[k] @ vecs[c]: the images of line c, one per row
+        W = gf_matmul(fq, vecs, stacked.T).reshape(-1, d, N)
+        dims[chunk] = _gf_batched_rref(fq, W)
+        sigs[chunk, :top] = W[:, :top] @ powers
     return dims, sigs
 
 
-def unpack_gf_rows(packed, dim: int, q: int, N: int):
-    """Inverse of the row packing used by :func:`line_spin_profile`."""
-    out = np.zeros((dim, N), dtype=np.int64)
-    for r in range(dim):
-        c = int(packed[r])
-        for j in range(N):
-            out[r, j] = c % q
-            c //= q
-    return out
+def _gf_batched_rref(fq: GF, W):
+    """Reduce every W[c] in place to canonical RREF over F_q: the rank
+    r_c of W[c] is returned, its first r_c rows are the RREF rows by
+    pivot column and the rest are zero.
+
+    Column by column, every batch element that has a nonzero entry at or
+    below its current rank takes the first such row as pivot, swaps it
+    up, scales it to lead 1 and clears the column in all its other rows;
+    elements without one get a zero multiplier.  For prime q the
+    clearing is not reduced mod p until the end: each step adds at most
+    (p-1)**2 to an entry's size, so entries stay below (N+1)*p**2, and
+    only the column at hand is reduced.
+    """
+    c, d, N = W.shape
+    addt, mult, inv = fq.tables()
+    prime = fq.e == 1
+    if not prime:
+        neg = np.array([fq.neg(a) for a in range(fq.q)], dtype=np.int64)
+    batch = np.arange(c)
+    rows = np.arange(d)[None, :]
+    rank = np.zeros(c, dtype=np.int64)
+    for j in range(N):
+        col = W[:, :, j] % fq.p if prime else W[:, :, j]
+        cand = (col != 0) & (rows >= rank[:, None])
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        r = np.minimum(rank, d - 1)  # rank d: no candidate, no swap
+        piv = np.where(has, cand.argmax(axis=1), r)
+        lead = np.where(has, col[batch, piv], 1)
+        if prime:
+            prow = W[batch, piv] % fq.p * inv[lead][:, None] % fq.p
+        else:
+            prow = mult[W[batch, piv], inv[lead][:, None]]
+        f = np.where(has[:, None], col, 0)
+        f[batch, piv] = f[batch, r]
+        f[batch, r] = 0
+        W[batch, piv] = W[batch, r]
+        W[batch, r] = prow
+        if prime:
+            W -= f[:, :, None] * prow[:, None, :]
+        else:
+            W[...] = addt[W, neg[mult[f[:, :, None], prow[:, None, :]]]]
+        rank += has
+    if prime:
+        W %= fq.p
+    return rank
+
+
+def unpack_gf_rows(packed, q: int, N: int):
+    """Inverse of the row packing used by :func:`line_spin_profile`: the
+    little-endian base-q digits of each packed int, as an array of shape
+    ``packed.shape + (N,)``."""
+    packed = np.asarray(packed, dtype=np.int64)
+    return packed[..., None] // q ** np.arange(N, dtype=np.int64) % q
 
 
 # ---------------------------------------------------------------------------

@@ -246,11 +246,14 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int):
     if q ** N > cap:
         raise CapExceeded(f"residue subspace search: {q}^{N} exceeds {cap}")
     dims, sigs = _kernels.line_spin_profile(fq, gens, N)
+    # a closure's packed RREF rows are its nonzero entries in sigs, so
+    # equal rows are equal closures
+    closures = np.unique(sigs[(dims > 0) & (dims < N)], axis=0)
     found: dict[bytes, np.ndarray] = {}
-    for code in np.nonzero((dims > 0) & (dims < N))[0]:
-        dim = int(dims[code])
-        rows = _kernels.unpack_gf_rows(sigs[code], dim, q, N)
-        found.setdefault(rows.tobytes() + bytes([dim]), rows)
+    for packed, rows in zip(closures,
+                            _kernels.unpack_gf_rows(closures, q, N)):
+        dim = int(np.count_nonzero(packed))
+        found[rows[:dim].tobytes() + bytes([dim])] = rows[:dim]
     # close under sums
     changed = True
     while changed:

@@ -510,15 +510,24 @@ def laurent_to_str(x: LaurentRational) -> str:
 _TERM_RE = re.compile(
     r"^\s*(?P<coef>\d+)?\s*\*?\s*(?P<t>t(\^(?P<exp>-?\d+))?)?\s*$")
 
+# Largest hi - lo of the exponents of a parsed polynomial's nonzero terms:
+# its coefficients are stored densely from t^lo to t^hi.
+MAX_DEGREE_SPAN = 4096
+
 
 def _parse_poly(fq: GF, text: str):
-    """Parse a Laurent polynomial; returns (valuation shift, coefficients)."""
+    """Parse a Laurent polynomial; returns (valuation shift, coefficients).
+
+    Raises ValueError when the exponents of the nonzero terms span more
+    than ``MAX_DEGREE_SPAN``.
+    """
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial")
     # a minus sign starts a negated term unless it is an exponent sign
     text = re.sub(r"(?<!\^)-", "+-", text)
     coeffs: dict[int, int] = {}
+    terms: dict[int, str] = {}
     for raw in text.split("+"):
         raw = raw.strip()
         if not raw:
@@ -537,10 +546,15 @@ def _parse_poly(fq: GF, text: str):
         if m.group("t"):
             exp = int(m.group("exp")) if m.group("exp") else 1
         coeffs[exp] = fq.add(coeffs.get(exp, 0), coef)
+        terms[exp] = raw
     live = [e for e, c in coeffs.items() if c != 0]
     if not live:
         return 0, ()
     lo, hi = min(live), max(live)
+    if hi - lo > MAX_DEGREE_SPAN:
+        raise ValueError(
+            f"polynomial term {terms[hi]!r} is {hi - lo} degrees above "
+            f"{terms[lo]!r}; at most {MAX_DEGREE_SPAN} are allowed")
     return lo, _fp_poly_trim([coeffs.get(i, 0) for i in range(lo, hi + 1)])
 
 

@@ -272,6 +272,26 @@ def test_rho_zero_denominator_exits_2(capsys, field_args, matrix):
     assert err.startswith("error: matrix row") and "divides by zero" in err
 
 
+def test_rho_laurent_degree_span_over_bound_exits_2(capsys):
+    """A polynomial whose terms lie a million degrees apart is refused
+    before its dense coefficients are built."""
+    code, out, err = run_main(
+        capsys, ["rho", "--lambda", "1", "--n", "2", "--field", "laurent",
+                 "--q", "2", "--matrix", "1 + t^1000000,0;0,1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: polynomial term 't^1000000'")
+
+
+def test_rho_laurent_bare_high_power_parses(capsys):
+    """A single term of any degree is stored as a valuation shift."""
+    code, out, _ = run_main(
+        capsys, ["rho", "--lambda", "1", "--n", "2", "--field", "laurent",
+                 "--q", "2", "--matrix", "t^99999999,0;0,1", "--json"])
+    assert code == 0
+    assert json.loads(out)["rho"][0][0] == "t^99999999"
+
+
 def test_progress_lines_go_to_stderr_only(capsys, caplog):
     """main() prints progress on stderr as [schur-lattice] lines, passes
     none of them up to the root logger, and leaves the logger as it was."""

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schur_lattice import GF
+from schur_lattice import GF, RationalAtP, SchurModule, compute_order
 from schur_lattice._kernels import (GFEchelon, digit_histogram, gf_matmul,
                                     gf_matvec, gf_rank, gf_rref,
                                     line_spin_profile, minplus_closure_matrix,
@@ -16,6 +16,7 @@ from schur_lattice._kernels import (GFEchelon, digit_histogram, gf_matmul,
                                     residue_ring_closure_rank, spin_closure,
                                     unpack_gf_rows)
 from schur_lattice.building import _proper_invariant_subspaces
+from schur_lattice.dvr import conjugate_residues, standard_lattice
 
 
 def reference_mul(fq, A, B):
@@ -135,19 +136,130 @@ def _profile_reference(fq, mats, N):
     return dims, sigs
 
 
-@settings(max_examples=12, deadline=None)
-@given(q=st.sampled_from([2, 3, 4]), data=st.data())
-def test_line_spin_profile_matches_per_line_closure(q, data):
+def _line_spin_oracle(fq, mats, N):
+    """line_spin_profile as it was first written: each line spun
+    breadth-first under the matrices over plain lists and the lookup
+    tables of GF.tables(), keeping a fully reduced echelon basis."""
+    q = fq.q
+    total = q ** N
+    matsl = [np.asarray(m, dtype=np.int64).tolist() for m in mats]
+    addl, mull, invl = (t.tolist() for t in fq.tables())
+    negl = [fq.neg(a) for a in range(q)]
+    dims = np.full(total, -1, dtype=np.int64)
+    sigs = np.zeros((total, N), dtype=np.int64)
+    powers = [q ** j for j in range(N)]
+    rng_n = range(N)
+    for code in range(1, total):
+        c = code
+        v = [0] * N
+        first = -1
+        for j in rng_n:
+            d = c % q
+            c //= q
+            v[j] = d
+            if d and first < 0:
+                first = j
+        if v[first] != 1:
+            continue
+        rows: list[list[int]] = []
+        pivs: list[int] = []
+        frontier: list[list[int]] = []
+
+        def insert(w):
+            for r, pc in enumerate(pivs):
+                cf = w[pc]
+                if cf:
+                    mrow = mull[negl[cf]]
+                    row = rows[r]
+                    w = [addl[w[j]][mrow[row[j]]] for j in rng_n]
+            lead = -1
+            for j in rng_n:
+                if w[j]:
+                    lead = j
+                    break
+            if lead < 0:
+                return
+            mrow = mull[invl[w[lead]]]
+            w = [mrow[x] for x in w]
+            for r in range(len(rows)):
+                cf = rows[r][lead]
+                if cf:
+                    mrow = mull[negl[cf]]
+                    row = rows[r]
+                    rows[r] = [addl[row[j]][mrow[w[j]]] for j in rng_n]
+            pos = next((r for r, pc in enumerate(pivs) if pc > lead),
+                       len(pivs))
+            rows.insert(pos, w)
+            pivs.insert(pos, lead)
+            frontier.append(w)
+
+        insert(v)
+        head = 0
+        while head < len(frontier) and len(rows) < N:
+            u = frontier[head]
+            head += 1
+            for mat in matsl:
+                w = [0] * N
+                for i in rng_n:
+                    acc = 0
+                    mi = mat[i]
+                    for j in rng_n:
+                        a = mi[j]
+                        b = u[j]
+                        if a and b:
+                            acc = addl[acc][mull[a][b]]
+                    w[i] = acc
+                insert(w)
+        dims[code] = len(rows)
+        for r, row in enumerate(rows):
+            sigs[code, r] = sum(row[j] * powers[j] for j in rng_n)
+    return dims, sigs
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5]), N=st.integers(1, 5),
+       k=st.integers(0, 3), split=st.integers(0, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(q=4, N=4, k=2, split=2, seed=0)   # 85 lines: two chunks
+@example(q=3, N=5, k=3, split=3, seed=1)   # 121 lines over a prime field
+@example(q=9, N=3, k=2, split=1, seed=2)   # tables with -1 != 1
+def test_line_spin_profile_matches_per_line_closure(q, N, k, split, seed):
+    """The batched algebra image equals the breadth-first oracle it
+    replaced and per-line spin_closure.  Zeroing the block below `split`
+    keeps span(e_1..e_split) invariant, so closures of every dimension
+    occur."""
     fq = GF(q)
-    N = data.draw(st.integers(2, 4))
-    k = data.draw(st.integers(1, 2))
-    mats = [np.array([[data.draw(st.integers(0, q - 1)) for _ in range(N)]
-                      for _ in range(N)], dtype=np.int64)
-            for _ in range(k)]
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(k):
+        m = rng.integers(0, q, size=(N, N), dtype=np.int64)
+        m[min(split, N):, :min(split, N)] = 0
+        mats.append(m)
     dims, sigs = line_spin_profile(fq, mats, N)
+    oracle_dims, oracle_sigs = _line_spin_oracle(fq, mats, N)
+    assert np.array_equal(dims, oracle_dims)
+    assert np.array_equal(sigs, oracle_sigs)
     ref_dims, ref_sigs = _profile_reference(fq, mats, N)
     assert np.array_equal(dims, ref_dims)
     assert np.array_equal(sigs, ref_sigs)
+
+
+def test_line_spin_profile_bfs_generators_frozen():
+    """The N=8, F_3 generators that the BFS spins at the standard class
+    of the (3, (2,1), 3) order: 15 of the 64 reduced basis matrices,
+    spanning a 57-dimensional algebra.  Every line but one spins to the
+    whole space, and the kernel matches the oracle."""
+    module = SchurModule(3, (2, 1))
+    H = compute_order(module, RationalAtP(3), rng_seed=0)
+    fq, N = GF(3), H.N
+    basis = conjugate_residues(standard_lattice(H.spec, N), H.basis)
+    gens, dim = residue_algebra_generators(fq, basis, N)
+    assert (N, len(basis), len(gens), dim) == (8, 64, 15, 57)
+    dims, sigs = line_spin_profile(fq, gens, N)
+    assert np.bincount(dims[dims > 0]).tolist() == [0, 1] + [0] * 6 + [3279]
+    oracle_dims, oracle_sigs = _line_spin_oracle(fq, gens, N)
+    assert np.array_equal(dims, oracle_dims)
+    assert np.array_equal(sigs, oracle_sigs)
 
 
 def _subspaces_reference(fq, mats, N):
@@ -156,7 +268,7 @@ def _subspaces_reference(fq, mats, N):
     dims, sigs = _profile_reference(fq, mats, N)
     found = {}
     for code in np.nonzero(dims > 0)[0]:
-        rows = unpack_gf_rows(sigs[code], int(dims[code]), fq.q, N)
+        rows = unpack_gf_rows(sigs[code], fq.q, N)[:dims[code]]
         found[rows.tobytes()] = rows
     grown = True
     while grown:
@@ -236,7 +348,11 @@ def test_unpack_gf_rows_roundtrip():
     rows = np.array([[1, 0, 2, 1], [0, 1, 1, 0]], dtype=np.int64)
     packed = np.array([sum(int(rows[r, j]) * q ** j for j in range(N))
                        for r in range(2)], dtype=np.int64)
-    assert np.array_equal(unpack_gf_rows(packed, 2, q, N), rows)
+    assert np.array_equal(unpack_gf_rows(packed, q, N), rows)
+    # any shape of packed ints unpacks at once
+    assert np.array_equal(unpack_gf_rows(np.stack([packed, packed[::-1]]),
+                                         q, N),
+                          np.stack([rows, rows[::-1]]))
 
 
 def test_minplus_closure_matrix():
