@@ -134,21 +134,14 @@ def residue_ring_closure_rank(fq: GF, mats, N: int) -> int:
     Returns the rank of the span of all products of the given N x N
     residue matrices (including the identity); N*N means the matrices
     generate the full matrix algebra.  Left products suffice (see
-    ``_algebra_closure``): a span that holds the identity and
+    ``residue_algebra_generators``): a span that holds the identity and
     is closed under left multiplication by the matrices holds every word
     in them.
     """
-    return residue_algebra_generators(fq, mats, N)[1]
+    return len(residue_algebra_generators(fq, mats, N)[1])
 
 
 def residue_algebra_generators(fq: GF, mats, N: int):
-    """(S, dim): a generating subset S of the matrices and the dimension
-    of the unital F_q-algebra A they generate; see ``_algebra_closure``."""
-    gens, basis = _algebra_closure(fq, mats, N)
-    return gens, len(basis)
-
-
-def _algebra_closure(fq: GF, mats, N: int):
     """(S, basis): a generating subset S of the matrices and a basis, as
     N x N arrays, of the unital F_q-algebra A = alg(S) = alg(mats); a
     basis of N*N elements (Burnside) stops the pass early, and S is then
@@ -248,8 +241,7 @@ def line_spin_profile(fq: GF, mats, N: int):
     So the lines are taken ``LINE_CHUNK`` at a time: one batched product
     forms the d images b v of each line (d = dim A), and one batched
     Gauss-Jordan elimination reduces each line's images to the unique
-    canonical RREF basis of their span.  When d = N*N, every closure is
-    all of F_q^N.
+    canonical RREF basis of their span.
     """
     q = fq.q
     total = q ** N
@@ -258,15 +250,11 @@ def line_spin_profile(fq: GF, mats, N: int):
     dims = np.full(total, -1, dtype=np.int64)
     sigs = np.zeros((total, N), dtype=np.int64)
     # canonical codes: digit 1 at the first nonzero place j, any digits above
-    codes = np.concatenate([np.arange(0)] + [
-        np.arange(q ** j, total, q ** (j + 1)) for j in range(N)])
+    codes = np.concatenate([np.arange(q ** j, total, q ** (j + 1))
+                            for j in range(N)])
     powers = q ** np.arange(N, dtype=np.int64)
-    _, basis = _algebra_closure(fq, mats, N)
+    _, basis = residue_algebra_generators(fq, mats, N)
     d = len(basis)
-    if d == N * N:
-        dims[codes] = N
-        sigs[codes] = powers
-        return dims, sigs
     stacked = np.vstack(basis)  # row k*N + i is row i of basis element k
     top = min(d, N)
     for start in range(0, codes.size, LINE_CHUNK):

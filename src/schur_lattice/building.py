@@ -239,8 +239,8 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int):
     resulting set is closed under sums; the cap guards the q^N line
     enumeration.
     """
-    gens, alg_dim = _kernels.residue_algebra_generators(fq, mats, N)
-    if alg_dim == N * N:
+    gens, basis = _kernels.residue_algebra_generators(fq, mats, N)
+    if len(basis) == N * N:
         return []
     q = fq.q
     if q ** N > cap:

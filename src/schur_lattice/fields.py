@@ -527,7 +527,6 @@ def _parse_poly(fq: GF, text: str):
     # a minus sign starts a negated term unless it is an exponent sign
     text = re.sub(r"(?<!\^)-", "+-", text)
     coeffs: dict[int, int] = {}
-    terms: dict[int, str] = {}
     for raw in text.split("+"):
         raw = raw.strip()
         if not raw:
@@ -546,15 +545,14 @@ def _parse_poly(fq: GF, text: str):
         if m.group("t"):
             exp = int(m.group("exp")) if m.group("exp") else 1
         coeffs[exp] = fq.add(coeffs.get(exp, 0), coef)
-        terms[exp] = raw
     live = [e for e, c in coeffs.items() if c != 0]
     if not live:
         return 0, ()
     lo, hi = min(live), max(live)
     if hi - lo > MAX_DEGREE_SPAN:
         raise ValueError(
-            f"polynomial term {terms[hi]!r} is {hi - lo} degrees above "
-            f"{terms[lo]!r}; at most {MAX_DEGREE_SPAN} are allowed")
+            f"polynomial term 't^{hi}' is {hi - lo} degrees above "
+            f"'t^{lo}'; at most {MAX_DEGREE_SPAN} are allowed")
     return lo, _fp_poly_trim([coeffs.get(i, 0) for i in range(lo, hi + 1)])
 
 

@@ -253,8 +253,8 @@ def test_line_spin_profile_bfs_generators_frozen():
     H = compute_order(module, RationalAtP(3), rng_seed=0)
     fq, N = GF(3), H.N
     basis = conjugate_residues(standard_lattice(H.spec, N), H.basis)
-    gens, dim = residue_algebra_generators(fq, basis, N)
-    assert (N, len(basis), len(gens), dim) == (8, 64, 15, 57)
+    gens, alg_basis = residue_algebra_generators(fq, basis, N)
+    assert (N, len(basis), len(gens), len(alg_basis)) == (8, 64, 15, 57)
     dims, sigs = line_spin_profile(fq, gens, N)
     assert np.bincount(dims[dims > 0]).tolist() == [0, 1] + [0] * 6 + [3279]
     oracle_dims, oracle_sigs = _line_spin_oracle(fq, gens, N)
@@ -301,7 +301,8 @@ def test_algebra_generators_match_full_set(q, data):
                       for _ in range(N)], dtype=np.int64)
         m[split:, :split] = 0
         mats.append(m)
-    gens, dim = residue_algebra_generators(fq, mats, N)
+    gens, alg_basis = residue_algebra_generators(fq, mats, N)
+    dim = len(alg_basis)
     assert dim == residue_ring_closure_rank(fq, mats, N)
     assert dim == two_sided_closure_rank(fq, mats, N)
     assert residue_ring_closure_rank(fq, gens, N) == dim
