@@ -28,7 +28,7 @@ def run_suite():
     from schur_lattice._kernels import (digit_histogram, gf_matmul, gf_rref,
                                         line_spin_profile,
                                         minplus_closure_matrix,
-                                        residue_algebra_generators,
+                                        residue_algebra_basis,
                                         residue_ring_closure_rank,
                                         spin_closure)
     from schur_lattice import dvr, rho
@@ -69,7 +69,7 @@ def run_suite():
                        lambda: spin_closure(f3, seeds, mats), 5))
 
     # what the BFS spins at the standard class of the (3, (2,1), 3) order:
-    # its reduced basis, and the generating subset it actually spins
+    # the span of its reduced basis
     module = SchurModule(3, (2, 1))
     H = compute_order(module, RationalAtP(3), rng_seed=0)
     Nl = H.N
@@ -79,12 +79,12 @@ def run_suite():
     rows.append(_bench(f"conjugate residues {len(classes)} classes N={Nl}",
                        lambda: [conjugate_residues(c.rep, H.basis)
                                 for c in classes], 5))
-    gens, _ = residue_algebra_generators(f3, basis, Nl)
-    rows.append(_bench(f"algebra generators GF(3) N={Nl}",
-                       lambda: residue_algebra_generators(f3, basis, Nl), 3))
-    for label, mats in (("basis", basis), ("gens", gens)):
-        rows.append(_bench(f"line spins GF(3) N={Nl} {len(mats)} {label}",
-                           lambda: line_spin_profile(f3, mats, Nl), 1))
+    rows.append(_bench(f"algebra basis GF(3) N={Nl}",
+                       lambda: residue_algebra_basis(f3, basis, Nl), 3))
+    span, _ = gf_rref(f3, np.reshape(basis, (-1, Nl * Nl)))
+    span = span.reshape(-1, Nl, Nl)
+    rows.append(_bench(f"line spins GF(3) N={Nl} {len(span)} span",
+                       lambda: line_spin_profile(f3, span, Nl), 1))
 
     # the certificate's trial words of the (2, (7), 3) order, imaged as
     # products of the letter images in the p-adic lane

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .errors import CapExceeded
 from .fields import GF
 
 
@@ -21,11 +22,18 @@ from .fields import GF
 # residue-field matrix multiply
 # ---------------------------------------------------------------------------
 
+def _check_int64(fq: GF, k: int):
+    """Raise CapExceeded unless sums of k products mod p fit in int64."""
+    if fq.e == 1 and k * (fq.p - 1) ** 2 >= 2 ** 63:
+        raise CapExceeded(f"F_{fq.p} sums of {k} products overflow int64")
+
+
 def gf_matmul(fq: GF, A, B):
     """Matrix product over F_q; int64 arrays in, int64 array out."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if fq.e == 1:
+        _check_int64(fq, A.shape[1])
         return (A @ B) % fq.p
     addt, mult, _ = fq.tables()
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
@@ -46,6 +54,7 @@ class GFEchelon:
     """Incremental reduced row-echelon basis of a subspace of F_q^m."""
 
     def __init__(self, fq: GF, m: int):
+        _check_int64(fq, 1)
         self.fq = fq
         self.m = m
         self.pivots: dict[int, np.ndarray] = {}  # col -> normalized row
@@ -133,33 +142,21 @@ def residue_ring_closure_rank(fq: GF, mats, N: int) -> int:
 
     Returns the rank of the span of all products of the given N x N
     residue matrices (including the identity); N*N means the matrices
-    generate the full matrix algebra.  Left products suffice (see
-    ``residue_algebra_generators``): a span that holds the identity and
-    is closed under left multiplication by the matrices holds every word
-    in them.
+    generate the full matrix algebra.
     """
-    return len(residue_algebra_generators(fq, mats, N)[1])
+    return len(residue_algebra_basis(fq, mats, N))
 
 
-def residue_algebra_generators(fq: GF, mats, N: int):
-    """(S, basis): a generating subset S of the matrices and a basis, as
-    N x N arrays, of the unital F_q-algebra A = alg(S) = alg(mats); a
-    basis of N*N elements (Burnside) stops the pass early, and S is then
-    partial.
+def residue_algebra_basis(fq: GF, mats, N: int):
+    """A basis, as N x N arrays, of the unital F_q-algebra A the matrices
+    generate; a basis of N*N elements (Burnside) stops the pass early.
 
-    Greedy and deterministic: a matrix joins S, in input order, only when
-    it is not already in alg(S).  Every matrix is then in alg(S), so
-    alg(mats) is contained in alg(S), which is contained in alg(mats)
-    because S is a subset: the two algebras are equal.  A subspace is
-    S-invariant iff it is alg(S)-invariant (alg(S) is spanned by words
-    in S), so spinning under S gives the same closures as spinning
-    under all the matrices.
-
-    The span is kept closed under left multiplication by S.  Since it
-    holds the identity, it then holds every word in S and so equals
-    alg(S); a new generator only has to hit the elements already there.
-    Each element enters the basis when it grows the echelon, so the
-    basis has exactly dim A elements.
+    A matrix becomes a left multiplier, in input order, only when it is
+    not already in the span, which is kept closed under left products by
+    the multipliers S.  Holding I, the span then holds every word in S:
+    it is alg(S), which is A, as every matrix is in alg(S).  A new
+    multiplier only has to hit the elements already there.  Each element
+    enters the basis when it grows the echelon: dim A elements in all.
     """
     ech = GFEchelon(fq, N * N)
     ident = np.eye(N, dtype=np.int64)
@@ -175,7 +172,7 @@ def residue_algebra_generators(fq: GF, mats, N: int):
             continue
         gens.append(g)
         # left-multiply every element by g; elements found on the way by
-        # every generator
+        # every multiplier
         pending = [(e, [g]) for e in elems]
         while pending and ech.rank < full:
             e, by = pending.pop()
@@ -184,7 +181,7 @@ def residue_algebra_generators(fq: GF, mats, N: int):
                 if ech.insert(cand.reshape(-1)):
                     elems.append(cand)
                     pending.append((cand, gens))
-    return gens, elems
+    return elems
 
 
 def spin_closure(fq: GF, seed_vectors, mats):
@@ -222,6 +219,9 @@ LINE_CHUNK = 64  # lines per batched product and elimination
 def line_spin_profile(fq: GF, mats, N: int):
     """Spin closure of every canonical line of F_q^N under the matrices.
 
+    Precondition: the matrices span a unital algebra A, as the residues
+    of an order do (see ``building._proper_invariant_subspaces``).
+
     Lines are indexed by codes in [1, q**N): code c encodes the vector
     whose little-endian base-q digits are those of c, and a code is
     canonical when its first nonzero digit is 1 (one code per line).
@@ -231,17 +231,15 @@ def line_spin_profile(fq: GF, mats, N: int):
     row r of the closure's canonical RREF basis as sum_j row[j] * q**j
     (rows sorted by pivot column; unused rows zero).
 
-    The closure of the line through v is A.v = span{b v : b in a basis
-    of A}, where A is the unital algebra the matrices generate.  A.v
-    holds v, because I is in A.  It is A-invariant, because A is closed
-    under products, so it is invariant under every matrix.  Any invariant
-    subspace that holds v is invariant under every word in the matrices,
-    and A is spanned by those words, so it holds A.v.
+    The closure of the line through v is A.v = span{m v : m in mats}.
+    A.v holds v, because I is in A, and is invariant under every matrix,
+    because A is closed under products.  A subspace that holds v and is
+    invariant under every matrix is A-invariant, so it holds A.v.
 
     So the lines are taken ``LINE_CHUNK`` at a time: one batched product
-    forms the d images b v of each line (d = dim A), and one batched
-    Gauss-Jordan elimination reduces each line's images to the unique
-    canonical RREF basis of their span.
+    forms the images m v of each line, and one batched Gauss-Jordan
+    elimination reduces each line's images to the unique canonical RREF
+    basis of their span.
     """
     q = fq.q
     total = q ** N
@@ -253,14 +251,14 @@ def line_spin_profile(fq: GF, mats, N: int):
     codes = np.concatenate([np.arange(q ** j, total, q ** (j + 1))
                             for j in range(N)])
     powers = q ** np.arange(N, dtype=np.int64)
-    _, basis = residue_algebra_generators(fq, mats, N)
-    d = len(basis)
-    stacked = np.vstack(basis)  # row k*N + i is row i of basis element k
+    # row k*N + i is row i of matrix k
+    stacked = np.asarray(mats, dtype=np.int64).reshape(-1, N)
+    d = stacked.shape[0] // N
     top = min(d, N)
     for start in range(0, codes.size, LINE_CHUNK):
         chunk = codes[start:start + LINE_CHUNK]
         vecs = unpack_gf_rows(chunk, q, N)
-        # W[c, k] = basis[k] @ vecs[c]: the images of line c, one per row
+        # W[c, k] = mats[k] @ vecs[c]: the images of line c, one per row
         W = gf_matmul(fq, vecs, stacked.T).reshape(-1, d, N)
         dims[chunk] = _gf_batched_rref(fq, W)
         sigs[chunk, :top] = W[:, :top] @ powers

@@ -232,20 +232,24 @@ def fix_polytrope(M, spec: FieldSpec | None = None, unbounded_radius: int = 2,
 def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int):
     """All proper nonzero subspaces of k^N invariant under every matrix.
 
-    Fast path: if the matrices generate the full matrix algebra, there
-    are none (Burnside) and no enumeration is needed.  Otherwise lines
-    are spun to their invariant closures, under a generating subset of
-    the algebra (which has the same invariant subspaces), and the
-    resulting set is closed under sums; the cap guards the q^N line
-    enumeration.
+    Precondition: the matrices span a unital algebra A.  The residues
+    ``conjugate_residues(L, H.basis)`` of an R-order H (every producer
+    of H makes one) at an H-invariant lattice L meet it: B^-1 H B, for
+    B the basis matrix of L, is an R-algebra in M_N(R) that holds I, and
+    reduction mod the uniformizer is a ring map, so the residues of its
+    R-basis span a unital algebra.  One elimination of the flattened
+    matrices gives a basis of A.  N*N elements mean A is the full matrix
+    algebra, and there are no such subspaces (Burnside).  Otherwise the
+    lines' closures under the basis are closed under sums; the cap
+    guards the q^N line enumeration.
     """
-    gens, basis = _kernels.residue_algebra_generators(fq, mats, N)
+    basis, _ = _kernels.gf_rref(fq, np.reshape(mats, (-1, N * N)))
     if len(basis) == N * N:
         return []
     q = fq.q
     if q ** N > cap:
         raise CapExceeded(f"residue subspace search: {q}^{N} exceeds {cap}")
-    dims, sigs = _kernels.line_spin_profile(fq, gens, N)
+    dims, sigs = _kernels.line_spin_profile(fq, basis.reshape(-1, N, N), N)
     # a closure's packed RREF rows are its nonzero entries in sigs, so
     # equal rows are equal closures
     closures = np.unique(sigs[(dims > 0) & (dims < N)], axis=0)
@@ -275,7 +279,8 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int):
 def invariant_subspaces(rep: ResidueRep, cap: int = DEFAULT_SUBSPACE_CAP):
     """Proper nonzero subspaces invariant under all generator images,
     as canonical row-echelon bases sorted by (dimension, rows)."""
-    return _proper_invariant_subspaces(rep.fq, rep.generators, rep.N, cap)
+    algebra = _kernels.residue_algebra_basis(rep.fq, rep.generators, rep.N)
+    return _proper_invariant_subspaces(rep.fq, algebra, rep.N, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +296,8 @@ def is_invariant(H: MatrixModule, L: Lattice) -> bool:
 def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
             radius_cap: int | None = None,
             subspace_cap: int = DEFAULT_SUBSPACE_CAP) -> FixSet:
-    """Exhaustive BFS over H-fixed lattice classes from the standard one.
+    """Exhaustive BFS over H-fixed lattice classes from the standard one;
+    H must be an order (see ``_proper_invariant_subspaces``).
 
     At each fixed class, neighbors are preimages of the invariant
     subspaces of the residue action of H on L/(uniformizer)L, computed by

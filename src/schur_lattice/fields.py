@@ -32,32 +32,30 @@ INF = math.inf
 # finite fields
 # ---------------------------------------------------------------------------
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
+def _prime_factors(m: int) -> list[int]:
+    """The distinct prime factors of m, ascending, by trial division."""
+    out = []
     f = 2
     while f * f <= m:
         if m % f == 0:
-            return False
+            out.append(f)
+            while m % f == 0:
+                m //= f
         f += 1
-    return True
+    if m > 1:
+        out.append(m)
+    return out
 
 
 def _prime_power(q: int) -> tuple[int, int]:
     """Split q = p**e with p prime; raise on anything else."""
     if q < 2:
         raise SchurLatticeError(f"field size must be >= 2, got {q}")
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise SchurLatticeError(f"{q} is not a prime power")
-            return p, e
-    raise SchurLatticeError(f"{q} is not a prime power")
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise SchurLatticeError(f"{q} is not a prime power")
+    p = primes[0]
+    return p, next(e for e in range(1, q) if p ** e == q)
 
 
 def _fp_poly_trim(c: list[int]) -> tuple[int, ...]:
@@ -209,8 +207,7 @@ class GF:
         """A generator of the multiplicative group (1 for q = 2)."""
         if self._gen is None:
             order = self.q - 1
-            primes = sorted({f for f in range(2, order + 1)
-                             if order % f == 0 and _is_prime(f)})
+            primes = _prime_factors(order)
             g = 1
             for cand in range(1, self.q):
                 if all(self.pow(cand, order // f) != 1 for f in primes):
@@ -618,7 +615,7 @@ class RationalAtP(FieldSpec):
     """Q with the p-adic valuation; scalars are Fractions."""
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise SchurLatticeError(f"p must be prime, got {p}")
         self.p = p
         self.residue_char = p
@@ -782,8 +779,7 @@ def field_from_descriptor(desc: dict) -> FieldSpec:
 def _primitive_root_mod_p2(p: int) -> int:
     """Smallest integer that generates the units of Z/p^2 (p odd)."""
     order = p * (p - 1)
-    primes = sorted({f for f in range(2, order + 1)
-                     if order % f == 0 and _is_prime(f)})
+    primes = _prime_factors(p - 1) + [p]
     for g in range(2, p * p):
         if g % p == 0:
             continue

@@ -292,6 +292,26 @@ def test_rho_laurent_bare_high_power_parses(capsys):
     assert json.loads(out)["rho"][0][0] == "t^99999999"
 
 
+@pytest.mark.parametrize("p", ["1000003", "1000000007"])
+def test_order_large_prime_answers(capsys, p):
+    """Large primes are factored by trial division, and at N = 3 the
+    residue products stay inside int64 even at p = 10^9 + 7."""
+    code, out, _ = run_main(
+        capsys, ["order", "--n", "2", "--lambda", "2", "--p", p])
+    assert code == 0
+    assert json.loads(out)["order"]["rank"] == 9
+
+
+def test_order_residue_products_over_int64_exit_3(capsys):
+    """At N = 10 and p = 10^9 + 7 a residue product sums 10 (p-1)^2 >=
+    2^63: the run stops with a cap instead of reading wrapped residues."""
+    code, out, err = run_main(
+        capsys, ["order", "--n", "3", "--lambda", "3", "--p", "1000000007"])
+    assert code == 3
+    assert out == ""
+    assert "overflow int64" in err
+
+
 def test_progress_lines_go_to_stderr_only(capsys, caplog):
     """main() prints progress on stderr as [schur-lattice] lines, passes
     none of them up to the root logger, and leaves the logger as it was."""

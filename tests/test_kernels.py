@@ -8,15 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schur_lattice import GF, RationalAtP, SchurModule, compute_order
+from schur_lattice import (GF, RationalAtP, RationalFunctionOverFq,
+                           SchurModule, compute_order, fix_bfs)
 from schur_lattice._kernels import (GFEchelon, digit_histogram, gf_matmul,
                                     gf_matvec, gf_rank, gf_rref,
                                     line_spin_profile, minplus_closure_matrix,
-                                    residue_algebra_generators,
+                                    residue_algebra_basis,
                                     residue_ring_closure_rank, spin_closure,
                                     unpack_gf_rows)
 from schur_lattice.building import _proper_invariant_subspaces
 from schur_lattice.dvr import conjugate_residues, standard_lattice
+from schur_lattice.errors import CapExceeded
 
 
 def reference_mul(fq, A, B):
@@ -40,6 +42,21 @@ def test_gf_matmul_matches_reference(q, data):
     B = np.array([[data.draw(st.integers(0, q - 1)) for _ in range(3)]
                   for _ in range(3)], dtype=np.int64)
     assert np.array_equal(gf_matmul(fq, A, B), reference_mul(fq, A, B))
+
+
+def test_gf_matmul_refuses_int64_overflow():
+    """The all-(p-1) 10 x 10 matrix squared at p = 10^9 + 7 would sum
+    past 2^63 and wrap; at 3 x 3 the sums fit and the product is exact."""
+    fq = GF(1000000007)
+    A = np.full((10, 10), fq.p - 1, dtype=np.int64)
+    with pytest.raises(CapExceeded, match="overflow int64"):
+        gf_matmul(fq, A, A)
+    B = np.full((3, 3), fq.p - 1, dtype=np.int64)
+    assert gf_matmul(fq, B, B).tolist() == [[3] * 3] * 3
+    # an echelon step forms v - c * row, up to (p-1)^2 in size
+    GFEchelon(GF(3037000493), 2)
+    with pytest.raises(CapExceeded, match="overflow int64"):
+        GFEchelon(GF(3037000507), 2)
 
 
 def test_gf_matvec():
@@ -224,10 +241,11 @@ def _line_spin_oracle(fq, mats, N):
 @example(q=3, N=5, k=3, split=3, seed=1)   # 121 lines over a prime field
 @example(q=9, N=3, k=2, split=1, seed=2)   # tables with -1 != 1
 def test_line_spin_profile_matches_per_line_closure(q, N, k, split, seed):
-    """The batched algebra image equals the breadth-first oracle it
-    replaced and per-line spin_closure.  Zeroing the block below `split`
-    keeps span(e_1..e_split) invariant, so closures of every dimension
-    occur."""
+    """The batched image under a basis of the algebra the matrices
+    generate equals the breadth-first oracle it replaced and per-line
+    spin_closure, both run under the matrices themselves.  Zeroing the
+    block below `split` keeps span(e_1..e_split) invariant, so closures
+    of every dimension occur."""
     fq = GF(q)
     rng = np.random.default_rng(seed)
     mats = []
@@ -235,7 +253,7 @@ def test_line_spin_profile_matches_per_line_closure(q, N, k, split, seed):
         m = rng.integers(0, q, size=(N, N), dtype=np.int64)
         m[min(split, N):, :min(split, N)] = 0
         mats.append(m)
-    dims, sigs = line_spin_profile(fq, mats, N)
+    dims, sigs = line_spin_profile(fq, residue_algebra_basis(fq, mats, N), N)
     oracle_dims, oracle_sigs = _line_spin_oracle(fq, mats, N)
     assert np.array_equal(dims, oracle_dims)
     assert np.array_equal(sigs, oracle_sigs)
@@ -245,27 +263,29 @@ def test_line_spin_profile_matches_per_line_closure(q, N, k, split, seed):
 
 
 def test_line_spin_profile_bfs_generators_frozen():
-    """The N=8, F_3 generators that the BFS spins at the standard class
-    of the (3, (2,1), 3) order: 15 of the 64 reduced basis matrices,
-    spanning a 57-dimensional algebra.  Every line but one spins to the
-    whole space, and the kernel matches the oracle."""
+    """The N=8, F_3 residues of the (3, (2,1), 3) order at the standard
+    class, spun as they are: the 64 reduced basis matrices span the
+    57-dimensional algebra they generate.  Every line but one spins to
+    the whole space, and the kernel matches the oracle."""
     module = SchurModule(3, (2, 1))
     H = compute_order(module, RationalAtP(3), rng_seed=0)
     fq, N = GF(3), H.N
     basis = conjugate_residues(standard_lattice(H.spec, N), H.basis)
-    gens, alg_basis = residue_algebra_generators(fq, basis, N)
-    assert (N, len(basis), len(gens), len(alg_basis)) == (8, 64, 15, 57)
-    dims, sigs = line_spin_profile(fq, gens, N)
+    span = gf_rank(fq, np.reshape(basis, (-1, N * N)))
+    assert (N, len(basis), span) == (8, 64, 57)
+    assert residue_ring_closure_rank(fq, basis, N) == span
+    dims, sigs = line_spin_profile(fq, basis, N)
     assert np.bincount(dims[dims > 0]).tolist() == [0, 1] + [0] * 6 + [3279]
-    oracle_dims, oracle_sigs = _line_spin_oracle(fq, gens, N)
+    oracle_dims, oracle_sigs = _line_spin_oracle(fq, basis, N)
     assert np.array_equal(dims, oracle_dims)
     assert np.array_equal(sigs, oracle_sigs)
 
 
-def _subspaces_reference(fq, mats, N):
-    """Proper invariant subspaces: per-line spin_closure under every
-    matrix, closed under sums, sorted as _proper_invariant_subspaces."""
-    dims, sigs = _profile_reference(fq, mats, N)
+def _subspaces_reference(fq, mats, N, profile=_profile_reference):
+    """Proper invariant subspaces: every line spun by itself under every
+    matrix (per-line spin_closure, or another per-line profile), closed
+    under sums, sorted as _proper_invariant_subspaces."""
+    dims, sigs = profile(fq, mats, N)
     found = {}
     for code in np.nonzero(dims > 0)[0]:
         rows = unpack_gf_rows(sigs[code], fq.q, N)[:dims[code]]
@@ -286,11 +306,11 @@ def _subspaces_reference(fq, mats, N):
 @settings(max_examples=30, deadline=None)
 @given(q=st.sampled_from([2, 3, 4]), data=st.data())
 def test_algebra_generators_match_full_set(q, data):
-    """The selected generators span the same algebra as all the matrices
-    (and as their two-sided closure), spin every line to the same closure
-    and give the same invariant subspaces.  Zeroing the block below
-    `split` keeps span(e_1..e_split) invariant, so many draws stop short
-    of the full matrix algebra."""
+    """The algebra basis has the dimension of the two-sided closure of
+    the matrices, and the subspace search under it gives the invariant
+    subspaces of the matrices.  Zeroing the block below `split` keeps
+    span(e_1..e_split) invariant, so many draws stop short of the full
+    matrix algebra."""
     fq = GF(q)
     N = data.draw(st.integers(1, 4))
     k = data.draw(st.integers(0, 6))
@@ -301,21 +321,35 @@ def test_algebra_generators_match_full_set(q, data):
                       for _ in range(N)], dtype=np.int64)
         m[split:, :split] = 0
         mats.append(m)
-    gens, alg_basis = residue_algebra_generators(fq, mats, N)
+    alg_basis = residue_algebra_basis(fq, mats, N)
     dim = len(alg_basis)
     assert dim == residue_ring_closure_rank(fq, mats, N)
     assert dim == two_sided_closure_rank(fq, mats, N)
-    assert residue_ring_closure_rank(fq, gens, N) == dim
-    rest = iter(mats)  # gens is a subsequence of mats
-    assert all(any(np.array_equal(g, m) for m in rest) for g in gens)
-    if dim < N * N:
-        dims, sigs = line_spin_profile(fq, gens, N)
-        ref_dims, ref_sigs = line_spin_profile(fq, mats, N)
-        assert np.array_equal(dims, ref_dims)
-        assert np.array_equal(sigs, ref_sigs)
-    got = _proper_invariant_subspaces(fq, mats, N, 2 ** 16)
+    got = _proper_invariant_subspaces(fq, alg_basis, N, 2 ** 16)
     ref = _subspaces_reference(fq, mats, N)
     assert [r.tolist() for r in got] == [r.tolist() for r in ref]
+
+
+@pytest.mark.parametrize("n, lam, spec", [
+    (2, (2,), RationalAtP(2)), (3, (2,), RationalAtP(3)),
+    (3, (2, 1), RationalAtP(3)), (2, (3,), RationalFunctionOverFq(2)),
+    (2, (3,), RationalFunctionOverFq(4))],
+    ids=["Q2-(2)", "Q3-(2)", "Q3-(2,1)", "F2t-(3)", "F4t-(3)"])
+def test_bfs_residues_span_their_algebra(n, lam, spec):
+    """At every BFS class the residues of the order already span the
+    algebra they generate, and the subspace search, which spins under
+    that span, finds the subspaces invariant under the residues.  The
+    reference spins each line breadth-first under the raw residues."""
+    module = SchurModule(n, lam)
+    H = compute_order(module, spec, rng_seed=0)
+    fq, N = spec.residue_field, H.N
+    for cls in fix_bfs(H, module, spec).classes:
+        res = conjugate_residues(cls.rep, H.basis)
+        span = gf_rank(fq, np.reshape(res, (-1, N * N)))
+        assert span == residue_ring_closure_rank(fq, res, N)
+        got = _proper_invariant_subspaces(fq, res, N, 2 ** 16)
+        ref = _subspaces_reference(fq, res, N, profile=_line_spin_oracle)
+        assert [r.tolist() for r in got] == [r.tolist() for r in ref]
 
 
 def test_line_spin_profile_gf4_fixed_case():
@@ -327,7 +361,7 @@ def test_line_spin_profile_gf4_fixed_case():
     N = 3
     mats = [np.array([[2, 1, 0], [0, 3, 1], [0, 0, 2]], dtype=np.int64),
             np.array([[1, 2, 3], [0, 3, 1], [0, 0, 1]], dtype=np.int64)]
-    dims, sigs = line_spin_profile(fq, mats, N)
+    dims, sigs = line_spin_profile(fq, residue_algebra_basis(fq, mats, N), N)
     assert np.bincount(dims[dims > 0]).tolist() == [0, 2, 3, 16]
     ref_dims, ref_sigs = _profile_reference(fq, mats, N)
     assert np.array_equal(dims, ref_dims)
@@ -335,8 +369,9 @@ def test_line_spin_profile_gf4_fixed_case():
 
 
 def test_line_spin_profile_no_matrices_gives_lines():
+    """The algebra of no matrices is spanned by I alone."""
     fq = GF(2)
-    dims, sigs = line_spin_profile(fq, [], 3)
+    dims, sigs = line_spin_profile(fq, [np.eye(3, dtype=np.int64)], 3)
     canonical = [c for c in range(1, 8)]
     assert all(dims[c] == 1 for c in canonical)
     assert dims[0] == -1

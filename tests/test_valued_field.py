@@ -10,7 +10,9 @@ from schur_lattice import (GF, INF, LaurentRational, RationalAtP,
                            RationalFunctionOverFq, SchurLatticeError,
                            field_from_descriptor, unit_sample_set)
 from schur_lattice.errors import NegativeValuation
-from schur_lattice.fields import laurent_parse, laurent_to_str
+from schur_lattice.fields import (_prime_factors, _prime_power,
+                                  _primitive_root_mod_p2, laurent_parse,
+                                  laurent_to_str)
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +48,52 @@ def test_gf_generator_order(q):
         x = fq.mul(x, g)
         seen.add(x)
     assert len(seen) == q - 1
+
+
+def _scan_prime_factors(m):
+    """Distinct prime factors found by testing every integer up to m,
+    the search the trial-division helper replaced."""
+    return [f for f in range(2, m + 1)
+            if m % f == 0 and all(f % d for d in range(2, f))]
+
+
+def _scan_generator(fq):
+    order = fq.q - 1
+    primes = _scan_prime_factors(order)
+    return next(g for g in range(1, fq.q)
+                if all(fq.pow(g, order // f) != 1 for f in primes))
+
+
+def _scan_primitive_root_mod_p2(p):
+    order = p * (p - 1)
+    primes = _scan_prime_factors(order)
+    return next(g for g in range(2, p * p) if g % p and
+                all(pow(g, order // f, p * p) != 1 for f in primes))
+
+
+def test_prime_factors_keep_generators_and_primitive_roots():
+    """Below 200, trial division gives the prime factors, prime powers,
+    field generators and primitive roots mod p^2 that the scan over
+    every integer up to the group order gave."""
+    for m in range(1, 200):
+        assert _prime_factors(m) == _scan_prime_factors(m)
+        if len(_scan_prime_factors(m)) != 1:
+            continue
+        p = _scan_prime_factors(m)[0]
+        e = next(e for e in range(1, m) if p ** e == m)
+        assert _prime_power(m) == (p, e)
+        assert GF(m).generator() == _scan_generator(GF(m))
+        if e == 1 and p > 2:
+            assert _primitive_root_mod_p2(p) == _scan_primitive_root_mod_p2(p)
+
+
+def test_primitive_root_mod_p2_tests_the_factor_p():
+    """5 is the smallest primitive root mod 40487 but has order p - 1 mod
+    p^2, so only the factor p of p(p - 1) rules it out; the smallest
+    root mod p^2 is 10 (checked with an independent order computation)."""
+    p = 40487
+    assert pow(5, p - 1, p * p) == 1
+    assert _primitive_root_mod_p2(p) == 10
 
 
 @given(q=st.sampled_from([2, 3, 4, 5, 9]),
