@@ -93,11 +93,26 @@ def run_suite():
     draw = random.Random(0)
     words = [dvr._random_word(spec3, 2, len(alphabet), draw)
              for _ in range(32)]
-    lane = dvr._PadicLane(spec3, module.N)
-    letters = [lane.enc(rho(module, a, spec3)) for a in alphabet]
+    P = dvr._start_precision(3, module.N)
+    lane = dvr._PadicLane(spec3, module.N, P)
+    images = [rho(module, a, spec3) for a in alphabet]
+    letters = lane.enc(images)
     rows.append(_bench("32 words (2,(7),3) letter prods",
                        lambda: [dvr._word_image(lane, module, letters, *w)
                                 for w in words], 3))
+
+    # its first seed-closure round: the products g*b of every image g and
+    # every echelon row b the seeds set, reduced as one batch
+    frontier = lane.insert(lane.enc([dvr.identity_matrix(spec3, module.N)]
+                                    + images))
+    seeded = lane.ech.rows.copy(), list(lane.ech.vals)
+
+    def closure_round():
+        lane.ech.rows, lane.ech.vals = seeded[0].copy(), list(seeded[1])
+        lane.round(letters, frontier, right=False)
+
+    label = f"closure round (2,(7),3) {len(frontier)}x{len(letters)}"
+    rows.append(_bench(label, closure_round, 5))
 
     D = rng.integers(0, 50, size=(250, 250)).tolist()
     rows.append(_bench("minplus closure 250x250",

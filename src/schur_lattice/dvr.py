@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .errors import CapExceeded, NonIntegralInput, NotFullRank, Singular
 from .fields import (INF, FieldSpec, LaurentRational, RationalAtP,
                      unit_sample_set)
@@ -609,7 +611,7 @@ def module_add_and_saturate(M: MatrixModule, gens) -> MatrixModule:
         if not is_integral_matrix(spec, g):
             raise NonIntegralInput("generator has an entry with val < 0")
     lane = _ExactLane(spec, M.N)
-    _close(lane, gens, [b for b in list(M.basis) + gens if lane.insert(b)])
+    _close(lane, gens, lane.insert(list(M.basis) + gens))
     basis, divisors = lane.result()
     return MatrixModule(spec, M.N, basis, divisors,
                         dict(M.certificate))
@@ -686,7 +688,7 @@ def _random_word(spec: FieldSpec, n: int, size: int, rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# fast integer lane for the p-adic backend
+# integer lane for the p-adic backend
 # ---------------------------------------------------------------------------
 
 def _int_val(x: int, p: int) -> int:
@@ -699,105 +701,93 @@ def _int_val(x: int, p: int) -> int:
     return v
 
 
-# Working precision P of the p-adic lane: the echelon starts as p^P * I.
+# Cap on the working precision P of the p-adic lane.
 PRECISION = 128
+# Entries per batch of products in a p-adic closure round (8 MiB of int64).
+BATCH_ENTRIES = 2 ** 20
+
+
+def _start_precision(p: int, N: int) -> int:
+    """The largest P <= PRECISION with N * (p^P - 1)^2 < 2^63, or 1."""
+    P = 1
+    while P < PRECISION and N * (p ** (P + 1) - 1) ** 2 < 2 ** 63:
+        P += 1
+    return P
 
 
 class _IntEchelon:
-    """Echelon basis of M + p^P * Z^m over Z localized at p, P = PRECISION.
+    """Echelon basis of M + p^P * Z^m over Z_(p), held modulo p^P; M is
+    the span of every batch that `reduce` was given with `insert`.
 
-    The echelon starts full rank, as p^P * I, and inserted vectors only
-    enlarge its span, so the span always contains p^P * Z^m.  Rows live
-    in Z/p^k with k = min(P, 2S + 1), S the current pivot-valuation
-    sum, and pivot entries are kept exactly p^v, so candidate reduction
-    never multiplies by stored units and entry sizes stay bounded.
+    Row c of `rows` vanishes before column c and holds p^vals[c] at c;
+    vals[c] = P marks the seed row p^P * e_c, which is 0 modulo p^P.
+    The rows keep the invariant (H): p^(P - vals[c]) * (row c) lies in
+    the span of the rows after it.  Under (H), the rows lifted to Z^m
+    (p^P at each seed) span M + p^P * Z^m: by downward induction on c,
+    p^P * e_c lies in their span, so reducing modulo p^P never leaves
+    it.  And a vector lies in the span iff clearing it column by column,
+    each column j by row j, meets no entry of valuation below vals[j]:
+    a member that vanishes before j is a combination of the rows from j
+    on, by (H).
 
-    Every zero test is exact.  While k = P, reducing modulo p^P never
-    leaves the span.  The row span does contain p^P * Z^m: by downward
-    induction on the pivot column c, p^(P - v_c) times row c is p^P e_c
-    plus an element of the span of the later rows (true of the seed
-    rows, and kept when a row is replaced, because the replaced row is
-    re-inserted).  Once 2S + 1 < P, the row span is a triangular lattice
-    of index p^S, so it contains p^S * Z^m, and reducing modulo
-    p^(2S+1) never leaves it either.  Either way the rows span exactly
-    the module generated by p^P * Z^m and everything inserted, and
-    insert() returns True iff its vector lies outside that module.
+    `reduce` clears a batch B of rows this way, all at once.  With
+    `insert`, where some row of B has a lower valuation v at column j,
+    the first such row, scaled to lead p^v, becomes row j, and its place
+    in B takes the old row j, or for a seed p^(P - v) times the new row.
+    Let T_j be the span of the rows from j on and of B at column j.  A
+    step keeps T_j = span(row j) + T_(j+1), and puts p^(P - v) * (row j)
+    into T_(j+1): for a seed it is a row of B; otherwise the old row r
+    is left in B as r - p^(v_r - v) * (row j), and p^(P - v_r) * r lies
+    in T_(j+1) by (H).  B is zero at the end, so the rows span the old
+    rows and B, and keep (H).  The pivot rule is the frozen one: least
+    valuation, the old row on ties, then the lowest index in B.
     """
 
-    def __init__(self, m: int, p: int):
-        self.m = m
-        self.p = p
-        top = p ** PRECISION
-        self.modulus = top
-        self.pivots = {c: (PRECISION, [top if i == c else 0
-                                       for i in range(m)])
-                       for c in range(m)}  # col -> (val, row)
-        self._val_sum = PRECISION * m
+    def __init__(self, m: int, p: int, P: int, dtype):
+        self.m, self.p, self.P, self.mod = m, p, P, p ** P
+        self.rows = np.zeros((m, m), dtype=dtype)
+        self.vals = [P] * m
 
-    def _tighten_modulus(self):
-        mod = self.p ** min(2 * self._val_sum + 1, PRECISION)
-        if mod < self.modulus:
-            # every pivot entry p^v has v <= S < 2S + 1 and survives
-            self.modulus = mod
-            for col, (val, row) in list(self.pivots.items()):
-                self.pivots[col] = (val, [x % mod for x in row])
+    def reduce(self, B, insert: bool):
+        """Clear the k x m array B in place, updating at each column only
+        the rows of B that are nonzero there.  With `insert`, return the
+        columns whose row changed; else, leaving the rows alone, a
+        boolean array that is True where the row of B lies in the span."""
+        p, P, mod, E, vals = self.p, self.P, self.mod, self.rows, self.vals
+        inside = np.ones(len(B), dtype=bool)
+        changed = []
+        for j in range(self.m):
+            x = B[:, j]
+            if not x.any():
+                continue
+            pv = p ** vals[j]
+            low = x % pv != 0
+            if low.any() and not insert:
+                inside &= ~low
+                x = np.where(low, 0, x)
+            elif low.any():
+                v = _int_val(int(np.gcd.reduce(x[low])), p)
+                i = int(np.argmax(x % p ** (v + 1) != 0))
+                new = B[i] * pow(int(x[i]) // p ** v, -1, mod) % mod
+                seed = new * (p ** (P - v) % mod) % mod
+                B[i] = E[j] if vals[j] < P else seed
+                E[j], vals[j], pv = new, v, p ** v
+                changed.append(j)
+            r = np.flatnonzero(x)
+            B[r, j:] = (B[r, j:] - (x[r] // pv)[:, None] * E[j, j:]) % mod
+        return changed if insert else inside
 
-    def _normalize(self, v, col, xv, mod):
-        """Scale v by the inverse of its pivot unit: pivot entry p^xv."""
-        unit = (v[col] // (self.p ** xv)) % mod
-        w = pow(unit, -1, mod)
-        row = [(a * w) % mod for a in v]
-        row[col] = self.p ** xv
-        return row
-
-    def insert(self, v) -> bool:
-        """Add v to the span; True iff the span strictly grew."""
-        p, mod = self.p, self.modulus
-        queue = [[x % mod for x in v]]
-        changed = False
-        while queue:
-            v = queue.pop()
-            for col in range(self.m):
-                x = v[col]
-                if x == 0:
-                    continue
-                xv = _int_val(x, p)
-                pval, prow = self.pivots[col]
-                if xv >= pval:
-                    # both v and prow vanish left of col
-                    coef = x // (p ** pval)
-                    v[col] = 0
-                    v[col + 1:] = [(a - coef * b) % mod for a, b
-                                   in zip(v[col + 1:], prow[col + 1:])]
-                    continue
-                self.pivots[col] = (xv, self._normalize(v, col, xv, mod))
-                self._val_sum += xv - pval
-                queue.append(prow)
-                changed = True
-                break
-        if changed:
-            self._tighten_modulus()
-        return changed
-
-    def canonical_int_rows(self):
-        """Canonical rows: pivot entries exactly p^k, reduced above pivots."""
-        p, mod = self.p, self.modulus
-        rows = {col: list(row) for col, (_, row) in self.pivots.items()}
-        cols = sorted(rows)
-        for c in cols:
-            for c2 in cols:
-                if c2 <= c:
-                    continue
-                val2 = self.pivots[c2][0]
-                x = rows[c][c2]
-                rep = x % (p ** val2)
-                coef = (x - rep) // (p ** val2)
-                if coef:
-                    rows[c] = [(a - coef * b) % mod
-                               for a, b in zip(rows[c], rows[c2])]
-                    rows[c][c] = p ** self.pivots[c][0]
-                    rows[c][c2] = rep
-        return tuple(tuple(rows[c]) for c in cols)
+    def canonical_rows(self):
+        """The rows lifted to Z^m, as lists of ints, with every entry
+        above a pivot p^v reduced below p^v: the Hermite normal form."""
+        p, R = self.p, self.rows.copy()
+        for c in range(1, self.m):
+            R[:c, c:] -= (R[:c, c] // p ** self.vals[c])[:, None] * R[c, c:]
+            R[:c, c:] %= self.mod
+        rows = R.tolist()
+        for c, v in enumerate(self.vals):
+            rows[c][c] = p ** v
+        return rows
 
 
 def _int_smith_divisors(rows, p: int):
@@ -861,7 +851,7 @@ def _full_end_module(spec: FieldSpec, N: int, certificate) -> MatrixModule:
 
 
 class _PadicLane:
-    """Q_p lane: integer matrices modulo the modulus of an _IntEchelon.
+    """Q_p lane: stacks of integer matrices modulo p^P in an _IntEchelon.
 
     The saturation computes M + p^P * Z^m exactly (see _IntEchelon), M
     the true span.  If its top elementary divisor c is below P, it is M.
@@ -870,48 +860,70 @@ class _PadicLane:
     p^P * Z^m = p^(P - c) * p^c * Z^m, that is, Q = p^(P - c) * Q.  Q is
     a finitely generated module over the local ring Z_(p), and p lies in
     its maximal ideal, so Q = 0 by Nakayama's lemma.  Otherwise c = P
-    (the result contains p^P * Z^m), and CapExceeded is raised.
+    (the result contains p^P * Z^m), and _saturate_padic reruns at a
+    higher P.  The canonical rows do not depend on P: M holds p^c * e_j,
+    so every pivot valuation is at most c, and every entry above a pivot
+    is reduced below p^c.
+
+    Entries are int64 while N * (p^P - 1)^2 < 2^63: a product of two
+    matrices sums N products below p^(2P), and an echelon step forms one
+    such product, so nothing overflows.  Past that bound (a large p, or
+    P raised) the same arrays hold Python ints (dtype object).
     """
 
     exact = True
 
-    def __init__(self, spec: RationalAtP, N: int):
+    def __init__(self, spec: RationalAtP, N: int, P: int):
         self.spec, self.N = spec, N
-        self.ech = _IntEchelon(N * N, spec.p)
+        self.dtype = (np.int64 if N * (spec.p ** P - 1) ** 2 < 2 ** 63
+                      else object)
+        self.ech = _IntEchelon(N * N, spec.p, P, self.dtype)
+        self.mod = self.ech.mod
 
-    def enc(self, mat):
-        mod = self.ech.modulus
-        return [[int(x) % mod for x in row] for row in mat]
+    def enc(self, mats):
+        mod = self.mod
+        return np.array([[[int(x) % mod for x in row] for row in mat]
+                         for mat in mats], dtype=self.dtype)
 
-    def insert(self, mat) -> bool:
-        return self.ech.insert(vectorize(mat))
+    def scalars(self, xs):
+        return [int(x) % self.mod for x in xs]
 
     def mul(self, A, B):
-        mod, n = self.ech.modulus, len(A)
-        out = []
-        for Ai in A:
-            row = []
-            for j in range(n):
-                acc = 0
-                for a, Bk in zip(Ai, B):
-                    if a:
-                        acc += a * Bk[j]
-                row.append(acc % mod)
-            out.append(row)
-        return out
+        return np.matmul(A, B) % self.mod
+
+    def scale(self, image, weights):
+        return image * self.enc([[weights]])[0, 0] % self.mod
+
+    def _batch(self, mats):
+        return np.asarray(mats, dtype=self.dtype).reshape(-1, self.N ** 2)
+
+    def insert(self, mats):
+        """Rows changed by adding the stack `mats`, as matrices."""
+        cols = self.ech.reduce(self._batch(mats), insert=True)
+        return self.ech.rows[cols].reshape(-1, self.N, self.N)
+
+    def round(self, gens, frontier, right):
+        """Add g*b (and b*g) for all g and b, as batched products of at
+        most BATCH_ENTRIES entries each; return the rows that changed."""
+        step = max(1, BATCH_ENTRIES // (len(gens) * (1 + right) * self.N ** 2))
+        cols = set()
+        for start in range(0, len(frontier), step):
+            F = frontier[start:start + step, None]
+            prods = [self.mul(gens, F)] + ([self.mul(F, gens)] if right
+                                           else [])
+            cols.update(self.ech.reduce(self._batch(np.concatenate(
+                prods, axis=1)), insert=True))
+        return self.ech.rows[sorted(cols)].reshape(-1, self.N, self.N)
+
+    def members(self, mats):
+        return self.ech.reduce(self._batch(mats), insert=False).tolist()
 
     def result(self):
         spec, N = self.spec, self.N
-        rows = self.ech.canonical_int_rows()
-        divisors = _int_smith_divisors(rows, spec.p)
-        if divisors[-1] >= PRECISION:
-            raise CapExceeded(
-                f"p-adic saturation reached the working precision "
-                f"p^{PRECISION}: the order's top elementary divisor is "
-                f"at least {PRECISION}")
+        rows = self.ech.canonical_rows()
         basis = tuple(unvectorize(tuple(spec.from_int(x) for x in row), N)
                       for row in rows)
-        return basis, divisors
+        return basis, _int_smith_divisors(rows, spec.p)
 
 
 class _ExactLane:
@@ -923,13 +935,24 @@ class _ExactLane:
         self.spec, self.N = spec, N
         self.ech = ExactEchelon(spec, N * N)
 
-    def enc(self, mat):
-        return mat
-
-    def insert(self, mat) -> bool:
-        return self.ech.insert(vectorize(mat))
-
+    enc = scalars = staticmethod(list)
     mul = staticmethod(mat_mul)
+
+    def scale(self, image, weights):
+        return tuple(tuple(a * w for a, w in zip(row, weights))
+                     for row in image)
+
+    def round(self, gens, frontier, right):
+        return self.insert([c for b in frontier for g in gens
+                            for c in ((mat_mul(g, b), mat_mul(b, g)) if right
+                                      else (mat_mul(g, b),))])
+
+    def insert(self, mats):
+        """The matrices of `mats` that enlarged the span, in order."""
+        return [m for m in mats if self.ech.insert(vectorize(m))]
+
+    def members(self, mats):
+        return [self.ech.member(vectorize(m)) for m in mats]
 
     def result(self):
         rows, _ = self.ech.canonical_rows()
@@ -939,18 +962,12 @@ class _ExactLane:
 
 def _close(lane, gens, frontier, right=True):
     """Insert g*b, and b*g when `right`, for every gen g and every b in
-    the frontier or added since, until nothing grows."""
-    while frontier:
-        new = []
-        for b in frontier:
-            for g in gens:
-                cands = [lane.mul(g, b)]
-                if right:
-                    cands.append(lane.mul(b, g))
-                for cand in cands:
-                    if lane.insert(cand):
-                        new.append(cand)
-        frontier = new
+    the frontier, in batched rounds; what a round adds (the new matrices,
+    or the echelon rows that changed) is the next frontier, until nothing
+    changes.  Every matrix of the final span is then a combination of
+    matrices whose products were inserted."""
+    while len(frontier):
+        frontier = lane.round(gens, frontier, right)
 
 
 def _word_image(lane, module, letters, word, units):
@@ -958,16 +975,15 @@ def _word_image(lane, module, letters, word, units):
     diag(units), given the letter indices `word` and the lane images
     `letters` of the alphabet: the product of the letter images with
     column T scaled by the weight of T (see _saturate)."""
-    units = lane.enc([units])[0]
     image = letters[word[0]]
     for i in word[1:]:
         image = lane.mul(image, letters[i])
-    weights = [math.prod(units[e - 1] for row in T for e in row)
-               for T in module.basis]
-    return lane.enc([[a * w for a, w in zip(row, weights)] for row in image])
+    units = lane.scalars(units)
+    return lane.scale(image, [math.prod(units[e - 1] for row in T for e in row)
+                              for T in module.basis])
 
 
-def _saturate(lane, spec, images, trials, rng, alphabet, module, level):
+def _saturate(lane, spec, images, trials, rng, letters, module, level):
     """Span of the identity and the images, closed under products with the
     images, then tested with random words until `trials` in a row add
     nothing; a word that adds something is absorbed and the count
@@ -991,24 +1007,34 @@ def _saturate(lane, spec, images, trials, rng, alphabet, module, level):
     rho(D).  D sends letter e to u_e*x_e.  Each column of a semistandard
     T has distinct entries, and the only nonzero minor of D on those rows
     is the principal one, so T goes to (prod of u_e over T)*T, and rho(D)
-    is the diagonal of the weights.  The letter images are rho of the
-    alphabet, not the images, which may hold fewer matrices.
+    is the diagonal of the weights.  The `letters` are rho of the
+    alphabet the words are drawn over; compute_order passes its images,
+    but a caller may seed with fewer matrices.
+
+    The words still to be tested are drawn and tested as one batch.
+    Words before the first one outside the span pass, as they would one
+    at a time; that one restarts the count, and the words after it are
+    tested again against the grown span.  So the draws, the restarts and
+    the result are those of testing one word at a time.
     """
-    gens = [lane.enc(im) for im in images]
-    seeds = [lane.enc(identity_matrix(spec, lane.N))] + gens
-    _close(lane, gens, [b for b in seeds if lane.insert(b)], right=False)
-    letters = [lane.enc(rho(module, a, spec)) for a in alphabet]
-    passed = 0
-    restarts = 0
+    gens = lane.enc(images)
+    seeds = lane.enc([identity_matrix(spec, lane.N)] + list(images))
+    _close(lane, gens, lane.insert(seeds), right=False)
+    letters = lane.enc(letters)
+    passed = restarts = 0
+    words = []
     while passed < trials:
-        word, units = _random_word(spec, module.n, len(alphabet), rng)
-        cand = _word_image(lane, module, letters, word, units)
-        if lane.insert(cand):
+        words += [_word_image(lane, module, letters, *_random_word(
+            spec, module.n, len(letters), rng))
+            for _ in range(trials - passed - len(words))]
+        inside = lane.members(words)
+        k = inside.index(False) if False in inside else len(words)
+        passed += k
+        if k < len(words):
             restarts += 1
             passed = 0
-            _close(lane, gens, [cand])
-        else:
-            passed += 1
+            _close(lane, gens, lane.insert(words[k:k + 1]))
+        del words[:k + 1]
     basis, divisors = lane.result()
     label = ("exact" if lane.exact
              else f"certified at level={level}, trials={trials}")
@@ -1018,17 +1044,34 @@ def _saturate(lane, spec, images, trials, rng, alphabet, module, level):
     return MatrixModule(spec, lane.N, basis, divisors, certificate)
 
 
-def _saturate_padic(spec, images, N, trials, rng, alphabet, module, level):
-    return _saturate(_PadicLane(spec, N), spec, images, trials, rng,
-                     alphabet, module, level)
+def _saturate_padic(spec, images, N, trials, rng, letters, module, level):
+    """_saturate in the p-adic lane, at a working precision P that rises
+    only when the order needs it.  P starts at _start_precision(p, N),
+    where the lane's arithmetic fits int64.  While the result's top
+    elementary divisor reaches P, P doubles, up to PRECISION, and the
+    saturation reruns from the same random state; the first result below
+    P is the order (_PadicLane).  At PRECISION, CapExceeded is raised."""
+    P, state = _start_precision(spec.p, N), rng.getstate()
+    while True:
+        H = _saturate(_PadicLane(spec, N, P), spec, images, trials, rng,
+                      letters, module, level)
+        if H.divisors[-1] < P:
+            return H
+        if P >= PRECISION:
+            raise CapExceeded(
+                f"p-adic saturation reached the working precision "
+                f"p^{PRECISION}: the order's top elementary divisor is "
+                f"at least {PRECISION}")
+        P = min(2 * P, PRECISION)
+        rng.setstate(state)
 
 
-def _saturate_generic(spec, images, N, trials, rng, alphabet, module, level):
+def _saturate_generic(spec, images, N, trials, rng, letters, module, level):
     # compute_order sends p-adic fields to _saturate_padic, so only the
     # Laurent backend gets here, and its certificate is always sampled;
     # tests call it on RationalAtP as the exact oracle of the p-adic lane.
     return _saturate(_ExactLane(spec, N), spec, images, trials, rng,
-                     alphabet, module, level)
+                     letters, module, level)
 
 
 def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
@@ -1041,7 +1084,7 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
     randomized enlargement tests with random generator words; any
     enlargement is absorbed and the count restarts.  Over Q_p the result
     is exact; CapExceeded is raised when its top elementary divisor
-    would reach the working precision PRECISION.
+    reaches PRECISION, the cap on the rising working precision.
     """
     N = module.N
     if N == 0:
@@ -1063,7 +1106,7 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
         return _full_end_module(spec, N, certificate)
 
     if isinstance(spec, RationalAtP):
-        return _saturate_padic(spec, images, N, trials, rng, alphabet,
+        return _saturate_padic(spec, images, N, trials, rng, images,
                                module, level)
-    return _saturate_generic(spec, images, N, trials, rng, alphabet,
+    return _saturate_generic(spec, images, N, trials, rng, images,
                              module, level)

@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NegativeValuation, SchurLatticeError
+from .errors import CapExceeded, NegativeValuation, SchurLatticeError
 
 INF = math.inf
 
@@ -133,6 +133,11 @@ def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise SchurLatticeError("no irreducible polynomial found")  # pragma: no cover
 
 
+# Cap on the entries of each q x q table of GF.tables: 8 MiB of int64,
+# so q <= 1024.
+MAX_TABLE_ENTRIES = 2 ** 20
+
+
 class GF:
     """The finite field with q elements; elements are ints in [0, q)."""
 
@@ -217,20 +222,36 @@ class GF:
         return self._gen
 
     def tables(self):
-        """(add, mul, inv) lookup tables as int64 numpy arrays."""
+        """(add, mul, inv) lookup tables as int64 numpy arrays.
+
+        Addition adds base-p digits mod p.  Multiplication and inversion
+        go through discrete logarithms to the base generator() g: with
+        g^log[a] = a, a*b = g^(log[a] + log[b]) and 1/a = g^(-log[a]),
+        exponents mod q - 1.  Fields whose q x q tables would hold more
+        than MAX_TABLE_ENTRIES entries raise CapExceeded.
+        """
         if self._tables is None:
             import numpy as np
 
-            q = self.q
+            q, p = self.q, self.p
+            if q * q > MAX_TABLE_ENTRIES:
+                raise CapExceeded(
+                    f"GF({q}) lookup tables would hold q^2 = {q * q} "
+                    f"entries each; at most {MAX_TABLE_ENTRIES} are allowed")
             add = np.zeros((q, q), dtype=np.int64)
+            for i in range(self.e):
+                digit = np.arange(q) // p ** i % p
+                add += (digit[:, None] + digit[None, :]) % p * p ** i
+            g, antilog = self.generator(), [1]
+            for _ in range(q - 2):
+                antilog.append(self.mul(antilog[-1], g))
+            antilog = np.array(antilog, dtype=np.int64)
+            log = np.zeros(q, dtype=np.int64)
+            log[antilog] = np.arange(q - 1)
             mul = np.zeros((q, q), dtype=np.int64)
+            mul[1:, 1:] = antilog[(log[1:, None] + log[None, 1:]) % (q - 1)]
             inv = np.zeros(q, dtype=np.int64)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self.add(a, b)
-                    mul[a, b] = self.mul(a, b)
-                if a:
-                    inv[a] = self.inv(a)
+            inv[1:] = antilog[-log[1:] % (q - 1)]
             self._tables = (add, mul, inv)
         return self._tables
 

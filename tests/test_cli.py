@@ -312,6 +312,17 @@ def test_order_residue_products_over_int64_exit_3(capsys):
     assert "overflow int64" in err
 
 
+def test_order_laurent_tables_over_cap_exit_3(capsys):
+    """GF(2048) would need 2048 x 2048 lookup tables: the run stops with
+    a cap instead of building them."""
+    code, out, err = run_main(
+        capsys, ["order", "--n", "2", "--lambda", "3", "--field", "laurent",
+                 "--q", "2048"])
+    assert code == 3
+    assert out == ""
+    assert "GF(2048) lookup tables" in err
+
+
 def test_progress_lines_go_to_stderr_only(capsys, caplog):
     """main() prints progress on stderr as [schur-lattice] lines, passes
     none of them up to the root logger, and leaves the logger as it was."""

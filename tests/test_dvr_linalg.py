@@ -4,8 +4,9 @@ homothety classes, and order computation by saturation."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from schur_lattice import (CapExceeded, Lattice, LatticeClass,
@@ -15,8 +16,8 @@ from schur_lattice import (CapExceeded, Lattice, LatticeClass,
                            congruence_level, full_rank, hnf_dvr, lattice_dual,
                            lattice_intersection, lattice_sum, membership,
                            module_add_and_saturate, module_from_matrices,
-                           relative_divisors, rho, smith_divisors,
-                           standard_lattice)
+                           partitions_of, relative_divisors, rho,
+                           smith_divisors, standard_lattice)
 from schur_lattice import dvr
 from schur_lattice.dvr import (PRECISION, ExactEchelon, _int_smith_divisors,
                                _IntEchelon, group_generator_matrices,
@@ -358,29 +359,42 @@ def test_echelon_insert_reports_growth(data):
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(p=st.sampled_from([2, 3, 5]), m=st.integers(1, 4), data=st.data())
-def test_int_echelon_matches_exact_echelon(p, m, data):
-    """The seeded echelon spans M + p^P Z^m: its canonical rows are M's when
-    the top divisor is below P, and a rank-deficient M shows divisor P.
-    Once M has full rank, insert reports growth exactly as ExactEchelon."""
+@given(p=st.sampled_from([2, 3, 5]), m=st.integers(1, 4),
+       P=st.integers(1, 12), wide=st.booleans(), data=st.data())
+def test_int_echelon_matches_exact_echelon(p, m, P, wide, data):
+    """Fed in random batches, the echelon modulo p^P spans M + p^P Z^m:
+    after each batch its membership answers and its growth are those of
+    ExactEchelon seeded with p^P I, and at the end so are its canonical
+    rows.  They are M's own when the top divisor is below P; otherwise the
+    top divisor is P.  Int64 and Python-int entries give the same."""
     entry = st.builds(lambda c, k: c * p ** k, st.integers(-6, 6),
                       st.integers(0, 3))
     vecs = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
-                              max_size=6))
-    ech, ref = _IntEchelon(m, p), ExactEchelon(RationalAtP(p), m)
-    for v in vecs:
-        was_full = ref.rank == m
-        grew = ech.insert(v)
-        ref_grew = ref.insert(tuple(Fraction(x) for x in v))
-        if was_full:
-            assert grew == ref_grew
-    rows = ech.canonical_int_rows()
+                              max_size=8))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(vecs)), max_size=3)))
+    dtype = object if wide else np.int64
+    spec, mod = RationalAtP(p), p ** P
+    ech = _IntEchelon(m, p, P, dtype)
+    seeded, ref = ExactEchelon(spec, m), ExactEchelon(spec, m)
+    for i in range(m):
+        seeded.insert(tuple(Fraction(mod if k == i else 0) for k in range(m)))
+    for lo, hi in zip([0] + cuts, cuts + [len(vecs)]):
+        batch = [tuple(Fraction(x) for x in v) for v in vecs[lo:hi]]
+        rows = [[x % mod for x in v] for v in vecs[lo:hi]]
+        inside = ech.reduce(np.array(rows, dtype).reshape(-1, m), False)
+        assert inside.tolist() == [seeded.member(v) for v in batch]
+        grew = [seeded.insert(v) for v in batch]
+        for v in batch:
+            ref.insert(v)
+        changed = ech.reduce(np.array(rows, dtype).reshape(-1, m), True)
+        assert bool(changed) == any(grew)
+    rows = tuple(map(tuple, ech.canonical_rows()))
+    assert rows == seeded.canonical_rows()[0]
     top = _int_smith_divisors(rows, p)[-1]
-    if ref.rank < m:
-        assert top == PRECISION
-    else:
-        assert top < PRECISION
+    if top < P:
         assert rows == ref.canonical_rows()[0]
+    else:
+        assert top == P
 
 
 # n = 2 cases that exited 4 when the p-adic lane guessed its precision
@@ -395,7 +409,7 @@ def test_padic_order_matches_exact_lane(lam, p):
     alphabet = saturation_alphabet(spec, 2, 1)
     images = [rho(module, g, spec) for g in alphabet]
     G = dvr._saturate_generic(spec, images, module.N, 8, random.Random(0),
-                              alphabet, module, 1)
+                              images, module, 1)
     assert (H.basis, H.divisors) == (G.basis, G.divisors)
 
 
@@ -414,6 +428,71 @@ def test_padic_order_independent_of_precision(lam, p, monkeypatch):
         (H.basis, H.divisors, H.certificate)
 
 
+@pytest.mark.parametrize("lam, top", [((4,), 3), ((8,), 6)])
+def test_padic_precision_rises_to_the_order(lam, top, monkeypatch):
+    """Started at P = 1, the lane doubles P while the top divisor reaches
+    it, rerunning from the same random state, and stops at the first P
+    above the order's top divisor, with the result of the default start."""
+    spec, module = P2, SchurModule(2, lam)
+    H = compute_order(module, spec, trials=8, rng_seed=0)
+    assert H.divisors[-1] == top
+    precisions = []
+
+    class Recording(dvr._PadicLane):
+        def __init__(self, spec, N, P):
+            precisions.append(P)
+            super().__init__(spec, N, P)
+
+    monkeypatch.setattr(dvr, "_PadicLane", Recording)
+    monkeypatch.setattr(dvr, "_start_precision", lambda p, N: 1)
+    G = compute_order(module, spec, trials=8, rng_seed=0)
+    assert precisions[0] == 1 and len(precisions) >= 2
+    assert precisions[-2] <= top < precisions[-1]
+    assert (G.basis, G.divisors, G.certificate) == \
+        (H.basis, H.divisors, H.certificate)
+
+
+@pytest.mark.parametrize("lam, p", [((6,), 2), ((7,), 3), ((6, 1), 2)])
+def test_padic_closure_rounds_in_small_batches(lam, p, monkeypatch):
+    """A closure round split into batches of one frontier row each gives
+    the order and certificate of one batch per round."""
+    spec, module = RationalAtP(p), SchurModule(2, lam)
+    H = compute_order(module, spec, trials=8, rng_seed=0)
+    monkeypatch.setattr(dvr, "BATCH_ENTRIES", 1)
+    G = compute_order(module, spec, trials=8, rng_seed=0)
+    assert (G.basis, G.divisors, G.certificate) == \
+        (H.basis, H.divisors, H.certificate)
+
+
+ORDER_ONLY_SHAPES = [lam for k in range(4, 9) for lam in partitions_of(k)
+                     if len(lam) <= 2]
+
+
+@settings(max_examples=6, deadline=None)
+@given(lam=st.sampled_from(ORDER_ONLY_SHAPES), p=st.sampled_from([2, 3, 5, 7]))
+@example(lam=(6,), p=2)
+@example(lam=(7,), p=3)
+def test_padic_lane_matches_oracles_on_order_only_shapes(lam, p):
+    """Over the p-adic shapes of the order-only benchmark, the batched lane
+    gives the order of the exact Fraction lane where N <= 7; for N >= 8,
+    where that lane is too slow, the order at a start forced to
+    PRECISION, in Python ints."""
+    spec, module = RationalAtP(p), SchurModule(2, lam)
+    H = compute_order(module, spec, trials=8, rng_seed=0)
+    assume(H.certificate["method"] == "saturation")
+    if module.N <= 7:
+        alphabet = saturation_alphabet(spec, 2, 1)
+        images = [rho(module, g, spec) for g in alphabet]
+        G = dvr._saturate_generic(spec, images, module.N, 8, random.Random(0),
+                                  images, module, 1)
+    else:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dvr, "_start_precision", lambda p, N: PRECISION)
+            G = compute_order(module, spec, trials=8, rng_seed=0)
+        assert G.certificate == H.certificate
+    assert (G.basis, G.divisors) == (H.basis, H.divisors)
+
+
 @pytest.mark.parametrize("lam", [(2,), (3,)])
 def test_saturation_absorbs_random_words(lam):
     """Seeded with the group images only, the closure misses the
@@ -421,12 +500,12 @@ def test_saturation_absorbs_random_words(lam):
     the count, and the two-sided closure of that word reaches the order,
     in both lanes."""
     spec, module = P2, SchurModule(2, lam)
-    alphabet = saturation_alphabet(spec, 2, 1)
+    letters = [rho(module, a, spec) for a in saturation_alphabet(spec, 2, 1)]
     group = [rho(module, g, spec)
              for g in group_generator_matrices(spec, 2, 1)]
     H = compute_order(module, spec, trials=8, rng_seed=0)
     for saturate in (dvr._saturate_padic, dvr._saturate_generic):
-        G = saturate(spec, group, module.N, 8, random.Random(0), alphabet,
+        G = saturate(spec, group, module.N, 8, random.Random(0), letters,
                      module, 1)
         assert G.certificate["restarts"] == 1
         assert (G.basis, G.divisors) == (H.basis, H.divisors)
@@ -456,12 +535,12 @@ WORD_SHAPES = [(2, (1,)), (2, (2,)), (2, (1, 1)), (2, (3,)), (2, (2, 1)),
 
 @settings(max_examples=60, deadline=None)
 @given(spec=st.sampled_from(WORD_FIELDS), shape=st.sampled_from(WORD_SHAPES),
-       seed=st.integers(0, 2 ** 32 - 1), tight=st.booleans())
-def test_word_image_matches_rho(spec, shape, seed, tight):
+       seed=st.integers(0, 2 ** 32 - 1), P=st.integers(1, PRECISION))
+def test_word_image_matches_rho(spec, shape, seed, P):
     """The product of the letter images, with columns scaled by the tableau
-    weights, is rho of the drawn word's matrix, in every lane of the field.
-    With `tight`, the p-adic lane's modulus shrinks after the letters are
-    encoded, as it does during a saturation."""
+    weights, is rho of the drawn word's matrix, in every lane of the field;
+    the p-adic lane works modulo p^P for a random working precision P, in
+    int64 or, past its bound, in Python ints."""
     n, lam = shape
     module = SchurModule(n, lam)
     N = module.N
@@ -470,16 +549,11 @@ def test_word_image_matches_rho(spec, shape, seed, tight):
     W = word_matrix(spec, alphabet, word, units)
     lanes = [dvr._ExactLane(spec, N)]
     if isinstance(spec, RationalAtP):
-        lanes.append(dvr._PadicLane(spec, N))
+        lanes.append(dvr._PadicLane(spec, N, P))
     for lane in lanes:
-        letters = [lane.enc(rho(module, a, spec)) for a in alphabet]
-        if tight and isinstance(lane, dvr._PadicLane):
-            for k in range(N * N):
-                lane.ech.insert([spec.p if i == k else 0
-                                 for i in range(N * N)])
-            assert lane.ech.modulus == spec.p ** (2 * N * N + 1)
+        letters = lane.enc([rho(module, a, spec) for a in alphabet])
         got = dvr._word_image(lane, module, letters, word, units)
-        assert as_lists(got) == as_lists(lane.enc(rho(module, W, spec)))
+        assert as_lists(got) == as_lists(lane.enc([rho(module, W, spec)])[0])
 
 
 def two_sided_span(spec, images, N):
@@ -518,7 +592,7 @@ def test_seed_span_is_two_sided_closure(spec, lam, alphabet_of):
     if isinstance(spec, RationalAtP):
         saturates.append(dvr._saturate_padic)
     for saturate in saturates:
-        G = saturate(spec, images, module.N, 0, random.Random(0), alphabet,
+        G = saturate(spec, images, module.N, 0, random.Random(0), images,
                      module, 1)
         assert (G.basis, G.divisors) == ref
 

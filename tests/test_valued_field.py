@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from schur_lattice import (GF, INF, LaurentRational, RationalAtP,
                            RationalFunctionOverFq, SchurLatticeError,
                            field_from_descriptor, unit_sample_set)
-from schur_lattice.errors import NegativeValuation
-from schur_lattice.fields import (_prime_factors, _prime_power,
-                                  _primitive_root_mod_p2, laurent_parse,
-                                  laurent_to_str)
+from schur_lattice.errors import CapExceeded, NegativeValuation
+from schur_lattice.fields import (MAX_TABLE_ENTRIES, _prime_factors,
+                                  _prime_power, _primitive_root_mod_p2,
+                                  laurent_parse, laurent_to_str)
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +48,24 @@ def test_gf_generator_order(q):
         x = fq.mul(x, g)
         seen.add(x)
     assert len(seen) == q - 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 27])
+def test_gf_tables_match_field_operations(q):
+    """The log/antilog tables agree entry for entry with add, mul and inv."""
+    fq = GF(q)
+    add, mul, inv = fq.tables()
+    assert add.tolist() == [[fq.add(a, b) for b in range(q)] for a in range(q)]
+    assert mul.tolist() == [[fq.mul(a, b) for b in range(q)] for a in range(q)]
+    assert inv.tolist() == [0] + [fq.inv(a) for a in range(1, q)]
+
+
+def test_gf_tables_over_cap_raise():
+    """Tables of more than MAX_TABLE_ENTRIES entries are refused with a
+    cap (exit 3), before any is built; q = 1024 is the largest allowed."""
+    assert 1024 ** 2 <= MAX_TABLE_ENTRIES < 2048 ** 2
+    with pytest.raises(CapExceeded, match="GF\\(2048\\) lookup tables"):
+        GF(2048).tables()
 
 
 def _scan_prime_factors(m):
