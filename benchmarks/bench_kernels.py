@@ -24,7 +24,7 @@ def _bench(label, fn, reps, warmup=1):
 
 def run_suite():
     from schur_lattice import (RationalAtP, SchurModule, compute_order,
-                               fix_bfs, standard_lattice)
+                               convexity_check, fix_bfs, standard_lattice)
     from schur_lattice._kernels import (digit_histogram, gf_matmul, gf_rref,
                                         line_spin_profile,
                                         minplus_closure_matrix,
@@ -75,10 +75,14 @@ def run_suite():
     Nl = H.N
     basis = conjugate_residues(standard_lattice(H.spec, Nl), H.basis)
     # the invariance test and residues of every BFS class of that order
-    classes = fix_bfs(H, module, H.spec).classes
+    fixed = fix_bfs(H, module, H.spec)
+    classes = fixed.classes
     rows.append(_bench(f"conjugate residues {len(classes)} classes N={Nl}",
                        lambda: [conjugate_residues(c.rep, H.basis)
                                 for c in classes], 5))
+    # sums and meets of every pair of those classes at every scaling
+    rows.append(_bench(f"convexity {len(classes)} classes N={Nl}",
+                       lambda: convexity_check(fixed), 3))
     rows.append(_bench(f"algebra basis GF(3) N={Nl}",
                        lambda: residue_algebra_basis(f3, basis, Nl), 3))
     span, _ = gf_rref(f3, np.reshape(basis, (-1, Nl * Nl)))

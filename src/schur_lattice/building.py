@@ -23,7 +23,7 @@ from . import _kernels
 # reads it as building.membership
 from .dvr import (Lattice, LatticeClass, MatrixModule, class_distance,
                   congruence_level, conjugate_residues, full_rank,
-                  lattice_intersection, lattice_sum, mat_vec, membership,
+                  lattice_sum_and_meet, mat_vec, membership,
                   relative_divisors, standard_lattice)
 from .errors import (CapExceeded, InternalInvariantViolation, NegativeCycle,
                      NotFullRank, SchurLatticeError, Singular)
@@ -373,9 +373,7 @@ def convexity_check(S: FixSet) -> bool:
         divs = relative_divisors(La, Lb)
         lo, hi = int(divs[0]), int(divs[-1])
         for s in range(-hi - 1, -lo + 2):
-            Lb_s = Lb.scaled(s)
-            total = lattice_sum(La, Lb_s)
-            meet = lattice_intersection(La, Lb_s)
+            total, meet = lattice_sum_and_meet(La, Lb.scaled(s))
             if LatticeClass(total).key() not in keys:
                 return False
             if LatticeClass(meet).key() not in keys:

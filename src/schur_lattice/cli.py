@@ -185,6 +185,8 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
     lam = validate_partition(tuple(cfg["lambda"]))
     spec = _build_spec(cfg["field"], cfg.get("p"), cfg.get("q"))
     seed = cfg["seed"]
+    # the shape caps come first: the hook-content product is quadratic in d
+    module = SchurModule(n, lam)
     report = {
         "case": _case_descriptor(n, lam, spec),
         "hooks": [list(r) for r in hook_lengths(lam)],
@@ -199,7 +201,6 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         "gaussian": None,
         "timings": None,
     }
-    module = SchurModule(n, lam)
     report["N"] = module.N
     if module.N == 0:
         return report
@@ -343,8 +344,8 @@ def cmd_hooks(args) -> int:
 def cmd_dim(args) -> int:
     lam = _parse_lambda(args.lam)
     n = args.n
-    dim = dimension(lam, n)
     module = SchurModule(n, lam)
+    dim = dimension(lam, n)
     if dim != module.N:
         raise InternalInvariantViolation(
             f"hook-content dimension {dim} != tableau count {module.N}")

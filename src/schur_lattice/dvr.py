@@ -302,10 +302,12 @@ class Lattice:
         if not vectors:
             raise Singular("a lattice needs at least one basis vector")
         m = len(vectors[0])
-        result = hnf_dvr(vectors, spec)
-        if len(result.rows) != m:
+        ech = ExactEchelon(spec, m)
+        for v in vectors:
+            ech.insert(v)
+        if ech.rank != m:
             raise Singular("lattice basis does not have full rank")
-        return cls(spec, result.rows)
+        return cls(spec, ech.canonical_rows()[0])
 
     def basis_matrix(self):
         """Matrix whose columns are the basis vectors."""
@@ -344,8 +346,42 @@ def lattice_dual(L: Lattice) -> Lattice:
     return Lattice.from_vectors(L.spec, inv)
 
 
+def lattice_sum_and_meet(L1: Lattice, L2: Lattice):
+    """(L1 + L2, L1 ∩ L2) of two full-rank lattices in K^N, from one
+    echelon of width 2N (Zassenhaus; Cohen 1993, §2.4).
+
+    The echelon spans M = <(b, b) : b in L1> + <(c, 0) : c in L2>, whose
+    elements are (b + c, b) for b in L1, c in L2.  Its projection to the
+    first half is L1 + L2, of rank N, and the elements with zero first
+    half are exactly {(0, a) : a in L1 ∩ L2} (b + c = 0 puts b = -c in
+    both lattices; conversely (a, a) - (a, 0) = (0, a)).  M has rank 2N,
+    so its canonical rows are N with pivot below N followed by N with
+    pivot at N or above.  An element of M with zero first half is a
+    combination of the latter rows only (the first pivot below N with a
+    nonzero coefficient would survive), so their second halves are an
+    echelon basis of L1 ∩ L2, and the first halves of the former rows
+    are one of L1 + L2.  Canonical reduction never mixes the two halves:
+    reducing a row at column c2 subtracts a row whose entries below c2
+    vanish, so first halves of the leading rows see only the leading
+    rows, and the trailing rows (zero first half) see only each other.
+    Both halves are therefore reduced echelon forms, and the Hermite form
+    of a lattice is unique, so they equal ``Lattice.from_vectors`` of the
+    sum and of the meet.
+    """
+    spec, N = L1.spec, L1.m
+    pad = (spec.zero(),) * N
+    ech = ExactEchelon(spec, 2 * N)
+    for b in L1.vectors:
+        ech.insert(b + b)
+    for c in L2.vectors:
+        ech.insert(c + pad)
+    rows, _ = ech.canonical_rows()
+    return (Lattice(spec, tuple(r[:N] for r in rows[:N])),
+            Lattice(spec, tuple(r[N:] for r in rows[N:])))
+
+
 def lattice_intersection(L1: Lattice, L2: Lattice) -> Lattice:
-    return lattice_dual(lattice_sum(lattice_dual(L1), lattice_dual(L2)))
+    return lattice_sum_and_meet(L1, L2)[1]
 
 
 def relative_divisors(L1: Lattice, L2: Lattice):
@@ -358,19 +394,24 @@ def relative_divisors(L1: Lattice, L2: Lattice):
 class LatticeClass:
     """Homothety class of a lattice, held by a canonical representative.
 
-    The representative is the echelon basis scaled so the minimal
-    elementary divisor (relative to the standard lattice) is 0.
+    The representative is the canonical basis scaled so the minimal
+    elementary divisor (relative to the standard lattice) is 0.  That
+    divisor is the least valuation of the basis entries, since the ideal
+    the entries generate is the same for every basis.  ``lattice`` must
+    be canonical, as every constructor here returns it.  Then pi^s * L
+    is canonical as well, so no second reduction runs: its pivots become
+    pi^(v + s), and _canonical_mod(pi^s * x, k + s) = pi^s *
+    _canonical_mod(x, k), because the representative keeps the digits of
+    x in positions [val x, k) over Q_p and the series terms in that range
+    over F_q(t), and scaling by pi^s shifts both.
     """
 
     __slots__ = ("rep", "_key")
 
     def __init__(self, lattice: Lattice):
-        divs = smith_divisors(lattice.vectors, lattice.spec)
-        shift = -divs[0]
+        spec = lattice.spec
+        shift = -int(min(spec.val(x) for v in lattice.vectors for x in v))
         self.rep = lattice.scaled(shift) if shift else lattice
-        if shift:
-            # rescaling shifts pivot normalization; re-canonicalize
-            self.rep = Lattice.from_vectors(lattice.spec, self.rep.vectors)
         self._key = self.rep.key()
 
     def key(self):

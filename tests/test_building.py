@@ -298,6 +298,26 @@ def test_fix_bfs_laurent_non_graduated_frozen():
     assert convexity_check(S)
 
 
+def test_fix_bfs_laurent_gf3_non_graduated_frozen():
+    """F_3(t), n=2, lambda=(5): full rank (lambda=(3) gives rank 12 < 16)
+    and not graduated; the BFS finds 3 classes, and they are convex."""
+    F3T = RationalFunctionOverFq(3)
+    m = SchurModule(2, (5,))
+    H = compute_order(m, F3T, rng_seed=0)
+    assert full_rank(H) and detect_graduated(H) is None
+    S = fix_bfs(H, m, F3T)
+    e = [["0"] * 6 for _ in range(6)]
+    for i in range(6):
+        e[i][i] = "1"
+    mid = [row[:] for row in e]
+    mid[1][3] = mid[2][4] = "1"
+    mid[3][3] = mid[4][4] = "t"
+    top = [row[:] for row in mid]
+    top[0][0] = top[5][5] = "t"
+    assert S.keys() == tuple(tuple(map(tuple, k)) for k in (e, mid, top))
+    assert convexity_check(S)
+
+
 def test_fix_bfs_laurent_gf4_agrees_with_polytrope():
     """F_4(t), n=2, lambda=(3): a graduated order over a non-prime residue
     field; BFS and polytrope both find only the standard class."""
@@ -354,3 +374,22 @@ def test_convexity_detects_gap():
     gapped = FixSet(classes=(c0, c2), bounded=True, method="bfs",
                     u_vectors=None)
     assert convexity_check(gapped) is False
+
+
+@pytest.mark.parametrize("extra, convex", [
+    ([(0, 1, 1)], False),            # closed under sums, not under meets
+    ([(0, 0, 1)], False),            # closed under meets, not under sums
+    ([(0, 1, 1), (0, 0, 1)], True),
+])
+def test_convexity_checks_sums_and_meets(extra, convex):
+    """Diagonal classes u: sums take the entrywise min, meets the max.
+    Between 0 and (0,1,2), pi^-1 gives the sum (0,1,1) and the meet
+    (0,0,1) up to homothety, so each check alone misses a gap."""
+    from schur_lattice.building import FixSet
+
+    classes = sorted((LatticeClass(diagonal_lattice(P2, u))
+                      for u in [(0, 0, 0), (0, 1, 2)] + extra),
+                     key=lambda c: c.key())
+    S = FixSet(classes=tuple(classes), bounded=True, method="bfs",
+               u_vectors=None)
+    assert convexity_check(S) is convex

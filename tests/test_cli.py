@@ -488,6 +488,19 @@ def test_console_script_installed():
     assert out.stdout.strip() == "3"
 
 
+@pytest.mark.parametrize("argv", [
+    ["order", "--n", "2", "--lambda", "300000", "--p", "2"],
+    ["dim", "--n", "2", "--lambda", "300000"],
+])
+def test_shape_caps_exit_before_hook_content_product(argv):
+    """|lambda| > 12 exits 2 at once: the hook-content product, quadratic
+    in |lambda|, would take about a minute at lambda = (300000)."""
+    out = subprocess.run([sys.executable, "-m", "schur_lattice.cli", *argv],
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 2
+    assert "exceeds the configured caps" in out.stderr
+
+
 def test_parser_covers_documented_subcommands():
     parser = build_parser()
     subactions = [a for a in parser._actions

@@ -1,6 +1,7 @@
 """Tests for valuation-ring linear algebra: echelon forms, lattices,
 homothety classes, and order computation by saturation."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from schur_lattice import (CapExceeded, Lattice, LatticeClass,
+from schur_lattice import (CapExceeded, FixSet, Lattice, LatticeClass,
                            NonIntegralInput, RationalAtP,
                            RationalFunctionOverFq, SchurModule,
                            Singular, class_distance, compute_order,
-                           congruence_level, full_rank, hnf_dvr, lattice_dual,
-                           lattice_intersection, lattice_sum, membership,
+                           congruence_level, convexity_check, full_rank,
+                           hnf_dvr, lattice_dual, lattice_intersection,
+                           lattice_sum, lattice_sum_and_meet, membership,
                            module_add_and_saturate, module_from_matrices,
                            partitions_of, relative_divisors, rho,
                            smith_divisors, standard_lattice)
@@ -194,6 +196,86 @@ def test_lattice_class_canonical_representative():
     assert c == c_scaled
     # the canonical representative has minimum elementary divisor 0
     assert min(relative_divisors(standard_lattice(P2, 2), c.rep)) == 0
+
+
+LATTICE_FIELDS = [P2, P3, RationalAtP(5), RationalFunctionOverFq(2),
+                  RationalFunctionOverFq(3), RationalFunctionOverFq(4)]
+
+
+@st.composite
+def field_entries(draw, spec):
+    """Zero or an element of K of valuation between about -4 and 4: over
+    Q_p a small fraction times p^e, over F_q(t) a short series times
+    t^e, sometimes over (1 + t)."""
+    e = draw(st.integers(-2, 2))
+    pi = spec.uniformizer()
+    if isinstance(spec, RationalAtP):
+        x = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+    else:
+        x = spec.zero()
+        for i in range(3):
+            x = x + spec.lift(draw(st.integers(0, spec.q - 1))) * pi ** i
+        if draw(st.booleans()):
+            x = x / (spec.one() + pi)
+    return x * pi ** e
+
+
+@st.composite
+def full_rank_lattice(draw, spec, m):
+    rows = [tuple(draw(field_entries(spec)) for _ in range(m))
+            for _ in range(m)]
+    try:
+        return Lattice.from_vectors(spec, rows)
+    except Singular:
+        assume(False)
+
+
+def _smith_class_key(L):
+    """Class key by a Smith pass: shift by the least elementary divisor,
+    then re-canonicalize."""
+    shift = -smith_divisors(L.vectors, L.spec)[0]
+    return Lattice.from_vectors(L.spec, L.scaled(shift).vectors).key()
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(LATTICE_FIELDS), m=st.integers(1, 4),
+       s=st.integers(-3, 3), data=st.data())
+def test_sum_and_meet_match_dual_oracle(spec, m, s, data):
+    """One echelon of width 2N gives the sum of ``lattice_sum`` and the
+    meet of the dual construction (A* + B*)*; class keys need no Smith
+    pass; a canonical lattice scaled by pi^s is canonical; and
+    convexity_check agrees with its dual-based form."""
+    A = data.draw(full_rank_lattice(spec, m))
+    B = data.draw(full_rank_lattice(spec, m)).scaled(s)
+    total, meet = lattice_sum_and_meet(A, B)
+    assert total.key() == lattice_sum(A, B).key()
+    assert meet.key() == lattice_dual(
+        lattice_sum(lattice_dual(A), lattice_dual(B))).key()
+    assert lattice_intersection(A, B).key() == meet.key()
+    for L in (A, B, total, meet):
+        assert Lattice.from_vectors(spec, L.vectors).key() == L.key()
+        assert LatticeClass(L).key() == _smith_class_key(L)
+    for classes in ((LatticeClass(A),), (LatticeClass(A), LatticeClass(B))):
+        S = FixSet(classes=classes, bounded=True, method="bfs",
+                   u_vectors=None)
+        assert convexity_check(S) == _dual_convexity(classes)
+
+
+def _dual_convexity(classes):
+    """convexity_check by dual-based meets and Smith-normalized class
+    keys."""
+    keys = {c.key() for c in classes}
+    reps = [c.rep for c in classes]
+    for La, Lb in itertools.combinations_with_replacement(reps, 2):
+        divs = relative_divisors(La, Lb)
+        for s in range(-divs[-1] - 1, -divs[0] + 2):
+            Lb_s = Lb.scaled(s)
+            meet = lattice_dual(lattice_sum(lattice_dual(La),
+                                            lattice_dual(Lb_s)))
+            for L in (lattice_sum(La, Lb_s), meet):
+                if _smith_class_key(L) not in keys:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
