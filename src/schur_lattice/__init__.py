@@ -25,7 +25,7 @@ from .fields import (GF, INF, FieldSpec, LaurentRational, RationalAtP,
 from .gaussian import LatticeGaussian, chi2_uniform_counts, invariance_report, sample
 from .partitions import (conjugate, dimension, hook_lengths, is_core,
                          partitions_of, ssyt_enumerate, validate_partition)
-from .schur import SchurModule, character, residue_rep, rho
+from .schur import SchurModule, character, rho
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "is_core", "is_invariant", "lattice_dual", "lattice_intersection",
     "lattice_sum", "lattice_sum_and_meet", "membership", "min_plus_closure",
     "module_add_and_saturate", "module_from_matrices", "partitions_of",
-    "relative_divisors", "residue_generator_rep", "residue_rep", "rho",
+    "relative_divisors", "residue_generator_rep", "rho",
     "sample", "smith_divisors", "spans_end_residue", "ssyt_enumerate",
     "standard_lattice", "uniformizer_diagonal_matrices", "unit_sample_set",
     "validate_partition",

@@ -23,12 +23,12 @@ from . import _kernels
 # reads it as building.membership
 from .dvr import (Lattice, LatticeClass, MatrixModule, class_distance,
                   congruence_level, conjugate_residues, full_rank,
-                  lattice_sum_and_meet, mat_vec, membership,
-                  relative_divisors, standard_lattice)
+                  group_generator_matrices, lattice_sum_and_meet, mat_vec,
+                  membership, relative_divisors, standard_lattice)
 from .errors import (CapExceeded, InternalInvariantViolation, NegativeCycle,
                      NotFullRank, SchurLatticeError, Singular)
 from .fields import GF, INF, FieldSpec
-from .schur import SchurModule, residue_rep
+from .schur import SchurModule, rho
 
 DEFAULT_SUBSPACE_CAP = 2 ** 16
 DEFAULT_ENUM_CAP = 10 ** 6
@@ -294,7 +294,6 @@ def is_invariant(H: MatrixModule, L: Lattice) -> bool:
 
 
 def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
-            radius_cap: int | None = None,
             subspace_cap: int = DEFAULT_SUBSPACE_CAP) -> FixSet:
     """Exhaustive BFS over H-fixed lattice classes from the standard one;
     H must be an order (see ``_proper_invariant_subspaces``).
@@ -309,11 +308,6 @@ def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
     if not full_rank(H):
         raise NotFullRank("fix_bfs needs a full-rank order")
     level = congruence_level(H)
-    if radius_cap is None:
-        radius_cap = level
-    if radius_cap < level:
-        raise SchurLatticeError(
-            f"radius_cap {radius_cap} < congruence level {level}")
     N = H.N
     fq = spec.residue_field
     pi = spec.uniformizer()
@@ -393,29 +387,24 @@ def spans_end_residue(H: MatrixModule) -> bool:
 
 
 def residue_generator_rep(module: SchurModule, spec: FieldSpec) -> ResidueRep:
-    """Group-generator residue representation: images of transpositions,
-    transvections, and a primitive-unit diagonal over the residue field."""
-    fq = spec.residue_field
-    n = module.n
-    gens = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            perm = [[1 if (r == c and r not in (i, j))
-                     or (r, c) in ((i, j), (j, i)) else 0
-                     for c in range(n)] for r in range(n)]
-            gens.append(tuple(tuple(r) for r in perm))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                tv = [[1 if r == c else 0 for c in range(n)]
-                      for r in range(n)]
-                tv[i][j] = 1
-                gens.append(tuple(tuple(r) for r in tv))
-    c = fq.generator()
-    if c != 1:
-        for pos in range(n):
-            dg = [[1 if r == c2 else 0 for c2 in range(n)] for r in range(n)]
-            dg[pos][pos] = c
-            gens.append(tuple(tuple(r) for r in dg))
-    images = tuple(residue_rep(module, g, spec) for g in gens)
-    return ResidueRep(fq, module.N, images)
+    """Group-generator residue representation: the reductions mod the
+    uniformizer of rho(g) for g in group_generator_matrices(spec, n, 1),
+    the transpositions, transvections and unit diagonals whose images
+    compute_order has already formed (and rho memoized).
+
+    Its invariant subspaces are those of the images over k of the
+    transpositions, the transvections and diag(1, ..., c, ..., 1) for c a
+    generator of k^x (none when k = F_2).  Proof: reduction mod the
+    uniformizer is a ring map and rho has integer straightening
+    coefficients, so it sends rho(g) to the image over k of g mod the
+    uniformizer.  The residues of unit_sample_set generate k^x: for odd
+    p it holds a primitive root g mod p^2, which is one mod p as well;
+    F_2^x is trivial; over F_q(t) it holds c itself.  A diagonal with a
+    generator of k^x at one position has, as its powers, the diagonals
+    with every unit there, so both sets generate the same F_q-algebra,
+    and the invariant subspaces of a set are those of its algebra.
+    """
+    images = tuple(tuple(tuple(spec.reduce(x) for x in row)
+                         for row in rho(module, g, spec))
+                   for g in group_generator_matrices(spec, module.n, 1))
+    return ResidueRep(spec.residue_field, module.N, images)

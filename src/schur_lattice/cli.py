@@ -172,6 +172,23 @@ def _case_descriptor(n, lam, spec: FieldSpec) -> dict:
     return {"n": n, "lambda": list(lam), "field": spec.describe()}
 
 
+def _check_cap_N(module: SchurModule, cap_N: int):
+    if module.N > cap_N:
+        raise CapExceeded(
+            f"N = {module.N} exceeds the configured cap {cap_N}")
+
+
+def _order(module: SchurModule, spec: FieldSpec, level: int, trials: int,
+           seed: int) -> MatrixModule:
+    """compute_order, with the case and the stage in its errors."""
+    try:
+        return compute_order(module, spec, level=level, trials=trials,
+                             rng_seed=seed)
+    except (CapExceeded, InternalInvariantViolation) as exc:
+        raise type(exc)(
+            f"{case_label(module, spec)}: stage order: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # the case pipeline
 # ---------------------------------------------------------------------------
@@ -204,18 +221,12 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
     report["N"] = module.N
     if module.N == 0:
         return report
-    if module.N > cfg["cap_N"]:
-        raise CapExceeded(
-            f"N = {module.N} exceeds the configured cap {cfg['cap_N']}")
+    _check_cap_N(module, cfg["cap_N"])
     clock: dict[str, float] = {}
     label = case_label(module, spec)
     _progress(f"computing order for {label}")
     t0 = time.perf_counter()
-    try:
-        H = compute_order(module, spec, level=cfg["level"],
-                          trials=cfg["trials"], rng_seed=seed)
-    except (CapExceeded, InternalInvariantViolation) as exc:
-        raise type(exc)(f"{label}: stage order: {exc}") from exc
+    H = _order(module, spec, cfg["level"], cfg["trials"], seed)
     clock["order_s"] = time.perf_counter() - t0
     is_full = full_rank(H)
     profile = entry_profile(H, allow_degenerate=True)
@@ -265,15 +276,15 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
                     f"{label}: stage fix: polytrope and BFS fixed sets "
                     f"disagree; only polytrope: {sorted(poly_keys - bfs_keys)}"
                     f"; only BFS: {sorted(bfs_keys - poly_keys)}")
-        # every reported class must be exactly invariant; a class in both
-        # sets is checked once
-        reported = {c.key(): c for fs in (poly_set, bfs_set) if fs is not None
-                    for c in fs.classes}
-        for c in reported.values():
-            if not is_invariant(H, c.rep):
-                raise InternalInvariantViolation(
-                    f"{label}: stage fix: reported class {c.key()} is not "
-                    f"invariant")
+        # every reported class must be exactly invariant: fix_bfs has
+        # checked each of its classes, and a polytrope set beside it agrees
+        # with it, so only a polytrope set alone is checked here
+        if bfs_set is None and poly_set is not None:
+            for c in poly_set.classes:
+                if not is_invariant(H, c.rep):
+                    raise InternalInvariantViolation(
+                        f"{label}: stage fix: reported class {c.key()} is "
+                        f"not invariant")
         primary = bfs_set if bfs_set is not None else poly_set
         if primary is not None and primary.bounded:
             report["convexity"] = convexity_check(primary)
@@ -361,6 +372,7 @@ def cmd_rho(args) -> int:
     spec = _build_spec(args.field, args.p, args.q)
     module = SchurModule(args.n, lam)
     g = _parse_matrix(spec, args.matrix, args.n)
+    _check_cap_N(module, args.cap_N)
     image = rho(module, g, spec)
     payload = {
         "case": _case_descriptor(args.n, lam, spec),
@@ -422,9 +434,9 @@ def cmd_sample(args) -> int:
     module = SchurModule(args.n, lam)
     if module.N == 0:
         raise SchurLatticeError("the module is zero for this (n, lambda)")
-    _progress("computing order for the invariance report")
-    H = compute_order(module, spec, level=args.level, trials=args.trials,
-                      rng_seed=args.seed)
+    _check_cap_N(module, args.cap_N)
+    _progress(f"computing order for {case_label(module, spec)}")
+    H = _order(module, spec, args.level, args.trials, args.seed)
     gauss = LatticeGaussian(spec, standard_lattice(spec, module.N),
                             precision=args.precision, seed=args.seed)
     gens = [rho(module, g, spec)
@@ -554,6 +566,9 @@ def _add_common(sp, *, field=True, seed=True):
                         help="residue characteristic (p-adic backend)")
         sp.add_argument("--q", type=int, default=None,
                         help="residue field size (laurent backend)")
+    sp.add_argument("--cap-N", dest="cap_N", type=_int_at_least(1),
+                    default=DEFAULTS["cap_N"],
+                    help="refuse modules of dimension N above this")
     if seed:
         sp.add_argument("--level", type=_int_at_least(1),
                         default=DEFAULTS["level"])
@@ -595,8 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--lambda", dest="lam", required=True)
         sp.add_argument("--n", type=_int_at_least(1), required=True)
         _add_common(sp)
-        sp.add_argument("--cap-N", dest="cap_N", type=_int_at_least(1),
-                        default=DEFAULTS["cap_N"])
         sp.add_argument("--timings", action="store_true")
         if name == "fix":
             sp.add_argument("--method", choices=("polytrope", "bfs", "both"),

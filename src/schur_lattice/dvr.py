@@ -31,10 +31,19 @@ from .schur import SchurModule, rho
 # ---------------------------------------------------------------------------
 
 
-def identity_matrix(spec: FieldSpec, m: int):
+def _matrix(spec: FieldSpec, m: int, entries=None, identity=True):
+    """The m x m identity, or zero matrix when not `identity`, with the
+    {(row, col): value} `entries` written over it."""
     one, zero = spec.one(), spec.zero()
-    return tuple(tuple(one if i == j else zero for j in range(m))
-                 for i in range(m))
+    rows = [[one if identity and i == j else zero for j in range(m)]
+            for i in range(m)]
+    for (i, j), x in (entries or {}).items():
+        rows[i][j] = x
+    return tuple(tuple(row) for row in rows)
+
+
+def identity_matrix(spec: FieldSpec, m: int):
+    return _matrix(spec, m)
 
 
 def mat_mul(A, B):
@@ -665,38 +674,20 @@ def module_add_and_saturate(M: MatrixModule, gens) -> MatrixModule:
 def group_generator_matrices(spec: FieldSpec, n: int, level: int):
     """Transpositions, elementary transvections, and unit diagonals."""
     one, zero = spec.one(), spec.zero()
-    gens = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            perm = [[one if (r == c and r not in (i, j))
-                     or (r, c) in ((i, j), (j, i)) else zero
-                     for c in range(n)] for r in range(n)]
-            gens.append(tuple(tuple(r) for r in perm))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                tv = [[one if r == c else zero for c in range(n)]
-                      for r in range(n)]
-                tv[i][j] = one
-                gens.append(tuple(tuple(r) for r in tv))
-    for u in unit_sample_set(spec, level):
-        for pos in range(n):
-            dg = [[one if r == c else zero for c in range(n)]
-                  for r in range(n)]
-            dg[pos][pos] = u
-            gens.append(tuple(tuple(r) for r in dg))
+    gens = [_matrix(spec, n, {(i, i): zero, (j, j): zero,
+                              (i, j): one, (j, i): one})
+            for i in range(n) for j in range(i + 1, n)]
+    gens += [_matrix(spec, n, {(i, j): one})
+             for i in range(n) for j in range(n) if i != j]
+    gens += [_matrix(spec, n, {(pos, pos): u})
+             for u in unit_sample_set(spec, level) for pos in range(n)]
     return gens
 
 
 def uniformizer_diagonal_matrices(spec: FieldSpec, n: int):
     """diag(1, ..., pi, ..., 1) for each position."""
-    one, zero, pi = spec.one(), spec.zero(), spec.uniformizer()
-    out = []
-    for pos in range(n):
-        dg = [[one if r == c else zero for c in range(n)] for r in range(n)]
-        dg[pos][pos] = pi
-        out.append(tuple(tuple(r) for r in dg))
-    return out
+    pi = spec.uniformizer()
+    return [_matrix(spec, n, {(pos, pos): pi}) for pos in range(n)]
 
 
 def saturation_alphabet(spec: FieldSpec, n: int, level: int):
@@ -881,14 +872,10 @@ def _residue_closure_is_full(spec: FieldSpec, residue_mats, N: int) -> bool:
 
 
 def _full_end_module(spec: FieldSpec, N: int, certificate) -> MatrixModule:
-    basis = []
-    zero, one = spec.zero(), spec.one()
-    for i in range(N):
-        for j in range(N):
-            m = [[zero] * N for _ in range(N)]
-            m[i][j] = one
-            basis.append(tuple(tuple(r) for r in m))
-    return MatrixModule(spec, N, tuple(basis), (0,) * (N * N), certificate)
+    one = spec.one()
+    basis = tuple(_matrix(spec, N, {(i, j): one}, identity=False)
+                  for i in range(N) for j in range(N))
+    return MatrixModule(spec, N, basis, (0,) * (N * N), certificate)
 
 
 class _PadicLane:

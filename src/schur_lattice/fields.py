@@ -627,10 +627,6 @@ class FieldSpec:
     def is_zero(self, x) -> bool:
         return self.val(x) == INF
 
-    def from_residue_matrix(self, rows):
-        """Lift a matrix of residue ints entrywise."""
-        return tuple(tuple(self.lift(c) for c in row) for row in rows)
-
 
 class RationalAtP(FieldSpec):
     """Q with the p-adic valuation; scalars are Fractions."""
@@ -809,6 +805,12 @@ def _primitive_root_mod_p2(p: int) -> int:
     raise SchurLatticeError("no primitive root found")  # pragma: no cover
 
 
+# Each level adds n unit diagonals to the F_q(t) saturation alphabet.  On
+# a 2-core x86 host (Python 3.11), order --n 2 --lambda 2 --field laurent
+# --q 2 takes about 3 s at level 64, and n = 3, lambda = (2) about 27 s.
+MAX_LEVEL = 64
+
+
 def unit_sample_set(spec: FieldSpec, level: int = 1):
     """Finite unit set whose generated subgroup is residue-dense to `level`.
 
@@ -816,7 +818,8 @@ def unit_sample_set(spec: FieldSpec, level: int = 1):
     primitive root mod p^2 (so <g> is dense in the units); for p = 2 it is
     {-1, 3}.  For the equal-characteristic backend it is {c} together with
     {1 + c*t^j : 1 <= j <= level} where c generates the multiplicative
-    group of F_q (c = 1 when q = 2).
+    group of F_q (c = 1 when q = 2); a level above MAX_LEVEL raises
+    CapExceeded there.  The p-adic set does not depend on the level.
     """
     if level < 1:
         raise SchurLatticeError(f"level must be >= 1, got {level}")
@@ -824,6 +827,10 @@ def unit_sample_set(spec: FieldSpec, level: int = 1):
         if spec.p == 2:
             return [Fraction(-1), Fraction(3)]
         return [Fraction(_primitive_root_mod_p2(spec.p)), Fraction(-1)]
+    if level > MAX_LEVEL:
+        raise CapExceeded(
+            f"level {level} exceeds the cap MAX_LEVEL = {MAX_LEVEL} for "
+            f"F_q(t)")
     fq = spec.residue_field
     c = fq.generator()
     out = [LaurentRational.const(fq, c)]

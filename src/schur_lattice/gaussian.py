@@ -16,12 +16,11 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
 
 from . import _kernels
 from .building import is_invariant
-from .dvr import (Lattice, MatrixModule, conjugate_residues, mat_mul,
-                  mat_vec)
+from .dvr import (Lattice, MatrixModule, conjugate_residues,
+                  identity_matrix, mat_mul, mat_vec)
 from .errors import SchurLatticeError
 from .fields import FieldSpec, LaurentRational, RationalAtP
 
@@ -82,10 +81,12 @@ def sample(gauss: LatticeGaussian, count: int):
 def chi2_uniform_counts(counts, total: int, q: int,
                         significance: float = DEFAULT_SIGNIFICANCE):
     """Per-row chi-squared uniformity stats: (stats, threshold, all_pass)."""
+    from scipy.stats import chi2
+
     counts = np.asarray(counts, dtype=np.float64)
     expected = total / q
     stats = ((counts - expected) ** 2 / expected).sum(axis=1)
-    threshold = float(_chi2.ppf(1.0 - significance, q - 1))
+    threshold = float(chi2.ppf(1.0 - significance, q - 1))
     return stats, threshold, bool(np.all(stats <= threshold))
 
 
@@ -126,9 +127,7 @@ def invariance_report(gauss: LatticeGaussian, H: MatrixModule, generators,
                 word = mat_mul(word,
                                generators[word_rng.randrange(len(generators))])
         else:
-            one, zero = spec.one(), spec.zero()
-            word = tuple(tuple(one if i == j else zero for j in range(N))
-                         for i in range(N))
+            word = identity_matrix(spec, N)
         T = _residue_transform(gauss, word)
         if T is None:
             tests.append({"trial": t, "integral": False, "pass": False,

@@ -233,40 +233,6 @@ def rho(module: SchurModule, g, spec: FieldSpec):
     return result
 
 
-def residue_rep(module: SchurModule, g_res, spec: FieldSpec):
-    """Matrix over the residue field induced by any integral lift of g_res.
-
-    ``g_res`` is an n x n matrix of residue ints; the result is an N x N
-    matrix of residue ints.  Raises Singular when g_res is singular over k.
-    """
-    fq = spec.residue_field
-    n = module.n
-    rows = [list(row) for row in g_res]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ShapeMismatch(f"matrix must be {n}x{n}")
-    # invertibility over k by elimination on a copy
-    work = [row[:] for row in rows]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = fq.inv(work[rank][col])
-        work[rank] = [fq.mul(inv, x) for x in work[rank]]
-        for r in range(n):
-            if r != rank and work[r][col]:
-                c = work[r][col]
-                work[r] = [fq.sub(x, fq.mul(c, y))
-                           for x, y in zip(work[r], work[rank])]
-        rank += 1
-    if rank < n:
-        raise Singular("matrix is singular over the residue field")
-    lift = spec.from_residue_matrix(rows)
-    big = rho(module, lift, spec)
-    return tuple(tuple(spec.reduce(x) for x in row) for row in big)
-
-
 def character(module: SchurModule, z):
     """Schur polynomial of shape lam evaluated at z (SSYT weight sum)."""
     if len(z) != module.n:

@@ -3,18 +3,20 @@ the lattice-class graph, and residue irreducibility."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from schur_lattice import (GF, INF, Lattice, LatticeClass, NegativeCycle,
                            NotFullRank, RationalAtP, RationalFunctionOverFq,
                            SchurLatticeError, SchurModule, class_distance,
                            compute_order, congruence_level, convexity_check,
-                           detect_graduated, diagonal_lattice, entry_profile,
-                           fix_bfs, fix_polytrope, full_rank,
+                           detect_graduated, diagonal_lattice, dimension,
+                           entry_profile, fix_bfs, fix_polytrope, full_rank,
                            invariant_subspaces, is_invariant, membership,
                            min_plus_closure, module_from_matrices,
-                           residue_generator_rep, spans_end_residue,
-                           standard_lattice)
+                           partitions_of, residue_generator_rep, rho,
+                           spans_end_residue, standard_lattice)
+from schur_lattice._kernels import gf_rref, residue_algebra_basis
 from schur_lattice.building import ResidueRep
 
 P2 = RationalAtP(2)
@@ -237,6 +239,86 @@ def test_invariant_subspaces_irreducible_empty():
     assert invariant_subspaces(rep) == []
 
 
+def _hand_built_residue_rep(module, spec):
+    """The generator set residue_generator_rep reduced before it reduced
+    rho of group_generator_matrices: transpositions, transvections and
+    diag(1, ..., c, ..., 1), c = generator() of the residue field, written
+    as residue ints, lifted entrywise, imaged and reduced."""
+    fq = spec.residue_field
+    n = module.n
+
+    def unit(i, j):
+        return int(i == j)
+
+    gens = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            swap = {(i, j): 1, (j, i): 1, (i, i): 0, (j, j): 0}
+            gens.append([[swap.get((r, c), unit(r, c)) for c in range(n)]
+                         for r in range(n)])
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                gens.append([[1 if (r, c) == (i, j) else unit(r, c)
+                              for c in range(n)] for r in range(n)])
+    c = fq.generator()
+    if c != 1:
+        for pos in range(n):
+            gens.append([[c if r == k == pos else unit(r, k)
+                          for k in range(n)] for r in range(n)])
+    images = []
+    for g in gens:
+        lifted = tuple(tuple(spec.lift(x) for x in row) for row in g)
+        images.append(tuple(tuple(spec.reduce(x) for x in row)
+                            for row in rho(module, lifted, spec)))
+    return ResidueRep(fq, module.N, tuple(images))
+
+
+def _small_residue_cases():
+    fields = [RationalAtP(p) for p in (2, 3, 5, 7)]
+    fields += [RationalFunctionOverFq(q) for q in (2, 3, 4)]
+    out = []
+    for d in range(1, 6):
+        for lam in partitions_of(d):
+            for n in (2, 3):
+                if len(lam) > n:
+                    continue
+                N = dimension(lam, n)
+                out += [(n, lam, spec) for spec in fields
+                        if spec.residue_size ** N <= 2 ** 16]
+    return out
+
+
+def _algebra_rref(rep):
+    basis = residue_algebra_basis(rep.fq, rep.generators, rep.N)
+    return gf_rref(rep.fq, np.reshape(basis, (-1, rep.N * rep.N)))[0]
+
+
+def test_residue_generator_rep_matches_hand_built_oracle():
+    """Reducing the order's own generator images gives the algebra, and so
+    the invariant subspaces, of the hand-built residue generator set (see
+    residue_generator_rep for the proof).  invariant_subspaces reads a rep
+    only through the canonical basis of its algebra, so the algebras are
+    compared on every case, and the subspaces as well where the line spin
+    is cheap: q^N <= 2^12, 128 of the 144 cases."""
+    cases = _small_residue_cases()
+    assert len(cases) == 144
+    spun = 0
+    for n, lam, spec in cases:
+        m = SchurModule(n, lam)
+        new = residue_generator_rep(m, spec)
+        old = _hand_built_residue_rep(m, spec)
+        assert np.array_equal(_algebra_rref(new), _algebra_rref(old)), \
+            (n, lam, spec)
+        if spec.residue_size ** m.N <= 2 ** 12:
+            spun += 1
+            got, want = invariant_subspaces(new), invariant_subspaces(old)
+            assert len(got) == len(want), (n, lam, spec)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)), \
+                (n, lam, spec)
+    assert spun == 128
+
+
 def test_spans_end_residue(order_2adic):
     assert spans_end_residue(order_2adic) is False
     H3 = compute_order(SchurModule(2, (2,)), P3, rng_seed=0)
@@ -329,12 +411,6 @@ def test_fix_bfs_laurent_gf4_agrees_with_polytrope():
     S = fix_bfs(H, m, F4T)
     assert S.keys() == fix_polytrope(M, F4T).keys()
     assert S.keys() == (LatticeClass(standard_lattice(F4T, 4)).key(),)
-
-
-def test_fix_bfs_rejects_insufficient_radius(order_2adic):
-    m = SchurModule(2, (2,))
-    with pytest.raises(SchurLatticeError):
-        fix_bfs(order_2adic, m, P2, radius_cap=0)
 
 
 def test_fix_bfs_requires_full_rank(order_laurent):

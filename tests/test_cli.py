@@ -367,6 +367,9 @@ def test_scan_workers_print_progress(capfd, scan_config, monkeypatch, method):
     ["order", "--n", "2", "--lambda", "2", "--p", "2", "--trials", "-3"],
     ["order", "--n", "2", "--lambda", "2", "--p", "2", "--level", "0"],
     ["order", "--n", "2", "--lambda", "2", "--p", "2", "--cap-N", "0"],
+    ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--cap-N", "0"],
+    ["rho", "--n", "2", "--lambda", "2", "--p", "2", "--matrix", "1,0;0,1",
+     "--cap-N", "0"],
     ["order", "--n", "0", "--lambda", "2", "--p", "2"],
     ["order", "--n", "2", "--lambda", "2", "--p", "2", "--seed", "x"],
     ["fix", "--n", "2", "--lambda", "2", "--p", "2", "--radius", "-1"],
@@ -399,6 +402,45 @@ def test_exit_cap_exceeded(capsys):
     assert "cap" in err
 
 
+IDENTITY_8 = ";".join(",".join("1" if i == j else "0" for j in range(8))
+                      for i in range(8))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "8", "--lambda", "12", "--p", "2"],
+    ["rho", "--n", "8", "--lambda", "12", "--p", "2", "--matrix", IDENTITY_8],
+])
+def test_cap_N_stops_rho_and_sample_before_any_image(argv):
+    """N = 50388 is over the default cap of 40: rho and sample exit 3 at
+    once, as order does, instead of forming a 50388 x 50388 image."""
+    out = subprocess.run([sys.executable, "-m", "schur_lattice.cli", *argv],
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 3
+    assert "N = 50388 exceeds the configured cap 40" in out.stderr
+
+
+def test_laurent_level_over_cap_exits_3(capsys):
+    code, out, err = run_main(
+        capsys, ["order", "--n", "2", "--lambda", "2", "--field", "laurent",
+                 "--q", "2", "--level", "100000"])
+    assert code == 3 and out == ""
+    assert ("n=2 lambda=2 {'backend': 'laurent', 'q': 2}: stage order: "
+            "level 100000 exceeds the cap MAX_LEVEL = 64") in err
+
+
+def test_padic_order_ignores_level(capsys):
+    reports = []
+    for level in ("1", "100000"):
+        code, out, _ = run_main(
+            capsys, ["order", "--n", "2", "--lambda", "2", "--p", "3",
+                     "--level", level])
+        assert code == 0
+        report = json.loads(out)["order"]
+        report.pop("certificate")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_order_former_exit4_case_answers(capsys):
     code, out, _ = run_main(capsys, ["order", "--n", "2", "--lambda", "4",
                                      "--p", "2", "--json"])
@@ -417,10 +459,12 @@ def test_exit_precision_cap_names_case_and_stage(capsys, monkeypatch):
                        r"'p-adic', 'p': 2\}: stage order: p-adic saturation"):
         run_case({"n": 2, "lambda": [4], "field": "padic", "p": 2},
                  parts=("order",))
-    code, out, err = run_main(
-        capsys, ["order", "--n", "2", "--lambda", "4", "--p", "2"])
-    assert code == 3 and out == ""
-    assert "error: cap exceeded: n=2 lambda=4" in err
+    for command in ("order", "sample"):
+        code, out, err = run_main(
+            capsys, [command, "--n", "2", "--lambda", "4", "--p", "2"])
+        assert code == 3 and out == ""
+        assert ("error: cap exceeded: n=2 lambda=4 {'backend': 'p-adic', "
+                "'p': 2}: stage order: p-adic saturation") in err
 
 
 def test_exit_violation_names_case_and_stage(capsys, monkeypatch):
@@ -447,6 +491,51 @@ def test_exit_violation_names_case_and_stage(capsys, monkeypatch):
                           "stage fix: polytrope and BFS fixed sets disagree")
     assert ("only polytrope: [(('4', '0', '0'), ('0', '1', '0'), "
             "('0', '0', '1'))]; only BFS: []") in msg
+
+
+def test_exit_violation_polytrope_only_class_not_invariant(capsys,
+                                                           monkeypatch):
+    """Without a BFS set, each polytrope class is checked for invariance:
+    a class outside the order's fixed set exits 4."""
+    import schur_lattice.cli as cli
+    from schur_lattice.building import FixSet, LatticeClass, diagonal_lattice
+
+    real = cli.fix_polytrope
+
+    def with_extra_class(M, spec, **kwargs):
+        S = real(M, spec, **kwargs)
+        extra = LatticeClass(diagonal_lattice(spec, (2, 0, 0)))
+        return FixSet(classes=S.classes + (extra,), bounded=S.bounded,
+                      method=S.method, u_vectors=S.u_vectors)
+
+    monkeypatch.setattr(cli, "fix_polytrope", with_extra_class)
+    code, out, err = run_main(
+        capsys, ["fix", "--n", "2", "--lambda", "2", "--p", "2",
+                 "--method", "polytrope"])
+    assert code == 4 and out == ""
+    assert ("n=2 lambda=2 {'backend': 'p-adic', 'p': 2}: stage fix: "
+            "reported class (('4', '0', '0'), ('0', '1', '0'), "
+            "('0', '0', '1')) is not invariant") in err
+
+
+def test_fix_both_conjugates_each_bfs_class_once(monkeypatch):
+    """fix_bfs conjugates each class it finds and raises on one that is
+    not invariant; with --method both the polytrope set equals the BFS
+    set, so run_case checks no class again."""
+    import schur_lattice.building as building
+
+    real = building.conjugate_residues
+    keys = []
+
+    def counted(L, mats):
+        keys.append(L.key())
+        return real(L, mats)
+
+    monkeypatch.setattr(building, "conjugate_residues", counted)
+    report = run_case({"n": 2, "lambda": [2], "field": "padic", "p": 2},
+                      parts=("order", "fix"))
+    assert report["fix"]["agreement"] is True
+    assert len(keys) == len(set(keys)) == report["fix"]["bfs"]["size"] == 2
 
 
 def test_exit_violation_in_bfs_names_case_and_stage(capsys, monkeypatch):

@@ -388,6 +388,22 @@ def test_compute_order_is_multiplicatively_closed():
             assert membership(H, mat_mul(a, b))
 
 
+def test_saturation_alphabet_frozen_order():
+    """The certificate's random words index the alphabet, so its matrices
+    and their order are frozen: transpositions, transvections, unit
+    diagonals (units 2 and -1 at p = 3), uniformizer diagonals."""
+    assert saturation_alphabet(P3, 2, 1) == [
+        fmat([[0, 1], [1, 0]]),
+        fmat([[1, 1], [0, 1]]), fmat([[1, 0], [1, 1]]),
+        fmat([[2, 0], [0, 1]]), fmat([[1, 0], [0, 2]]),
+        fmat([[-1, 0], [0, 1]]), fmat([[1, 0], [0, -1]]),
+        fmat([[3, 0], [0, 1]]), fmat([[1, 0], [0, 3]])]
+    assert identity_matrix(P3, 2) == fmat([[1, 0], [0, 1]])
+    assert dvr._full_end_module(P3, 2, {}).basis == (
+        fmat([[1, 0], [0, 0]]), fmat([[0, 1], [0, 0]]),
+        fmat([[0, 0], [1, 0]]), fmat([[0, 0], [0, 1]]))
+
+
 def test_group_only_span_is_strictly_smaller_2adic():
     """Unit-group images alone do not saturate the order: the uniformizer
     diagonals contribute new integral elements (divisor profile shrinks

@@ -1,5 +1,7 @@
 """Tests for lattice Gaussian sampling and the invariance report."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -53,6 +55,16 @@ def test_chi2_threshold_frozen():
     assert round(thr2, 3) == 10.828
     _, thr3, _ = chi2_uniform_counts([[300, 300, 400]], 1000, 3)
     assert round(thr3, 3) == 13.816
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats takes most of the package's import time, and only the
+    chi-squared threshold needs it: a fresh import does not load it."""
+    code = "import sys, schur_lattice.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0
+    assert out.stdout.strip() == "False"
 
 
 def test_chi2_flat_passes_skewed_fails():

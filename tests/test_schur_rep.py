@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schur_lattice import (RationalAtP, RationalFunctionOverFq, SchurModule,
-                           Singular, character, residue_rep, rho)
+                           Singular, character, rho)
 from schur_lattice.dvr import mat_mul
 
 P2 = RationalAtP(2)
@@ -164,31 +164,3 @@ def test_character_frozen_values():
     m21 = SchurModule(3, (2, 1))
     # s_(2,1)(1,1,1) = 8
     assert character(m21, (Fraction(1),) * 3) == 8
-
-
-# ---------------------------------------------------------------------------
-# residue representation
-# ---------------------------------------------------------------------------
-
-def test_residue_rep_matches_reduced_rho():
-    m = SchurModule(2, (2,))
-    g_res = ((1, 1), (0, 1))
-    got = residue_rep(m, g_res, P2)
-    lifted = rho(m, P2.from_residue_matrix(g_res), P2)
-    expect = tuple(tuple(P2.reduce(x) for x in row) for row in lifted)
-    assert got == expect
-    assert got == ((1, 0, 1), (0, 1, 1), (0, 0, 1))
-
-
-def test_residue_rep_rejects_residually_singular():
-    m = SchurModule(2, (2,))
-    with pytest.raises(Singular):
-        residue_rep(m, ((2, 0), (0, 1)), P2)  # 2 is 0 mod 2
-
-
-def test_residue_rep_gf4():
-    """Residue arithmetic must use the field GF(4), not Z/4."""
-    spec = RationalFunctionOverFq(4)
-    m = SchurModule(2, (1,))
-    g_res = ((2, 0), (0, 3))  # nonzero elements of GF(4)
-    assert residue_rep(m, g_res, spec) == g_res

@@ -10,9 +10,10 @@ from schur_lattice import (GF, INF, LaurentRational, RationalAtP,
                            RationalFunctionOverFq, SchurLatticeError,
                            field_from_descriptor, unit_sample_set)
 from schur_lattice.errors import CapExceeded, NegativeValuation
-from schur_lattice.fields import (MAX_TABLE_ENTRIES, _prime_factors,
-                                  _prime_power, _primitive_root_mod_p2,
-                                  laurent_parse, laurent_to_str)
+from schur_lattice.fields import (MAX_LEVEL, MAX_TABLE_ENTRIES,
+                                  _prime_factors, _prime_power,
+                                  _primitive_root_mod_p2, laurent_parse,
+                                  laurent_to_str)
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +275,14 @@ def test_unit_sample_set_laurent():
     # contains 1 + c*t^j samples up to the level
     assert laurent(spec, "1 + t") in units
     assert laurent(spec, "1 + t^2") in units
+
+
+def test_unit_sample_set_level_cap():
+    """Over F_q(t) each level adds a unit, so the level is capped; the
+    p-adic set does not depend on the level."""
+    spec = RationalFunctionOverFq(2)
+    assert len(unit_sample_set(spec, MAX_LEVEL)) == MAX_LEVEL + 1
+    with pytest.raises(CapExceeded, match=f"level {MAX_LEVEL + 1} exceeds"):
+        unit_sample_set(spec, MAX_LEVEL + 1)
+    assert unit_sample_set(RationalAtP(3), 10 ** 6) == \
+        unit_sample_set(RationalAtP(3), 1)
