@@ -23,8 +23,9 @@ def _bench(label, fn, reps, warmup=1):
 
 
 def run_suite():
-    from schur_lattice import (RationalAtP, SchurModule, compute_order,
-                               convexity_check, fix_bfs, standard_lattice)
+    from schur_lattice import (RationalAtP, RationalFunctionOverFq,
+                               SchurModule, compute_order, convexity_check,
+                               fix_bfs, standard_lattice)
     from schur_lattice._kernels import (digit_histogram, gf_matmul, gf_rref,
                                         line_spin_profile,
                                         minplus_closure_matrix,
@@ -90,23 +91,27 @@ def run_suite():
     rows.append(_bench(f"line spins GF(3) N={Nl} {len(span)} span",
                        lambda: line_spin_profile(f3, span, Nl), 1))
 
-    # the certificate's trial words of the (2, (7), 3) order, imaged as
-    # products of the letter images in the p-adic lane
-    spec3, module = RationalAtP(3), SchurModule(2, (7,))
-    alphabet = dvr.saturation_alphabet(spec3, 2, 1)
+    # the certificate's trial words of the (2, (4)) order over F_2(t),
+    # imaged as products of the letter images, as the saturation forms them
+    spec2, module2 = RationalFunctionOverFq(2), SchurModule(2, (4,))
+    alphabet = dvr.saturation_alphabet(spec2, 2, 1)
     draw = random.Random(0)
-    words = [dvr._random_word(spec3, 2, len(alphabet), draw)
+    words = [dvr._random_word(spec2, 2, len(alphabet), draw)
              for _ in range(32)]
-    P = dvr._start_precision(3, module.N)
-    lane = dvr._PadicLane(spec3, module.N, P)
-    images = [rho(module, a, spec3) for a in alphabet]
-    letters = lane.enc(images)
-    rows.append(_bench("32 words (2,(7),3) letter prods",
-                       lambda: [dvr._word_image(lane, module, letters, *w)
+    letters2 = [rho(module2, a, spec2) for a in alphabet]
+    rows.append(_bench("32 words (2,(4),F_2(t)) products",
+                       lambda: [dvr._word_image(module2, letters2, *w)
                                 for w in words], 3))
 
-    # its first seed-closure round: the products g*b of every image g and
-    # every echelon row b the seeds set, reduced as one batch
+    # the first seed-closure round of the (2, (7), 3) order in the p-adic
+    # lane: the products g*b of every image g and every echelon row b the
+    # seeds set, reduced as one batch
+    spec3, module = RationalAtP(3), SchurModule(2, (7,))
+    P = dvr._start_precision(3, module.N)
+    lane = dvr._PadicLane(spec3, module.N, P)
+    images = [rho(module, a, spec3)
+              for a in dvr.saturation_alphabet(spec3, 2, 1)]
+    letters = lane.enc(images)
     frontier = lane.insert(lane.enc([dvr.identity_matrix(spec3, module.N)]
                                     + images))
     seeded = lane.ech.rows.copy(), list(lane.ech.vals)

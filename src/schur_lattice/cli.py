@@ -404,24 +404,10 @@ def _args_case(args) -> dict:
     }
 
 
-def cmd_order(args) -> int:
-    report = run_case(_args_case(args), parts=("order",),
-                      timings=args.timings)
-    _validate_report(report)
-    _emit(report)
-    return 0
-
-
-def cmd_fix(args) -> int:
-    report = run_case(_args_case(args), parts=("order", "fix", "irreducible"),
-                      timings=args.timings)
-    _validate_report(report)
-    _emit(report)
-    return 0
-
-
-def cmd_irreducible(args) -> int:
-    report = run_case(_args_case(args), parts=("order", "irreducible"),
+def cmd_case(args) -> int:
+    """order, fix and irreducible: run_case up to the parts of the
+    subcommand, which build_parser sets as args.parts."""
+    report = run_case(_args_case(args), parts=args.parts,
                       timings=args.timings)
     _validate_report(report)
     _emit(report)
@@ -435,10 +421,10 @@ def cmd_sample(args) -> int:
     if module.N == 0:
         raise SchurLatticeError("the module is zero for this (n, lambda)")
     _check_cap_N(module, args.cap_N)
-    _progress(f"computing order for {case_label(module, spec)}")
-    H = _order(module, spec, args.level, args.trials, args.seed)
     gauss = LatticeGaussian(spec, standard_lattice(spec, module.N),
                             precision=args.precision, seed=args.seed)
+    _progress(f"computing order for {case_label(module, spec)}")
+    H = _order(module, spec, args.level, args.trials, args.seed)
     gens = [rho(module, g, spec)
             for g in group_generator_matrices(spec, args.n, args.level)]
     rep = invariance_report(gauss, H, gens, trials=2,
@@ -604,8 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, seed=False)
     sp.set_defaults(func=cmd_rho)
 
-    for name, fn in (("order", cmd_order), ("fix", cmd_fix),
-                     ("irreducible", cmd_irreducible)):
+    for name, parts in (("order", ("order",)),
+                        ("fix", ("order", "fix", "irreducible")),
+                        ("irreducible", ("order", "irreducible"))):
         sp = sub.add_parser(name)
         sp.add_argument("--lambda", dest="lam", required=True)
         sp.add_argument("--n", type=_int_at_least(1), required=True)
@@ -617,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--radius", type=_int_at_least(0),
                             default=DEFAULTS["radius"],
                             help="enumeration radius for unbounded polytropes")
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=cmd_case, parts=parts)
 
     sp = sub.add_parser("scan", help="batch conjecture scan from a config")
     sp.add_argument("config", help="JSON config file (see shipped schema)")

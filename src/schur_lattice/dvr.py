@@ -165,7 +165,7 @@ class ExactEchelon:
                 hit = self.pivots.get(col)
                 if hit is None:
                     factor = (pi ** xv) / x
-                    row = [factor * y for y in v]
+                    row = [factor * y if y else y for y in v]
                     self.pivots[col] = (xv, row)
                     changed = True
                     break
@@ -179,7 +179,7 @@ class ExactEchelon:
                     continue
                 # the new vector has a sharper pivot: swap and re-insert
                 factor = (pi ** xv) / x
-                row = [factor * y for y in v]
+                row = [factor * y if y else y for y in v]
                 self.pivots[col] = (xv, row)
                 queue.append(prow)
                 changed = True
@@ -749,7 +749,7 @@ def _start_precision(p: int, N: int) -> int:
 
 class _IntEchelon:
     """Echelon basis of M + p^P * Z^m over Z_(p), held modulo p^P; M is
-    the span of every batch that `reduce` was given with `insert`.
+    the span of every batch that `reduce` was given.
 
     Row c of `rows` vanishes before column c and holds p^vals[c] at c;
     vals[c] = P marks the seed row p^P * e_c, which is 0 modulo p^P.
@@ -757,22 +757,20 @@ class _IntEchelon:
     the span of the rows after it.  Under (H), the rows lifted to Z^m
     (p^P at each seed) span M + p^P * Z^m: by downward induction on c,
     p^P * e_c lies in their span, so reducing modulo p^P never leaves
-    it.  And a vector lies in the span iff clearing it column by column,
-    each column j by row j, meets no entry of valuation below vals[j]:
-    a member that vanishes before j is a combination of the rows from j
-    on, by (H).
+    it.
 
-    `reduce` clears a batch B of rows this way, all at once.  With
-    `insert`, where some row of B has a lower valuation v at column j,
-    the first such row, scaled to lead p^v, becomes row j, and its place
-    in B takes the old row j, or for a seed p^(P - v) times the new row.
-    Let T_j be the span of the rows from j on and of B at column j.  A
-    step keeps T_j = span(row j) + T_(j+1), and puts p^(P - v) * (row j)
-    into T_(j+1): for a seed it is a row of B; otherwise the old row r
-    is left in B as r - p^(v_r - v) * (row j), and p^(P - v_r) * r lies
-    in T_(j+1) by (H).  B is zero at the end, so the rows span the old
-    rows and B, and keep (H).  The pivot rule is the frozen one: least
-    valuation, the old row on ties, then the lowest index in B.
+    `reduce` clears a batch B of rows column by column, all at once,
+    each column j by row j.  Where some row of B has a lower valuation v
+    at column j, the first such row, scaled to lead p^v, becomes row j,
+    and its place in B takes the old row j, or for a seed p^(P - v)
+    times the new row.  Let T_j be the span of the rows from j on and of
+    B at column j.  A step keeps T_j = span(row j) + T_(j+1), and puts
+    p^(P - v) * (row j) into T_(j+1): for a seed it is a row of B;
+    otherwise the old row r is left in B as r - p^(v_r - v) * (row j),
+    and p^(P - v_r) * r lies in T_(j+1) by (H).  B is zero at the end,
+    so the rows span the old rows and B, and keep (H).  The pivot rule
+    is the frozen one: least valuation, the old row on ties, then the
+    lowest index in B.
     """
 
     def __init__(self, m: int, p: int, P: int, dtype):
@@ -780,13 +778,11 @@ class _IntEchelon:
         self.rows = np.zeros((m, m), dtype=dtype)
         self.vals = [P] * m
 
-    def reduce(self, B, insert: bool):
-        """Clear the k x m array B in place, updating at each column only
-        the rows of B that are nonzero there.  With `insert`, return the
-        columns whose row changed; else, leaving the rows alone, a
-        boolean array that is True where the row of B lies in the span."""
+    def reduce(self, B):
+        """Add the k x m array B, clearing it in place and updating at
+        each column only the rows of B that are nonzero there; return the
+        columns whose row changed."""
         p, P, mod, E, vals = self.p, self.P, self.mod, self.rows, self.vals
-        inside = np.ones(len(B), dtype=bool)
         changed = []
         for j in range(self.m):
             x = B[:, j]
@@ -794,10 +790,7 @@ class _IntEchelon:
                 continue
             pv = p ** vals[j]
             low = x % pv != 0
-            if low.any() and not insert:
-                inside &= ~low
-                x = np.where(low, 0, x)
-            elif low.any():
+            if low.any():
                 v = _int_val(int(np.gcd.reduce(x[low])), p)
                 i = int(np.argmax(x % p ** (v + 1) != 0))
                 new = B[i] * pow(int(x[i]) // p ** v, -1, mod) % mod
@@ -807,7 +800,7 @@ class _IntEchelon:
                 changed.append(j)
             r = np.flatnonzero(x)
             B[r, j:] = (B[r, j:] - (x[r] // pv)[:, None] * E[j, j:]) % mod
-        return changed if insert else inside
+        return changed
 
     def canonical_rows(self):
         """The rows lifted to Z^m, as lists of ints, with every entry
@@ -899,8 +892,6 @@ class _PadicLane:
     P raised) the same arrays hold Python ints (dtype object).
     """
 
-    exact = True
-
     def __init__(self, spec: RationalAtP, N: int, P: int):
         self.spec, self.N = spec, N
         self.dtype = (np.int64 if N * (spec.p ** P - 1) ** 2 < 2 ** 63
@@ -913,21 +904,12 @@ class _PadicLane:
         return np.array([[[int(x) % mod for x in row] for row in mat]
                          for mat in mats], dtype=self.dtype)
 
-    def scalars(self, xs):
-        return [int(x) % self.mod for x in xs]
-
-    def mul(self, A, B):
-        return np.matmul(A, B) % self.mod
-
-    def scale(self, image, weights):
-        return image * self.enc([[weights]])[0, 0] % self.mod
-
     def _batch(self, mats):
         return np.asarray(mats, dtype=self.dtype).reshape(-1, self.N ** 2)
 
     def insert(self, mats):
         """Rows changed by adding the stack `mats`, as matrices."""
-        cols = self.ech.reduce(self._batch(mats), insert=True)
+        cols = self.ech.reduce(self._batch(mats))
         return self.ech.rows[cols].reshape(-1, self.N, self.N)
 
     def round(self, gens, frontier, right):
@@ -937,14 +919,11 @@ class _PadicLane:
         cols = set()
         for start in range(0, len(frontier), step):
             F = frontier[start:start + step, None]
-            prods = [self.mul(gens, F)] + ([self.mul(F, gens)] if right
-                                           else [])
+            prods = [np.matmul(gens, F)] + ([np.matmul(F, gens)] if right
+                                            else [])
             cols.update(self.ech.reduce(self._batch(np.concatenate(
-                prods, axis=1)), insert=True))
+                prods, axis=1) % self.mod)))
         return self.ech.rows[sorted(cols)].reshape(-1, self.N, self.N)
-
-    def members(self, mats):
-        return self.ech.reduce(self._batch(mats), insert=False).tolist()
 
     def result(self):
         spec, N = self.spec, self.N
@@ -957,18 +936,9 @@ class _PadicLane:
 class _ExactLane:
     """Exact lane: field-element matrices in an ExactEchelon."""
 
-    exact = False
-
     def __init__(self, spec: FieldSpec, N: int):
         self.spec, self.N = spec, N
         self.ech = ExactEchelon(spec, N * N)
-
-    enc = scalars = staticmethod(list)
-    mul = staticmethod(mat_mul)
-
-    def scale(self, image, weights):
-        return tuple(tuple(a * w for a, w in zip(row, weights))
-                     for row in image)
 
     def round(self, gens, frontier, right):
         return self.insert([c for b in frontier for g in gens
@@ -978,9 +948,6 @@ class _ExactLane:
     def insert(self, mats):
         """The matrices of `mats` that enlarged the span, in order."""
         return [m for m in mats if self.ech.insert(vectorize(m))]
-
-    def members(self, mats):
-        return [self.ech.member(vectorize(m)) for m in mats]
 
     def result(self):
         rows, _ = self.ech.canonical_rows()
@@ -993,113 +960,117 @@ def _close(lane, gens, frontier, right=True):
     the frontier, in batched rounds; what a round adds (the new matrices,
     or the echelon rows that changed) is the next frontier, until nothing
     changes.  Every matrix of the final span is then a combination of
-    matrices whose products were inserted."""
+    matrices whose products were inserted.
+
+    The seed span, of the identity and the images, needs left products
+    only.  Every element the closure adds is a word in the images, so it
+    lies in the algebra A that they generate.  Holding the identity and
+    closed under b -> g*b, the span holds every word g_1*g_2*...*g_k =
+    g_1*(g_2*(...*(g_k*I))), so it equals A, which is closed under right
+    products as well.  The p-adic lane holds the span plus p^P times the
+    integral matrices, a two-sided ideal, and the same argument gives A
+    plus that ideal."""
     while len(frontier):
         frontier = lane.round(gens, frontier, right)
 
 
-def _word_image(lane, module, letters, word, units):
-    """Lane image rho(W) of the trial word W = a_1*...*a_k*D, D =
-    diag(units), given the letter indices `word` and the lane images
-    `letters` of the alphabet: the product of the letter images with
-    column T scaled by the weight of T (see _saturate)."""
+def _exact_certificate(level, trials, method):
+    """The certificate of an order known exactly: every one of `trials`
+    random words would lie in it, so each counts as passed."""
+    return {"level": level, "trials": trials, "trials_passed": trials,
+            "restarts": 0, "exact": True, "label": "exact",
+            "method": method}
+
+
+def _word_image(module, letters, word, units):
+    """rho(W) of the trial word W = a_1*...*a_k*D, D = diag(units), given
+    the letter indices `word` and the images `letters` of the alphabet,
+    without straightening: the product of the letter images with column
+    T scaled by the weight of T, the product of u_e over the entries e of
+    T.  Proof: rho is multiplicative in the rows-as-images convention, so
+    rho(W) = rho(a_1)*...*rho(a_k)*rho(D).  D sends letter e to u_e*x_e.
+    Each column of a semistandard T has distinct entries, and the only
+    nonzero minor of D on those rows is the principal one, so T goes to
+    (prod of u_e over T)*T, and rho(D) is the diagonal of the weights."""
     image = letters[word[0]]
     for i in word[1:]:
-        image = lane.mul(image, letters[i])
-    units = lane.scalars(units)
-    return lane.scale(image, [math.prod(units[e - 1] for row in T for e in row)
-                              for T in module.basis])
+        image = mat_mul(image, letters[i])
+    weights = [math.prod(units[e - 1] for row in T for e in row)
+               for T in module.basis]
+    return tuple(tuple(a * w for a, w in zip(row, weights)) for row in image)
 
 
-def _saturate(lane, spec, images, trials, rng, letters, module, level):
-    """Span of the identity and the images, closed under products with the
-    images, then tested with random words until `trials` in a row add
-    nothing; a word that adds something is absorbed and the count
-    restarts.
+def _saturate_padic(spec, images, N, level, trials):
+    """The order over Q_p: the closure of the identity and the images
+    (those of the whole saturation alphabet) under products, in the
+    p-adic lane at a working precision P that rises only when the order
+    needs it.  P starts at _start_precision(p, N), where the lane's
+    arithmetic fits int64.  While the result's top elementary divisor
+    reaches P, P doubles, up to PRECISION, and the closure reruns; the
+    first result below P is the order (_PadicLane).  At PRECISION,
+    CapExceeded is raised.
 
-    The seed span needs left products only.  Every element it adds is a
-    word in the images, so it lies in the algebra A that they generate.
-    Holding the identity and closed under b -> g*b, it holds every word
-    g_1*g_2*...*g_k = g_1*(g_2*(...*(g_k*I))), so it equals A, which is
-    closed under right products as well.  Over Q_p the lane holds the
-    span plus p^P times the integral matrices, a two-sided ideal, and
-    the same argument gives A plus that ideal.  A restart adds a word
-    cand outside A; its closure must reach A*cand*A, so it forms both
-    products.
-
-    A trial word W = a_1*...*a_k*D, D = diag(u_1, ..., u_n), is imaged
-    without straightening (_word_image): rho(W) is the product of the
-    letter images rho(a_i) with column T scaled by the weight of T, the
-    product of u_e over the entries e of T.  Proof: rho is multiplicative
-    in the rows-as-images convention, so rho(W) = rho(a_1)*...*rho(a_k)*
-    rho(D).  D sends letter e to u_e*x_e.  Each column of a semistandard
-    T has distinct entries, and the only nonzero minor of D on those rows
-    is the principal one, so T goes to (prod of u_e over T)*T, and rho(D)
-    is the diagonal of the weights.  The `letters` are rho of the
-    alphabet the words are drawn over; compute_order passes its images,
-    but a caller may seed with fewer matrices.
-
-    The words still to be tested are drawn and tested as one batch.
-    Words before the first one outside the span pass, as they would one
-    at a time; that one restarts the count, and the words after it are
-    tested again against the grown span.  So the draws, the restarts and
-    the result are those of testing one word at a time.
+    No trial word is drawn, because none could enlarge the span.  The
+    closure holds A + p^P * M_N(Z_(p)), A the algebra of the alphabet
+    images (_close); that set is closed under products, since
+    p^P * M_N is a two-sided ideal.  A trial word is W = a_1*...*a_k*
+    diag(u_1, ..., u_n), with integer units u_i (_random_unit), and each
+    rho(a_i) lies in A.  rho(diag_pos(u)) is the diagonal of the
+    monomials u^(k_T), k_T the number of times pos appears in the
+    tableau T (_word_image).  The residues of unit_sample_set generate
+    (Z/p^P)^x: for odd p, g is a primitive root mod p^2, so also mod
+    p^P; for p = 2, -1 and 3 generate (Z/2^P)^x.  So u = prod s_j^(e_j)
+    mod p^P, with e_j >= 0 and each s_j in the set, and rho(diag_pos(u))
+    = prod rho(diag_pos(s_j))^(e_j) mod p^P, a product of alphabet
+    images.  Hence rho(W) lies in the span: every word would pass, with
+    no restart, and the certificate says so (_exact_certificate).
     """
-    gens = lane.enc(images)
-    seeds = lane.enc([identity_matrix(spec, lane.N)] + list(images))
-    _close(lane, gens, lane.insert(seeds), right=False)
-    letters = lane.enc(letters)
-    passed = restarts = 0
-    words = []
-    while passed < trials:
-        words += [_word_image(lane, module, letters, *_random_word(
-            spec, module.n, len(letters), rng))
-            for _ in range(trials - passed - len(words))]
-        inside = lane.members(words)
-        k = inside.index(False) if False in inside else len(words)
-        passed += k
-        if k < len(words):
-            restarts += 1
-            passed = 0
-            _close(lane, gens, lane.insert(words[k:k + 1]))
-        del words[:k + 1]
-    basis, divisors = lane.result()
-    label = ("exact" if lane.exact
-             else f"certified at level={level}, trials={trials}")
-    certificate = {"level": level, "trials": trials, "trials_passed": passed,
-                   "restarts": restarts, "exact": lane.exact,
-                   "label": label, "method": "saturation"}
-    return MatrixModule(spec, lane.N, basis, divisors, certificate)
-
-
-def _saturate_padic(spec, images, N, trials, rng, letters, module, level):
-    """_saturate in the p-adic lane, at a working precision P that rises
-    only when the order needs it.  P starts at _start_precision(p, N),
-    where the lane's arithmetic fits int64.  While the result's top
-    elementary divisor reaches P, P doubles, up to PRECISION, and the
-    saturation reruns from the same random state; the first result below
-    P is the order (_PadicLane).  At PRECISION, CapExceeded is raised."""
-    P, state = _start_precision(spec.p, N), rng.getstate()
+    P = _start_precision(spec.p, N)
+    seeds = [identity_matrix(spec, N)] + list(images)
     while True:
-        H = _saturate(_PadicLane(spec, N, P), spec, images, trials, rng,
-                      letters, module, level)
-        if H.divisors[-1] < P:
-            return H
+        lane = _PadicLane(spec, N, P)
+        _close(lane, lane.enc(images), lane.insert(lane.enc(seeds)),
+               right=False)
+        basis, divisors = lane.result()
+        if divisors[-1] < P:
+            return MatrixModule(spec, N, basis, divisors,
+                                _exact_certificate(level, trials,
+                                                   "saturation"))
         if P >= PRECISION:
             raise CapExceeded(
                 f"p-adic saturation reached the working precision "
                 f"p^{PRECISION}: the order's top elementary divisor is "
                 f"at least {PRECISION}")
         P = min(2 * P, PRECISION)
-        rng.setstate(state)
 
 
-def _saturate_generic(spec, images, N, trials, rng, letters, module, level):
-    # compute_order sends p-adic fields to _saturate_padic, so only the
-    # Laurent backend gets here, and its certificate is always sampled;
-    # tests call it on RationalAtP as the exact oracle of the p-adic lane.
-    return _saturate(_ExactLane(spec, N), spec, images, trials, rng,
-                     letters, module, level)
+def _saturate_generic(spec, images, N, level, trials, rng, letters, module):
+    """The closure of the identity and the images (_close) in the exact
+    lane, then tested with random words over the alphabet whose
+    images are `letters` (_random_word, _word_image), one at a time,
+    until `trials` in a row lie in the span.  A word outside it is
+    absorbed and the count restarts; its closure must reach A*W*A, so it
+    forms both products.  compute_order runs this for F_q(t), whose
+    certificate is sampled; tests run it on Q_p as the exact oracle of
+    the p-adic lane, and may seed with fewer images than letters."""
+    lane = _ExactLane(spec, N)
+    seeds = [identity_matrix(spec, N)] + list(images)
+    _close(lane, images, lane.insert(seeds), right=False)
+    passed = restarts = 0
+    while passed < trials:
+        W = _word_image(module, letters, *_random_word(
+            spec, module.n, len(letters), rng))
+        if lane.ech.member(vectorize(W)):
+            passed += 1
+        else:
+            passed, restarts = 0, restarts + 1
+            _close(lane, images, lane.insert([W]))
+    basis, divisors = lane.result()
+    certificate = {"level": level, "trials": trials, "trials_passed": passed,
+                   "restarts": restarts, "exact": False,
+                   "label": f"certified at level={level}, trials={trials}",
+                   "method": "saturation"}
+    return MatrixModule(spec, N, basis, divisors, certificate)
 
 
 def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
@@ -1108,11 +1079,12 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
 
     Seeds with the images of transpositions, transvections, unit
     diagonals (from unit_sample_set at the given level), and uniformizer
-    diagonals, closes the span under products, and then runs `trials`
-    randomized enlargement tests with random generator words; any
-    enlargement is absorbed and the count restarts.  Over Q_p the result
-    is exact; CapExceeded is raised when its top elementary divisor
-    reaches PRECISION, the cap on the rising working precision.
+    diagonals, and closes the span under products.  Over Q_p that closure
+    is the order, and no random word is drawn (_saturate_padic);
+    CapExceeded is raised when its top elementary divisor reaches
+    PRECISION, the cap on the rising working precision.  Over F_q(t)
+    `trials` randomized enlargement tests with random generator words
+    follow; any enlargement is absorbed and the count restarts.
     """
     N = module.N
     if N == 0:
@@ -1122,19 +1094,13 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
     for im in images:
         if not is_integral_matrix(spec, im):
             raise NonIntegralInput("generator image has an entry with val < 0")
-    rng = random.Random(rng_seed)
 
     residue_mats = [tuple(tuple(spec.reduce(x) for x in row) for row in im)
                     for im in images]
     if _residue_closure_is_full(spec, residue_mats, N):
-        certificate = {"level": level, "trials": trials,
-                       "trials_passed": trials, "restarts": 0,
-                       "exact": True, "label": "exact",
-                       "method": "residue-full"}
-        return _full_end_module(spec, N, certificate)
-
+        return _full_end_module(
+            spec, N, _exact_certificate(level, trials, "residue-full"))
     if isinstance(spec, RationalAtP):
-        return _saturate_padic(spec, images, N, trials, rng, images,
-                               module, level)
-    return _saturate_generic(spec, images, N, trials, rng, images,
-                             module, level)
+        return _saturate_padic(spec, images, N, level, trials)
+    return _saturate_generic(spec, images, N, level, trials,
+                             random.Random(rng_seed), images, module)

@@ -32,8 +32,17 @@ INF = math.inf
 # finite fields
 # ---------------------------------------------------------------------------
 
+# Largest number _prime_factors splits: at most 2^20 trial divisions.
+MAX_FACTORED = 2 ** 40
+
+
 def _prime_factors(m: int) -> list[int]:
-    """The distinct prime factors of m, ascending, by trial division."""
+    """The distinct prime factors of m, ascending, by trial division;
+    m above MAX_FACTORED raises CapExceeded."""
+    if m > MAX_FACTORED:
+        raise CapExceeded(
+            f"{m} exceeds the cap MAX_FACTORED = 2^40 on the numbers that "
+            f"are factored by trial division (a prime p or a field size q)")
     out = []
     f = 2
     while f * f <= m:

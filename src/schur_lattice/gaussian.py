@@ -12,6 +12,7 @@ test).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -21,11 +22,18 @@ from . import _kernels
 from .building import is_invariant
 from .dvr import (Lattice, MatrixModule, conjugate_residues,
                   identity_matrix, mat_mul, mat_vec)
-from .errors import SchurLatticeError
+from .errors import CapExceeded, SchurLatticeError
 from .fields import FieldSpec, LaurentRational, RationalAtP
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SIGNIFICANCE = 0.001
+# Caps on one sampling run.  The int64 digit matrix of a run has N x count
+# entries (count x N x precision in `sample`): 2^22 of them are 32 MiB.
+MAX_SAMPLE_ENTRIES = 2 ** 22
+# A sampled coordinate is below p^precision.  At 256 digits and the largest
+# p whose residue products fit int64 (about 3 * 10^9), it prints in fewer
+# than 2500 decimal digits, below Python's 4300-digit limit on int-to-str.
+MAX_PRECISION = 256
 
 
 @dataclass(frozen=True)
@@ -40,6 +48,19 @@ class LatticeGaussian:
     def __post_init__(self):
         if self.precision < 1:
             raise SchurLatticeError("precision must be >= 1")
+        if self.precision > MAX_PRECISION:
+            raise CapExceeded(
+                f"precision {self.precision} exceeds the cap MAX_PRECISION = "
+                f"{MAX_PRECISION}")
+
+
+def _check_entries(*shape):
+    """Raise CapExceeded before a digit matrix of this shape is drawn."""
+    entries = math.prod(shape)
+    if entries > MAX_SAMPLE_ENTRIES:
+        raise CapExceeded(
+            f"{' x '.join(map(str, shape))} = {entries} sample digits exceed "
+            f"the cap MAX_SAMPLE_ENTRIES = 2^22")
 
 
 def _digit_matrix(q: int, shape, seed: int):
@@ -67,6 +88,7 @@ def sample(gauss: LatticeGaussian, count: int):
     uniform over R modulo uniformizer^precision."""
     spec = gauss.spec
     N = gauss.lattice.m
+    _check_entries(count, N, gauss.precision)
     digits = _digit_matrix(spec.residue_size, (count, N, gauss.precision),
                            gauss.seed)
     B = gauss.lattice.basis_matrix()
@@ -115,6 +137,7 @@ def invariance_report(gauss: LatticeGaussian, H: MatrixModule, generators,
     spec = gauss.spec
     q = spec.residue_size
     N = gauss.lattice.m
+    _check_entries(N, sample_count)
     exact = is_invariant(H, gauss.lattice)
     word_rng = random.Random(f"{gauss.seed}:words")
     tests = []

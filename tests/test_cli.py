@@ -419,6 +419,56 @@ def test_cap_N_stops_rho_and_sample_before_any_image(argv):
     assert "N = 50388 exceeds the configured cap 40" in out.stderr
 
 
+def run_cli(argv):
+    """The command line in a child interpreter, stopped after 20 s."""
+    return subprocess.run([sys.executable, "-m", "schur_lattice.cli", *argv],
+                          capture_output=True, text=True, timeout=20)
+
+
+def test_padic_order_million_trials_answers():
+    """Over Q_p no trial word is drawn, so a million trials cost nothing
+    and all of them count as passed."""
+    out = run_cli(["order", "--n", "2", "--lambda", "4", "--p", "2",
+                   "--trials", "1000000"])
+    assert out.returncode == 0
+    cert = json.loads(out.stdout)["order"]["certificate"]
+    assert cert["trials_passed"] == 1000000 and cert["restarts"] == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--count", "1000000000"], "3 x 1000000000 = 3000000000 sample digits "
+     "exceed the cap MAX_SAMPLE_ENTRIES = 2^22"),
+    (["--count", "1", "--precision", "32000"],
+     "precision 32000 exceeds the cap MAX_PRECISION = 256"),
+], ids=["count", "precision"])
+def test_sample_over_caps_exits_3(argv, message):
+    """A sample count or precision over its cap exits 3 before any digit
+    is drawn, instead of allocating gigabytes or failing to print."""
+    out = run_cli(["sample", "--n", "2", "--lambda", "2", "--p", "2", *argv])
+    assert out.returncode == 3
+    assert message in out.stderr
+
+
+@pytest.mark.parametrize("field_args", [
+    ["--p", "1000000000000000003"],
+    ["--field", "laurent", "--q", "1000000000000000003"],
+], ids=["padic", "laurent"])
+def test_huge_prime_exits_3(field_args):
+    """A prime or field size above 2^40 is not factored by trial
+    division: the run exits 3 at once."""
+    out = run_cli(["order", "--n", "2", "--lambda", "1", *field_args])
+    assert out.returncode == 3
+    assert "exceeds the cap MAX_FACTORED = 2^40" in out.stderr
+
+
+def test_rho_prime_below_factoring_cap_answers(capsys):
+    code, out, _ = run_main(
+        capsys, ["rho", "--n", "2", "--lambda", "1", "--p", "1000000000039",
+                 "--matrix", "1,1;0,1", "--json"])
+    assert code == 0
+    assert json.loads(out)["rho"] == [["1", "1"], ["0", "1"]]
+
+
 def test_laurent_level_over_cap_exits_3(capsys):
     code, out, err = run_main(
         capsys, ["order", "--n", "2", "--lambda", "2", "--field", "laurent",

@@ -461,10 +461,10 @@ def test_echelon_insert_reports_growth(data):
        P=st.integers(1, 12), wide=st.booleans(), data=st.data())
 def test_int_echelon_matches_exact_echelon(p, m, P, wide, data):
     """Fed in random batches, the echelon modulo p^P spans M + p^P Z^m:
-    after each batch its membership answers and its growth are those of
-    ExactEchelon seeded with p^P I, and at the end so are its canonical
-    rows.  They are M's own when the top divisor is below P; otherwise the
-    top divisor is P.  Int64 and Python-int entries give the same."""
+    after each batch its growth is that of ExactEchelon seeded with
+    p^P I, and at the end so are its canonical rows.  They are M's own
+    when the top divisor is below P; otherwise the top divisor is P.
+    Int64 and Python-int entries give the same."""
     entry = st.builds(lambda c, k: c * p ** k, st.integers(-6, 6),
                       st.integers(0, 3))
     vecs = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
@@ -479,12 +479,10 @@ def test_int_echelon_matches_exact_echelon(p, m, P, wide, data):
     for lo, hi in zip([0] + cuts, cuts + [len(vecs)]):
         batch = [tuple(Fraction(x) for x in v) for v in vecs[lo:hi]]
         rows = [[x % mod for x in v] for v in vecs[lo:hi]]
-        inside = ech.reduce(np.array(rows, dtype).reshape(-1, m), False)
-        assert inside.tolist() == [seeded.member(v) for v in batch]
         grew = [seeded.insert(v) for v in batch]
         for v in batch:
             ref.insert(v)
-        changed = ech.reduce(np.array(rows, dtype).reshape(-1, m), True)
+        changed = ech.reduce(np.array(rows, dtype).reshape(-1, m))
         assert bool(changed) == any(grew)
     rows = tuple(map(tuple, ech.canonical_rows()))
     assert rows == seeded.canonical_rows()[0]
@@ -501,14 +499,41 @@ def test_int_echelon_matches_exact_echelon(p, m, P, wide, data):
     ((4,), 2), ((5,), 2), ((6,), 2), ((5, 1), 2), ((6, 1), 2), ((7, 1), 2),
     ((6, 2), 2), ((5,), 5), ((6, 1), 5)])
 def test_padic_order_matches_exact_lane(lam, p):
+    """The p-adic closure is the order of the exact lane, which also
+    draws trial words; not one of those enlarges the closure, as
+    _saturate_padic proves."""
     spec, module = RationalAtP(p), SchurModule(2, lam)
     H = compute_order(module, spec, trials=8, rng_seed=0)
     assert H.certificate["method"] == "saturation"
     alphabet = saturation_alphabet(spec, 2, 1)
     images = [rho(module, g, spec) for g in alphabet]
-    G = dvr._saturate_generic(spec, images, module.N, 8, random.Random(0),
-                              images, module, 1)
+    G = dvr._saturate_generic(spec, images, module.N, 1, 8, random.Random(0),
+                              images, module)
     assert (H.basis, H.divisors) == (G.basis, G.divisors)
+    assert G.certificate["restarts"] == 0
+    assert G.certificate["trials_passed"] == 8
+
+
+@pytest.mark.parametrize("lam, p", [((4,), 2), ((5,), 5), ((6, 1), 2),
+                                    ((3,), 3)])
+def test_padic_order_draws_no_word(lam, p, monkeypatch):
+    """Over Q_p compute_order forms no trial word: with _random_word made
+    to raise, it gives the order of the exact lane, which draws them, and
+    the exact certificate with every trial passed."""
+    spec, module = RationalAtP(p), SchurModule(2, lam)
+    images = [rho(module, g, spec) for g in saturation_alphabet(spec, 2, 1)]
+    G = dvr._saturate_generic(spec, images, module.N, 1, 64,
+                              random.Random(0), images, module)
+
+    def no_word(*args):
+        raise AssertionError("a trial word was drawn")
+
+    monkeypatch.setattr(dvr, "_random_word", no_word)
+    H = compute_order(module, spec)
+    assert (H.basis, H.divisors) == (G.basis, G.divisors)
+    assert H.certificate == {"level": 1, "trials": 64, "trials_passed": 64,
+                             "restarts": 0, "exact": True, "label": "exact",
+                             "method": "saturation"}
 
 
 # the former exit-4 cases with N >= 8, too large for the exact lane
@@ -529,8 +554,8 @@ def test_padic_order_independent_of_precision(lam, p, monkeypatch):
 @pytest.mark.parametrize("lam, top", [((4,), 3), ((8,), 6)])
 def test_padic_precision_rises_to_the_order(lam, top, monkeypatch):
     """Started at P = 1, the lane doubles P while the top divisor reaches
-    it, rerunning from the same random state, and stops at the first P
-    above the order's top divisor, with the result of the default start."""
+    it, rerunning the closure, and stops at the first P above the order's
+    top divisor, with the result of the default start."""
     spec, module = P2, SchurModule(2, lam)
     H = compute_order(module, spec, trials=8, rng_seed=0)
     assert H.divisors[-1] == top
@@ -581,8 +606,8 @@ def test_padic_lane_matches_oracles_on_order_only_shapes(lam, p):
     if module.N <= 7:
         alphabet = saturation_alphabet(spec, 2, 1)
         images = [rho(module, g, spec) for g in alphabet]
-        G = dvr._saturate_generic(spec, images, module.N, 8, random.Random(0),
-                                  images, module, 1)
+        G = dvr._saturate_generic(spec, images, module.N, 1, 8,
+                                  random.Random(0), images, module)
     else:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dvr, "_start_precision", lambda p, N: PRECISION)
@@ -595,18 +620,16 @@ def test_padic_lane_matches_oracles_on_order_only_shapes(lam, p):
 def test_saturation_absorbs_random_words(lam):
     """Seeded with the group images only, the closure misses the
     uniformizer diagonals.  The first random word that holds one restarts
-    the count, and the two-sided closure of that word reaches the order,
-    in both lanes."""
+    the count, and the two-sided closure of that word reaches the order."""
     spec, module = P2, SchurModule(2, lam)
     letters = [rho(module, a, spec) for a in saturation_alphabet(spec, 2, 1)]
     group = [rho(module, g, spec)
              for g in group_generator_matrices(spec, 2, 1)]
     H = compute_order(module, spec, trials=8, rng_seed=0)
-    for saturate in (dvr._saturate_padic, dvr._saturate_generic):
-        G = saturate(spec, group, module.N, 8, random.Random(0), letters,
-                     module, 1)
-        assert G.certificate["restarts"] == 1
-        assert (G.basis, G.divisors) == (H.basis, H.divisors)
+    G = dvr._saturate_generic(spec, group, module.N, 1, 8, random.Random(0),
+                              letters, module)
+    assert G.certificate["restarts"] == 1
+    assert (G.basis, G.divisors) == (H.basis, H.divisors)
 
 
 def word_matrix(spec, alphabet, word, units):
@@ -633,25 +656,18 @@ WORD_SHAPES = [(2, (1,)), (2, (2,)), (2, (1, 1)), (2, (3,)), (2, (2, 1)),
 
 @settings(max_examples=60, deadline=None)
 @given(spec=st.sampled_from(WORD_FIELDS), shape=st.sampled_from(WORD_SHAPES),
-       seed=st.integers(0, 2 ** 32 - 1), P=st.integers(1, PRECISION))
-def test_word_image_matches_rho(spec, shape, seed, P):
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_word_image_matches_rho(spec, shape, seed):
     """The product of the letter images, with columns scaled by the tableau
-    weights, is rho of the drawn word's matrix, in every lane of the field;
-    the p-adic lane works modulo p^P for a random working precision P, in
-    int64 or, past its bound, in Python ints."""
+    weights, is rho of the drawn word's matrix, over every field."""
     n, lam = shape
     module = SchurModule(n, lam)
-    N = module.N
     alphabet = saturation_alphabet(spec, n, 1)
     word, units = dvr._random_word(spec, n, len(alphabet), random.Random(seed))
     W = word_matrix(spec, alphabet, word, units)
-    lanes = [dvr._ExactLane(spec, N)]
-    if isinstance(spec, RationalAtP):
-        lanes.append(dvr._PadicLane(spec, N, P))
-    for lane in lanes:
-        letters = lane.enc([rho(module, a, spec) for a in alphabet])
-        got = dvr._word_image(lane, module, letters, word, units)
-        assert as_lists(got) == as_lists(lane.enc([rho(module, W, spec)])[0])
+    letters = [rho(module, a, spec) for a in alphabet]
+    got = dvr._word_image(module, letters, word, units)
+    assert as_lists(got) == as_lists(rho(module, W, spec))
 
 
 def two_sided_span(spec, images, N):
@@ -686,12 +702,11 @@ def test_seed_span_is_two_sided_closure(spec, lam, alphabet_of):
                 else group_generator_matrices(spec, 2, 1))
     images = [rho(module, g, spec) for g in alphabet]
     ref = two_sided_span(spec, images, module.N)
-    saturates = [dvr._saturate_generic]
+    results = [dvr._saturate_generic(spec, images, module.N, 1, 0,
+                                     random.Random(0), images, module)]
     if isinstance(spec, RationalAtP):
-        saturates.append(dvr._saturate_padic)
-    for saturate in saturates:
-        G = saturate(spec, images, module.N, 0, random.Random(0), images,
-                     module, 1)
+        results.append(dvr._saturate_padic(spec, images, module.N, 1, 0))
+    for G in results:
         assert (G.basis, G.divisors) == ref
 
 
