@@ -102,6 +102,12 @@ def run_suite():
     rows.append(_bench("32 words (2,(4),F_2(t)) products",
                        lambda: [dvr._word_image(module2, letters2, *w)
                                 for w in words], 3))
+    # the closure of that order in the exact F_q(t) lane, with no trial
+    # word: the LaurentRational arithmetic of ExactEchelon and mat_mul
+    rows.append(_bench("F_2(t) closure (2,(4)) trials=0",
+                       lambda: dvr._saturate_generic(
+                           spec2, letters2, module2.N, 1, 0, draw, letters2,
+                           module2), 3))
 
     # the first seed-closure round of the (2, (7), 3) order in the p-adic
     # lane: the products g*b of every image g and every echelon row b the

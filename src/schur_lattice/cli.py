@@ -33,7 +33,8 @@ from .dvr import (MatrixModule, compute_order, congruence_level, full_rank,
 from .errors import (CapExceeded, InternalInvariantViolation, NotFullRank,
                      SchurLatticeError)
 from .fields import INF, FieldSpec, RationalAtP, RationalFunctionOverFq
-from .gaussian import LatticeGaussian, invariance_report, sample
+from .gaussian import (LatticeGaussian, _check_entries, invariance_report,
+                       sample)
 from .partitions import dimension, hook_lengths, is_core, validate_partition
 from .schur import SchurModule, rho
 
@@ -423,6 +424,9 @@ def cmd_sample(args) -> int:
     _check_cap_N(module, args.cap_N)
     gauss = LatticeGaussian(spec, standard_lattice(spec, module.N),
                             precision=args.precision, seed=args.seed)
+    # the digit caps of invariance_report and sample, before the order
+    _check_entries(module.N, args.count)
+    _check_entries(min(args.count, 5), module.N, gauss.precision)
     _progress(f"computing order for {case_label(module, spec)}")
     H = _order(module, spec, args.level, args.trials, args.seed)
     gens = [rho(module, g, spec)

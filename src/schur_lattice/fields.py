@@ -74,14 +74,17 @@ def _fp_poly_trim(c: list[int]) -> tuple[int, ...]:
 
 
 def _fp_poly_mul(a, b, p):
+    """Product over F_p of coefficient tuples.  The sums run in plain
+    integers and are reduced once at the end: reduction mod p is a ring
+    map Z -> F_p, so it commutes with every sum and product."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_poly_trim(out)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _fp_poly_trim([c % p for c in out])
 
 
 def _fp_poly_mod(a, m, p):
@@ -147,12 +150,25 @@ def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
 MAX_TABLE_ENTRIES = 2 ** 20
 
 
+# Largest non-prime field size: _find_irreducible grows like sqrt(q).  On a
+# 2-vCPU x86 host (Python 3.11) GF(2^30) took 1.2 s, GF(3^20) 2.4 s and
+# GF(2^32) 3.6 s; GF(2^36) took 17.7 s and GF(2^39) ran past 30 s.
+MAX_NONPRIME_Q = 2 ** 32
+
+
 class GF:
-    """The finite field with q elements; elements are ints in [0, q)."""
+    """The finite field with q elements; elements are ints in [0, q).
+    A non-prime q above MAX_NONPRIME_Q raises CapExceeded before the
+    search for the modulus."""
 
     def __init__(self, q: int):
         self.q = q
         self.p, self.e = _prime_power(q)
+        if self.e > 1 and q > MAX_NONPRIME_Q:
+            raise CapExceeded(
+                f"GF({q}) = GF({self.p}^{self.e}) exceeds the cap "
+                f"MAX_NONPRIME_Q = 2^32 on non-prime field sizes (the search "
+                f"for its modulus grows like sqrt(q))")
         if self.e > 1:
             self._modulus = _find_irreducible(self.p, self.e)
         else:
@@ -178,6 +194,8 @@ class GF:
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b  # base-2 digits added mod 2
         out = 0
         mult = 1
         while a or b:
@@ -215,6 +233,8 @@ class GF:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF")
+        if self.e == 1:
+            return pow(a, -1, self.p)
         return self.pow(a, self.q - 2)
 
     def generator(self) -> int:
@@ -283,22 +303,53 @@ def _gf(q: int) -> GF:
 # scalars for the equal-characteristic backend
 # ---------------------------------------------------------------------------
 
+# Coefficient tuples are trimmed (no trailing zeros), lowest degree first.
+# Over a prime field (e = 1) the elements are the residues 0..p-1 and the
+# helpers below use plain integer arithmetic mod p; over F_{p^e} they call
+# the GF methods coefficient by coefficient.
+
 def _gf_poly_add(fq, a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = fq.add(out[i], y)
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    if fq.e == 1:
+        p = fq.p
+        for i, y in enumerate(b):
+            out[i] = (out[i] + y) % p
+    else:
+        for i, y in enumerate(b):
+            out[i] = fq.add(out[i], y)
     return _fp_poly_trim(out)
 
 
 def _gf_poly_neg(fq, a):
+    if fq.p == 2:
+        return a  # characteristic 2: -x = x
+    if fq.e == 1:
+        p = fq.p
+        return tuple(-x % p for x in a)
     return tuple(fq.neg(x) for x in a)
 
 
+def _gf_poly_scale(fq, a, c):
+    """c * a for a scalar c of F_q."""
+    if fq.e == 1:
+        p = fq.p
+        return tuple(x * c % p for x in a)
+    return tuple(fq.mul(x, c) for x in a)
+
+
 def _gf_poly_mul(fq, a, b):
+    """a * b.  A factor (1,) returns the other one as it is: 1 * b = b,
+    and b is trimmed."""
     if not a or not b:
         return ()
+    if a == (1,):
+        return b
+    if b == (1,):
+        return a
+    if fq.e == 1:
+        return _fp_poly_mul(a, b, fq.p)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -308,11 +359,26 @@ def _gf_poly_mul(fq, a, b):
 
 
 def _gf_poly_divmod(fq, a, b):
+    """(quotient, remainder) of a by b.  Division by (1,) is the
+    identity: a = a * 1 + 0."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    if b == (1,):
+        return a, ()
     r = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
     inv_lead = fq.inv(b[-1])
+    if fq.e == 1:
+        p = fq.p
+        while len(r) >= len(b) and r:
+            if r[-1]:
+                c = r[-1] * inv_lead % p
+                shift = len(r) - len(b)
+                q[shift] = c
+                for i, y in enumerate(b, shift):
+                    r[i] = (r[i] - c * y) % p
+            r.pop()
+        return _fp_poly_trim(q), _fp_poly_trim(r)
     while len(r) >= len(b) and r:
         if r[-1]:
             c = fq.mul(r[-1], inv_lead)
@@ -325,11 +391,11 @@ def _gf_poly_divmod(fq, a, b):
 
 
 def _gf_poly_gcd(fq, a, b):
+    """The monic gcd of a and b (Euclid)."""
     while b:
         a, b = b, _gf_poly_divmod(fq, a, b)[1]
     if a:
-        inv_lead = fq.inv(a[-1])
-        a = tuple(fq.mul(x, inv_lead) for x in a)
+        a = _gf_poly_scale(fq, a, fq.inv(a[-1]))
     return a
 
 
@@ -363,8 +429,15 @@ class LaurentRational:
         self.den = den
 
     @classmethod
-    def make(cls, fq: GF, v, num, den) -> "LaurentRational":
-        """Normalize an arbitrary (v, num, den) triple."""
+    def make(cls, fq: GF, v, num, den, coprime=False) -> "LaurentRational":
+        """Normalize an arbitrary (v, num, den) triple; `coprime` says
+        that the caller knows gcd(num, den) to be a power of t.
+
+        The gcd runs only when both polynomials have positive degree and
+        are not known to be coprime.  A nonzero constant is a unit, so its
+        gcd with anything is 1; and when den is (1,) after the t-shift,
+        scaling by 1/lead = 1 is the identity too, so the triple is
+        already normal."""
         num = _fp_poly_trim(list(num))
         den = _fp_poly_trim(list(den))
         if not den:
@@ -381,13 +454,17 @@ class LaurentRational:
             shift += 1
         v -= shift
         den = den[shift:]
-        g = _gf_poly_gcd(fq, num, den)
-        if len(g) > 1:
-            num = _gf_poly_divmod(fq, num, g)[0]
-            den = _gf_poly_divmod(fq, den, g)[0]
-        inv_lead = fq.inv(den[-1])
-        num = tuple(fq.mul(x, inv_lead) for x in num)
-        den = tuple(fq.mul(x, inv_lead) for x in den)
+        if den == (1,):
+            return cls(fq, v, num, den)
+        if not coprime and len(num) > 1 and len(den) > 1:
+            g = _gf_poly_gcd(fq, num, den)
+            if len(g) > 1:
+                num = _gf_poly_divmod(fq, num, g)[0]
+                den = _gf_poly_divmod(fq, den, g)[0]
+        if den[-1] != 1:
+            inv_lead = fq.inv(den[-1])
+            num = _gf_poly_scale(fq, num, inv_lead)
+            den = _gf_poly_scale(fq, den, inv_lead)
         return cls(fq, v, num, den)
 
     @classmethod
@@ -401,7 +478,7 @@ class LaurentRational:
         return cls(fq, 0, (c,), (1,))
 
     def is_zero(self) -> bool:
-        return self.v is INF or self.v == INF
+        return not self.num
 
     # -- ring operations ----------------------------------------------------
     def _coerce(self, other):
@@ -411,36 +488,48 @@ class LaurentRational:
             return LaurentRational.const(self.fq, other % self.fq.p)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
+    def _plus(self, w, num, den):
+        """self + t^w * num/den, the right-hand side normal and nonzero.
+
+        When either denominator is (1,), the sum t^v * (a*d + c*b)/(b*d)
+        is already in lowest terms: an irreducible factor of d (say b = 1)
+        that divides a*d + c divides c, and gcd(c, d) = 1.  Neither den
+        has the factor t, so stripping t from the numerator keeps that."""
+        if not self.num:
+            return LaurentRational(self.fq, w, num, den)
         fq = self.fq
-        v = min(self.v, other.v)
-        a = _gf_poly_mul(fq, self.num, other.den)
-        a = (0,) * int(self.v - v) + a
-        b = _gf_poly_mul(fq, other.num, self.den)
-        b = (0,) * int(other.v - v) + b
-        return LaurentRational.make(fq, v, _gf_poly_add(fq, a, b),
-                                    _gf_poly_mul(fq, self.den, other.den))
+        v = min(self.v, w)
+        a = (0,) * int(self.v - v) + _gf_poly_mul(fq, self.num, den)
+        b = (0,) * int(w - v) + _gf_poly_mul(fq, num, self.den)
+        return LaurentRational.make(
+            fq, v, _gf_poly_add(fq, a, b), _gf_poly_mul(fq, self.den, den),
+            coprime=self.den == (1,) or den == (1,))
+
+    def __add__(self, other):
+        if not isinstance(other, LaurentRational):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.num:
+            return self
+        return self._plus(other.v, other.num, other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_zero():
+        if not self.num:
             return self
         return LaurentRational(self.fq, self.v,
                                _gf_poly_neg(self.fq, self.num), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if not isinstance(other, LaurentRational):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.num:
+            return self
+        return self._plus(other.v, _gf_poly_neg(self.fq, other.num), other.den)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -449,14 +538,24 @@ class LaurentRational:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return LaurentRational.zero(self.fq)
-        return LaurentRational.make(self.fq, self.v + other.v,
-                                    _gf_poly_mul(self.fq, self.num, other.num),
-                                    _gf_poly_mul(self.fq, self.den, other.den))
+        if not isinstance(other, LaurentRational):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not self.num:
+            return self
+        if not other.num:
+            return other
+        fq = self.fq
+        if self.den == (1,) and other.den == (1,):
+            # F_q[t] is a domain: the product of two polynomials with
+            # nonzero constant terms has a nonzero constant term and a
+            # nonzero leading coefficient, so it is already normal
+            return LaurentRational(fq, self.v + other.v,
+                                   _gf_poly_mul(fq, self.num, other.num), (1,))
+        return LaurentRational.make(fq, self.v + other.v,
+                                    _gf_poly_mul(fq, self.num, other.num),
+                                    _gf_poly_mul(fq, self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -739,6 +838,9 @@ class RationalFunctionOverFq(FieldSpec):
 
     def val(self, x: LaurentRational):
         return x.v
+
+    def is_zero(self, x: LaurentRational) -> bool:
+        return not x.num
 
     def reduce(self, x: LaurentRational) -> int:
         if x.is_zero():

@@ -449,6 +449,31 @@ def test_sample_over_caps_exits_3(argv, message):
     assert message in out.stderr
 
 
+def test_sample_count_cap_fires_before_the_order(capsys, monkeypatch):
+    """sample checks N x --count against its cap before it computes the
+    order."""
+    from schur_lattice import cli, dvr
+
+    def no_order(*args, **kwargs):
+        raise AssertionError("order computed")
+
+    monkeypatch.setattr(dvr, "compute_order", no_order)
+    monkeypatch.setattr(cli, "compute_order", no_order)
+    code, _, err = run_main(capsys, ["sample", "--n", "2", "--lambda", "2",
+                                     "--p", "2", "--count", "1000000000"])
+    assert code == 3
+    assert "exceed the cap MAX_SAMPLE_ENTRIES = 2^22" in err
+
+
+def test_huge_nonprime_field_exits_3():
+    """A non-prime --q above 2^32 exits 3 before its modulus is searched
+    for (2^40 ran past 30 s without the cap)."""
+    out = run_cli(["rho", "--n", "2", "--lambda", "1", "--field", "laurent",
+                   "--q", "1099511627776", "--matrix", "1,t;0,1"])
+    assert out.returncode == 3
+    assert "exceeds the cap MAX_NONPRIME_Q = 2^32" in out.stderr
+
+
 @pytest.mark.parametrize("field_args", [
     ["--p", "1000000000000000003"],
     ["--field", "laurent", "--q", "1000000000000000003"],

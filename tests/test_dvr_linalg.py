@@ -433,6 +433,24 @@ def test_compute_order_laurent_certificate():
     assert cert["trials_passed"] == 8
 
 
+@pytest.mark.parametrize("n, lam, q, rank", [
+    (2, (3,), 2, 16), (2, (4,), 2, 17), (2, (3, 1), 2, 7), (2, (3,), 3, 12),
+    (2, (3, 1), 4, 7),
+])
+def test_laurent_saturation_certificates_are_frozen(n, lam, q, rank):
+    """The F_q(t) orders of the order-only benchmark grid that run the
+    certificate loop, at its seed 3 and 32 trials: rank, trials passed and
+    restarts as recorded before the scalar normalization short cuts (the
+    benchmark digests leave the certificate out)."""
+    H = compute_order(SchurModule(n, lam), RationalFunctionOverFq(q),
+                      level=1, trials=32, rng_seed=3)
+    assert H.rank == rank
+    assert H.certificate == {"level": 1, "trials": 32, "trials_passed": 32,
+                             "restarts": 0, "exact": False,
+                             "label": "certified at level=1, trials=32",
+                             "method": "saturation"}
+
+
 def test_echelon_member_rejects_sharper_valuation():
     ech = ExactEchelon(P2, 2)
     ech.insert((Fraction(2), Fraction(0)))

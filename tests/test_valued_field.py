@@ -1,5 +1,6 @@
 """Tests for the exact valued-field scalars and residue fields."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ from schur_lattice import (GF, INF, LaurentRational, RationalAtP,
                            RationalFunctionOverFq, SchurLatticeError,
                            field_from_descriptor, unit_sample_set)
 from schur_lattice.errors import CapExceeded, NegativeValuation
-from schur_lattice.fields import (MAX_LEVEL, MAX_TABLE_ENTRIES,
-                                  _prime_factors, _prime_power,
+from schur_lattice.fields import (MAX_LEVEL, MAX_NONPRIME_Q,
+                                  MAX_TABLE_ENTRIES, _prime_factors, _prime_power,
                                   _primitive_root_mod_p2, laurent_parse,
                                   laurent_to_str)
 
@@ -67,6 +68,18 @@ def test_gf_tables_over_cap_raise():
     assert 1024 ** 2 <= MAX_TABLE_ENTRIES < 2048 ** 2
     with pytest.raises(CapExceeded, match="GF\\(2048\\) lookup tables"):
         GF(2048).tables()
+
+
+def test_gf_nonprime_over_cap_raises_before_the_search():
+    """A non-prime q above MAX_NONPRIME_Q is refused with a cap (exit 3)
+    that names q, before the brute-force search for its modulus; a prime
+    q above the cap needs no modulus and is accepted."""
+    assert MAX_NONPRIME_Q == 2 ** 32
+    for q, text in [(2 ** 40, "GF(1099511627776) = GF(2^40)"),
+                    (3 ** 21, "GF(10460353203) = GF(3^21)")]:
+        with pytest.raises(CapExceeded, match=re.escape(text)):
+            GF(q)
+    assert GF(4294967311).e == 1
 
 
 def _scan_prime_factors(m):
@@ -286,3 +299,144 @@ def test_unit_sample_set_level_cap():
         unit_sample_set(spec, MAX_LEVEL + 1)
     assert unit_sample_set(RationalAtP(3), 10 ** 6) == \
         unit_sample_set(RationalAtP(3), 1)
+
+
+# ---------------------------------------------------------------------------
+# F_q(t) normalization short cuts against the generic path
+# ---------------------------------------------------------------------------
+
+def _oracle_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _oracle_mul(fq, a, b):
+    """Schoolbook product through GF.add and GF.mul."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = fq.add(out[i + j], fq.mul(x, y))
+    return _oracle_trim(out)
+
+
+def _oracle_add(fq, a, b):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = fq.add(out[i], x)
+    for i, y in enumerate(b):
+        out[i] = fq.add(out[i], y)
+    return _oracle_trim(out)
+
+
+def _oracle_divmod(fq, a, b):
+    r, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead = fq.inv(b[-1])
+    while len(r) >= len(b) and r:
+        if r[-1]:
+            c = fq.mul(r[-1], inv_lead)
+            shift = len(r) - len(b)
+            q[shift] = c
+            for i, y in enumerate(b):
+                r[shift + i] = fq.sub(r[shift + i], fq.mul(c, y))
+        r.pop()
+    return _oracle_trim(q), _oracle_trim(r)
+
+
+def _oracle_make(fq, v, num, den):
+    """(v, num, den) in lowest terms with den monic, by a full Euclidean
+    gcd whatever the operands are."""
+    num, den = _oracle_trim(num), _oracle_trim(den)
+    if not num:
+        return INF, (), (1,)
+    while num[0] == 0:
+        v, num = v + 1, num[1:]
+    while den[0] == 0:
+        v, den = v - 1, den[1:]
+    a, b = num, den
+    while b:
+        a, b = b, _oracle_divmod(fq, a, b)[1]
+    num = _oracle_divmod(fq, num, a)[0]
+    den = _oracle_divmod(fq, den, a)[0]
+    inv_lead = fq.inv(den[-1])
+    return (v, tuple(fq.mul(x, inv_lead) for x in num),
+            tuple(fq.mul(x, inv_lead) for x in den))
+
+
+def _oracle_op(fq, op, x, y):
+    (v, a, b), (w, c, d) = x, y
+    if op == "-":
+        op, c = "+", tuple(fq.neg(z) for z in c)
+    if op == "*":
+        return _oracle_make(fq, v + w, _oracle_mul(fq, a, c),
+                            _oracle_mul(fq, b, d))
+    if op == "/":
+        return _oracle_make(fq, v - w, _oracle_mul(fq, a, d),
+                            _oracle_mul(fq, b, c))
+    u = min(v, w)
+    left = (0,) * (v - u) + _oracle_mul(fq, a, d)
+    right = (0,) * (w - u) + _oracle_mul(fq, c, b)
+    return _oracle_make(fq, u, _oracle_add(fq, left, right),
+                        _oracle_mul(fq, b, d))
+
+
+@st.composite
+def _raw_laurent(draw, q):
+    """(v, num, den) with v in [-3, 3] and num, den of degree <= 4 with
+    nonzero constant terms; den is (1,) in about half the draws."""
+    def poly():
+        head = draw(st.integers(1, q - 1))
+        return (head,) + tuple(draw(st.lists(st.integers(0, q - 1),
+                                             max_size=4)))
+    v = draw(st.integers(-3, 3))
+    num = poly()
+    den = (1,) if draw(st.booleans()) else poly()
+    return v, num, den
+
+
+def _triple(x):
+    return x.v, x.num, x.den
+
+
+@given(q=st.sampled_from([2, 3, 4, 5, 8, 9]), data=st.data())
+def test_laurent_arithmetic_matches_generic_normalization(q, data):
+    """+, -, *, / and make give the (v, num, den) of schoolbook products
+    through GF.add and GF.mul followed by a full gcd normalization."""
+    fq = GF(q)
+    raw_x = data.draw(_raw_laurent(q))
+    raw_y = data.draw(_raw_laurent(q))
+    assert _triple(LaurentRational.make(fq, *raw_x)) == \
+        _oracle_make(fq, *raw_x)
+    x = _oracle_make(fq, *raw_x)
+    y = _oracle_make(fq, *raw_y)
+    lx, ly = LaurentRational(fq, *x), LaurentRational(fq, *y)
+    for op, got in [("+", lx + ly), ("-", lx - ly), ("*", lx * ly),
+                    ("/", lx / ly)]:
+        assert _triple(got) == _oracle_op(fq, op, x, y), op
+    assert (lx - lx).is_zero() and _triple(lx - lx) == (INF, (), (1,))
+    assert lx + LaurentRational.zero(fq) == lx
+    assert (lx * LaurentRational.zero(fq)).is_zero()
+
+
+def test_polynomial_arithmetic_runs_no_gcd(monkeypatch):
+    """Sums, differences and products of polynomials (den = 1), and the
+    sum of a polynomial and a fraction, are normal without a gcd."""
+    from schur_lattice import fields
+
+    def no_gcd(*args):
+        raise AssertionError("gcd called")
+
+    monkeypatch.setattr(fields, "_gf_poly_gcd", no_gcd)
+    for q in (2, 3, 4, 9):
+        fq = GF(q)
+        x = LaurentRational(fq, -1, (1, 0, q - 1), (1,))
+        y = LaurentRational(fq, 2, (q - 1, 1), (1,))
+        z = LaurentRational(fq, 0, (1,), (1, 1))
+        assert (x * y).den == (1,) and (x * y).v == 1
+        assert (x + y).den == (1,) and (x - y).den == (1,)
+        assert (x * x - x * x).is_zero()
+        assert (y + z).den == (1, 1)
+        assert (x + y) - y == x
