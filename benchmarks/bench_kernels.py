@@ -91,23 +91,25 @@ def run_suite():
     rows.append(_bench(f"line spins GF(3) N={Nl} {len(span)} span",
                        lambda: line_spin_profile(f3, span, Nl), 1))
 
-    # the certificate's trial words of the (2, (4)) order over F_2(t),
-    # imaged as products of the letter images, as the saturation forms them
+    # the certificate's trial words of the (2, (4)) order over F_2(t), as
+    # the truncated lane forms them: its letter maps applied to the
+    # coordinates of each word's diagonal factor
     spec2, module2 = RationalFunctionOverFq(2), SchurModule(2, (4,))
     alphabet = dvr.saturation_alphabet(spec2, 2, 1)
     draw = random.Random(0)
     words = [dvr._random_word(spec2, 2, len(alphabet), draw)
              for _ in range(32)]
     letters2 = [rho(module2, a, spec2) for a in alphabet]
-    rows.append(_bench("32 words (2,(4),F_2(t)) products",
-                       lambda: [dvr._word_image(module2, letters2, *w)
-                                for w in words], 3))
-    # the closure of that order in the exact F_q(t) lane, with no trial
-    # word: the LaurentRational arithmetic of ExactEchelon and mat_mul
+    lane2 = dvr._TruncatedLane(spec2, module2, letters2)
+    rows.append(_bench("32 words (2,(4),F_2(t)) coords",
+                       lambda: [lane2.word(*w) for w in words], 3))
+    # the closure of that order in the truncated F_q(t) lane, with no
+    # trial word: the divided-power algebra, the letter maps and the
+    # F_q-span modulo t^P as P rises
     rows.append(_bench("F_2(t) closure (2,(4)) trials=0",
                        lambda: dvr._saturate_generic(
-                           spec2, letters2, module2.N, 1, 0, draw, letters2,
-                           module2), 3))
+                           spec2, letters2, module2.N, 1, 0, draw, module2),
+                       3))
 
     # the first seed-closure round of the (2, (7), 3) order in the p-adic
     # lane: the products g*b of every image g and every echelon row b the

@@ -42,6 +42,20 @@ def gf_matmul(fq: GF, A, B):
     return out
 
 
+def gf_add(fq: GF, A, B):
+    """A + B over F_q, elementwise."""
+    if fq.e == 1:
+        return (A + B) % fq.p
+    return fq.tables()[0][A, B]
+
+
+def gf_sub(fq: GF, A, B):
+    """A - B over F_q, elementwise."""
+    if fq.e == 1:
+        return (A - B) % fq.p
+    return fq.tables()[0][A, fq.neg_table()[B]]
+
+
 def gf_matvec(fq: GF, A, v):
     return gf_matmul(fq, A, np.asarray(v, dtype=np.int64).reshape(-1, 1))[:, 0]
 
@@ -60,8 +74,7 @@ class GFEchelon:
         self.pivots: dict[int, np.ndarray] = {}  # col -> normalized row
         if fq.e > 1:
             self._addt, self._mult, self._invt = fq.tables()
-            self._negt = np.array([fq.neg(a) for a in range(fq.q)],
-                                  dtype=np.int64)
+            self._negt = fq.neg_table()
         else:
             self._addt = self._mult = self._invt = self._negt = None
 
@@ -131,6 +144,54 @@ def gf_rref(fq: GF, rows):
 
 def gf_rank(fq: GF, rows) -> int:
     return gf_rref(fq, rows)[0].shape[0]
+
+
+class GFSpan:
+    """Reduced row-echelon basis of a subspace of F_q^m, grown a batch of
+    rows at a time: `rows` holds the basis sorted by pivot column and
+    `pivots` those columns.
+
+    rows[:, pivots] is the identity, so B - B[:, pivots] @ rows is zero at
+    every pivot column and congruent to B modulo the span: one product
+    reduces a whole batch.  The remainder's own RREF rows R (gf_rref) are
+    zero at the old pivots, and rows - rows[:, piv R] @ R clears the old
+    rows at the new pivots, which keeps them zero at the other old pivots.
+    Together the two sets are the RREF basis of the sum, which is unique.
+    """
+
+    def __init__(self, fq: GF, m: int):
+        self.fq = fq
+        self.rows = np.zeros((0, m), dtype=np.int64)
+        self.pivots = np.zeros(0, dtype=np.int64)
+
+    def reduce(self, B):
+        """Remainders of the rows of B: zero exactly for members."""
+        if not self.pivots.size:
+            return B
+        return gf_sub(self.fq, B, gf_matmul(self.fq, B[:, self.pivots],
+                                             self.rows))
+
+    def member(self, B):
+        """Boolean per row of B: does it lie in the span?"""
+        return ~self.reduce(B).any(axis=1)
+
+    def add(self, B):
+        """Add the rows of B to the span; return the RREF rows that it
+        gained (a basis of the new span modulo the old one)."""
+        fq = self.fq
+        B = self.reduce(B)
+        B = B[B.any(axis=1)]
+        if not len(B):
+            return B
+        new, piv = gf_rref(fq, B)
+        piv = np.array(piv, dtype=np.int64)
+        if self.pivots.size:
+            self.rows = gf_sub(fq, self.rows,
+                               gf_matmul(fq, self.rows[:, piv], new))
+        order = np.argsort(np.concatenate([self.pivots, piv]), kind="stable")
+        self.rows = np.concatenate([self.rows, new])[order]
+        self.pivots = np.concatenate([self.pivots, piv])[order]
+        return new
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +343,7 @@ def _gf_batched_rref(fq: GF, W):
     addt, mult, inv = fq.tables()
     prime = fq.e == 1
     if not prime:
-        neg = np.array([fq.neg(a) for a in range(fq.q)], dtype=np.int64)
+        neg = fq.neg_table()
     batch = np.arange(c)
     rows = np.arange(d)[None, :]
     rank = np.zeros(c, dtype=np.int64)

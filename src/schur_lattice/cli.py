@@ -32,7 +32,8 @@ from .dvr import (MatrixModule, compute_order, congruence_level, full_rank,
                   group_generator_matrices, standard_lattice)
 from .errors import (CapExceeded, InternalInvariantViolation, NotFullRank,
                      SchurLatticeError)
-from .fields import INF, FieldSpec, RationalAtP, RationalFunctionOverFq
+from .fields import (INF, FieldSpec, RationalAtP, RationalFunctionOverFq,
+                     require_tables)
 from .gaussian import (LatticeGaussian, _check_entries, invariance_report,
                        sample)
 from .partitions import dimension, hook_lengths, is_core, validate_partition
@@ -117,7 +118,10 @@ def _int_at_least(low: int):
     return parse
 
 
-def _build_spec(field: str, p, q) -> FieldSpec:
+def _build_spec(field: str, p, q, tables: bool = True) -> FieldSpec:
+    """The field of a case.  With `tables`, for the subcommands that run
+    F_q kernels, a non-prime q whose lookup tables are over the cap is
+    refused before GF(q) is built (fields.require_tables)."""
     if field == "padic":
         if p is None:
             raise SchurLatticeError("--p is required for the p-adic field")
@@ -125,6 +129,8 @@ def _build_spec(field: str, p, q) -> FieldSpec:
     if field == "laurent":
         if q is None:
             raise SchurLatticeError("--q is required for the laurent field")
+        if tables:
+            require_tables(q)
         return RationalFunctionOverFq(q)
     raise SchurLatticeError(f"unknown field {field!r}")
 
@@ -370,7 +376,7 @@ def cmd_dim(args) -> int:
 
 def cmd_rho(args) -> int:
     lam = _parse_lambda(args.lam)
-    spec = _build_spec(args.field, args.p, args.q)
+    spec = _build_spec(args.field, args.p, args.q, tables=False)
     module = SchurModule(args.n, lam)
     g = _parse_matrix(spec, args.matrix, args.n)
     _check_cap_N(module, args.cap_N)

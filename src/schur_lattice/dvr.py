@@ -13,7 +13,6 @@ echelon basis unique per module.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,10 +20,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceeded, NonIntegralInput, NotFullRank, Singular
+from . import _kernels
+from .errors import (CapExceeded, InternalInvariantViolation,
+                     NonIntegralInput, NotFullRank, Singular)
 from .fields import (INF, FieldSpec, LaurentRational, RationalAtP,
                      unit_sample_set)
-from .schur import SchurModule, rho
+from .schur import SchurModule, diagonal_weights, rho
 
 # ---------------------------------------------------------------------------
 # generic exact matrix helpers
@@ -858,8 +859,6 @@ def _residue_closure_is_full(spec: FieldSpec, residue_mats, N: int) -> bool:
     """True iff the ring closure of the residue images spans all N x N
     matrices over the residue field.  (If so, the exact module is the
     full End lattice by Nakayama's lemma.)"""
-    from . import _kernels
-
     fq = spec.residue_field
     return _kernels.residue_ring_closure_rank(fq, residue_mats, N) == N * N
 
@@ -955,6 +954,238 @@ class _ExactLane:
                 smith_divisors(rows, self.spec))
 
 
+# Cap on r * P, the F_q-coordinates of the F_q(t) lane (r = dim A, P the
+# working precision): its echelon holds at most (r * P)^2 entries, 128 MiB
+# of int64 at the cap.
+MAX_LANE_COORDS = 2 ** 12
+
+
+def _polynomial_coefficients(spec, x, P: int):
+    """The coefficients of t^0 .. t^(P-1) of a polynomial x in F_q(t)."""
+    if x.den != (1,) or x.v < 0:
+        raise InternalInvariantViolation(
+            f"{spec.to_str(x)} is not a polynomial in t")
+    out = [0] * P
+    if x.num:
+        for i, c in enumerate(x.num[:max(0, P - int(x.v))], int(x.v)):
+            out[i] = c
+    return out
+
+
+class _TruncatedLane:
+    """F_q(t) lane: the order M as an F_q-subspace of F_q^(r x P), in the
+    pivot coordinates of the F_p-algebra A of the divided powers.
+
+    A is the algebra generated by the t^m coefficients of rho(I + t*E_ij),
+    i != j, the images of the divided powers E_ij^(m), and of
+    rho(diag(1, ..., t, ..., 1)), the weight projections (Green 1980;
+    Doty & Giaquinto 2002).  B_1..B_r is its F_q RREF basis, with pivot
+    columns c_1 < ... < c_r.  An element X = sum a_k B_k of K (x) A has
+    a_k = X[c_k], so it is integral iff its pivot coordinates are:
+    R (x) A is the R-span of the B_k, and X is held by the r x P array of
+    the t-coefficients of the a_k, modulo t^P.  The left product by an
+    image g = sum t^m G_m is R-linear there, one r x r F_q matrix per
+    degree m: (G_m B_k)[c_l].  The right product likewise.
+
+    At precision P the lane computes M + t^P R^r, which lies between
+    t^P R^r and R^r: the F_q-span of the coordinates of I and the images,
+    closed under the shift by t and under left products by the images
+    (_close: the span then holds every word, and R (x) A is an algebra of
+    which t^P R^r is a two-sided ideal).  If t^(P-1) e_k lies in it for
+    every k, then L = t^(P-1) R^r satisfies L <= M + t*L, so
+    (M + L)/M = t*(M + L)/M, which is 0 by Nakayama's lemma: M holds L,
+    the top divisor of M is below P, and the lane holds M itself.
+    Otherwise P doubles and the closure reruns, until r * P would pass
+    MAX_LANE_COORDS (CapExceeded).  A restart only enlarges M, so it
+    stays exact at the same P.
+
+    Soundness rests on two checks, not on the divided-power proof: the
+    coefficients of I and of every image must lie in A (else
+    InternalInvariantViolation), and A is closed under products
+    (residue_algebra_basis).  Then M lies in R (x) A, the coordinates
+    and maps above are exact, and the stopping rule proves the result.
+    The divided-power argument, that K*M holds A, only ensures that M
+    has rank r, so that P stops rising.  K is infinite, so K*M is the
+    K-algebra of the images; it holds rho(diag t at i)^-1 by
+    Cayley-Hamilton, so rho(diag t at i)^k for every integer k, and the
+    conjugates rho(I + t^k E_ij) of the transvection images.  Both are
+    polynomials in s = t^k with the generators of A as coefficients, and
+    distinct k give a Vandermonde system, so each generator lies in K*M.
+    A trial word's diagonal factor lies in R (x) A as well: its t^m
+    coefficient is a combination of weight projections, products of the
+    generators.
+
+    Ordered column-major (pivot column k, then degree), the RREF row of
+    the subspace that opens block k is the canonical Hermite row of M:
+    its a_k is t^(v_k), and each later a_l has degree below the v_l of
+    its block, whose pivots run from v_l to P - 1.  Mapped back by
+    sum a_l B_l, these rows are the N^2-coordinate Hermite rows
+    (ExactEchelon.canonical_rows) of M: X[c_l] = a_l, and every other
+    entry of X is an F_q combination of earlier a_l.  smith_divisors of
+    these rows gives the elementary divisors.
+    """
+
+    def __init__(self, spec, module: SchurModule, images):
+        fq, N = spec.residue_field, module.N
+        self.spec, self.fq, self.module, self.N = spec, fq, module, N
+        self.B, piv = self._algebra_basis()
+        self.piv = np.array(piv, dtype=np.int64)
+        self.r = len(piv)
+        self.images = [self._coefficients(im) for im in images]
+        seeds = [self._coefficients(identity_matrix(spec, N))] + self.images
+        self.seeds = [self._coordinates(G) for G in seeds]
+        self.left = [self._maps(G, right=False) for G in self.images]
+        self.right = None
+        self.P, self.span = 0, None
+        self._close_seeds()
+
+    def _algebra_basis(self):
+        spec, module, fq, N = self.spec, self.module, self.fq, self.N
+        n, t = module.n, spec.uniformizer()
+        gens = [rho(module, _matrix(spec, n, {(i, j): t}), spec)
+                for i in range(n) for j in range(n) if i != j]
+        gens += [rho(module, _matrix(spec, n, {(i, i): t}), spec)
+                 for i in range(n)]
+        mats = [G for g in gens for G in self._coefficients(g)]
+        elems = _kernels.residue_algebra_basis(fq, mats, N)
+        return _kernels.gf_rref(fq, np.reshape(elems, (-1, N * N)))
+
+    def _coefficients(self, mat):
+        """(D, N, N) array of the t^m coefficients of a matrix of
+        polynomials, D = 1 + its degree."""
+        spec, N = self.spec, self.N
+        D = 1 + max((int(x.v) + len(x.num) - 1 for row in mat for x in row
+                     if x.num), default=0)
+        return np.array([[_polynomial_coefficients(spec, x, D) for x in row]
+                         for row in mat], dtype=np.int64
+                        ).reshape(N * N, D).T.reshape(D, N, N)
+
+    def _coordinates(self, G):
+        """(r, D) pivot coordinates of sum t^m G_m; G_m must lie in A."""
+        flat = G.reshape(len(G), -1)
+        coords = flat[:, self.piv]
+        rest = _kernels.gf_sub(self.fq, flat, _kernels.gf_matmul(
+            self.fq, coords, self.B))
+        if rest.any():
+            raise InternalInvariantViolation(
+                "a t-coefficient of an alphabet image lies outside the "
+                "algebra of the divided powers")
+        return coords.T
+
+    def _maps(self, G, right):
+        """The product by sum t^m G_m (on the right when `right`), one
+        r x r matrix per degree, acting on coordinate columns."""
+        fq, N, r = self.fq, self.N, self.r
+        Bm = self.B.reshape(r, N, N)
+        maps = []
+        for Gm in G:
+            if right:
+                prod = _kernels.gf_matmul(fq, Bm.reshape(r * N, N), Gm)
+            else:
+                prod = _kernels.gf_matmul(
+                    fq, Gm, Bm.transpose(1, 0, 2).reshape(N, r * N)
+                ).reshape(N, r, N).transpose(1, 0, 2)
+            maps.append(prod.reshape(r, N * N)[:, self.piv].T)
+        return maps
+
+    def _fit(self, X):
+        """Coordinates (..., r, D) truncated or padded to (..., r, P)."""
+        P, D = self.P, X.shape[-1]
+        if D >= P:
+            return X[..., :P]
+        pad = np.zeros(X.shape[:-1] + (P - D,), dtype=np.int64)
+        return np.concatenate([X, pad], axis=-1)
+
+    def _apply(self, maps, X):
+        """The product by the maps of every element of X (f, r, P)."""
+        fq, (f, r, P) = self.fq, X.shape
+        out = np.zeros_like(X)
+        for m, L in enumerate(maps[:P]):
+            if not L.any():
+                continue
+            cols = X[:, :, :P - m].transpose(1, 0, 2).reshape(r, -1)
+            prod = _kernels.gf_matmul(fq, L, cols)
+            prod = prod.reshape(r, f, P - m).transpose(1, 0, 2)
+            out[:, :, m:] = _kernels.gf_add(fq, out[:, :, m:], prod)
+        return out
+
+    def _close(self, frontier, right):
+        """Close the span under t and the products by the images (left,
+        and right when `right`), from the rows it just gained, in batches
+        of at most BATCH_ENTRIES entries; the rows each batch gains are
+        the next frontier."""
+        r, P = self.r, self.P
+        maps = self.left + (self.right if right else [])
+        step = max(1, BATCH_ENTRIES // ((1 + len(maps)) * r * P))
+        while len(frontier):
+            gained = []
+            for start in range(0, len(frontier), step):
+                X = frontier[start:start + step].reshape(-1, r, P)
+                shifted = np.zeros_like(X)
+                shifted[:, :, 1:] = X[:, :, :-1]
+                batch = [shifted] + [self._apply(L, X) for L in maps]
+                gained.append(self.span.add(
+                    np.concatenate(batch).reshape(-1, r * P)))
+            frontier = np.concatenate(gained)
+
+    def _close_seeds(self):
+        r, P = self.r, 1
+        while True:
+            if r * P > MAX_LANE_COORDS:
+                raise CapExceeded(
+                    f"F_q(t) saturation needs r * P = {r} * {P} F_q "
+                    f"coordinates (r = dim A, P the working precision), "
+                    f"over the cap MAX_LANE_COORDS = {MAX_LANE_COORDS}")
+            self.P, self.span = P, _kernels.GFSpan(self.fq, r * P)
+            seeds = np.stack([self._fit(x) for x in self.seeds])
+            self._close(self.span.add(seeds.reshape(-1, r * P)), right=False)
+            tops = np.zeros((r, r, P), dtype=np.int64)
+            tops[np.arange(r), np.arange(r), P - 1] = 1
+            if self.span.member(tops.reshape(r, r * P)).all():
+                return
+            P *= 2
+
+    def word(self, word, units):
+        """Coordinates of rho(a_1*...*a_k*diag(units)), the letter maps
+        applied to those of the diagonal factor (schur.diagonal_weights)."""
+        N, P = self.N, self.P
+        weights = diagonal_weights(self.module, units)
+        X = np.zeros((1, self.r, P), dtype=np.int64)
+        for l, c in enumerate(self.piv.tolist()):
+            if c // N == c % N:
+                X[0, l] = _polynomial_coefficients(self.spec, weights[c // N],
+                                                   P)
+        for i in reversed(word):
+            X = self._apply(self.left[i], X)
+        return X[0]
+
+    def member(self, x) -> bool:
+        return bool(self.span.member(x.reshape(1, -1))[0])
+
+    def absorb(self, x):
+        """Add the element with coordinates x (r, D) and close the span
+        under t and under both products by the images."""
+        if self.right is None:
+            self.right = [self._maps(G, right=True) for G in self.images]
+        self._close(self.span.add(self._fit(x).reshape(1, -1)), right=True)
+
+    def result(self):
+        """The canonical Hermite rows in N^2 coordinates, and the
+        elementary divisors."""
+        fq, spec, N, r, P = self.fq, self.spec, self.N, self.r, self.P
+        blocks = self.span.pivots // P
+        opens = np.flatnonzero(np.r_[True, blocks[1:] != blocks[:-1]])
+        H = self.span.rows[opens].reshape(r, r, P)
+        X = _kernels.gf_matmul(
+            fq, H.transpose(0, 2, 1).reshape(r * P, r), self.B
+        ).reshape(r, P, N * N).transpose(0, 2, 1)
+        zero = spec.zero()
+        rows = [tuple(LaurentRational.make(fq, 0, c, (1,)) if any(c) else zero
+                      for c in row.tolist()) for row in X]
+        return (tuple(unvectorize(row, N) for row in rows),
+                smith_divisors(rows, spec))
+
+
 def _close(lane, gens, frontier, right=True):
     """Insert g*b, and b*g when `right`, for every gen g and every b in
     the frontier, in batched rounds; what a round adds (the new matrices,
@@ -982,24 +1213,6 @@ def _exact_certificate(level, trials, method):
             "method": method}
 
 
-def _word_image(module, letters, word, units):
-    """rho(W) of the trial word W = a_1*...*a_k*D, D = diag(units), given
-    the letter indices `word` and the images `letters` of the alphabet,
-    without straightening: the product of the letter images with column
-    T scaled by the weight of T, the product of u_e over the entries e of
-    T.  Proof: rho is multiplicative in the rows-as-images convention, so
-    rho(W) = rho(a_1)*...*rho(a_k)*rho(D).  D sends letter e to u_e*x_e.
-    Each column of a semistandard T has distinct entries, and the only
-    nonzero minor of D on those rows is the principal one, so T goes to
-    (prod of u_e over T)*T, and rho(D) is the diagonal of the weights."""
-    image = letters[word[0]]
-    for i in word[1:]:
-        image = mat_mul(image, letters[i])
-    weights = [math.prod(units[e - 1] for row in T for e in row)
-               for T in module.basis]
-    return tuple(tuple(a * w for a, w in zip(row, weights)) for row in image)
-
-
 def _saturate_padic(spec, images, N, level, trials):
     """The order over Q_p: the closure of the identity and the images
     (those of the whole saturation alphabet) under products, in the
@@ -1017,13 +1230,14 @@ def _saturate_padic(spec, images, N, level, trials):
     diag(u_1, ..., u_n), with integer units u_i (_random_unit), and each
     rho(a_i) lies in A.  rho(diag_pos(u)) is the diagonal of the
     monomials u^(k_T), k_T the number of times pos appears in the
-    tableau T (_word_image).  The residues of unit_sample_set generate
-    (Z/p^P)^x: for odd p, g is a primitive root mod p^2, so also mod
-    p^P; for p = 2, -1 and 3 generate (Z/2^P)^x.  So u = prod s_j^(e_j)
-    mod p^P, with e_j >= 0 and each s_j in the set, and rho(diag_pos(u))
-    = prod rho(diag_pos(s_j))^(e_j) mod p^P, a product of alphabet
-    images.  Hence rho(W) lies in the span: every word would pass, with
-    no restart, and the certificate says so (_exact_certificate).
+    tableau T (schur.diagonal_weights).  The residues of unit_sample_set
+    generate (Z/p^P)^x: for odd p, g is a primitive root mod p^2, so
+    also mod p^P; for p = 2, -1 and 3 generate (Z/2^P)^x.  So
+    u = prod s_j^(e_j) mod p^P, with e_j >= 0 and each s_j in the set,
+    and rho(diag_pos(u)) = prod rho(diag_pos(s_j))^(e_j) mod p^P, a
+    product of alphabet images.  Hence rho(W) lies in the span: every
+    word would pass, with no restart, and the certificate says so
+    (_exact_certificate).
     """
     P = _start_precision(spec.p, N)
     seeds = [identity_matrix(spec, N)] + list(images)
@@ -1044,27 +1258,23 @@ def _saturate_padic(spec, images, N, level, trials):
         P = min(2 * P, PRECISION)
 
 
-def _saturate_generic(spec, images, N, level, trials, rng, letters, module):
-    """The closure of the identity and the images (_close) in the exact
-    lane, then tested with random words over the alphabet whose
-    images are `letters` (_random_word, _word_image), one at a time,
-    until `trials` in a row lie in the span.  A word outside it is
-    absorbed and the count restarts; its closure must reach A*W*A, so it
-    forms both products.  compute_order runs this for F_q(t), whose
-    certificate is sampled; tests run it on Q_p as the exact oracle of
-    the p-adic lane, and may seed with fewer images than letters."""
-    lane = _ExactLane(spec, N)
-    seeds = [identity_matrix(spec, N)] + list(images)
-    _close(lane, images, lane.insert(seeds), right=False)
+def _saturate_generic(spec, images, N, level, trials, rng, module):
+    """The order over F_q(t): the closure of the identity and the images
+    in the truncated lane (_TruncatedLane), then tested with random words
+    over the alphabet of the images (_random_word), one at a time, until
+    `trials` in a row lie in the span.  A word outside it is absorbed and
+    the count restarts; its closure must reach A*W*A, so it forms both
+    products.  The certificate is sampled: the unit set reaches only its
+    level."""
+    lane = _TruncatedLane(spec, module, images)
     passed = restarts = 0
     while passed < trials:
-        W = _word_image(module, letters, *_random_word(
-            spec, module.n, len(letters), rng))
-        if lane.ech.member(vectorize(W)):
+        x = lane.word(*_random_word(spec, module.n, len(images), rng))
+        if lane.member(x):
             passed += 1
         else:
             passed, restarts = 0, restarts + 1
-            _close(lane, images, lane.insert([W]))
+            lane.absorb(x)
     basis, divisors = lane.result()
     certificate = {"level": level, "trials": trials, "trials_passed": passed,
                    "restarts": restarts, "exact": False,
@@ -1082,9 +1292,11 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
     diagonals, and closes the span under products.  Over Q_p that closure
     is the order, and no random word is drawn (_saturate_padic);
     CapExceeded is raised when its top elementary divisor reaches
-    PRECISION, the cap on the rising working precision.  Over F_q(t)
-    `trials` randomized enlargement tests with random generator words
-    follow; any enlargement is absorbed and the count restarts.
+    PRECISION, the cap on the rising working precision.  Over F_q(t) the
+    closure runs in the truncated lane (_TruncatedLane), with its cap
+    MAX_LANE_COORDS, and `trials` randomized enlargement tests with
+    random generator words follow; any enlargement is absorbed and the
+    count restarts.
     """
     N = module.N
     if N == 0:
@@ -1103,4 +1315,4 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
     if isinstance(spec, RationalAtP):
         return _saturate_padic(spec, images, N, level, trials)
     return _saturate_generic(spec, images, N, level, trials,
-                             random.Random(rng_seed), images, module)
+                             random.Random(rng_seed), module)

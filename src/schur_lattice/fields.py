@@ -150,6 +150,23 @@ def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
 MAX_TABLE_ENTRIES = 2 ** 20
 
 
+def require_tables(q: int) -> None:
+    """Raise CapExceeded, before GF(q) is built, when q is not prime and
+    its lookup tables would exceed MAX_TABLE_ENTRIES.  Every F_q kernel of
+    a non-prime field uses them, so a caller that will run one refuses
+    the field here instead of after the search for its modulus.  A prime
+    field is built at once, and the order over it needs no tables."""
+    if _prime_power(q)[1] > 1:
+        _check_table_size(q)
+
+
+def _check_table_size(q: int) -> None:
+    if q * q > MAX_TABLE_ENTRIES:
+        raise CapExceeded(
+            f"GF({q}) lookup tables would hold q^2 = {q * q} entries each; "
+            f"at most {MAX_TABLE_ENTRIES} are allowed")
+
+
 # Largest non-prime field size: _find_irreducible grows like sqrt(q).  On a
 # 2-vCPU x86 host (Python 3.11) GF(2^30) took 1.2 s, GF(3^20) 2.4 s and
 # GF(2^32) 3.6 s; GF(2^36) took 17.7 s and GF(2^39) ran past 30 s.
@@ -174,6 +191,7 @@ class GF:
         else:
             self._modulus = None
         self._tables = None
+        self._neg = None
         self._gen = None
 
     # -- encoding helpers (non-prime fields store base-p digit vectors) ----
@@ -263,10 +281,7 @@ class GF:
             import numpy as np
 
             q, p = self.q, self.p
-            if q * q > MAX_TABLE_ENTRIES:
-                raise CapExceeded(
-                    f"GF({q}) lookup tables would hold q^2 = {q * q} "
-                    f"entries each; at most {MAX_TABLE_ENTRIES} are allowed")
+            _check_table_size(q)
             add = np.zeros((q, q), dtype=np.int64)
             for i in range(self.e):
                 digit = np.arange(q) // p ** i % p
@@ -283,6 +298,13 @@ class GF:
             inv[1:] = antilog[-log[1:] % (q - 1)]
             self._tables = (add, mul, inv)
         return self._tables
+
+    def neg_table(self):
+        """-a for every a, as an int64 array: the b with a + b = 0 in the
+        add table of tables()."""
+        if self._neg is None:
+            self._neg = (self.tables()[0] == 0).argmax(axis=1)
+        return self._neg
 
     def __eq__(self, other):
         return isinstance(other, GF) and other.q == self.q

@@ -17,6 +17,7 @@ field, so they are cached per (n, shape).
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import ShapeMismatch, Singular
 from .fields import FieldSpec
@@ -196,17 +197,49 @@ def _minor_table(g, letters, n, spec, memo):
     return table
 
 
+def diagonal_weights(module: SchurModule, d):
+    """The weight prod_{e in T} d_e of each basis tableau T, in basis
+    order: rho(diag(d)) is the diagonal matrix of these weights.
+
+    Proof: diag(d) sends letter e to d_e * x_e.  Each column of a
+    semistandard T has distinct entries, and the only nonzero minor of
+    diag(d) on those rows is the principal one, so the bideterminant of T
+    goes to (prod of d_e over T) times itself, with nothing to straighten.
+    """
+    return [math.prod(d[e - 1] for row in T for e in row)
+            for T in module.basis]
+
+
 def rho(module: SchurModule, g, spec: FieldSpec):
     """Exact matrix of the substitution action of g in the canonical basis.
 
     Rows-as-images convention; raises Singular when g is not invertible
-    over the field.
+    over the field.  A diagonal g takes the closed form of
+    ``diagonal_weights``; any other g is straightened.
     """
     g = _normalize_matrix(g, module.n, spec)
     memo_key = (spec, g)
     hit = module._rho_memo.get(memo_key)
     if hit is not None:
         return hit
+    n = module.n
+    if any(not spec.is_zero(g[i][j]) for i in range(n) for j in range(n)
+           if i != j):
+        result = _straightened_image(module, g, spec)
+    elif any(spec.is_zero(g[i][i]) for i in range(n)):
+        raise Singular("matrix is singular over the field")
+    else:
+        zero = spec.zero()
+        weights = diagonal_weights(module, [g[i][i] for i in range(n)])
+        result = tuple(tuple(w if i == j else zero
+                             for j in range(module.N))
+                       for i, w in enumerate(weights))
+    module._rho_memo[memo_key] = result
+    return result
+
+
+def _straightened_image(module: SchurModule, g, spec: FieldSpec):
+    """rho(g) from the minors of g, by straightening each bideterminant."""
     minor_memo: dict = {}
     full = _minor_table(g, tuple(range(1, module.n + 1)), module.n, spec,
                         minor_memo)
@@ -228,9 +261,7 @@ def rho(module: SchurModule, g, spec: FieldSpec):
                 module.lam, module.lamc)
             for idx, c in module.straighten_coeffs(filling).items():
                 row[idx] = row[idx] + coeff * c
-    result = tuple(tuple(r) for r in out)
-    module._rho_memo[memo_key] = result
-    return result
+    return tuple(tuple(r) for r in out)
 
 
 def character(module: SchurModule, z):

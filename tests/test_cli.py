@@ -465,6 +465,89 @@ def test_sample_count_cap_fires_before_the_order(capsys, monkeypatch):
     assert "exceed the cap MAX_SAMPLE_ENTRIES = 2^22" in err
 
 
+@pytest.mark.parametrize("command", ["order", "fix", "irreducible",
+                                     "sample"])
+def test_table_cap_fires_before_the_field_is_built(capsys, monkeypatch,
+                                                   command):
+    """GF(2^32) would need 2^64-entry tables: the subcommands that run F_q
+    kernels refuse it before the search for its modulus, which took
+    3.8 s on a 2-vCPU x86 host (the search is made to raise here)."""
+    from schur_lattice import fields
+
+    def no_search(p, e):
+        raise AssertionError("the modulus of GF(q) was searched for")
+
+    monkeypatch.setattr(fields, "_find_irreducible", no_search)
+    code, out, err = run_main(
+        capsys, [command, "--n", "2", "--lambda", "2", "--field", "laurent",
+                 "--q", "4294967296"])
+    assert code == 3
+    assert out == ""
+    assert "GF(4294967296) lookup tables" in err
+
+
+def test_scan_table_cap_fires_before_the_field_is_built(capsys, monkeypatch,
+                                                        tmp_path):
+    from schur_lattice import fields
+
+    def no_search(p, e):
+        raise AssertionError("the modulus of GF(q) was searched for")
+
+    monkeypatch.setattr(fields, "_find_irreducible", no_search)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"cases": [
+        {"n": 2, "lambda": [2], "field": "laurent", "q": 4294967296}]}))
+    code, out, _ = run_main(capsys, ["scan", str(path)])
+    assert code == 0
+    assert json.loads(out)["table"][0]["error"] == "CapExceeded"
+
+
+def test_laurent_order_n3_lambda3_answers(capsys):
+    """The F_2(t) order of (3,(3)), which ran past 60 s in the exact
+    lane on a 2-vCPU x86 host, answers with rank 91, the dimension of the
+    divided-power algebra A."""
+    code, out, _ = run_main(
+        capsys, ["order", "--n", "3", "--lambda", "3", "--field", "laurent",
+                 "--q", "2"])
+    assert code == 0
+    assert json.loads(out)["order"]["rank"] == 91
+
+
+def test_laurent_lane_cap_exits_3(capsys, monkeypatch):
+    """(2,(4),F_2(t)) needs r * P = 17 * 2 coordinates; under a cap of 17
+    the run exits 3, naming the case, the stage and the cap."""
+    from schur_lattice import dvr
+
+    monkeypatch.setattr(dvr, "MAX_LANE_COORDS", 17)
+    code, out, err = run_main(
+        capsys, ["order", "--n", "2", "--lambda", "4", "--field", "laurent",
+                 "--q", "2"])
+    assert code == 3
+    assert out == ""
+    assert ("n=2 lambda=4 {'backend': 'laurent', 'q': 2}: stage order: "
+            "F_q(t) saturation needs r * P = 17 * 2") in err
+    assert "MAX_LANE_COORDS = 17" in err
+
+
+def test_laurent_lane_guard_exits_4(capsys, monkeypatch):
+    """A divided-power algebra that misses the images (patched to the
+    scalars) is an internal error: exit 4 with the case and the stage."""
+    import numpy as np
+
+    from schur_lattice import _kernels
+
+    monkeypatch.setattr(_kernels, "residue_algebra_basis",
+                        lambda fq, mats, N: [np.eye(N, dtype=np.int64)])
+    code, out, err = run_main(
+        capsys, ["order", "--n", "2", "--lambda", "3", "--field", "laurent",
+                 "--q", "2"])
+    assert code == 4
+    assert out == ""
+    assert ("n=2 lambda=3 {'backend': 'laurent', 'q': 2}: stage order: a "
+            "t-coefficient of an alphabet image lies outside the algebra of "
+            "the divided powers") in err
+
+
 def test_huge_nonprime_field_exits_3():
     """A non-prime --q above 2^32 exits 3 before its modulus is searched
     for (2^40 ran past 30 s without the cap)."""

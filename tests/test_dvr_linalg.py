@@ -26,6 +26,7 @@ from schur_lattice.dvr import (PRECISION, ExactEchelon, _int_smith_divisors,
                                identity_matrix, mat_mul, saturation_alphabet,
                                uniformizer_diagonal_matrices, unvectorize,
                                vectorize)
+from saturation_oracle import saturate_exact, word_image
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -525,8 +526,8 @@ def test_padic_order_matches_exact_lane(lam, p):
     assert H.certificate["method"] == "saturation"
     alphabet = saturation_alphabet(spec, 2, 1)
     images = [rho(module, g, spec) for g in alphabet]
-    G = dvr._saturate_generic(spec, images, module.N, 1, 8, random.Random(0),
-                              images, module)
+    G = saturate_exact(spec, images, module.N, 1, 8, random.Random(0),
+                       images, module)
     assert (H.basis, H.divisors) == (G.basis, G.divisors)
     assert G.certificate["restarts"] == 0
     assert G.certificate["trials_passed"] == 8
@@ -540,8 +541,8 @@ def test_padic_order_draws_no_word(lam, p, monkeypatch):
     the exact certificate with every trial passed."""
     spec, module = RationalAtP(p), SchurModule(2, lam)
     images = [rho(module, g, spec) for g in saturation_alphabet(spec, 2, 1)]
-    G = dvr._saturate_generic(spec, images, module.N, 1, 64,
-                              random.Random(0), images, module)
+    G = saturate_exact(spec, images, module.N, 1, 64, random.Random(0),
+                       images, module)
 
     def no_word(*args):
         raise AssertionError("a trial word was drawn")
@@ -624,8 +625,8 @@ def test_padic_lane_matches_oracles_on_order_only_shapes(lam, p):
     if module.N <= 7:
         alphabet = saturation_alphabet(spec, 2, 1)
         images = [rho(module, g, spec) for g in alphabet]
-        G = dvr._saturate_generic(spec, images, module.N, 1, 8,
-                                  random.Random(0), images, module)
+        G = saturate_exact(spec, images, module.N, 1, 8, random.Random(0),
+                           images, module)
     else:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dvr, "_start_precision", lambda p, N: PRECISION)
@@ -644,8 +645,8 @@ def test_saturation_absorbs_random_words(lam):
     group = [rho(module, g, spec)
              for g in group_generator_matrices(spec, 2, 1)]
     H = compute_order(module, spec, trials=8, rng_seed=0)
-    G = dvr._saturate_generic(spec, group, module.N, 1, 8, random.Random(0),
-                              letters, module)
+    G = saturate_exact(spec, group, module.N, 1, 8, random.Random(0),
+                       letters, module)
     assert G.certificate["restarts"] == 1
     assert (G.basis, G.divisors) == (H.basis, H.divisors)
 
@@ -684,7 +685,7 @@ def test_word_image_matches_rho(spec, shape, seed):
     word, units = dvr._random_word(spec, n, len(alphabet), random.Random(seed))
     W = word_matrix(spec, alphabet, word, units)
     letters = [rho(module, a, spec) for a in alphabet]
-    got = dvr._word_image(module, letters, word, units)
+    got = word_image(module, letters, word, units)
     assert as_lists(got) == as_lists(rho(module, W, spec))
 
 
@@ -714,16 +715,20 @@ def two_sided_span(spec, images, N):
 @pytest.mark.parametrize("alphabet_of", ["saturation", "group"])
 def test_seed_span_is_two_sided_closure(spec, lam, alphabet_of):
     """The seed span, closed under left products only, equals the
-    two-sided closure of I and the images, in both lanes."""
+    two-sided closure of I and the images, in the exact lane and in the
+    lane of the field (p-adic or truncated)."""
     module = SchurModule(2, lam)
     alphabet = (saturation_alphabet(spec, 2, 1) if alphabet_of == "saturation"
                 else group_generator_matrices(spec, 2, 1))
     images = [rho(module, g, spec) for g in alphabet]
     ref = two_sided_span(spec, images, module.N)
-    results = [dvr._saturate_generic(spec, images, module.N, 1, 0,
-                                     random.Random(0), images, module)]
+    results = [saturate_exact(spec, images, module.N, 1, 0, random.Random(0),
+                              images, module)]
     if isinstance(spec, RationalAtP):
         results.append(dvr._saturate_padic(spec, images, module.N, 1, 0))
+    else:
+        results.append(dvr._saturate_generic(spec, images, module.N, 1, 0,
+                                             random.Random(0), module))
     for G in results:
         assert (G.basis, G.divisors) == ref
 
@@ -735,4 +740,129 @@ def test_padic_order_raises_cap_at_precision(monkeypatch):
     assert compute_order(module, spec, trials=8).divisors[-1] == 3
     monkeypatch.setattr(dvr, "PRECISION", 2)
     with pytest.raises(CapExceeded, match="working precision p\\^2"):
+        compute_order(module, spec, trials=8)
+
+
+# ---------------------------------------------------------------------------
+# the truncated F_q(t) lane
+# ---------------------------------------------------------------------------
+
+LAURENT_ORDER_ONLY = [
+    (2, (3,), 2), (2, (4,), 2), (3, (1, 1), 2), (3, (2, 1), 2),
+    (2, (2, 2), 2), (2, (3, 1), 2), (2, (3,), 3), (3, (2,), 3),
+    (3, (1, 1), 3), (2, (2, 2), 3), (2, (3, 1), 3), (2, (3,), 4),
+    (3, (1, 1), 4), (3, (2, 1), 4), (2, (2, 2), 4), (2, (3, 1), 4)]
+
+
+def laurent_images(n, lam, q, level=1):
+    spec, module = RationalFunctionOverFq(q), SchurModule(n, lam)
+    return spec, module, [rho(module, g, spec)
+                          for g in saturation_alphabet(spec, n, level)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=st.sampled_from(LAURENT_ORDER_ONLY), level=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(case=(2, (4,), 2), level=2, seed=3)
+@example(case=(2, (3, 1), 4), level=1, seed=0)
+def test_truncated_lane_matches_exact_oracle(case, level, seed):
+    """Over the Laurent shapes of the order-only benchmark, at levels 1
+    and 2 and any seed, the truncated lane gives the basis, divisors and
+    certificate of the exact lane.  Where the residues span End, the
+    order is the full End lattice by Nakayama's lemma, and that is the
+    oracle: the exact lane takes seconds there at N = 8."""
+    spec, module, images = laurent_images(*case, level=level)
+    N = module.N
+    G = dvr._saturate_generic(spec, images, N, level, 8, random.Random(seed),
+                              module)
+    residues = [tuple(tuple(spec.reduce(x) for x in row) for row in im)
+                for im in images]
+    if dvr._residue_closure_is_full(spec, residues, N):
+        E = dvr._full_end_module(spec, N, G.certificate)
+        assert G.certificate["restarts"] == 0
+    else:
+        E = saturate_exact(spec, images, N, level, 8, random.Random(seed),
+                           images, module)
+    assert (G.basis, G.divisors, G.certificate) == \
+        (E.basis, E.divisors, E.certificate)
+
+
+def test_truncated_lane_absorbs_an_element_outside_the_order():
+    """No trial word enlarged any small Laurent order searched, so the
+    restart path is forced here.  (2,(4),F_2(t)) has top divisor 1, so
+    some basis element B_k of A is not in M; put into both lanes and
+    closed two-sided, it gives the same larger order."""
+    spec, module, images = laurent_images(2, (4,), 2)
+    N = module.N
+    lane = dvr._TruncatedLane(spec, module, images)
+    before = lane.result()
+    unit = np.eye(lane.r, dtype=np.int64)[:, :, None]
+    k = next(k for k in range(lane.r)
+             if not lane.member(lane._fit(unit[k]).reshape(-1)))
+    X = unvectorize(tuple(spec.lift(int(x)) for x in lane.B[k]), N)
+    assert (lane._coordinates(lane._coefficients(X)) == unit[k]).all()
+    lane.absorb(unit[k])
+    exact = dvr._ExactLane(spec, N)
+    dvr._close(exact, images, exact.insert([identity_matrix(spec, N)]
+                                           + images), right=False)
+    assert exact.result() == before
+    dvr._close(exact, images, exact.insert([X]))
+    after = lane.result()
+    assert after == exact.result()
+    assert sum(after[1]) < sum(before[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(WORD_FIELDS[3:]),
+       shape=st.sampled_from(WORD_SHAPES), seed=st.integers(0, 2 ** 32 - 1))
+def test_truncated_lane_word_matches_rho(spec, shape, seed):
+    """The lane's coordinates of a trial word, the letter maps applied to
+    the diagonal factor, are those of rho of the word's matrix."""
+    n, lam = shape
+    module = SchurModule(n, lam)
+    alphabet = saturation_alphabet(spec, n, 1)
+    letters = [rho(module, a, spec) for a in alphabet]
+    lane = dvr._TruncatedLane(spec, module, letters)
+    word, units = dvr._random_word(spec, n, len(alphabet), random.Random(seed))
+    W = rho(module, word_matrix(spec, alphabet, word, units), spec)
+    assert (lane.word(word, units)
+            == lane._fit(lane._coordinates(lane._coefficients(W)))).all()
+
+
+@pytest.mark.parametrize("n, lam, q", [(2, (4,), 2), (2, (3, 1), 4),
+                                       (2, (5,), 3)])
+def test_truncated_lane_rounds_in_small_batches(n, lam, q, monkeypatch):
+    """A closure round split into batches of one frontier row each gives
+    the order and certificate of one batch per round."""
+    spec, module = RationalFunctionOverFq(q), SchurModule(n, lam)
+    H = compute_order(module, spec, trials=8, rng_seed=0)
+    monkeypatch.setattr(dvr, "BATCH_ENTRIES", 1)
+    G = compute_order(module, spec, trials=8, rng_seed=0)
+    assert (G.basis, G.divisors, G.certificate) == \
+        (H.basis, H.divisors, H.certificate)
+
+
+def test_truncated_lane_guard_rejects_images_outside_the_algebra(
+        monkeypatch):
+    """With A replaced by the scalars, the images do not lie in R (x) A:
+    the lane stops with InternalInvariantViolation instead of reading
+    wrong coordinates."""
+    from schur_lattice import InternalInvariantViolation, _kernels
+
+    monkeypatch.setattr(_kernels, "residue_algebra_basis",
+                        lambda fq, mats, N: [np.eye(N, dtype=np.int64)])
+    with pytest.raises(InternalInvariantViolation,
+                       match="outside the algebra of the divided powers"):
+        compute_order(SchurModule(2, (3,)), RationalFunctionOverFq(2),
+                      trials=8)
+
+
+def test_truncated_lane_cap_on_coordinates(monkeypatch):
+    """(2,(4),F_2(t)) has r = 17 and top divisor 1, so it needs P = 2:
+    with the cap at 17 coordinates the lane stops at P = 2."""
+    spec, module = RationalFunctionOverFq(2), SchurModule(2, (4,))
+    assert compute_order(module, spec, trials=8).divisors[-1] == 1
+    monkeypatch.setattr(dvr, "MAX_LANE_COORDS", 17)
+    with pytest.raises(CapExceeded,
+                       match=r"r \* P = 17 \* 2 .* MAX_LANE_COORDS = 17"):
         compute_order(module, spec, trials=8)

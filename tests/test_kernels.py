@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from schur_lattice import (GF, RationalAtP, RationalFunctionOverFq,
                            SchurModule, compute_order, fix_bfs)
-from schur_lattice._kernels import (GFEchelon, digit_histogram, gf_matmul,
+from schur_lattice._kernels import (GFEchelon, GFSpan, digit_histogram,
+                                    gf_matmul,
                                     gf_matvec, gf_rank, gf_rref,
                                     line_spin_profile, minplus_closure_matrix,
                                     residue_algebra_basis,
@@ -86,6 +87,32 @@ def test_gf_echelon_membership():
     assert not ech.insert(np.array([1, 1, 2], dtype=np.int64))  # dependent
     assert ech.member(np.array([2, 2, 1], dtype=np.int64))
     assert not ech.member(np.array([0, 0, 1], dtype=np.int64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 9]), m=st.integers(1, 7),
+       data=st.data())
+def test_gf_span_matches_row_echelon(q, m, data):
+    """Grown a batch at a time, the span holds the RREF rows and pivots of
+    gf_rref over every row so far, each batch gains as many rows as the
+    rank grew, and membership is that of GFEchelon."""
+    fq, span, seen = GF(q), GFSpan(GF(q), m), []
+    row = st.lists(st.integers(0, q - 1), min_size=m, max_size=m)
+    for _ in range(data.draw(st.integers(1, 4))):
+        batch = np.array(data.draw(st.lists(row, max_size=5)),
+                         dtype=np.int64).reshape(-1, m)
+        ech = GFEchelon(fq, m)
+        for r in seen:
+            ech.insert(r)
+        member = [ech.member(r) for r in batch]
+        assert span.member(batch).tolist() == member
+        before = ech.rank
+        seen.extend(batch)
+        gained = span.add(batch)
+        rows, piv = gf_rref(fq, np.array(seen).reshape(-1, m))
+        assert len(gained) == len(piv) - before
+        assert span.rows.tolist() == rows.tolist()
+        assert span.pivots.tolist() == list(piv)
 
 
 def test_residue_ring_closure_rank_full_end():

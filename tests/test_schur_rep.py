@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from schur_lattice import (RationalAtP, RationalFunctionOverFq, SchurModule,
-                           Singular, character, rho)
+from schur_lattice import (LaurentRational, RationalAtP,
+                           RationalFunctionOverFq, SchurModule, Singular,
+                           character, rho)
 from schur_lattice.dvr import mat_mul
+from schur_lattice.schur import _straightened_image
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -114,6 +116,46 @@ def test_rho_rejects_singular():
     m = SchurModule(2, (2,))
     with pytest.raises(Singular):
         rho(m, fmat(P2, [[1, 2], [2, 4]]), P2)
+
+
+DIAGONAL_FIELDS = [P2, P3, F2T, RationalFunctionOverFq(3),
+                   RationalFunctionOverFq(4)]
+
+
+@st.composite
+def nonzero_scalars(draw, spec):
+    """p-adic: a nonzero fraction; F_q(t): t^v * num/den, num != 0."""
+    if isinstance(spec, RationalAtP):
+        num = draw(st.integers(-40, 40).filter(bool))
+        return Fraction(num, draw(st.integers(1, 40)))
+    fq = spec.residue_field
+    coeffs = st.lists(st.integers(0, fq.q - 1), min_size=1, max_size=3)
+    num = draw(coeffs.filter(any))
+    den = draw(coeffs.filter(any))
+    return LaurentRational.make(fq, draw(st.integers(-2, 2)), num, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(DIAGONAL_FIELDS),
+       shape=st.sampled_from([(2, (1,)), (2, (3,)), (2, (2, 1)), (3, (2,)),
+                              (3, (2, 1)), (3, (1, 1, 1))]),
+       data=st.data())
+def test_rho_diagonal_closed_form_matches_straightening(spec, shape, data):
+    """rho of a diagonal matrix, the diagonal of the tableau weights, is
+    the image the straightening path computes, over Q_p and F_q(t)."""
+    n, lam = shape
+    module = SchurModule(n, lam)
+    d = [data.draw(nonzero_scalars(spec)) for _ in range(n)]
+    g = tuple(tuple(d[i] if i == j else spec.zero() for j in range(n))
+              for i in range(n))
+    assert rho(module, g, spec) == _straightened_image(module, g, spec)
+
+
+@pytest.mark.parametrize("spec", [P2, F2T])
+def test_rho_diagonal_with_zero_entry_is_singular(spec):
+    m = SchurModule(2, (2,))
+    with pytest.raises(Singular):
+        rho(m, fmat(spec, [[1, 0], [0, 0]]), spec)
 
 
 @settings(max_examples=25, deadline=None)
