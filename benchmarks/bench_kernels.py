@@ -30,8 +30,7 @@ def run_suite():
                                         line_spin_profile,
                                         minplus_closure_matrix,
                                         residue_algebra_basis,
-                                        residue_ring_closure_rank,
-                                        spin_closure)
+                                        residue_ring_closure_rank)
     from schur_lattice import dvr, rho
     from schur_lattice.dvr import conjugate_residues
     from schur_lattice.fields import GF
@@ -61,13 +60,7 @@ def run_suite():
     rows.append(_bench(f"ring closure GF(2) N={N}",
                        lambda: residue_ring_closure_rank(f2, [e12, e21, cyc], N), 3))
 
-    dim = 40
-    mats = [rng.integers(0, 3, size=(dim, dim), dtype=np.int64)
-            for _ in range(3)]
-    seeds = [rng.integers(0, 3, size=dim, dtype=np.int64)]
     f3 = GF(3)
-    rows.append(_bench(f"spin closure GF(3) dim={dim}",
-                       lambda: spin_closure(f3, seeds, mats), 5))
 
     # what the BFS spins at the standard class of the (3, (2,1), 3) order:
     # the span of its reduced basis
@@ -126,7 +119,7 @@ def run_suite():
 
     def closure_round():
         lane.ech.rows, lane.ech.vals = seeded[0].copy(), list(seeded[1])
-        lane.round(letters, frontier, right=False)
+        lane.round(letters, frontier)
 
     label = f"closure round (2,(7),3) {len(frontier)}x{len(letters)}"
     rows.append(_bench(label, closure_round, 5))

@@ -13,8 +13,8 @@ from .dvr import (HNFResult, Lattice, LatticeClass, MatrixModule,
                   class_distance, compute_order, congruence_level, full_rank,
                   group_generator_matrices, hnf_dvr, lattice_dual,
                   lattice_intersection, lattice_sum, lattice_sum_and_meet,
-                  membership, module_add_and_saturate, module_from_matrices,
-                  relative_divisors, smith_divisors, standard_lattice,
+                  membership, module_from_matrices, relative_divisors,
+                  smith_divisors, standard_lattice,
                   uniformizer_diagonal_matrices)
 from .errors import (CapExceeded, InternalInvariantViolation, NegativeCycle,
                      NegativeValuation, NonIntegralInput, NotFullRank,
@@ -43,7 +43,7 @@ __all__ = [
     "hook_lengths", "invariance_report", "invariant_subspaces",
     "is_core", "is_invariant", "lattice_dual", "lattice_intersection",
     "lattice_sum", "lattice_sum_and_meet", "membership", "min_plus_closure",
-    "module_add_and_saturate", "module_from_matrices", "partitions_of",
+    "module_from_matrices", "partitions_of",
     "relative_divisors", "residue_generator_rep", "rho",
     "sample", "smith_divisors", "spans_end_residue", "ssyt_enumerate",
     "standard_lattice", "uniformizer_diagonal_matrices", "unit_sample_set",

@@ -6,6 +6,13 @@ residue-field and tropical work, where machine integers are sound.
 
 Residue-field elements are ints in [0, q); arithmetic uses the lookup
 tables from :meth:`GF.tables` (for prime q a direct mod-p path is used).
+
+Over F_q there are three eliminations: ``gf_rref``, one Gauss-Jordan
+pass over one matrix; ``GFSpan``, an incremental span that reduces a
+batch of rows in one product and finishes it with ``gf_rref``, on which
+the residue algebra closes in batched rounds (``residue_algebra_basis``);
+and ``_gf_batched_rref``, which row-reduces the images of a chunk of
+lines at once for the line spins.
 """
 
 from __future__ import annotations
@@ -56,90 +63,61 @@ def gf_sub(fq: GF, A, B):
     return fq.tables()[0][A, fq.neg_table()[B]]
 
 
-def gf_matvec(fq: GF, A, v):
-    return gf_matmul(fq, A, np.asarray(v, dtype=np.int64).reshape(-1, 1))[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # residue-field echelon
 # ---------------------------------------------------------------------------
 
-class GFEchelon:
-    """Incremental reduced row-echelon basis of a subspace of F_q^m."""
-
-    def __init__(self, fq: GF, m: int):
-        _check_int64(fq, 1)
-        self.fq = fq
-        self.m = m
-        self.pivots: dict[int, np.ndarray] = {}  # col -> normalized row
-        if fq.e > 1:
-            self._addt, self._mult, self._invt = fq.tables()
-            self._negt = fq.neg_table()
-        else:
-            self._addt = self._mult = self._invt = self._negt = None
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def _axpy(self, v, c, row):
-        """v - c*row over F_q (elementwise)."""
-        fq = self.fq
-        if fq.e == 1:
-            return (v - c * row) % fq.p
-        return self._addt[v, self._mult[self._negt[c], row]]
-
-    def _scale(self, row, c):
-        fq = self.fq
-        if fq.e == 1:
-            return (row * c) % fq.p
-        return self._mult[c, row]
-
-    def reduce_vector(self, v):
-        """Remainder of v against the current basis (non-mutating)."""
-        v = np.array(v, dtype=np.int64)
-        for col in sorted(self.pivots):
-            c = v[col]
-            if c:
-                v = self._axpy(v, c, self.pivots[col])
-        return v
-
-    def insert(self, v) -> bool:
-        """Insert v; True iff the subspace grew."""
-        fq = self.fq
-        v = self.reduce_vector(v)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        col = int(nz[0])
-        lead = int(v[col])
-        inv = pow(lead, fq.p - 2, fq.p) if fq.e == 1 else int(self._invt[lead])
-        row = self._scale(v, inv)
-        # keep the basis fully reduced
-        for c2, r2 in self.pivots.items():
-            x = int(r2[col])
-            if x:
-                self.pivots[c2] = self._axpy(r2, x, row)
-        self.pivots[col] = row
-        return True
-
-    def member(self, v) -> bool:
-        return not np.any(self.reduce_vector(v))
-
-    def rows(self):
-        """Canonical RREF rows, sorted by pivot column."""
-        if not self.pivots:
-            return np.zeros((0, self.m), dtype=np.int64)
-        return np.vstack([self.pivots[c] for c in sorted(self.pivots)])
-
-
 def gf_rref(fq: GF, rows):
-    """(canonical RREF rows, pivot columns) of the row span."""
-    rows = np.asarray(rows, dtype=np.int64)
-    ech = GFEchelon(fq, rows.shape[1] if rows.size else 0)
-    for r in rows:
-        ech.insert(r)
-    return ech.rows(), tuple(sorted(ech.pivots))
+    """(canonical RREF rows, pivot columns) of the row span of a k x m
+    array, by one Gauss-Jordan elimination; no rows give a (0, m) array.
+
+    `lead` holds each row's leading column, m for zero rows and for pivot
+    rows.  A step takes the first pivot of the remaining rows: the least
+    leading column j, and the first row that leads there, scaled to lead
+    1.  Every other row nonzero at j, pivot rows included, is cleared by
+    it, and only from j on: the pivot row is zero before j, at earlier
+    pivot columns because they were cleared and elsewhere because it was
+    zero where its leading column was.  Remaining rows are zero before j,
+    so only those that led at j get a new leading column.  The pass ends
+    when no row leads below m: one step per pivot, min(k, m) at most.
+    Over F_p a step forms at most (p-1)**2 before its reduction mod p
+    (_check_int64 with one product).
+    """
+    _check_int64(fq, 1)
+    W = np.array(rows, dtype=np.int64, ndmin=2)
+    m = W.shape[1]
+    prime = fq.e == 1
+    if prime:
+        W %= fq.p
+    else:
+        addt, mult, inv = fq.tables()
+        neg = fq.neg_table()
+    nz = W != 0
+    lead = np.where(nz.any(axis=1), nz.argmax(axis=1), m)
+    pivots, pivot_rows = [], []
+    for _ in range(min(W.shape)):
+        i = lead.argmin()
+        j = int(lead[i])
+        if j == m:
+            break
+        x = W[:, j].copy()
+        if prime:
+            W[i, j:] = W[i, j:] * pow(int(x[i]), -1, fq.p) % fq.p
+        else:
+            W[i, j:] = mult[inv[x[i]], W[i, j:]]
+        x[i] = 0
+        r = x.nonzero()[0]
+        if prime:
+            W[r, j:] = (W[r, j:] - x[r, None] * W[i, j:]) % fq.p
+        else:
+            W[r, j:] = addt[W[r, j:], mult[neg[x[r]][:, None], W[i, j:]]]
+        hit = (lead == j).nonzero()[0]
+        nz = W[hit, j:] != 0
+        lead[hit] = np.where(nz.any(axis=1), j + nz.argmax(axis=1), m)
+        lead[i] = m
+        pivots.append(j)
+        pivot_rows.append(i)
+    return W[pivot_rows], tuple(pivots)
 
 
 def gf_rank(fq: GF, rows) -> int:
@@ -157,19 +135,34 @@ class GFSpan:
     zero at the old pivots, and rows - rows[:, piv R] @ R clears the old
     rows at the new pivots, which keeps them zero at the other old pivots.
     Together the two sets are the RREF basis of the sum, which is unique.
+
+    Over F_p both products run over the pivot columns in slices of `step`,
+    the most products whose sum fits int64 (_check_int64), and the slices
+    are added mod p: the span keeps gf_rref's domain, (p-1)**2 < 2**63.
     """
 
     def __init__(self, fq: GF, m: int):
+        _check_int64(fq, 1)
         self.fq = fq
+        self.step = (2 ** 63 - 1) // (fq.p - 1) ** 2
         self.rows = np.zeros((0, m), dtype=np.int64)
         self.pivots = np.zeros(0, dtype=np.int64)
+
+    def _combine(self, C, R):
+        """C @ R over F_q, in slices of `step` pivot columns."""
+        fq, step = self.fq, self.step
+        out = gf_matmul(fq, C[:, :step], R[:step])
+        for s in range(step, C.shape[1], step):
+            out = gf_add(fq, out, gf_matmul(fq, C[:, s:s + step],
+                                            R[s:s + step]))
+        return out
 
     def reduce(self, B):
         """Remainders of the rows of B: zero exactly for members."""
         if not self.pivots.size:
             return B
-        return gf_sub(self.fq, B, gf_matmul(self.fq, B[:, self.pivots],
-                                             self.rows))
+        return gf_sub(self.fq, B, self._combine(B[:, self.pivots],
+                                                self.rows))
 
     def member(self, B):
         """Boolean per row of B: does it lie in the span?"""
@@ -177,7 +170,8 @@ class GFSpan:
 
     def add(self, B):
         """Add the rows of B to the span; return the RREF rows that it
-        gained (a basis of the new span modulo the old one)."""
+        gained (a basis of the new span modulo the old one), (0, m) when
+        it gained none."""
         fq = self.fq
         B = self.reduce(B)
         B = B[B.any(axis=1)]
@@ -187,7 +181,7 @@ class GFSpan:
         piv = np.array(piv, dtype=np.int64)
         if self.pivots.size:
             self.rows = gf_sub(fq, self.rows,
-                               gf_matmul(fq, self.rows[:, piv], new))
+                               self._combine(self.rows[:, piv], new))
         order = np.argsort(np.concatenate([self.pivots, piv]), kind="stable")
         self.rows = np.concatenate([self.rows, new])[order]
         self.pivots = np.concatenate([self.pivots, piv])[order]
@@ -209,65 +203,51 @@ def residue_ring_closure_rank(fq: GF, mats, N: int) -> int:
 
 
 def residue_algebra_basis(fq: GF, mats, N: int):
-    """A basis, as N x N arrays, of the unital F_q-algebra A the matrices
-    generate; a basis of N*N elements (Burnside) stops the pass early.
+    """The RREF basis, as a (dim A, N, N) array, of the unital
+    F_q-algebra A the matrices generate; N*N elements (Burnside) stop the
+    pass early.
 
-    A matrix becomes a left multiplier, in input order, only when it is
-    not already in the span, which is kept closed under left products by
-    the multipliers S.  Holding I, the span then holds every word in S:
-    it is alg(S), which is A, as every matrix is in alg(S).  A new
-    multiplier only has to hit the elements already there.  Each element
-    enters the basis when it grows the echelon: dim A elements in all.
+    The span, a GFSpan, starts at I.  A matrix becomes a left multiplier,
+    in input order, only when it is not already in the span.  A new
+    multiplier g is applied once to every current basis row, in one
+    product; then the rows that each `add` gains are multiplied by every
+    multiplier so far, in one product, until an `add` gains nothing.
+
+    After each multiplier the span is closed under left products by the
+    multipliers S so far.  Before g it was, by induction; g times its
+    basis is added; and every gained set is multiplied by all of S.  The
+    old basis and the gained sets span the new span, since `add` rewrites
+    old rows only inside the same span, so every s*x, s in S and x in the
+    span, lies in it.  Holding I and closed under left products, the span
+    holds every word s_1*(s_2*(...*(s_k*I))) of S, and only combinations
+    of words were added: it is alg(S).  Every matrix passed over lies in
+    the span, so alg(S) = A.
     """
-    ech = GFEchelon(fq, N * N)
-    ident = np.eye(N, dtype=np.int64)
-    ech.insert(ident.reshape(-1))
-    elems = [ident]
-    gens = []
     full = N * N
+    span = GFSpan(fq, full)
+    span.add(np.eye(N, dtype=np.int64).reshape(1, full))
+    gens = np.zeros((0, N, N), dtype=np.int64)
     for m in mats:
-        if ech.rank == full:
+        if len(span.pivots) == full:
             break
-        g = np.asarray(m, dtype=np.int64)
-        if ech.member(g.reshape(-1)):
+        g = np.asarray(m, dtype=np.int64).reshape(1, N, N)
+        if span.member(g.reshape(1, full))[0]:
             continue
-        gens.append(g)
-        # left-multiply every element by g; elements found on the way by
-        # every multiplier
-        pending = [(e, [g]) for e in elems]
-        while pending and ech.rank < full:
-            e, by = pending.pop()
-            for s in by:
-                cand = gf_matmul(fq, s, e)
-                if ech.insert(cand.reshape(-1)):
-                    elems.append(cand)
-                    pending.append((cand, gens))
-    return elems
+        gens = np.concatenate([gens, g])
+        gained = span.add(_left_products(fq, g, span.rows, N))
+        while len(gained) and len(span.pivots) < full:
+            gained = span.add(_left_products(fq, gens, gained, N))
+    return span.rows.reshape(len(span.rows), N, N)
 
 
-def spin_closure(fq: GF, seed_vectors, mats):
-    """Smallest subspace containing the seeds and invariant under every
-    matrix (acting on column vectors by left multiplication).
-
-    Returns canonical RREF rows of the closure.
-    """
-    mats = [np.asarray(m, dtype=np.int64) for m in mats]
-    dim = len(seed_vectors[0])
-    ech = GFEchelon(fq, dim)
-    frontier = []
-    for v in seed_vectors:
-        v = np.asarray(v, dtype=np.int64)
-        if ech.insert(v):
-            frontier.append(v)
-    while frontier:
-        new = []
-        for v in frontier:
-            for m in mats:
-                w = gf_matvec(fq, m, v)
-                if ech.insert(w):
-                    new.append(w)
-        frontier = new
-    return ech.rows()
+def _left_products(fq: GF, gens, rows, N: int):
+    """g @ X for every g in gens (k, N, N) and every row X of `rows`
+    read as an N x N matrix, as rows of N*N entries, in one product."""
+    k, f = len(gens), len(rows)
+    X = rows.reshape(f, N, N).transpose(1, 0, 2).reshape(N, f * N)
+    prod = gf_matmul(fq, gens.reshape(k * N, N), X)
+    return prod.reshape(k, N, f, N).transpose(0, 2, 1, 3).reshape(k * f,
+                                                                  N * N)
 
 
 # ---------------------------------------------------------------------------

@@ -653,21 +653,6 @@ def membership(M: MatrixModule, X) -> bool:
     return M._echelon.member(vectorize(tuple(tuple(row) for row in X)))
 
 
-def module_add_and_saturate(M: MatrixModule, gens) -> MatrixModule:
-    """Smallest canonical module containing M and gens, closed under
-    left and right multiplication by every gen."""
-    spec = M.spec
-    gens = [tuple(tuple(row) for row in g) for g in gens]
-    for g in gens:
-        if not is_integral_matrix(spec, g):
-            raise NonIntegralInput("generator has an entry with val < 0")
-    lane = _ExactLane(spec, M.N)
-    _close(lane, gens, lane.insert(list(M.basis) + gens))
-    basis, divisors = lane.result()
-    return MatrixModule(spec, M.N, basis, divisors,
-                        dict(M.certificate))
-
-
 # ---------------------------------------------------------------------------
 # standard generator sets
 # ---------------------------------------------------------------------------
@@ -911,17 +896,14 @@ class _PadicLane:
         cols = self.ech.reduce(self._batch(mats))
         return self.ech.rows[cols].reshape(-1, self.N, self.N)
 
-    def round(self, gens, frontier, right):
-        """Add g*b (and b*g) for all g and b, as batched products of at
-        most BATCH_ENTRIES entries each; return the rows that changed."""
-        step = max(1, BATCH_ENTRIES // (len(gens) * (1 + right) * self.N ** 2))
+    def round(self, gens, frontier):
+        """Add g*b for all g and b, as batched products of at most
+        BATCH_ENTRIES entries each; return the rows that changed."""
+        step = max(1, BATCH_ENTRIES // (len(gens) * self.N ** 2))
         cols = set()
         for start in range(0, len(frontier), step):
-            F = frontier[start:start + step, None]
-            prods = [np.matmul(gens, F)] + ([np.matmul(F, gens)] if right
-                                            else [])
-            cols.update(self.ech.reduce(self._batch(np.concatenate(
-                prods, axis=1) % self.mod)))
+            prods = np.matmul(gens, frontier[start:start + step, None])
+            cols.update(self.ech.reduce(self._batch(prods % self.mod)))
         return self.ech.rows[sorted(cols)].reshape(-1, self.N, self.N)
 
     def result(self):
@@ -930,28 +912,6 @@ class _PadicLane:
         basis = tuple(unvectorize(tuple(spec.from_int(x) for x in row), N)
                       for row in rows)
         return basis, _int_smith_divisors(rows, spec.p)
-
-
-class _ExactLane:
-    """Exact lane: field-element matrices in an ExactEchelon."""
-
-    def __init__(self, spec: FieldSpec, N: int):
-        self.spec, self.N = spec, N
-        self.ech = ExactEchelon(spec, N * N)
-
-    def round(self, gens, frontier, right):
-        return self.insert([c for b in frontier for g in gens
-                            for c in ((mat_mul(g, b), mat_mul(b, g)) if right
-                                      else (mat_mul(g, b),))])
-
-    def insert(self, mats):
-        """The matrices of `mats` that enlarged the span, in order."""
-        return [m for m in mats if self.ech.insert(vectorize(m))]
-
-    def result(self):
-        rows, _ = self.ech.canonical_rows()
-        return (tuple(unvectorize(r, self.N) for r in rows),
-                smith_divisors(rows, self.spec))
 
 
 # Cap on r * P, the F_q-coordinates of the F_q(t) lane (r = dim A, P the
@@ -1186,23 +1146,22 @@ class _TruncatedLane:
                 smith_divisors(rows, spec))
 
 
-def _close(lane, gens, frontier, right=True):
-    """Insert g*b, and b*g when `right`, for every gen g and every b in
-    the frontier, in batched rounds; what a round adds (the new matrices,
-    or the echelon rows that changed) is the next frontier, until nothing
-    changes.  Every matrix of the final span is then a combination of
-    matrices whose products were inserted.
+def _close(lane, gens, frontier):
+    """Insert g*b for every gen g and every b in the frontier, in batched
+    rounds; the echelon rows a round changes are the next frontier, until
+    nothing changes.  Every matrix of the final span is then a
+    combination of matrices whose products were inserted.
 
-    The seed span, of the identity and the images, needs left products
-    only.  Every element the closure adds is a word in the images, so it
-    lies in the algebra A that they generate.  Holding the identity and
-    closed under b -> g*b, the span holds every word g_1*g_2*...*g_k =
-    g_1*(g_2*(...*(g_k*I))), so it equals A, which is closed under right
-    products as well.  The p-adic lane holds the span plus p^P times the
-    integral matrices, a two-sided ideal, and the same argument gives A
-    plus that ideal."""
+    Seeded with the identity and the images, the span needs left
+    products only.  Every element the closure adds is a word in the
+    images, so it lies in the algebra A that they generate.  Holding the
+    identity and closed under b -> g*b, the span holds every word
+    g_1*g_2*...*g_k = g_1*(g_2*(...*(g_k*I))), so it equals A, which is
+    closed under right products as well.  The p-adic lane holds the span
+    plus p^P times the integral matrices, a two-sided ideal, and the same
+    argument gives A plus that ideal."""
     while len(frontier):
-        frontier = lane.round(gens, frontier, right)
+        frontier = lane.round(gens, frontier)
 
 
 def _exact_certificate(level, trials, method):
@@ -1243,8 +1202,7 @@ def _saturate_padic(spec, images, N, level, trials):
     seeds = [identity_matrix(spec, N)] + list(images)
     while True:
         lane = _PadicLane(spec, N, P)
-        _close(lane, lane.enc(images), lane.insert(lane.enc(seeds)),
-               right=False)
+        _close(lane, lane.enc(images), lane.insert(lane.enc(seeds)))
         basis, divisors = lane.result()
         if divisors[-1] < P:
             return MatrixModule(spec, N, basis, divisors,

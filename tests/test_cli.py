@@ -302,6 +302,16 @@ def test_order_large_prime_answers(capsys, p):
     assert json.loads(out)["order"]["rank"] == 9
 
 
+def test_order_large_prime_residue_algebra_past_nine_products(capsys):
+    """At N = 4 and p = 10^9 + 7 a residue product sums 4 (p-1)^2 < 2^63,
+    but the residue algebra's span reduces against 16 pivot rows, past the
+    9 products whose sum fits int64: it runs in slices and answers."""
+    code, out, _ = run_main(
+        capsys, ["order", "--n", "2", "--lambda", "3", "--p", "1000000007"])
+    assert code == 0
+    assert json.loads(out)["order"]["rank"] == 16
+
+
 def test_order_residue_products_over_int64_exit_3(capsys):
     """At N = 10 and p = 10^9 + 7 a residue product sums 10 (p-1)^2 >=
     2^63: the run stops with a cap instead of reading wrapped residues."""

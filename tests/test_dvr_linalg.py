@@ -17,16 +17,17 @@ from schur_lattice import (CapExceeded, FixSet, Lattice, LatticeClass,
                            congruence_level, convexity_check, full_rank,
                            hnf_dvr, lattice_dual, lattice_intersection,
                            lattice_sum, lattice_sum_and_meet, membership,
-                           module_add_and_saturate, module_from_matrices,
-                           partitions_of, relative_divisors, rho,
-                           smith_divisors, standard_lattice)
+                           module_from_matrices, partitions_of,
+                           relative_divisors, rho, smith_divisors,
+                           standard_lattice)
 from schur_lattice import dvr
 from schur_lattice.dvr import (PRECISION, ExactEchelon, _int_smith_divisors,
                                _IntEchelon, group_generator_matrices,
                                identity_matrix, mat_mul, saturation_alphabet,
                                uniformizer_diagonal_matrices, unvectorize,
                                vectorize)
-from saturation_oracle import saturate_exact, word_image
+from saturation_oracle import (ExactLane, close, module_add_and_saturate,
+                               saturate_exact, word_image)
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -802,11 +803,11 @@ def test_truncated_lane_absorbs_an_element_outside_the_order():
     X = unvectorize(tuple(spec.lift(int(x)) for x in lane.B[k]), N)
     assert (lane._coordinates(lane._coefficients(X)) == unit[k]).all()
     lane.absorb(unit[k])
-    exact = dvr._ExactLane(spec, N)
-    dvr._close(exact, images, exact.insert([identity_matrix(spec, N)]
-                                           + images), right=False)
+    exact = ExactLane(spec, N)
+    close(exact, images, exact.insert([identity_matrix(spec, N)] + images),
+          right=False)
     assert exact.result() == before
-    dvr._close(exact, images, exact.insert([X]))
+    close(exact, images, exact.insert([X]))
     after = lane.result()
     assert after == exact.result()
     assert sum(after[1]) < sum(before[1])

@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 
 from schur_lattice import (GF, RationalAtP, RationalFunctionOverFq,
                            SchurModule, compute_order, fix_bfs)
-from schur_lattice._kernels import (GFEchelon, GFSpan, digit_histogram,
-                                    gf_matmul,
-                                    gf_matvec, gf_rank, gf_rref,
-                                    line_spin_profile, minplus_closure_matrix,
+from schur_lattice._kernels import (GFSpan, digit_histogram, gf_matmul,
+                                    gf_rank, gf_rref, line_spin_profile,
+                                    minplus_closure_matrix,
                                     residue_algebra_basis,
-                                    residue_ring_closure_rank, spin_closure,
-                                    unpack_gf_rows)
+                                    residue_ring_closure_rank, unpack_gf_rows)
 from schur_lattice.building import _proper_invariant_subspaces
 from schur_lattice.dvr import conjugate_residues, standard_lattice
 from schur_lattice.errors import CapExceeded
+from gf_oracle import GFEchelon, gf_matvec, spin_closure
 
 
 def reference_mul(fq, A, B):
@@ -54,10 +53,11 @@ def test_gf_matmul_refuses_int64_overflow():
         gf_matmul(fq, A, A)
     B = np.full((3, 3), fq.p - 1, dtype=np.int64)
     assert gf_matmul(fq, B, B).tolist() == [[3] * 3] * 3
-    # an echelon step forms v - c * row, up to (p-1)^2 in size
-    GFEchelon(GF(3037000493), 2)
+    # an elimination step forms v - c * row, up to (p-1)^2 in size
+    rows = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    assert gf_rref(GF(3037000493), rows)[0].tolist() == [[1, 0], [0, 1]]
     with pytest.raises(CapExceeded, match="overflow int64"):
-        GFEchelon(GF(3037000507), 2)
+        gf_rref(GF(3037000507), rows)
 
 
 def test_gf_matvec():
@@ -77,6 +77,73 @@ def test_gf_rref_and_rank():
     f4 = GF(4)
     rows4 = np.array([[1, 2], [2, 3]], dtype=np.int64)
     assert gf_rank(f4, rows4) == 1  # second row = 2 * first in GF(4)
+
+
+def test_empty_row_sets_keep_their_width():
+    """No rows, or only zero rows, span the zero subspace of F_q^m: the
+    RREF basis and the rows a span gains are (0, m) arrays."""
+    for q in (2, 4, 7):
+        fq = GF(q)
+        for rows in (np.zeros((0, 5), dtype=np.int64),
+                     np.zeros((3, 5), dtype=np.int64)):
+            red, piv = gf_rref(fq, rows)
+            assert np.array_equal(red, np.zeros((0, 5), dtype=np.int64))
+            assert red.shape == (0, 5) and piv == ()
+            span = GFSpan(fq, 5)
+            gained = span.add(rows)
+            assert gained.shape == (0, 5)
+            assert np.array_equal(gained, span.rows)
+        span = GFSpan(fq, 5)
+        span.add(np.eye(5, dtype=np.int64)[:2])
+        gained = span.add(np.eye(5, dtype=np.int64)[1:2])
+        assert np.array_equal(gained, np.zeros((0, 5), dtype=np.int64))
+
+
+def _oracle_rref(fq, rows, m):
+    ech = GFEchelon(fq, m)
+    for r in rows:
+        ech.insert(r)
+    return ech.rows(), tuple(sorted(ech.pivots))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 9]), m=st.integers(1, 8),
+       data=st.data())
+def test_gf_rref_matches_row_at_a_time_echelon(q, m, data):
+    """The Gauss-Jordan elimination gives the RREF rows and pivots of
+    GFEchelon, array-equal, on random rows with zero rows, combinations
+    of earlier rows and empty sets among them."""
+    fq = GF(q)
+    row = st.lists(st.integers(0, q - 1), min_size=m, max_size=m)
+    rows = np.array(data.draw(st.lists(row, max_size=9)),
+                    dtype=np.int64).reshape(-1, m)
+    if len(rows) and data.draw(st.booleans()):
+        c = data.draw(st.integers(1, q - 1))
+        combo = gf_matmul(fq, np.array([[c] * len(rows)]), rows)
+        zero = np.zeros((1, m), dtype=np.int64)
+        rows = np.concatenate([rows, combo, zero])
+    red, piv = gf_rref(fq, rows)
+    ref, ref_piv = _oracle_rref(fq, rows, m)
+    assert red.shape == ref.shape and np.array_equal(red, ref)
+    assert piv == ref_piv
+
+
+def test_gf_span_slices_products_for_large_primes():
+    """At p = 10^9 + 7 only 9 products sum inside int64, so a span with
+    16 pivots reduces and grows in slices; it agrees with GFEchelon."""
+    fq = GF(1000000007)
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, fq.p, size=(24, 20), dtype=np.int64)
+    rows[16:] = gf_matmul(fq, rng.integers(0, 3, size=(8, 8)), rows[:8])
+    span = GFSpan(fq, 20)
+    assert span.step == 9
+    span.add(rows[:10])
+    span.add(rows[10:])
+    ref, ref_piv = _oracle_rref(fq, rows, 20)
+    assert np.array_equal(span.rows, ref)
+    assert span.pivots.tolist() == list(ref_piv)
+    assert span.member(rows).all()
+    assert np.array_equal(span.reduce(rows), np.zeros_like(rows))
 
 
 def test_gf_echelon_membership():
@@ -111,7 +178,9 @@ def test_gf_span_matches_row_echelon(q, m, data):
         gained = span.add(batch)
         rows, piv = gf_rref(fq, np.array(seen).reshape(-1, m))
         assert len(gained) == len(piv) - before
-        assert span.rows.tolist() == rows.tolist()
+        assert gained.shape[1] == m
+        assert span.rows.shape == rows.shape
+        assert np.array_equal(span.rows, rows)
         assert span.pivots.tolist() == list(piv)
 
 
@@ -130,9 +199,10 @@ def test_residue_ring_closure_rank_commutative():
     assert residue_ring_closure_rank(fq, [diag], 2) == 2
 
 
-def two_sided_closure_rank(fq, mats, N):
-    """Rank of the span of I and every g.b and b.g, grown until nothing
-    is added: the closure that residue_ring_closure_rank once ran."""
+def two_sided_closure_rows(fq, mats, N):
+    """Canonical RREF rows of the span of I and every g.b and b.g, grown
+    in a GFEchelon one row at a time until nothing is added: the closure
+    that residue_ring_closure_rank once ran."""
     ech = GFEchelon(fq, N * N)
     gens = [np.asarray(m, dtype=np.int64) for m in mats]
     frontier = [m for m in [np.eye(N, dtype=np.int64)] + gens
@@ -145,7 +215,34 @@ def two_sided_closure_rank(fq, mats, N):
                     if ech.insert(cand.reshape(-1)):
                         new.append(cand)
         frontier = new
-    return ech.rank
+    return ech.rows()
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 9]), data=st.data())
+def test_residue_algebra_basis_matches_row_at_a_time_closure(q, data):
+    """The batched closure's basis is the canonical RREF basis of the
+    algebra that the two-sided GFEchelon closure finds, array-equal.
+    Zeroing the block below `split` keeps span(e_1..e_split)
+    invariant, so many draws stop short of the full matrix algebra, and
+    repeated or zero matrices occur."""
+    fq = GF(q)
+    N = data.draw(st.integers(1, 4))
+    split = data.draw(st.integers(0, N))
+    entry = st.integers(0, q - 1)
+    mats = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        m = np.array(data.draw(st.lists(entry, min_size=N * N,
+                                        max_size=N * N)),
+                     dtype=np.int64).reshape(N, N)
+        m[split:, :split] = 0
+        mats.append(m)
+        if data.draw(st.booleans()):
+            mats.append(gf_matmul(fq, m, m))
+    basis = residue_algebra_basis(fq, mats, N)
+    ref = two_sided_closure_rows(fq, mats, N)
+    flat = basis.reshape(-1, N * N)
+    assert flat.shape == ref.shape and np.array_equal(flat, ref)
 
 
 def test_spin_closure_grows_to_invariant():
@@ -351,7 +448,7 @@ def test_algebra_generators_match_full_set(q, data):
     alg_basis = residue_algebra_basis(fq, mats, N)
     dim = len(alg_basis)
     assert dim == residue_ring_closure_rank(fq, mats, N)
-    assert dim == two_sided_closure_rank(fq, mats, N)
+    assert dim == len(two_sided_closure_rows(fq, mats, N))
     got = _proper_invariant_subspaces(fq, alg_basis, N, 2 ** 16)
     ref = _subspaces_reference(fq, mats, N)
     assert [r.tolist() for r in got] == [r.tolist() for r in ref]
