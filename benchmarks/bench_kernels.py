@@ -104,16 +104,30 @@ def run_suite():
                            spec2, letters2, module2.N, 1, 0, draw, module2),
                        3))
 
+    # the images of the saturation alphabet over Q_3, as one case forms
+    # them: a fresh module each time, so nothing is memoized in advance
+    spec3 = RationalAtP(3)
+    for n, lam in [(2, (8,)), (3, (4, 2))]:
+        alphabet = dvr.saturation_alphabet(spec3, n, 1)
+        rows.append(_bench(
+            f"alphabet rho ({n},({','.join(map(str, lam))}),3)",
+            lambda n=n, lam=lam, alphabet=alphabet: [
+                rho(module, a, spec3)
+                for module in [SchurModule(n, lam)] for a in alphabet], 3))
+    rows.append(_bench("dense rho (2,(12),3)",
+                       lambda: rho(SchurModule(2, (12,)), ((1, 2), (3, 5)),
+                                   spec3), 3))
+
     # the first seed-closure round of the (2, (7), 3) order in the p-adic
     # lane: the products g*b of every image g and every echelon row b the
     # seeds set, reduced as one batch
-    spec3, module = RationalAtP(3), SchurModule(2, (7,))
+    module = SchurModule(2, (7,))
     P = dvr._start_precision(3, module.N)
     lane = dvr._PadicLane(spec3, module.N, P)
-    images = [rho(module, a, spec3)
+    images = [rho(module, [[int(x) for x in row] for row in a])
               for a in dvr.saturation_alphabet(spec3, 2, 1)]
     letters = lane.enc(images)
-    frontier = lane.insert(lane.enc([dvr.identity_matrix(spec3, module.N)]
+    frontier = lane.insert(lane.enc([np.eye(module.N, dtype=int).tolist()]
                                     + images))
     seeded = lane.ech.rows.copy(), list(lane.ech.vals)
 

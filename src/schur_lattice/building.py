@@ -390,7 +390,8 @@ def residue_generator_rep(module: SchurModule, spec: FieldSpec) -> ResidueRep:
     """Group-generator residue representation: the reductions mod the
     uniformizer of rho(g) for g in group_generator_matrices(spec, n, 1),
     the transpositions, transvections and unit diagonals whose images
-    compute_order has already formed (and rho memoized).
+    compute_order has already formed (rho memoizes their integer images
+    in the module).
 
     Its invariant subspaces are those of the images over k of the
     transpositions, the transvections and diag(1, ..., c, ..., 1) for c a

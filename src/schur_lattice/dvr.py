@@ -884,8 +884,9 @@ class _PadicLane:
         self.mod = self.ech.mod
 
     def enc(self, mats):
+        """Integer matrices as a stack of residues modulo p^P."""
         mod = self.mod
-        return np.array([[[int(x) % mod for x in row] for row in mat]
+        return np.array([[[x % mod for x in row] for row in mat]
                          for mat in mats], dtype=self.dtype)
 
     def _batch(self, mats):
@@ -1174,13 +1175,13 @@ def _exact_certificate(level, trials, method):
 
 def _saturate_padic(spec, images, N, level, trials):
     """The order over Q_p: the closure of the identity and the images
-    (those of the whole saturation alphabet) under products, in the
-    p-adic lane at a working precision P that rises only when the order
-    needs it.  P starts at _start_precision(p, N), where the lane's
-    arithmetic fits int64.  While the result's top elementary divisor
-    reaches P, P doubles, up to PRECISION, and the closure reruns; the
-    first result below P is the order (_PadicLane).  At PRECISION,
-    CapExceeded is raised.
+    (the integer images of the whole saturation alphabet, from schur.rho
+    over Z) under products, in the p-adic lane at a working precision P
+    that rises only when the order needs it.  P starts at
+    _start_precision(p, N), where the lane's arithmetic fits int64.
+    While the result's top elementary divisor reaches P, P doubles, up to
+    PRECISION, and the closure reruns; the first result below P is the
+    order (_PadicLane).  At PRECISION, CapExceeded is raised.
 
     No trial word is drawn, because none could enlarge the span.  The
     closure holds A + p^P * M_N(Z_(p)), A the algebra of the alphabet
@@ -1199,7 +1200,8 @@ def _saturate_padic(spec, images, N, level, trials):
     (_exact_certificate).
     """
     P = _start_precision(spec.p, N)
-    seeds = [identity_matrix(spec, N)] + list(images)
+    eye = tuple(tuple(int(i == j) for j in range(N)) for i in range(N))
+    seeds = [eye] + images
     while True:
         lane = _PadicLane(spec, N, P)
         _close(lane, lane.enc(images), lane.insert(lane.enc(seeds)))
@@ -1260,17 +1262,26 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
     if N == 0:
         raise Singular("the module is zero (shape has more rows than n)")
     alphabet = saturation_alphabet(spec, module.n, level)
-    images = [rho(module, g, spec) for g in alphabet]
+    padic = isinstance(spec, RationalAtP)
+    if padic:
+        # every Q_p letter is an integer matrix (transpositions,
+        # transvections, the integer units of unit_sample_set, diag(p)),
+        # so its image is one too
+        images = [rho(module, [[spec.to_int(x) for x in row] for row in g])
+                  for g in alphabet]
+    else:
+        images = [rho(module, g, spec) for g in alphabet]
     for im in images:
         if not is_integral_matrix(spec, im):
             raise NonIntegralInput("generator image has an entry with val < 0")
 
-    residue_mats = [tuple(tuple(spec.reduce(x) for x in row) for row in im)
+    reduce = (lambda x: x % spec.p) if padic else spec.reduce
+    residue_mats = [tuple(tuple(reduce(x) for x in row) for row in im)
                     for im in images]
     if _residue_closure_is_full(spec, residue_mats, N):
         return _full_end_module(
             spec, N, _exact_certificate(level, trials, "residue-full"))
-    if isinstance(spec, RationalAtP):
+    if padic:
         return _saturate_padic(spec, images, N, level, trials)
     return _saturate_generic(spec, images, N, level, trials,
                              random.Random(rng_seed), module)

@@ -751,8 +751,8 @@ class FieldSpec:
     residue_size: int
     residue_field: GF
 
-    # subclasses implement: zero, one, uniformizer, from_int, val, reduce,
-    # lift, mod_uniformizer_power, to_str, parse, describe
+    # subclasses implement: zero, one, uniformizer, from_int, to_int, val,
+    # reduce, lift, mod_uniformizer_power, to_str, parse, describe
 
     def is_zero(self, x) -> bool:
         return self.val(x) == INF
@@ -781,6 +781,10 @@ class RationalAtP(FieldSpec):
 
     def from_int(self, k: int):
         return Fraction(k)
+
+    def to_int(self, x):
+        """The integer x, or None when x is not one."""
+        return x.numerator if x.denominator == 1 else None
 
     def val(self, x):
         if x == 0:
@@ -857,6 +861,16 @@ class RationalFunctionOverFq(FieldSpec):
     def from_int(self, k: int):
         # integers embed through the prime subfield F_p
         return LaurentRational.const(self.residue_field, k % self.residue_char)
+
+    def to_int(self, x: LaurentRational):
+        """The k in [0, p) with from_int(k) == x, or None when x is not
+        in the prime field."""
+        if not x.num:
+            return 0
+        if (x.v == 0 and x.den == (1,) and len(x.num) == 1
+                and x.num[0] < self.residue_char):
+            return x.num[0]
+        return None
 
     def val(self, x: LaurentRational):
         return x.v

@@ -272,6 +272,40 @@ def test_rho_zero_denominator_exits_2(capsys, field_args, matrix):
     assert err.startswith("error: matrix row") and "divides by zero" in err
 
 
+def test_rho_dense_matches_ordered_expansion(capsys):
+    """A dense integer g on a one-row shape: 2^10 ordered fillings per
+    row, 11 distinct monomials; the printed image is the oracle's."""
+    from fractions import Fraction
+
+    from rho_oracle import ordered_image
+    from schur_lattice import RationalAtP, SchurModule
+    code, out, _ = run_main(
+        capsys, ["rho", "--n", "2", "--lambda", "10", "--p", "3",
+                 "--matrix", "1,2;3,5", "--json"])
+    assert code == 0
+    expected = ordered_image(SchurModule(2, (10,)), ((1, 2), (3, 5)),
+                             RationalAtP(3))
+    assert [[Fraction(x) for x in row]
+            for row in json.loads(out)["rho"]] == [list(r) for r in expected]
+
+
+def test_rho_singular_only_mod_p_exits_2(capsys):
+    """det = 2 is zero in F_2(t), so the 0/1 matrix is singular there,
+    and answers over Q_2."""
+    matrix = "1,1,0;0,1,1;1,0,1"
+    code, out, err = run_main(
+        capsys, ["rho", "--n", "3", "--lambda", "2", "--field", "laurent",
+                 "--q", "2", "--matrix", matrix])
+    assert code == 2
+    assert out == ""
+    assert "singular over the field" in err
+    code, out, _ = run_main(
+        capsys, ["rho", "--n", "3", "--lambda", "2", "--p", "2",
+                 "--matrix", matrix])
+    assert code == 0
+    assert len(out.splitlines()) == 6
+
+
 def test_rho_laurent_degree_span_over_bound_exits_2(capsys):
     """A polynomial whose terms lie a million degrees apart is refused
     before its dense coefficients are built."""

@@ -10,7 +10,7 @@ from schur_lattice import (LaurentRational, RationalAtP,
                            RationalFunctionOverFq, SchurModule, Singular,
                            character, rho)
 from schur_lattice.dvr import mat_mul
-from schur_lattice.schur import _straightened_image
+from rho_oracle import filling_from_columns, minor_table, ordered_image
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -142,13 +142,95 @@ def nonzero_scalars(draw, spec):
        data=st.data())
 def test_rho_diagonal_closed_form_matches_straightening(spec, shape, data):
     """rho of a diagonal matrix, the diagonal of the tableau weights, is
-    the image the straightening path computes, over Q_p and F_q(t)."""
+    the image the ordered expansion computes, over Q_p and F_q(t)."""
     n, lam = shape
     module = SchurModule(n, lam)
     d = [data.draw(nonzero_scalars(spec)) for _ in range(n)]
     g = tuple(tuple(d[i] if i == j else spec.zero() for j in range(n))
               for i in range(n))
-    assert rho(module, g, spec) == _straightened_image(module, g, spec)
+    assert rho(module, g, spec) == ordered_image(module, g, spec)
+
+
+ORACLE_FIELDS = [P2, P3, RationalAtP(5), F2T, RationalFunctionOverFq(3),
+                 RationalFunctionOverFq(4)]
+# (n, lambda) with n in {2, 3, 4} and N <= 20
+ORACLE_SHAPES = [(2, (3,)), (2, (2, 1)), (2, (3, 2)), (2, (6,)), (3, (2,)),
+                 (3, (1, 1)), (3, (2, 1)), (3, (2, 2)), (3, (3, 1)),
+                 (3, (4,)), (4, (2,)), (4, (1, 1)), (4, (2, 1)),
+                 (4, (1, 1, 1)), (4, (2, 2)), (4, (3,))]
+
+
+@st.composite
+def oracle_matrices(draw, spec, n):
+    """An n x n matrix over the spec: 0/1 entries (the alphabet's
+    letters are such matrices), dense integers, or non-integral field
+    elements (fractions over Q_p, Laurent elements over F_q(t))."""
+    kind = draw(st.sampled_from(["letters", "dense", "field"]))
+    if kind == "letters":
+        entries = st.integers(0, 1)
+    elif kind == "dense":
+        entries = st.integers(-6, 6)
+    else:
+        entries = st.one_of(st.just(0), nonzero_scalars(spec))
+    return tuple(tuple(spec.from_int(x) if isinstance(x, int) else x
+                       for x in (draw(entries) for _ in range(n)))
+                 for _ in range(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(ORACLE_FIELDS),
+       shape=st.sampled_from(ORACLE_SHAPES), data=st.data())
+def test_rho_matches_ordered_expansion(spec, shape, data):
+    """rho, by blocks of commuting columns and over Z for an integer
+    matrix, equals the ordered expansion exactly, and raises Singular
+    exactly when det g vanishes in the field."""
+    n, lam = shape
+    module = SchurModule(n, lam)
+    g = data.draw(oracle_matrices(spec, n))
+    letters = tuple(range(1, n + 1))
+    if not minor_table(g, letters, n, spec):
+        with pytest.raises(Singular):
+            rho(module, g, spec)
+        return
+    assert rho(module, g, spec) == ordered_image(module, g, spec)
+
+
+def test_rho_singular_mod_p_only():
+    """det = 2: singular over F_2(t) but not over Q_2, where the image is
+    the integer image of the Z-form."""
+    module = SchurModule(3, (2,))
+    g = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+    with pytest.raises(Singular):
+        rho(module, g, F2T)
+    image = rho(module, g)
+    assert rho(module, g, P2) == fmat(P2, image)
+    assert image == ordered_image(module, g, P2)
+    assert rho(module, fmat(P3, g), P3) == fmat(P3, image)
+
+
+SWAP_SHAPES = [(n, lam) for n in (2, 3, 4)
+               for lam in [(2,), (3,), (4,), (2, 2), (3, 1), (3, 3),
+                           (2, 2, 2), (3, 2, 2), (3, 1, 1),
+                           (2, 2, 2, 2), (3, 3, 1, 1)]
+               if len(lam) <= n]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.sampled_from(SWAP_SHAPES), data=st.data())
+def test_straighten_equal_height_columns_commute(shape, data):
+    """Swapping two columns of equal height leaves the straightening
+    unchanged (the exchange relation with k the column height)."""
+    n, lam = shape
+    module = SchurModule(n, lam)
+    lamc = module.lamc
+    cols = [[data.draw(st.integers(1, n)) for _ in range(h)] for h in lamc]
+    pairs = [(a, b) for a in range(len(lamc)) for b in range(a + 1, len(lamc))
+             if lamc[a] == lamc[b]]
+    a, b = data.draw(st.sampled_from(pairs))
+    swapped = list(cols)
+    swapped[a], swapped[b] = cols[b], cols[a]
+    assert module.straighten_coeffs(filling_from_columns(cols, lam, lamc)) \
+        == module.straighten_coeffs(filling_from_columns(swapped, lam, lamc))
 
 
 @pytest.mark.parametrize("spec", [P2, F2T])
