@@ -10,12 +10,10 @@ from .building import (FixSet, ResidueRep, convexity_check, detect_graduated,
                        min_plus_closure, residue_generator_rep,
                        spans_end_residue)
 from .dvr import (HNFResult, Lattice, LatticeClass, MatrixModule,
-                  class_distance, compute_order, congruence_level, full_rank,
-                  group_generator_matrices, hnf_dvr, lattice_dual,
-                  lattice_intersection, lattice_sum, lattice_sum_and_meet,
-                  membership, module_from_matrices, relative_divisors,
-                  smith_divisors, standard_lattice,
-                  uniformizer_diagonal_matrices)
+                  compute_order, congruence_level, full_rank,
+                  group_generator_matrices, hnf_dvr, lattice_sum_and_meet,
+                  membership, module_from_matrices, smith_divisors,
+                  standard_lattice, uniformizer_diagonal_matrices)
 from .errors import (CapExceeded, InternalInvariantViolation, NegativeCycle,
                      NegativeValuation, NonIntegralInput, NotFullRank,
                      SchurLatticeError, ShapeMismatch, Singular)
@@ -36,15 +34,14 @@ __all__ = [
     "NegativeValuation", "NonIntegralInput", "NotFullRank", "RationalAtP",
     "RationalFunctionOverFq", "ResidueRep", "SchurLatticeError",
     "SchurModule", "ShapeMismatch", "Singular", "character",
-    "chi2_uniform_counts", "class_distance", "compute_order", "congruence_level",
+    "chi2_uniform_counts", "compute_order", "congruence_level",
     "conjugate", "convexity_check", "detect_graduated", "diagonal_lattice",
     "dimension", "entry_profile", "field_from_descriptor", "fix_bfs",
     "fix_polytrope", "full_rank", "group_generator_matrices", "hnf_dvr",
     "hook_lengths", "invariance_report", "invariant_subspaces",
-    "is_core", "is_invariant", "lattice_dual", "lattice_intersection",
-    "lattice_sum", "lattice_sum_and_meet", "membership", "min_plus_closure",
-    "module_from_matrices", "partitions_of",
-    "relative_divisors", "residue_generator_rep", "rho",
+    "is_core", "is_invariant", "lattice_sum_and_meet", "membership",
+    "min_plus_closure", "module_from_matrices", "partitions_of",
+    "residue_generator_rep", "rho",
     "sample", "smith_divisors", "spans_end_residue", "ssyt_enumerate",
     "standard_lattice", "uniformizer_diagonal_matrices", "unit_sample_set",
     "validate_partition",

@@ -21,10 +21,10 @@ import numpy as np
 from . import _kernels
 # membership is no longer called here, but pipeline_bench's tracer test
 # reads it as building.membership
-from .dvr import (Lattice, LatticeClass, MatrixModule, class_distance,
-                  congruence_level, conjugate_residues, full_rank,
-                  group_generator_matrices, lattice_sum_and_meet, mat_vec,
-                  membership, relative_divisors, standard_lattice)
+from .dvr import (Lattice, LatticeClass, MatrixModule, congruence_level,
+                  conjugate_residues, full_rank, group_generator_matrices,
+                  lattice_sum_and_meet, mat_vec, membership, smith_divisors,
+                  standard_lattice)
 from .errors import (CapExceeded, InternalInvariantViolation, NegativeCycle,
                      NotFullRank, SchurLatticeError, Singular)
 from .fields import GF, INF, FieldSpec
@@ -303,7 +303,10 @@ def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
     conjugating the H-basis into the L-basis and reducing; every such
     preimage is H-invariant by construction, and the conjugation of each
     new class checks it.  The fixed set lies in the ball of radius
-    congruence_level(H) around the standard class.
+    congruence_level(H) around the standard class.  The standard lattice
+    has the identity basis, so a class's distance from it is the spread
+    of the elementary divisors of its representative, whose least one is
+    0 (see ``LatticeClass``): the top divisor.
     """
     if not full_rank(H):
         raise NotFullRank("fix_bfs needs a full-rank order")
@@ -338,7 +341,7 @@ def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
             key = neighbor.key()
             if key in visited:
                 continue
-            dist = class_distance(c0, neighbor)
+            dist = smith_divisors(neighbor.rep.vectors, spec)[-1]
             if dist > level:
                 raise InternalInvariantViolation(
                     f"{label}: stage bfs: class {key} at distance {dist} > "
@@ -356,22 +359,35 @@ def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
 
 def convexity_check(S: FixSet) -> bool:
     """Closure of the class set under sums and intersections of
-    representatives, at every relative scaling within the elementary-
-    divisor range of each pair."""
-    if not S.classes:
-        return True
+    representatives, at every relative scaling of each pair.
+
+    Let d_1 <= ... <= d_N be the elementary divisors of Lb relative to
+    La: La has a basis e_i such that the pi^(d_i) e_i are a basis of Lb.
+    Then pi^s Lb is contained in La iff s >= -d_1, and La in pi^s Lb iff
+    s <= -d_N; both conditions are monotone in s.  Outside (-d_N, -d_1)
+    the sum and the meet are therefore La and pi^s Lb, whose classes are
+    in the set.  So for each pair the walk steps s = 0, 1, 2, ... until
+    the sum is La, then s = -1, -2, ... until the meet is La.  It covers
+    [min(-1, -d_N), max(0, -d_1)], which holds every s in (-d_N, -d_1),
+    and at every s it requires both classes in the set; it returns the
+    same answer as the whole range [-d_N - 1, -d_1 + 1], with no inverse
+    or Smith pass to find d_1 and d_N.  Hermite forms are unique and
+    ``lattice_sum_and_meet`` returns canonical halves, as La is, so equal
+    bases are equal lattices.  A class paired with itself is skipped: its
+    sums and meets are scalings of La.
+    """
     keys = set(S.keys())
     reps = [c.rep for c in S.classes]
-    for a, b in itertools.combinations_with_replacement(range(len(reps)), 2):
-        La, Lb = reps[a], reps[b]
-        divs = relative_divisors(La, Lb)
-        lo, hi = int(divs[0]), int(divs[-1])
-        for s in range(-hi - 1, -lo + 2):
-            total, meet = lattice_sum_and_meet(La, Lb.scaled(s))
-            if LatticeClass(total).key() not in keys:
-                return False
-            if LatticeClass(meet).key() not in keys:
-                return False
+    for La, Lb in itertools.combinations(reps, 2):
+        # up until the sum is La, then down until the meet is La
+        for s, step, half in ((0, 1, 0), (-1, -1, 1)):
+            while True:
+                pair = lattice_sum_and_meet(La, Lb.scaled(s))
+                if any(LatticeClass(L).key() not in keys for L in pair):
+                    return False
+                if pair[half].vectors == La.vectors:
+                    break
+                s += step
     return True
 
 

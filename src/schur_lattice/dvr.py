@@ -76,30 +76,6 @@ def transpose(A):
     return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
 
 
-def mat_inv(spec: FieldSpec, A):
-    """Exact inverse by Gauss-Jordan elimination; raises Singular."""
-    m = len(A)
-    work = [list(row) + [spec.one() if i == j else spec.zero()
-                         for j in range(m)] for i, row in enumerate(A)]
-    for col in range(m):
-        piv = None
-        best = INF
-        for r in range(col, m):
-            v = spec.val(work[r][col])
-            if v < best:
-                best, piv = v, r
-        if piv is None or best == INF:
-            raise Singular("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = spec.one() / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(m):
-            if r != col and not spec.is_zero(work[r][col]):
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[m:]) for row in work)
-
-
 def is_integral_matrix(spec: FieldSpec, X) -> bool:
     return all(spec.val(x) >= 0 for row in X for x in row)
 
@@ -346,16 +322,6 @@ def standard_lattice(spec: FieldSpec, m: int) -> Lattice:
     return Lattice(spec, identity_matrix(spec, m))
 
 
-def lattice_sum(L1: Lattice, L2: Lattice) -> Lattice:
-    return Lattice.from_vectors(L1.spec, L1.vectors + L2.vectors)
-
-
-def lattice_dual(L: Lattice) -> Lattice:
-    """{x : <x, L> in R}; basis rows of the inverse of the basis matrix."""
-    inv = mat_inv(L.spec, L.basis_matrix())
-    return Lattice.from_vectors(L.spec, inv)
-
-
 def lattice_sum_and_meet(L1: Lattice, L2: Lattice):
     """(L1 + L2, L1 ∩ L2) of two full-rank lattices in K^N, from one
     echelon of width 2N (Zassenhaus; Cohen 1993, §2.4).
@@ -388,17 +354,6 @@ def lattice_sum_and_meet(L1: Lattice, L2: Lattice):
     rows, _ = ech.canonical_rows()
     return (Lattice(spec, tuple(r[:N] for r in rows[:N])),
             Lattice(spec, tuple(r[N:] for r in rows[N:])))
-
-
-def lattice_intersection(L1: Lattice, L2: Lattice) -> Lattice:
-    return lattice_sum_and_meet(L1, L2)[1]
-
-
-def relative_divisors(L1: Lattice, L2: Lattice):
-    """Valuations of the elementary divisors of L2 relative to L1."""
-    binv = mat_inv(L1.spec, L1.basis_matrix())
-    coords = [mat_vec(binv, v) for v in L2.vectors]
-    return smith_divisors(coords, L1.spec)
 
 
 class LatticeClass:
@@ -435,12 +390,6 @@ class LatticeClass:
 
     def __repr__(self):
         return f"LatticeClass({self._key!r})"
-
-
-def class_distance(c1: LatticeClass, c2: LatticeClass) -> int:
-    """max - min of the relative elementary-divisor valuations."""
-    divs = relative_divisors(c1.rep, c2.rep)
-    return int(divs[-1] - divs[0])
 
 
 # ---------------------------------------------------------------------------

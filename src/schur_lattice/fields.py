@@ -629,11 +629,12 @@ class LaurentRational:
         return f"LaurentRational({laurent_to_str(self)!r})"
 
 
-def _poly_to_str(coeffs) -> str:
+def _poly_to_str(coeffs, shift: int = 0) -> str:
+    """The polynomial t^shift * sum(c_i t^i), lowest degree first."""
     if not coeffs:
         return "0"
     parts = []
-    for i, c in enumerate(coeffs):
+    for i, c in enumerate(coeffs, shift):
         if c == 0:
             continue
         if i == 0:
@@ -649,9 +650,8 @@ def laurent_to_str(x: LaurentRational) -> str:
     if x.is_zero():
         return "0"
     v = int(x.v)
-    num = ((0,) * max(v, 0)) + x.num
-    den = ((0,) * max(-v, 0)) + x.den
-    ns, ds = _poly_to_str(num), _poly_to_str(den)
+    ns = _poly_to_str(x.num, max(v, 0))
+    ds = _poly_to_str(x.den, max(-v, 0))
     return ns if ds == "1" else f"({ns})/({ds})"
 
 

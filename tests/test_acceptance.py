@@ -15,17 +15,19 @@ import pytest
 
 from schur_lattice import (LatticeClass, LatticeGaussian, RationalAtP,
                            RationalFunctionOverFq, SchurModule, Singular,
-                           character, class_distance, compute_order,
+                           character, compute_order,
                            congruence_level, convexity_check,
                            detect_graduated, diagonal_lattice, dimension,
                            entry_profile, fix_bfs, fix_polytrope, full_rank,
                            hnf_dvr, invariance_report, invariant_subspaces,
                            is_core, is_invariant, membership, min_plus_closure,
                            module_from_matrices, partitions_of,
-                           residue_generator_rep, rho, spans_end_residue,
-                           ssyt_enumerate, standard_lattice)
+                           residue_generator_rep, rho, smith_divisors,
+                           spans_end_residue, ssyt_enumerate,
+                           standard_lattice)
 from schur_lattice.cli import run_case, sweep_cases
-from schur_lattice.dvr import ExactEchelon, group_generator_matrices, mat_inv, mat_mul
+from schur_lattice.dvr import ExactEchelon, group_generator_matrices, mat_mul
+from lattice_oracle import class_distance, mat_inv
 
 # ---------------------------------------------------------------------------
 # shared case producers (memoized so later criteria reuse earlier work)
@@ -299,10 +301,16 @@ def test_criterion_06_property_suites():
         base = LatticeClass(standard_lattice(spec, module.N))
         r = congruence_level(order)
         for c in S.classes:
-            assert class_distance(base, c) <= r, f"ball bound: {key}"
+            # fix_bfs reads the distance off the representative's top
+            # Smith divisor
+            dist = smith_divisors(c.rep.vectors, spec)[-1]
+            assert dist == class_distance(base, c), f"distance: {key}"
+            assert dist <= r, f"ball bound: {key}"
     base2 = LatticeClass(standard_lattice(spec2, module2.N))
     for c in two_point.classes:
-        assert class_distance(base2, c) <= congruence_level(order2)
+        dist = smith_divisors(c.rep.vectors, spec2)[-1]
+        assert dist == class_distance(base2, c)
+        assert dist <= congruence_level(order2)
     # capped laurent family: convexity holds on the computed prefix
     lm, ls, lo = laurent_case()
     prof = entry_profile(lo, allow_degenerate=True)

@@ -8,16 +8,18 @@ import pytest
 
 from schur_lattice import (GF, INF, Lattice, LatticeClass, NegativeCycle,
                            NotFullRank, RationalAtP, RationalFunctionOverFq,
-                           SchurLatticeError, SchurModule, class_distance,
-                           compute_order, congruence_level, convexity_check,
+                           SchurLatticeError, SchurModule, compute_order,
+                           congruence_level, convexity_check,
                            detect_graduated, diagonal_lattice, dimension,
                            entry_profile, fix_bfs, fix_polytrope, full_rank,
                            invariant_subspaces, is_invariant, membership,
                            min_plus_closure, module_from_matrices,
                            partitions_of, residue_generator_rep, rho,
-                           spans_end_residue, standard_lattice)
+                           smith_divisors, spans_end_residue,
+                           standard_lattice)
 from schur_lattice._kernels import gf_rref, residue_algebra_basis
 from schur_lattice.building import ResidueRep
+from lattice_oracle import class_distance
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -345,7 +347,11 @@ def test_fix_bfs_ball_bound(order_2adic):
     base = LatticeClass(standard_lattice(P2, m.N))
     r = congruence_level(order_2adic)
     for c in S.classes:
-        assert class_distance(base, c) <= r
+        # fix_bfs reads the distance off the representative's top Smith
+        # divisor
+        dist = smith_divisors(c.rep.vectors, P2)[-1]
+        assert dist == class_distance(base, c)
+        assert dist <= r
 
 
 def test_fix_bfs_classes_are_invariant(order_2adic):

@@ -318,12 +318,16 @@ def test_rho_laurent_degree_span_over_bound_exits_2(capsys):
 
 
 def test_rho_laurent_bare_high_power_parses(capsys):
-    """A single term of any degree is stored as a valuation shift."""
-    code, out, _ = run_main(
-        capsys, ["rho", "--lambda", "1", "--n", "2", "--field", "laurent",
-                 "--q", "2", "--matrix", "t^99999999,0;0,1", "--json"])
-    assert code == 0
-    assert json.loads(out)["rho"][0][0] == "t^99999999"
+    """A single term of any degree is stored as a valuation shift, and
+    printed from it, without a coefficient per power of t."""
+    for power, printed in (("t^99999999", "t^99999999"),
+                           ("t^-99999999", "(1)/(t^99999999)")):
+        code, out, _ = run_main(
+            capsys, ["rho", "--lambda", "1", "--n", "2", "--field",
+                     "laurent", "--q", "2", "--matrix", f"{power},0;0,1",
+                     "--json"])
+        assert code == 0
+        assert json.loads(out)["rho"][0][0] == printed
 
 
 @pytest.mark.parametrize("p", ["1000003", "1000000007"])

@@ -12,20 +12,20 @@ from hypothesis import strategies as st
 
 from schur_lattice import (CapExceeded, FixSet, Lattice, LatticeClass,
                            NonIntegralInput, RationalAtP,
-                           RationalFunctionOverFq, SchurModule,
-                           Singular, class_distance, compute_order,
-                           congruence_level, convexity_check, full_rank,
-                           hnf_dvr, lattice_dual, lattice_intersection,
-                           lattice_sum, lattice_sum_and_meet, membership,
-                           module_from_matrices, partitions_of,
-                           relative_divisors, rho, smith_divisors,
-                           standard_lattice)
+                           RationalFunctionOverFq, SchurModule, Singular,
+                           compute_order, congruence_level, convexity_check,
+                           full_rank, hnf_dvr, lattice_sum_and_meet,
+                           membership, module_from_matrices, partitions_of,
+                           rho, smith_divisors, standard_lattice)
 from schur_lattice import dvr
 from schur_lattice.dvr import (PRECISION, ExactEchelon, _int_smith_divisors,
                                _IntEchelon, group_generator_matrices,
                                identity_matrix, mat_mul, saturation_alphabet,
                                uniformizer_diagonal_matrices, unvectorize,
                                vectorize)
+from lattice_oracle import (class_distance, lattice_dual,
+                            lattice_intersection, lattice_sum,
+                            relative_divisors)
 from saturation_oracle import (ExactLane, close, module_add_and_saturate,
                                saturate_exact, word_image)
 
@@ -278,6 +278,47 @@ def _dual_convexity(classes):
                 if _smith_class_key(L) not in keys:
                     return False
     return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from([P2, P3, RationalFunctionOverFq(2),
+                             RationalFunctionOverFq(3)]),
+       m=st.integers(2, 3), data=st.data())
+def test_convexity_walk_matches_divisor_range(spec, m, data):
+    """convexity_check's walk over the scaling agrees with the
+    relative-divisor range of ``_dual_convexity`` on a box of scaled
+    lattices in a random basis, which is convex; on the box punctured at
+    a point inside it in one coordinate, which is not; and on the box
+    with a random class added.  The classes come in a random order.
+
+    With v_1..v_m a basis of a random lattice A, the lattice of u is the
+    span of the pi^(u_i) v_i.  Its sums and meets with pi^s times
+    another are the lattices of the entrywise min and max of u and
+    w + s, so the box 0 <= u_i <= b_i, whose classes are the
+    u with u_i - u_j <= b_i, is convex.  If 0 < u_i < b_i, u is the sum
+    of the points that differ from it only at i, by 0 and b_i there, at
+    the scaling s = u_i."""
+    A = data.draw(full_rank_lattice(spec, m))
+    pi = spec.uniformizer()
+    bounds = data.draw(st.lists(st.integers(1, 2), min_size=m, max_size=m))
+    zero, two = data.draw(st.permutations(range(m)))[:2]
+    bounds[zero], bounds[two] = 0, 2
+    box = data.draw(st.permutations(list(
+        itertools.product(*(range(b + 1) for b in bounds)))))
+    hole = data.draw(st.sampled_from(
+        [u for u in box if any(0 < x < b for x, b in zip(u, bounds))]))
+    classes = [LatticeClass(Lattice.from_vectors(
+        spec, [tuple(pi ** ui * x for x in v)
+               for ui, v in zip(u, A.vectors)])) for u in box]
+    punctured = [c for u, c in zip(box, classes) if u != hole]
+    extra = classes + [LatticeClass(data.draw(full_rank_lattice(spec, m)))]
+    for chosen, convex in ((classes, True), (punctured, False),
+                           (extra, None)):
+        S = FixSet(classes=tuple(chosen), bounded=True, method="bfs",
+                   u_vectors=None)
+        got = convexity_check(S)
+        assert got == _dual_convexity(S.classes)
+        assert convex is None or got is convex
 
 
 # ---------------------------------------------------------------------------
