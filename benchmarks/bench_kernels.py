@@ -82,7 +82,16 @@ def run_suite():
     span, _ = gf_rref(f3, np.reshape(basis, (-1, Nl * Nl)))
     span = span.reshape(-1, Nl, Nl)
     rows.append(_bench(f"line spins GF(3) N={Nl} {len(span)} span",
-                       lambda: line_spin_profile(f3, span, Nl), 1))
+                       lambda: line_spin_profile(f3, span, Nl), 5))
+    # and at the standard class of the (3, (3), 3) order: 3**10 lines
+    H3 = compute_order(SchurModule(3, (3,)), RationalAtP(3), rng_seed=0)
+    N3 = H3.N
+    span3, _ = gf_rref(f3, np.reshape(
+        conjugate_residues(standard_lattice(H3.spec, N3), H3.basis),
+        (-1, N3 * N3)))
+    span3 = span3.reshape(-1, N3, N3)
+    rows.append(_bench(f"line spins GF(3) N={N3} {len(span3)} span",
+                       lambda: line_spin_profile(f3, span3, N3), 5))
 
     # the certificate's trial words of the (2, (4)) order over F_2(t), as
     # the truncated lane forms them: its letter maps applied to the

@@ -13,6 +13,11 @@ batch of rows in one product and finishes it with ``gf_rref``, on which
 the residue algebra closes in batched rounds (``residue_algebra_basis``);
 and ``_gf_batched_rref``, which row-reduces the images of a chunk of
 lines at once for the line spins.
+
+A line's spin closure is constant on the orbits of the units of the
+algebra it is spun under, so ``line_spin_profile`` spins one line per
+orbit of a few dense units and copies its closure to the rest; the
+proof is in its docstring.
 """
 
 from __future__ import annotations
@@ -36,16 +41,19 @@ def _check_int64(fq: GF, k: int):
 
 
 def gf_matmul(fq: GF, A, B):
-    """Matrix product over F_q; int64 arrays in, int64 array out."""
+    """Matrix product over F_q, stacks broadcast as by ``@``; int64
+    arrays in, int64 array out."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if fq.e == 1:
-        _check_int64(fq, A.shape[1])
+        _check_int64(fq, A.shape[-1])
         return (A @ B) % fq.p
     addt, mult, _ = fq.tables()
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for t in range(A.shape[1]):
-        out = addt[out, mult[A[:, t][:, None], B[t, :][None, :]]]
+    out = np.zeros(np.broadcast_shapes(A.shape[:-1] + (1,),
+                                       B.shape[:-2] + (1, B.shape[-1])),
+                   dtype=np.int64)
+    for t in range(A.shape[-1]):
+        out = addt[out, mult[A[..., :, t, None], B[..., None, t, :]]]
     return out
 
 
@@ -255,6 +263,7 @@ def _left_products(fq: GF, gens, rows, N: int):
 # ---------------------------------------------------------------------------
 
 LINE_CHUNK = 64  # lines per batched product and elimination
+DENSE_UNITS = 2  # ordered products of the units whose line maps are used
 
 
 def line_spin_profile(fq: GF, mats, N: int):
@@ -277,10 +286,19 @@ def line_spin_profile(fq: GF, mats, N: int):
     because A is closed under products.  A subspace that holds v and is
     invariant under every matrix is A-invariant, so it holds A.v.
 
-    So the lines are taken ``LINE_CHUNK`` at a time: one batched product
-    forms the images m v of each line, and one batched Gauss-Jordan
-    elimination reduces each line's images to the unique canonical RREF
-    basis of their span.
+    Closures are constant on the orbits of units of A.  Let u in A be
+    invertible in M_N(F_q).  By Cayley-Hamilton u^-1 is a polynomial in
+    u, so it lies in A, and A.u = A; hence A.(u v) = (A.u).v = A.v, and
+    the line through u v has the closure, and the canonical RREF basis,
+    of the line through v.  This holds for any set of units: with none,
+    every line is its own orbit.  So each orbit of the units that
+    ``_unit_orbits`` finds is spun once, from its least canonical code,
+    and its closure is copied to every line in it.
+
+    The representatives are taken ``LINE_CHUNK`` at a time: one batched
+    product forms the images m v of each line, and one batched
+    Gauss-Jordan elimination reduces each line's images to the unique
+    canonical RREF basis of their span.
     """
     q = fq.q
     total = q ** N
@@ -292,18 +310,95 @@ def line_spin_profile(fq: GF, mats, N: int):
     codes = np.concatenate([np.arange(q ** j, total, q ** (j + 1))
                             for j in range(N)])
     powers = q ** np.arange(N, dtype=np.int64)
+    mats = np.asarray(mats, dtype=np.int64).reshape(-1, N, N)
     # row k*N + i is row i of matrix k
-    stacked = np.asarray(mats, dtype=np.int64).reshape(-1, N)
-    d = stacked.shape[0] // N
+    stacked = mats.reshape(-1, N)
+    d = len(mats)
     top = min(d, N)
-    for start in range(0, codes.size, LINE_CHUNK):
-        chunk = codes[start:start + LINE_CHUNK]
-        vecs = unpack_gf_rows(chunk, q, N)
+    reps, orbit = np.unique(_unit_orbits(fq, mats, codes, N),
+                            return_inverse=True)
+    rep_dims = np.zeros(reps.size, dtype=np.int64)
+    rep_sigs = np.zeros((reps.size, N), dtype=np.int64)
+    for start in range(0, reps.size, LINE_CHUNK):
+        part = slice(start, start + LINE_CHUNK)
+        vecs = unpack_gf_rows(codes[reps[part]], q, N)
         # W[c, k] = mats[k] @ vecs[c]: the images of line c, one per row
         W = gf_matmul(fq, vecs, stacked.T).reshape(-1, d, N)
-        dims[chunk] = _gf_batched_rref(fq, W)
-        sigs[chunk, :top] = W[:, :top] @ powers
+        rep_dims[part] = _gf_batched_rref(fq, W)
+        rep_sigs[part, :top] = W[:, :top] @ powers
+    dims[codes] = rep_dims[orbit]
+    sigs[codes] = rep_sigs[orbit]
     return dims, sigs
+
+
+def _unit_orbits(fq: GF, mats, codes, N: int):
+    """For each canonical code, the index in `codes` of the least code in
+    its line's orbit under the group that ``_dense_units`` generate.
+
+    Labels start at each line's own index.  A round lowers each label to
+    the least label of the line and its images (``_line_maps``), then to
+    the label of that label, until a round changes nothing.  A label
+    never rises and always names a line of the same orbit.  When the
+    rounds stop, no line's label exceeds its image's; along a cycle of a
+    unit's map the labels can only rise and so are equal, and they are
+    constant on the orbit, whose least index keeps its own label.
+    """
+    label = np.arange(codes.size)
+    perms = _line_maps(fq, _dense_units(fq, mats, N), codes, N)
+    while True:
+        low = np.minimum.reduce([label, *label[perms]])
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+def _dense_units(fq: GF, mats, N: int):
+    """A few units of the algebra A = span(mats), as a (k, N, N) stack
+    with k <= ``DENSE_UNITS``; (0, N, N) when no candidate is a unit.
+
+    The candidates are the matrices m and I + m, all in A (I is in A);
+    one batched elimination keeps those of rank N.  Over F_2, I + e is
+    singular for an idempotent e, as (I + e) e = 0.  The units are dealt
+    in turn into ``DENSE_UNITS`` hands, and each hand's ordered product
+    mixes many of them into one unit.
+    """
+    cand = np.concatenate([mats, gf_add(fq, mats, np.eye(N, dtype=np.int64))])
+    units = cand[_gf_batched_rref(fq, cand.copy()) == N]
+    hands = [units[i::DENSE_UNITS]
+             for i in range(min(DENSE_UNITS, len(units)))]
+    return np.array([_gf_product(fq, h) for h in hands],
+                    dtype=np.int64).reshape(-1, N, N)
+
+
+def _line_maps(fq: GF, units, codes, N: int):
+    """perms[s, c]: the index in `codes` of the line of units[s] @ v_c,
+    for v_c the vector of codes[c].
+
+    u v is nonzero because u is invertible, and scaled by the inverse of
+    its first nonzero entry it is the canonical vector of its line; so
+    each row is a permutation of the lines.
+    """
+    q = fq.q
+    _, mult, inv = fq.tables()
+    index = np.zeros(q ** N, dtype=np.int64)
+    index[codes] = np.arange(codes.size)
+    # images[s, c] = units[s] @ v_c
+    images = gf_matmul(fq, unpack_gf_rows(codes, q, N),
+                       units.transpose(0, 2, 1))
+    first = (images != 0).argmax(axis=2)[..., None]
+    lead = np.take_along_axis(images, first, axis=2)
+    return index[mult[inv[lead], images] @ (q ** np.arange(N))]
+
+
+def _gf_product(fq: GF, mats):
+    """The ordered product mats[0] @ mats[1] @ ... over F_q of a nonempty
+    (k, N, N) stack: neighbours are multiplied in pairs, one batched
+    product per round."""
+    while len(mats) > 1:
+        odd = mats[-1:] if len(mats) % 2 else mats[:0]
+        mats = np.concatenate([gf_matmul(fq, mats[0:-1:2], mats[1::2]), odd])
+    return mats[0]
 
 
 def _gf_batched_rref(fq: GF, W):

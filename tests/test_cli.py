@@ -7,6 +7,7 @@ import logging
 import multiprocessing
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -122,6 +123,26 @@ def test_timings_flag(capsys):
     report = json.loads(out)
     assert report["timings"] is not None
     assert "order_s" in report["timings"]
+
+
+def test_fix_timing_covers_convexity_check(capsys, monkeypatch):
+    """fix_s is read after the convexity check, so a slow check shows in
+    it; without --timings the report keeps timings null."""
+    from schur_lattice import cli
+    real = cli.convexity_check
+
+    def slow_check(fixset):
+        time.sleep(0.3)
+        return real(fixset)
+
+    monkeypatch.setattr(cli, "convexity_check", slow_check)
+    argv = ["fix", "--n", "2", "--lambda", "2", "--p", "2"]
+    code, out, _ = run_main(capsys, argv + ["--timings"])
+    assert code == 0
+    assert json.loads(out)["timings"]["fix_s"] >= 0.3
+    code, out, _ = run_main(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["timings"] is None
 
 
 def test_determinism_byte_identical(capsys):

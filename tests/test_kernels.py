@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from schur_lattice import (GF, RationalAtP, RationalFunctionOverFq,
                            SchurModule, compute_order, fix_bfs)
-from schur_lattice._kernels import (GFSpan, digit_histogram, gf_matmul,
+from schur_lattice._kernels import (GFSpan, _dense_units, _line_maps,
+                                    _unit_orbits, digit_histogram, gf_matmul,
                                     gf_rank, gf_rref, line_spin_profile,
                                     minplus_closure_matrix,
                                     residue_algebra_basis,
@@ -390,7 +391,9 @@ def test_line_spin_profile_bfs_generators_frozen():
     """The N=8, F_3 residues of the (3, (2,1), 3) order at the standard
     class, spun as they are: the 64 reduced basis matrices span the
     57-dimensional algebra they generate.  Every line but one spins to
-    the whole space, and the kernel matches the oracle."""
+    the whole space, the units of that algebra merge the 3,280 lines into
+    two orbits, so the kernel spins two lines, and it matches the oracle
+    that spins each line."""
     module = SchurModule(3, (2, 1))
     H = compute_order(module, RationalAtP(3), rng_seed=0)
     fq, N = GF(3), H.N
@@ -400,6 +403,8 @@ def test_line_spin_profile_bfs_generators_frozen():
     assert residue_ring_closure_rank(fq, basis, N) == span
     dims, sigs = line_spin_profile(fq, basis, N)
     assert np.bincount(dims[dims > 0]).tolist() == [0, 1] + [0] * 6 + [3279]
+    codes = _canonical_codes(fq.q, N)
+    assert len(np.unique(_unit_orbits(fq, basis, codes, N))) == 2
     oracle_dims, oracle_sigs = _line_spin_oracle(fq, basis, N)
     assert np.array_equal(dims, oracle_dims)
     assert np.array_equal(sigs, oracle_sigs)
@@ -501,6 +506,92 @@ def test_line_spin_profile_no_matrices_gives_lines():
     assert dims[0] == -1
     # each closure is the line itself
     assert [int(sigs[c, 0]) for c in canonical] == canonical
+
+
+def _canonical_codes(q, N):
+    return np.concatenate([np.arange(q ** j, q ** N, q ** (j + 1))
+                           for j in range(N)])
+
+
+def _check_unit_orbits(fq, mats, N):
+    """The dense units are invertible and lie in span(mats), and each
+    one's map on canonical codes is a bijection; returns the number of
+    orbits and the units' images of the canonical vectors."""
+    mats = np.asarray(mats, dtype=np.int64)
+    codes = _canonical_codes(fq.q, N)
+    units = _dense_units(fq, mats, N)
+    span = GFSpan(fq, N * N)
+    span.add(mats.reshape(-1, N * N))
+    assert span.member(units.reshape(-1, N * N)).all()
+    assert all(gf_rank(fq, u) == N for u in units)
+    for perm in _line_maps(fq, units, codes, N):
+        assert np.array_equal(np.sort(perm), np.arange(codes.size))
+    images = [gf_matmul(fq, unpack_gf_rows(codes, fq.q, N), u.T)
+              for u in units]
+    return len(np.unique(_unit_orbits(fq, mats, codes, N))), images
+
+
+def test_line_spin_orbits_skip_singular_i_plus_idempotent_over_f2():
+    """Over F_2, (I + e) e = 0 for an idempotent e, so I + e is singular
+    and must not be used as a unit: e and I + e lead the matrices, and
+    the units kept still merge lines, with the oracle's profile."""
+    fq, N = GF(2), 4
+    e = np.diag([1, 1, 0, 0]).astype(np.int64)
+    r = np.array([[0, 1, 1, 0], [1, 1, 0, 1], [0, 0, 0, 1], [0, 0, 1, 1]],
+                 dtype=np.int64)
+    assert np.array_equal(gf_matmul(fq, e, e), e)
+    assert gf_rank(fq, (np.eye(N, dtype=np.int64) + e) % 2) == 2
+    mats = np.concatenate([e[None], residue_algebra_basis(fq, [e, r], N)])
+    orbits, _ = _check_unit_orbits(fq, mats, N)
+    assert orbits < fq.q ** N - 1
+    dims, sigs = line_spin_profile(fq, mats, N)
+    assert np.bincount(dims[dims > 0]).tolist() == [0, 0, 3, 0, 12]
+    oracle_dims, oracle_sigs = _line_spin_oracle(fq, mats, N)
+    assert np.array_equal(dims, oracle_dims)
+    assert np.array_equal(sigs, oracle_sigs)
+
+
+@pytest.mark.parametrize("q, N", [(4, 3), (9, 3)])
+def test_line_spin_orbits_scale_through_tables(q, N):
+    """Over F_4 and F_9 a unit maps canonical vectors to vectors that
+    lead with entries other than 1, which the line maps scale back
+    through the tables.  The algebra keeps span(e_1) invariant and lines
+    close to dimensions 1 and 3 in few orbits, as the oracle finds."""
+    fq = GF(q)
+    rng = np.random.default_rng(q)
+    mats = []
+    for _ in range(2):
+        m = rng.integers(0, q, size=(N, N), dtype=np.int64)
+        m[1:, 0] = 0
+        mats.append(m)
+    basis = residue_algebra_basis(fq, mats, N)
+    orbits, images = _check_unit_orbits(fq, basis, N)
+    lead = [row[row != 0][0] for img in images for row in img]
+    assert set(lead) - {1}
+    assert 2 <= orbits < (q ** N - 1) // (q - 1)
+    dims, sigs = line_spin_profile(fq, basis, N)
+    assert np.bincount(dims[dims > 0]).tolist() == [0, 1, 0, q * q + q]
+    oracle_dims, oracle_sigs = _line_spin_oracle(fq, mats, N)
+    assert np.array_equal(dims, oracle_dims)
+    assert np.array_equal(sigs, oracle_sigs)
+
+
+def test_line_spin_orbits_scalar_units_only():
+    """The diagonal algebra over F_2 has I as its only unit, and every
+    candidate m or I + m is singular: no unit is used, each line is its
+    own orbit, and closures are the coordinate subspaces of the line's
+    support."""
+    fq, N = GF(2), 3
+    mats = [np.diag(d).astype(np.int64) for d in np.eye(N, dtype=np.int64)]
+    basis = residue_algebra_basis(fq, mats, N)
+    assert _dense_units(fq, basis, N).shape == (0, N, N)
+    orbits, _ = _check_unit_orbits(fq, basis, N)
+    assert orbits == fq.q ** N - 1
+    dims, sigs = line_spin_profile(fq, basis, N)
+    assert np.bincount(dims[dims > 0]).tolist() == [0, 3, 3, 1]
+    ref_dims, ref_sigs = _profile_reference(fq, mats, N)
+    assert np.array_equal(dims, ref_dims)
+    assert np.array_equal(sigs, ref_sigs)
 
 
 def test_unpack_gf_rows_roundtrip():
