@@ -185,12 +185,11 @@ def _check_cap_N(module: SchurModule, cap_N: int):
             f"N = {module.N} exceeds the configured cap {cap_N}")
 
 
-def _order(module: SchurModule, spec: FieldSpec, level: int, trials: int,
-           seed: int) -> MatrixModule:
+def _order(module: SchurModule, spec: FieldSpec, level: int,
+           trials: int) -> MatrixModule:
     """compute_order, with the case and the stage in its errors."""
     try:
-        return compute_order(module, spec, level=level, trials=trials,
-                             rng_seed=seed)
+        return compute_order(module, spec, level=level, trials=trials)
     except (CapExceeded, InternalInvariantViolation) as exc:
         raise type(exc)(
             f"{case_label(module, spec)}: stage order: {exc}") from exc
@@ -233,7 +232,7 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
     label = case_label(module, spec)
     _progress(f"computing order for {label}")
     t0 = time.perf_counter()
-    H = _order(module, spec, cfg["level"], cfg["trials"], seed)
+    H = _order(module, spec, cfg["level"], cfg["trials"])
     clock["order_s"] = time.perf_counter() - t0
     is_full = full_rank(H)
     profile = entry_profile(H, allow_degenerate=True)
@@ -435,7 +434,7 @@ def cmd_sample(args) -> int:
     _check_entries(module.N, args.count)
     _check_entries(min(args.count, 5), module.N, gauss.precision)
     _progress(f"computing order for {case_label(module, spec)}")
-    H = _order(module, spec, args.level, args.trials, args.seed)
+    H = _order(module, spec, args.level, args.trials)
     gens = [rho(module, g, spec)
             for g in group_generator_matrices(spec, args.n, args.level)]
     rep = invariance_report(gauss, H, gens, trials=2,

@@ -13,7 +13,6 @@ echelon basis unique per module.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +24,7 @@ from .errors import (CapExceeded, InternalInvariantViolation,
                      NonIntegralInput, NotFullRank, Singular)
 from .fields import (INF, FieldSpec, LaurentRational, RationalAtP,
                      unit_sample_set)
-from .schur import SchurModule, diagonal_weights, rho
+from .schur import SchurModule, rho
 
 # ---------------------------------------------------------------------------
 # generic exact matrix helpers
@@ -633,27 +632,6 @@ def saturation_alphabet(spec: FieldSpec, n: int, level: int):
         uniformizer_diagonal_matrices(spec, n)
 
 
-def _random_unit(spec: FieldSpec, rng: random.Random):
-    if isinstance(spec, RationalAtP):
-        while True:
-            u = rng.randrange(1, spec.p ** 3)
-            if u % spec.p:
-                return spec.from_int(u)
-    fq = spec.residue_field
-    c0 = rng.randrange(1, fq.q)
-    coeffs = [c0] + [rng.randrange(fq.q) for _ in range(2)]
-    return LaurentRational.make(fq, 0, tuple(coeffs), (1,))
-
-
-def _random_word(spec: FieldSpec, n: int, size: int, rng: random.Random):
-    """One trial word a_1*...*a_k*diag(u_1, ..., u_n), 2 <= k <= 5, as its
-    letter indices into an alphabet of `size` letters and its units;
-    drawn in the order length, letters, units."""
-    length = rng.randint(2, 5)
-    word = [rng.randrange(size) for _ in range(length)]
-    return word, [_random_unit(spec, rng) for _ in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # integer lane for the p-adic backend
 # ---------------------------------------------------------------------------
@@ -750,39 +728,45 @@ class _IntEchelon:
         return rows
 
 
-def _int_smith_divisors(rows, p: int):
-    """Elementary-divisor valuations of the span of integer rows over Z_(p)."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return ()
-    active_rows = list(range(len(work)))
-    active_cols = list(range(len(work[0])))
-    divisors = []
-    while active_rows and active_cols:
-        best, br, bc = None, None, None
-        for r in active_rows:
-            row = work[r]
-            for c in active_cols:
-                if row[c] == 0:
-                    continue
-                v = _int_val(row[c], p)
-                if best is None or v < best:
-                    best, br, bc = v, r, c
-        if best is None:
+def _int_smith_divisors(rows, p: int, P: int):
+    """The m sorted elementary-divisor valuations over Z_(p) of
+    M + p^P * Z^m, M the span of the k x m integer array `rows`; each is
+    at most P.
+
+    The pass runs on entries reduced modulo p^P, so they never swell.
+    That is sound: M + p^P * Z^m holds p^P * Z^m, so in a Smith basis f_i
+    it is the sum of the p^(d_i) * Z_(p) * f_i with every d_i <= P, and
+    its image in (Z/p^P)^m the sum of the p^(d_i) * (Z/p^P) * f_i.  The
+    d_i below P are the invariant factors of that image over the local
+    ring Z/p^P, and the others are P.  The pass finds them as over
+    Z_(p): an entry of least valuation v is p^v * u, u a unit, so
+    p^v divides every entry x, and subtracting (x / p^v) * u^-1 times
+    its row clears its column.  Column operations would then clear its
+    row without touching the others, so the row and the column are
+    dropped, and the entries left hold the other factors.  Once every
+    entry is 0 modulo p^P, the divisors not found are P.  When the
+    top one is below P they are M's own (_PadicLane), and that is all
+    _saturate_padic reads (Domich, Kannan & Trotter 1987, "Hermite normal
+    form computation using modulo determinant arithmetic"; Cohen 1993,
+    §2.4).  While (p^P - 1)^2 < 2^63 the entries, which must then fit
+    int64, are held as int64, and no product overflows; past that they
+    are Python ints.
+    """
+    mod = p ** P
+    A = np.array(rows, dtype=np.int64 if (mod - 1) ** 2 < 2 ** 63
+                 else object) % mod
+    m, divisors = A.shape[1], []
+    while A.size:
+        g = int(np.gcd.reduce(A, axis=None))
+        if not g:
             break
-        divisors.append(best)
-        punit = work[br][bc] // (p ** best)
-        for r in active_rows:
-            if r == br:
-                continue
-            x = work[r][bc]
-            if x == 0:
-                continue
-            coef = x // (p ** best)
-            work[r] = [punit * a - coef * b for a, b in zip(work[r], work[br])]
-        active_rows.remove(br)
-        active_cols.remove(bc)
-    return tuple(sorted(divisors))
+        v = _int_val(g, p)
+        pv = p ** v
+        i, j = divmod(int(np.argmax(A.ravel() % (pv * p) != 0)), A.shape[1])
+        divisors.append(v)
+        coef = A[:, j] // pv * pow(int(A[i, j]) // pv, -1, mod) % mod
+        A = np.delete(np.delete((A - coef[:, None] * A[i]) % mod, i, 0), j, 1)
+    return tuple(sorted(divisors)) + (P,) * (m - len(divisors))
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +845,7 @@ class _PadicLane:
         rows = self.ech.canonical_rows()
         basis = tuple(unvectorize(tuple(spec.from_int(x) for x in row), N)
                       for row in rows)
-        return basis, _int_smith_divisors(rows, spec.p)
+        return basis, _int_smith_divisors(self.ech.rows, spec.p, self.ech.P)
 
 
 # Cap on r * P, the F_q-coordinates of the F_q(t) lane (r = dim A, P the
@@ -895,7 +879,7 @@ class _TruncatedLane:
     R (x) A is the R-span of the B_k, and X is held by the r x P array of
     the t-coefficients of the a_k, modulo t^P.  The left product by an
     image g = sum t^m G_m is R-linear there, one r x r F_q matrix per
-    degree m: (G_m B_k)[c_l].  The right product likewise.
+    degree m: (G_m B_k)[c_l].
 
     At precision P the lane computes M + t^P R^r, which lies between
     t^P R^r and R^r: the F_q-span of the coordinates of I and the images,
@@ -906,8 +890,7 @@ class _TruncatedLane:
     (M + L)/M = t*(M + L)/M, which is 0 by Nakayama's lemma: M holds L,
     the top divisor of M is below P, and the lane holds M itself.
     Otherwise P doubles and the closure reruns, until r * P would pass
-    MAX_LANE_COORDS (CapExceeded).  A restart only enlarges M, so it
-    stays exact at the same P.
+    MAX_LANE_COORDS (CapExceeded).
 
     Soundness rests on two checks, not on the divided-power proof: the
     coefficients of I and of every image must lie in A (else
@@ -921,9 +904,8 @@ class _TruncatedLane:
     conjugates rho(I + t^k E_ij) of the transvection images.  Both are
     polynomials in s = t^k with the generators of A as coefficients, and
     distinct k give a Vandermonde system, so each generator lies in K*M.
-    A trial word's diagonal factor lies in R (x) A as well: its t^m
-    coefficient is a combination of weight projections, products of the
-    generators.
+    Why the closure of the images is the order, with the extra unit
+    diagonals it needs, is proved in _saturate_generic.
 
     Ordered column-major (pivot column k, then degree), the RREF row of
     the subspace that opens block k is the canonical Hermite row of M:
@@ -941,11 +923,10 @@ class _TruncatedLane:
         self.B, piv = self._algebra_basis()
         self.piv = np.array(piv, dtype=np.int64)
         self.r = len(piv)
-        self.images = [self._coefficients(im) for im in images]
-        seeds = [self._coefficients(identity_matrix(spec, N))] + self.images
+        images = [self._coefficients(im) for im in images]
+        seeds = [self._coefficients(identity_matrix(spec, N))] + images
         self.seeds = [self._coordinates(G) for G in seeds]
-        self.left = [self._maps(G, right=False) for G in self.images]
-        self.right = None
+        self.maps = [self._maps(G) for G in images]
         self.P, self.span = 0, None
         self._close_seeds()
 
@@ -982,21 +963,14 @@ class _TruncatedLane:
                 "algebra of the divided powers")
         return coords.T
 
-    def _maps(self, G, right):
-        """The product by sum t^m G_m (on the right when `right`), one
-        r x r matrix per degree, acting on coordinate columns."""
+    def _maps(self, G):
+        """The left product by sum t^m G_m, one r x r matrix per degree,
+        acting on coordinate columns."""
         fq, N, r = self.fq, self.N, self.r
-        Bm = self.B.reshape(r, N, N)
-        maps = []
-        for Gm in G:
-            if right:
-                prod = _kernels.gf_matmul(fq, Bm.reshape(r * N, N), Gm)
-            else:
-                prod = _kernels.gf_matmul(
-                    fq, Gm, Bm.transpose(1, 0, 2).reshape(N, r * N)
-                ).reshape(N, r, N).transpose(1, 0, 2)
-            maps.append(prod.reshape(r, N * N)[:, self.piv].T)
-        return maps
+        Bm = self.B.reshape(r, N, N).transpose(1, 0, 2).reshape(N, r * N)
+        return [_kernels.gf_matmul(fq, Gm, Bm).reshape(N, r, N)
+                .transpose(1, 0, 2).reshape(r, N * N)[:, self.piv].T
+                for Gm in G]
 
     def _fit(self, X):
         """Coordinates (..., r, D) truncated or padded to (..., r, P)."""
@@ -1019,13 +993,11 @@ class _TruncatedLane:
             out[:, :, m:] = _kernels.gf_add(fq, out[:, :, m:], prod)
         return out
 
-    def _close(self, frontier, right):
-        """Close the span under t and the products by the images (left,
-        and right when `right`), from the rows it just gained, in batches
-        of at most BATCH_ENTRIES entries; the rows each batch gains are
-        the next frontier."""
-        r, P = self.r, self.P
-        maps = self.left + (self.right if right else [])
+    def _close(self, frontier):
+        """Close the span under t and the left products by the images,
+        from the rows it just gained, in batches of at most BATCH_ENTRIES
+        entries; the rows each batch gains are the next frontier."""
+        r, P, maps = self.r, self.P, self.maps
         step = max(1, BATCH_ENTRIES // ((1 + len(maps)) * r * P))
         while len(frontier):
             gained = []
@@ -1048,36 +1020,20 @@ class _TruncatedLane:
                     f"over the cap MAX_LANE_COORDS = {MAX_LANE_COORDS}")
             self.P, self.span = P, _kernels.GFSpan(self.fq, r * P)
             seeds = np.stack([self._fit(x) for x in self.seeds])
-            self._close(self.span.add(seeds.reshape(-1, r * P)), right=False)
+            self._close(self.span.add(seeds.reshape(-1, r * P)))
             tops = np.zeros((r, r, P), dtype=np.int64)
             tops[np.arange(r), np.arange(r), P - 1] = 1
             if self.span.member(tops.reshape(r, r * P)).all():
                 return
             P *= 2
 
-    def word(self, word, units):
-        """Coordinates of rho(a_1*...*a_k*diag(units)), the letter maps
-        applied to those of the diagonal factor (schur.diagonal_weights)."""
-        N, P = self.N, self.P
-        weights = diagonal_weights(self.module, units)
-        X = np.zeros((1, self.r, P), dtype=np.int64)
-        for l, c in enumerate(self.piv.tolist()):
-            if c // N == c % N:
-                X[0, l] = _polynomial_coefficients(self.spec, weights[c // N],
-                                                   P)
-        for i in reversed(word):
-            X = self._apply(self.left[i], X)
-        return X[0]
-
-    def member(self, x) -> bool:
-        return bool(self.span.member(x.reshape(1, -1))[0])
-
-    def absorb(self, x):
-        """Add the element with coordinates x (r, D) and close the span
-        under t and under both products by the images."""
-        if self.right is None:
-            self.right = [self._maps(G, right=True) for G in self.images]
-        self._close(self.span.add(self._fit(x).reshape(1, -1)), right=True)
+    def member(self, mats):
+        """Boolean per matrix of polynomials in `mats`: does it lie in
+        the span?  Its t-coefficients must lie in A (_coordinates)."""
+        X = np.zeros((len(mats), self.r, self.P), dtype=np.int64)
+        for k, G in enumerate(mats):
+            X[k] = self._fit(self._coordinates(self._coefficients(G)))
+        return self.span.member(X.reshape(len(mats), self.r * self.P))
 
     def result(self):
         """The canonical Hermite rows in N^2 coordinates, and the
@@ -1136,7 +1092,7 @@ def _saturate_padic(spec, images, N, level, trials):
     closure holds A + p^P * M_N(Z_(p)), A the algebra of the alphabet
     images (_close); that set is closed under products, since
     p^P * M_N is a two-sided ideal.  A trial word is W = a_1*...*a_k*
-    diag(u_1, ..., u_n), with integer units u_i (_random_unit), and each
+    diag(u_1, ..., u_n), with integer units u_i, and each
     rho(a_i) lies in A.  rho(diag_pos(u)) is the diagonal of the
     monomials u^(k_T), k_T the number of times pos appears in the
     tableau T (schur.diagonal_weights).  The residues of unit_sample_set
@@ -1167,33 +1123,69 @@ def _saturate_padic(spec, images, N, level, trials):
         P = min(2 * P, PRECISION)
 
 
-def _saturate_generic(spec, images, N, level, trials, rng, module):
-    """The order over F_q(t): the closure of the identity and the images
-    in the truncated lane (_TruncatedLane), then tested with random words
-    over the alphabet of the images (_random_word), one at a time, until
-    `trials` in a row lie in the span.  A word outside it is absorbed and
-    the count restarts; its closure must reach A*W*A, so it forms both
-    products.  The certificate is sampled: the unit set reaches only its
-    level."""
-    lane = _TruncatedLane(spec, module, images)
-    passed = restarts = 0
-    while passed < trials:
-        x = lane.word(*_random_word(spec, module.n, len(images), rng))
-        if lane.member(x):
-            passed += 1
-        else:
-            passed, restarts = 0, restarts + 1
-            lane.absorb(x)
-    basis, divisors = lane.result()
-    certificate = {"level": level, "trials": trials, "trials_passed": passed,
-                   "restarts": restarts, "exact": False,
-                   "label": f"certified at level={level}, trials={trials}",
-                   "method": "saturation"}
-    return MatrixModule(spec, N, basis, divisors, certificate)
+def _saturate_generic(spec, images, N, level, trials, module):
+    """The order over F_q(t), q = p^e: the closure M of the identity and
+    the images in the truncated lane (_TruncatedLane), at its working
+    precision P, tested against the letters diag_pos(1 + a*t^j) for each
+    position pos, each a in the F_p-basis {p^i : i < e} of F_q, and each
+    1 <= j < P with p not dividing j.  If every letter's image lies in M,
+    M is the order.  Otherwise the lane is rebuilt with the failing
+    images added to the alphabet's, and the letters of its P are tested
+    again.  Each rebuild strictly enlarges M inside R (x) A, above the
+    t^(P-1) * (R (x) A) that the first M holds, so this ends.  No word
+    is sampled, and the certificate is exact (_exact_certificate).
+
+    Why M is the order, once every letter passes.  The stopping rule of
+    the lane gives t^(P-1) * (R (x) A) <= M.
+    - Only u mod t^P matters.  rho(diag_pos(u)) is the diagonal of the
+      u^(k_T), k_T the number of times pos appears in the tableau T
+      (schur.diagonal_weights), that is sum_k u^k * E_k, with E_k the
+      weight projection onto the tableaux of k_T = k, which lies in A.
+      So u = u' mod t^P gives rho(diag_pos(u)) - rho(diag_pos(u')) in
+      t^P * (R (x) A) <= M.
+    - The letters and c generate (F_q[t]/t^P)^x, c the generator of
+      F_q^x in unit_sample_set.  The group is F_q^x times
+      U = 1 + t*F_q[t]/t^P.  For each j < P and b in F_q, some product
+      of letters is 1 + b*t^j mod t^(j+1): for p not dividing j, the
+      product of (1 + p^i*t^j)^(n_i), n_i the base-p digits of b (GF
+      stores sum n_i x^i as sum n_i p^i); for j = p*k,
+      the p-th power of such a product w for k, with b' = b^(1/p) (the
+      Frobenius is onto F_q), since w^p = 1 + b*t^j mod t^(j+p).  Match
+      the t^j coefficient of an element of U, divide, and go up in j.
+      The group is finite, so the same letters generate it as a monoid.
+      M is an algebra (_close) that holds every letter's image, so it
+      holds their products, and so rho(diag_pos(u)) for every unit u
+      of R.
+    - Every element r of R is a unit or a sum of two units
+      (r = 1 + (r - 1) when r is in t*R).  So I + r*E_ij is
+      D*(I + E_ij)*D^-1 with D = diag_i(r) for a unit r, and
+      (I + E_ij)*(I + (r - 1)*E_ij) otherwise.  The transvections and
+      the unit diagonals generate GL_n(R), R being local, and M is an
+      algebra (_close), so it holds rho(GL_n(R)).
+    Every letter is in GL_n(R), so M is the span of the words in the
+    alphabet and GL_n(R), trial words included: the order, as over Q_p
+    (_saturate_padic).
+    """
+    fq, n = spec.residue_field, module.n
+    while True:
+        lane = _TruncatedLane(spec, module, images)
+        units = [LaurentRational.make(fq, 0, (1,) + (0,) * (j - 1)
+                                      + (fq.p ** i,), (1,))
+                 for j in range(1, lane.P) if j % fq.p for i in range(fq.e)]
+        letters = [rho(module, _matrix(spec, n, {(pos, pos): u}), spec)
+                   for u in units for pos in range(n)]
+        failing = [g for g, ok in zip(letters, lane.member(letters))
+                   if not ok]
+        if not failing:
+            basis, divisors = lane.result()
+            return MatrixModule(spec, N, basis, divisors,
+                                _exact_certificate(level, trials,
+                                                   "saturation"))
+        images = images + failing
 
 
 def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
-                  trials: int = 64, rng_seed: int = 0) -> MatrixModule:
+                  trials: int = 64) -> MatrixModule:
     """R-span of the integral representation image, by saturation.
 
     Seeds with the images of transpositions, transvections, unit
@@ -1203,9 +1195,10 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
     CapExceeded is raised when its top elementary divisor reaches
     PRECISION, the cap on the rising working precision.  Over F_q(t) the
     closure runs in the truncated lane (_TruncatedLane), with its cap
-    MAX_LANE_COORDS, and `trials` randomized enlargement tests with
-    random generator words follow; any enlargement is absorbed and the
-    count restarts.
+    MAX_LANE_COORDS, together with the finite set of unit diagonals that
+    make it the order (_saturate_generic); no random word is drawn there
+    either.  Both certificates are exact, and `trials` only sets the
+    count they report.
     """
     N = module.N
     if N == 0:
@@ -1232,5 +1225,4 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
             spec, N, _exact_certificate(level, trials, "residue-full"))
     if padic:
         return _saturate_padic(spec, images, N, level, trials)
-    return _saturate_generic(spec, images, N, level, trials,
-                             random.Random(rng_seed), module)
+    return _saturate_generic(spec, images, N, level, trials, module)

@@ -959,14 +959,16 @@ MAX_LEVEL = 64
 
 
 def unit_sample_set(spec: FieldSpec, level: int = 1):
-    """Finite unit set whose generated subgroup is residue-dense to `level`.
+    """The units of the saturation alphabet's diagonals.
 
     For the p-adic backend with p odd this is {g, -1} with g the smallest
     primitive root mod p^2 (so <g> is dense in the units); for p = 2 it is
     {-1, 3}.  For the equal-characteristic backend it is {c} together with
     {1 + c*t^j : 1 <= j <= level} where c generates the multiplicative
     group of F_q (c = 1 when q = 2); a level above MAX_LEVEL raises
-    CapExceeded there.  The p-adic set does not depend on the level.
+    CapExceeded there.  The p-adic set does not depend on the level, and
+    neither does the order on either backend: over F_q(t) the order adds
+    the unit diagonals it needs beyond these (dvr._saturate_generic).
     """
     if level < 1:
         raise SchurLatticeError(f"level must be >= 1, got {level}")

@@ -2,18 +2,45 @@
 
 ``saturate_exact`` closes the identity and the images in the exact lane
 (``ExactLane``, field-element matrices in an ``ExactEchelon``) and tests
-random words one at a time, as ``compute_order`` did over F_q(t) before
-the truncated lane; over Q_p it is the oracle of the p-adic lane.
-``word_image`` forms a trial word's image as that oracle does, and
-``module_add_and_saturate`` closes a module under given matrices.
+random words (``random_word``) one at a time, as ``compute_order`` did
+over F_q(t) before it closed a finite alphabet; it is the sampled
+reference of both lanes.  ``word_image`` forms a trial word's image as
+that oracle does, and ``module_add_and_saturate`` closes a module under
+given matrices.  ``int_smith_divisors_exact`` is the Smith pass over
+unreduced integers, the oracle of the p-adic lane's pass modulo p^P.
 """
 
 import math
+import random
 
-from schur_lattice.dvr import (ExactEchelon, MatrixModule, _random_word,
+from schur_lattice.dvr import (ExactEchelon, MatrixModule, _int_val,
                                identity_matrix, is_integral_matrix, mat_mul,
                                smith_divisors, unvectorize, vectorize)
 from schur_lattice.errors import NonIntegralInput
+from schur_lattice.fields import LaurentRational, RationalAtP
+
+
+def random_unit(spec, rng: random.Random):
+    """A unit of R: an integer below p^3 prime to p over Q_p, a polynomial
+    of degree at most 2 with nonzero constant term over F_q(t)."""
+    if isinstance(spec, RationalAtP):
+        while True:
+            u = rng.randrange(1, spec.p ** 3)
+            if u % spec.p:
+                return spec.from_int(u)
+    fq = spec.residue_field
+    c0 = rng.randrange(1, fq.q)
+    coeffs = [c0] + [rng.randrange(fq.q) for _ in range(2)]
+    return LaurentRational.make(fq, 0, tuple(coeffs), (1,))
+
+
+def random_word(spec, n: int, size: int, rng: random.Random):
+    """One trial word a_1*...*a_k*diag(u_1, ..., u_n), 2 <= k <= 5, as its
+    letter indices into an alphabet of `size` letters and its units;
+    drawn in the order length, letters, units."""
+    length = rng.randint(2, 5)
+    word = [rng.randrange(size) for _ in range(length)]
+    return word, [random_unit(spec, rng) for _ in range(n)]
 
 
 class ExactLane:
@@ -81,7 +108,7 @@ def word_image(module, letters, word, units):
 def saturate_exact(spec, images, N, level, trials, rng, letters, module):
     """The closure of the identity and the images (close) in the exact
     lane, then tested with random words over the alphabet whose images
-    are `letters` (_random_word, word_image), one at a time, until
+    are `letters` (random_word, word_image), one at a time, until
     `trials` in a row lie in the span.  A word outside it is absorbed and
     the count restarts; its closure must reach A*W*A, so it forms both
     products.  The seeds may be fewer images than letters."""
@@ -90,7 +117,7 @@ def saturate_exact(spec, images, N, level, trials, rng, letters, module):
     close(lane, images, lane.insert(seeds), right=False)
     passed = restarts = 0
     while passed < trials:
-        W = word_image(module, letters, *_random_word(
+        W = word_image(module, letters, *random_word(
             spec, module.n, len(letters), rng))
         if lane.ech.member(vectorize(W)):
             passed += 1
@@ -103,3 +130,42 @@ def saturate_exact(spec, images, N, level, trials, rng, letters, module):
                    "label": f"certified at level={level}, trials={trials}",
                    "method": "saturation"}
     return MatrixModule(spec, N, basis, divisors, certificate)
+
+
+def int_smith_divisors_exact(rows, p: int):
+    """Elementary-divisor valuations of the span of integer rows over
+    Z_(p), by the same pivot search as dvr._int_smith_divisors on
+    unreduced integers.  Each step replaces a row by punit * a - coef * b,
+    so the entries swell: at (2,(9),2) the pass on the order's 100 rows
+    did not end; it is the oracle of the reduced pass."""
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return ()
+    active_rows = list(range(len(work)))
+    active_cols = list(range(len(work[0])))
+    divisors = []
+    while active_rows and active_cols:
+        best, br, bc = None, None, None
+        for r in active_rows:
+            row = work[r]
+            for c in active_cols:
+                if row[c] == 0:
+                    continue
+                v = _int_val(row[c], p)
+                if best is None or v < best:
+                    best, br, bc = v, r, c
+        if best is None:
+            break
+        divisors.append(best)
+        punit = work[br][bc] // (p ** best)
+        for r in active_rows:
+            if r == br:
+                continue
+            x = work[r][bc]
+            if x == 0:
+                continue
+            coef = x // (p ** best)
+            work[r] = [punit * a - coef * b for a, b in zip(work[r], work[br])]
+        active_rows.remove(br)
+        active_cols.remove(bc)
+    return tuple(sorted(divisors))

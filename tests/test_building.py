@@ -32,12 +32,12 @@ def fmat(rows):
 
 @pytest.fixture(scope="module")
 def order_2adic():
-    return compute_order(SchurModule(2, (2,)), P2, rng_seed=0)
+    return compute_order(SchurModule(2, (2,)), P2)
 
 
 @pytest.fixture(scope="module")
 def order_laurent():
-    return compute_order(SchurModule(2, (2,)), F2T, trials=16, rng_seed=0)
+    return compute_order(SchurModule(2, (2,)), F2T, trials=16)
 
 
 def non_graduated_module():
@@ -110,7 +110,7 @@ def test_detect_graduated_frozen(order_2adic):
 
 
 def test_detect_graduated_full_end():
-    H = compute_order(SchurModule(2, (2,)), P3, rng_seed=0)
+    H = compute_order(SchurModule(2, (2,)), P3)
     assert detect_graduated(H) == ((0, 0, 0),) * 3
 
 
@@ -153,7 +153,7 @@ GRADUATED_GRID = [(n, lam, p) for n in (2, 3)
 @pytest.mark.parametrize("n,lam,p", GRADUATED_GRID, ids=[
     f"n{n}-{''.join(map(str, lam))}-p{p}" for n, lam, p in GRADUATED_GRID])
 def test_detect_graduated_matches_membership_oracle(n, lam, p):
-    H = compute_order(SchurModule(n, lam), RationalAtP(p), rng_seed=0)
+    H = compute_order(SchurModule(n, lam), RationalAtP(p))
     assert full_rank(H)
     assert detect_graduated(H) == _graduated_by_membership(H)
 
@@ -323,7 +323,7 @@ def test_residue_generator_rep_matches_hand_built_oracle():
 
 def test_spans_end_residue(order_2adic):
     assert spans_end_residue(order_2adic) is False
-    H3 = compute_order(SchurModule(2, (2,)), P3, rng_seed=0)
+    H3 = compute_order(SchurModule(2, (2,)), P3)
     assert spans_end_residue(H3) is True
 
 
@@ -362,7 +362,7 @@ def test_fix_bfs_classes_are_invariant(order_2adic):
 
 def test_fix_bfs_full_end_single_class():
     m = SchurModule(2, (2,))
-    H = compute_order(m, P3, rng_seed=0)
+    H = compute_order(m, P3)
     S = fix_bfs(H, m, P3)
     assert len(S.classes) == 1
     assert S.classes[0].key() == LatticeClass(standard_lattice(P3, 3)).key()
@@ -372,7 +372,7 @@ def test_fix_bfs_laurent_non_graduated_frozen():
     """F_2(t), n=2, lambda=(3): a full-rank order that is not graduated,
     so only the BFS runs; it walks from the standard class to 3 classes."""
     m = SchurModule(2, (3,))
-    H = compute_order(m, F2T, rng_seed=0)
+    H = compute_order(m, F2T)
     assert full_rank(H) and detect_graduated(H) is None
     S = fix_bfs(H, m, F2T)
     assert S.keys() == (
@@ -391,7 +391,7 @@ def test_fix_bfs_laurent_gf3_non_graduated_frozen():
     and not graduated; the BFS finds 3 classes, and they are convex."""
     F3T = RationalFunctionOverFq(3)
     m = SchurModule(2, (5,))
-    H = compute_order(m, F3T, rng_seed=0)
+    H = compute_order(m, F3T)
     assert full_rank(H) and detect_graduated(H) is None
     S = fix_bfs(H, m, F3T)
     e = [["0"] * 6 for _ in range(6)]
@@ -411,7 +411,7 @@ def test_fix_bfs_laurent_gf4_agrees_with_polytrope():
     field; BFS and polytrope both find only the standard class."""
     F4T = RationalFunctionOverFq(4)
     m = SchurModule(2, (3,))
-    H = compute_order(m, F4T, rng_seed=0)
+    H = compute_order(m, F4T)
     M = detect_graduated(H)
     assert M == ((0,) * 4,) * 4
     S = fix_bfs(H, m, F4T)

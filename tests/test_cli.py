@@ -504,6 +504,27 @@ def test_padic_order_million_trials_answers():
     assert cert["trials_passed"] == 1000000 and cert["restarts"] == 0
 
 
+def test_laurent_order_million_trials_answers():
+    """Over F_q(t) no trial word is drawn either, so a million trials cost
+    nothing, and the certificate is exact."""
+    out = run_cli(["order", "--n", "2", "--lambda", "3", "--field",
+                   "laurent", "--q", "2", "--trials", "1000000"])
+    assert out.returncode == 0
+    cert = json.loads(out.stdout)["order"]["certificate"]
+    assert cert == {"level": 1, "trials": 1000000, "trials_passed": 1000000,
+                    "restarts": 0, "exact": True, "label": "exact",
+                    "method": "saturation"}
+
+
+def test_padic_order_smith_pass_is_bounded():
+    """The Smith pass of (2,(9),2) runs modulo p^P, so its entries cannot
+    swell: the order answers, with top divisor 6."""
+    out = run_cli(["order", "--n", "2", "--lambda", "9", "--p", "2"])
+    assert out.returncode == 0
+    order = json.loads(out.stdout)["order"]
+    assert order["rank"] == 100 and order["divisors"][-1] == 6
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--count", "1000000000"], "3 x 1000000000 = 3000000000 sample digits "
      "exceed the cap MAX_SAMPLE_ENTRIES = 2^22"),

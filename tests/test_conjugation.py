@@ -162,6 +162,6 @@ def test_conjugate_residues_fixed_examples(spec):
 def test_conjugate_residues_on_bfs_classes(n, lam, spec):
     """Every BFS class of a real order, under the order's basis."""
     module = SchurModule(n, lam)
-    H = compute_order(module, spec, rng_seed=0)
+    H = compute_order(module, spec)
     for c in fix_bfs(H, module, spec).classes:
         assert check(c.rep, H.basis) is not None

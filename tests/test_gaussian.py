@@ -77,7 +77,7 @@ def test_chi2_flat_passes_skewed_fails():
 
 def _report(spec, lam, lattice_u=None, **kw):
     m = SchurModule(2, lam)
-    H = compute_order(m, spec, rng_seed=0)
+    H = compute_order(m, spec)
     L = (standard_lattice(spec, m.N) if lattice_u is None
          else diagonal_lattice(spec, lattice_u))
     g = LatticeGaussian(spec, L, precision=2, seed=3)
@@ -114,7 +114,7 @@ def test_invariance_report_non_invariant_lattice():
 def test_invariance_report_laurent():
     spec = RationalFunctionOverFq(2)
     m = SchurModule(2, (2,))
-    H = compute_order(m, spec, trials=8, rng_seed=0)
+    H = compute_order(m, spec, trials=8)
     g = LatticeGaussian(spec, standard_lattice(spec, 3), precision=2, seed=3)
     gens = [rho(m, x, spec) for x in group_generator_matrices(spec, 2, 1)]
     rep = invariance_report(g, H, gens, trials=2, sample_count=2000)

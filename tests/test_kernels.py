@@ -395,7 +395,7 @@ def test_line_spin_profile_bfs_generators_frozen():
     two orbits, so the kernel spins two lines, and it matches the oracle
     that spins each line."""
     module = SchurModule(3, (2, 1))
-    H = compute_order(module, RationalAtP(3), rng_seed=0)
+    H = compute_order(module, RationalAtP(3))
     fq, N = GF(3), H.N
     basis = conjugate_residues(standard_lattice(H.spec, N), H.basis)
     span = gf_rank(fq, np.reshape(basis, (-1, N * N)))
@@ -470,7 +470,7 @@ def test_bfs_residues_span_their_algebra(n, lam, spec):
     that span, finds the subspaces invariant under the residues.  The
     reference spins each line breadth-first under the raw residues."""
     module = SchurModule(n, lam)
-    H = compute_order(module, spec, rng_seed=0)
+    H = compute_order(module, spec)
     fq, N = spec.residue_field, H.N
     for cls in fix_bfs(H, module, spec).classes:
         res = conjugate_residues(cls.rep, H.basis)
