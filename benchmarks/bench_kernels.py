@@ -66,12 +66,12 @@ def run_suite():
     module = SchurModule(3, (2, 1))
     H = compute_order(module, RationalAtP(3))
     Nl = H.N
-    basis = conjugate_residues(standard_lattice(H.spec, Nl), H.basis)
+    basis = conjugate_residues(standard_lattice(H.spec, Nl), H.matrices)
     # the invariance test and residues of every BFS class of that order
     fixed = fix_bfs(H, module, H.spec)
     classes = fixed.classes
     rows.append(_bench(f"conjugate residues {len(classes)} classes N={Nl}",
-                       lambda: [conjugate_residues(c.rep, H.basis)
+                       lambda: [conjugate_residues(c.rep, H.matrices)
                                 for c in classes], 5))
     # sums and meets of every pair of those classes at every scaling
     rows.append(_bench(f"convexity {len(classes)} classes N={Nl}",
@@ -86,7 +86,7 @@ def run_suite():
     H3 = compute_order(SchurModule(3, (3,)), RationalAtP(3))
     N3 = H3.N
     span3, _ = gf_rref(f3, np.reshape(
-        conjugate_residues(standard_lattice(H3.spec, N3), H3.basis),
+        conjugate_residues(standard_lattice(H3.spec, N3), H3.matrices),
         (-1, N3 * N3)))
     span3 = span3.reshape(-1, N3, N3)
     rows.append(_bench(f"line spins GF(3) N={N3} {len(span3)} span",

@@ -11,8 +11,9 @@ Over F_q there are three eliminations: ``gf_rref``, one Gauss-Jordan
 pass over one matrix; ``GFSpan``, an incremental span that reduces a
 batch of rows in one product and finishes it with ``gf_rref``, on which
 the residue algebra closes in batched rounds (``residue_algebra_basis``);
-and ``_gf_batched_rref``, which row-reduces the images of a chunk of
-lines at once for the line spins.
+and ``_gf_batched_rref``, which row-reduces a stack of matrices at once:
+the images of a chunk of lines for the line spins, and the generator
+images of a ``building.ResidueRep``.
 
 A line's spin closure is constant on the orbits of the units of the
 algebra it is spun under, so ``line_spin_profile`` spins one line per
@@ -411,13 +412,19 @@ def _gf_batched_rref(fq: GF, W):
     up, scales it to lead 1 and clears the column in all its other rows;
     elements without one get a zero multiplier.  For prime q the
     clearing is not reduced mod p until the end: each step adds at most
-    (p-1)**2 to an entry's size, so entries stay below (N+1)*p**2, and
-    only the column at hand is reduced.
+    (p-1)**2 to an entry's size, so entries in [0, p) stay below
+    (N+1)*(p-1)**2, and only the column at hand is reduced.  When that
+    bound does not fit int64, every step is reduced (_check_int64 with
+    one product).  Over a prime field the pivot inverses come from
+    _inverse_mod_p, with no lookup tables, so any p that passes
+    _check_int64 is reduced.
     """
     c, d, N = W.shape
-    addt, mult, inv = fq.tables()
     prime = fq.e == 1
+    _check_int64(fq, 1)
+    each_step = prime and (N + 1) * (fq.p - 1) ** 2 >= 2 ** 63
     if not prime:
+        addt, mult, inv = fq.tables()
         neg = fq.neg_table()
     batch = np.arange(c)
     rows = np.arange(d)[None, :]
@@ -432,7 +439,8 @@ def _gf_batched_rref(fq: GF, W):
         piv = np.where(has, cand.argmax(axis=1), r)
         lead = np.where(has, col[batch, piv], 1)
         if prime:
-            prow = W[batch, piv] % fq.p * inv[lead][:, None] % fq.p
+            inv_lead = _inverse_mod_p(lead, fq.p)[:, None]
+            prow = W[batch, piv] % fq.p * inv_lead % fq.p
         else:
             prow = mult[W[batch, piv], inv[lead][:, None]]
         f = np.where(has[:, None], col, 0)
@@ -442,12 +450,27 @@ def _gf_batched_rref(fq: GF, W):
         W[batch, r] = prow
         if prime:
             W -= f[:, :, None] * prow[:, None, :]
+            if each_step:
+                W %= fq.p
         else:
             W[...] = addt[W, neg[mult[f[:, :, None], prow[:, None, :]]]]
         rank += has
     if prime:
         W %= fq.p
     return rank
+
+
+def _inverse_mod_p(x, p: int):
+    """x^(p-2) mod p for an int64 array x of nonzero residues: their
+    inverses (Fermat), by repeated squaring; the products fit int64 when
+    (p-1)^2 < 2^63 (_check_int64)."""
+    out, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
 
 
 def unpack_gf_rows(packed, q: int, N: int):

@@ -22,13 +22,14 @@ from . import _kernels
 # membership is no longer called here, but pipeline_bench's tracer test
 # reads it as building.membership
 from .dvr import (Lattice, LatticeClass, MatrixModule, congruence_level,
-                  conjugate_residues, full_rank, group_generator_matrices,
-                  lattice_sum_and_meet, mat_vec, membership, smith_divisors,
+                  conjugate_residues, full_rank, generator_images,
+                  group_generator_matrices, lattice_sum_and_meet, mat_vec,
+                  membership, reduce_images, smith_divisors,
                   standard_lattice)
 from .errors import (CapExceeded, InternalInvariantViolation, NegativeCycle,
                      NotFullRank, SchurLatticeError, Singular)
 from .fields import GF, INF, FieldSpec
-from .schur import SchurModule, rho
+from .schur import SchurModule
 
 DEFAULT_SUBSPACE_CAP = 2 ** 16
 DEFAULT_ENUM_CAP = 10 ** 6
@@ -40,21 +41,23 @@ DEFAULT_ENUM_CAP = 10 ** 6
 
 @dataclass(frozen=True)
 class ResidueRep:
-    """Residue-field representation data: generator images over k.
+    """Residue-field representation data: generator images over k, a
+    (k, N, N) int64 array or a sequence of N x N matrices of ints.
 
     Generator images must be invertible (this is a group representation;
     the BFS engine works with algebra bases instead and bypasses this
-    type).
+    type); one batched elimination ranks them all.
     """
 
     fq: GF
     N: int
-    generators: tuple
+    generators: tuple | np.ndarray
 
     def __post_init__(self):
-        for g in self.generators:
-            if _kernels.gf_rank(self.fq, np.asarray(g, dtype=np.int64)) != self.N:
-                raise Singular("residue generator image is not invertible")
+        gens = np.array(self.generators, dtype=np.int64).reshape(
+            -1, self.N, self.N)
+        if (_kernels._gf_batched_rref(self.fq, gens) < self.N).any():
+            raise Singular("residue generator image is not invertible")
 
 
 @dataclass(frozen=True)
@@ -88,22 +91,10 @@ def entry_profile(H: MatrixModule, allow_degenerate: bool = False):
     Positions where every basis matrix vanishes get +inf; those only
     occur for non-full-rank modules and require allow_degenerate.
     """
-    spec, N = H.spec, H.N
-    prof = [[INF] * N for _ in range(N)]
-    for mat in H.basis:
-        for i in range(N):
-            for j in range(N):
-                v = spec.val(mat[i][j])
-                if v < prof[i][j]:
-                    prof[i][j] = v
-    if not allow_degenerate:
-        for row in prof:
-            for x in row:
-                if x == INF:
-                    raise NotFullRank(
-                        "profile has empty positions; module is degenerate")
-    return tuple(tuple(int(x) if x != INF else INF for x in row)
-                 for row in prof)
+    prof = H.valuation_profile()
+    if not allow_degenerate and any(x == INF for row in prof for x in row):
+        raise NotFullRank("profile has empty positions; module is degenerate")
+    return prof
 
 
 def min_plus_closure(M):
@@ -233,7 +224,7 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int):
     """All proper nonzero subspaces of k^N invariant under every matrix.
 
     Precondition: the matrices span a unital algebra A.  The residues
-    ``conjugate_residues(L, H.basis)`` of an R-order H (every producer
+    ``conjugate_residues(L, H.matrices)`` of an R-order H (every producer
     of H makes one) at an H-invariant lattice L meet it: B^-1 H B, for
     B the basis matrix of L, is an R-algebra in M_N(R) that holds I, and
     reduction mod the uniformizer is a ring map, so the residues of its
@@ -290,7 +281,7 @@ def invariant_subspaces(rep: ResidueRep, cap: int = DEFAULT_SUBSPACE_CAP):
 def is_invariant(H: MatrixModule, L: Lattice) -> bool:
     """True iff h L is contained in L for every basis matrix h of H,
     i.e. every B^-1 h B is integral (see ``conjugate_residues``)."""
-    return conjugate_residues(L, H.basis) is not None
+    return conjugate_residues(L, H.matrices) is not None
 
 
 def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
@@ -317,7 +308,7 @@ def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
     label = case_label(module, spec)
 
     def conjugated(cls):
-        mats = conjugate_residues(cls.rep, H.basis)
+        mats = conjugate_residues(cls.rep, H.matrices)
         if mats is None:
             raise InternalInvariantViolation(
                 f"{label}: stage bfs: class {cls.key()} is not H-invariant")
@@ -397,17 +388,17 @@ def spans_end_residue(H: MatrixModule) -> bool:
     residue representation)."""
     if not full_rank(H):
         raise NotFullRank("residue span test needs a full-rank module")
-    spec, N = H.spec, H.N
-    rows = [[spec.reduce(x) for row in mat for x in row] for mat in H.basis]
-    return _kernels.gf_rank(spec.residue_field, np.asarray(rows)) == N * N
+    rows = H.residues().reshape(H.rank, -1)
+    return _kernels.gf_rank(H.spec.residue_field, rows) == H.N * H.N
 
 
 def residue_generator_rep(module: SchurModule, spec: FieldSpec) -> ResidueRep:
     """Group-generator residue representation: the reductions mod the
     uniformizer of rho(g) for g in group_generator_matrices(spec, n, 1),
     the transpositions, transvections and unit diagonals whose images
-    compute_order has already formed (rho memoizes their integer images
-    in the module).
+    compute_order has already formed (generator_images; rho memoizes
+    them in the module).  Over Q_p those are integer matrices, reduced
+    with one % p.
 
     Its invariant subspaces are those of the images over k of the
     transpositions, the transvections and diag(1, ..., c, ..., 1) for c a
@@ -421,7 +412,7 @@ def residue_generator_rep(module: SchurModule, spec: FieldSpec) -> ResidueRep:
     with every unit there, so both sets generate the same F_q-algebra,
     and the invariant subspaces of a set are those of its algebra.
     """
-    images = tuple(tuple(tuple(spec.reduce(x) for x in row)
-                         for row in rho(module, g, spec))
-                   for g in group_generator_matrices(spec, module.n, 1))
-    return ResidueRep(spec.residue_field, module.N, images)
+    images = generator_images(module, spec,
+                              group_generator_matrices(spec, module.n, 1))
+    return ResidueRep(spec.residue_field, module.N,
+                      reduce_images(spec, images))

@@ -29,7 +29,8 @@ from .building import (FixSet, case_label, convexity_check,
                        min_plus_closure, residue_generator_rep,
                        spans_end_residue)
 from .dvr import (MatrixModule, compute_order, congruence_level, full_rank,
-                  group_generator_matrices, standard_lattice)
+                  generator_images, group_generator_matrices,
+                  standard_lattice)
 from .errors import (CapExceeded, InternalInvariantViolation, NotFullRank,
                      SchurLatticeError)
 from .fields import (INF, FieldSpec, RationalAtP, RationalFunctionOverFq,
@@ -328,8 +329,8 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         t0 = time.perf_counter()
         gauss = LatticeGaussian(spec, standard_lattice(spec, module.N),
                                 precision=2, seed=seed)
-        gens = [rho(module, g, spec)
-                for g in group_generator_matrices(spec, n, cfg["level"])]
+        gens = generator_images(
+            module, spec, group_generator_matrices(spec, n, cfg["level"]))
         report["gaussian"] = invariance_report(
             gauss, H, gens, trials=2,
             sample_count=cfg["gaussian_samples"])
@@ -435,8 +436,8 @@ def cmd_sample(args) -> int:
     _check_entries(min(args.count, 5), module.N, gauss.precision)
     _progress(f"computing order for {case_label(module, spec)}")
     H = _order(module, spec, args.level, args.trials)
-    gens = [rho(module, g, spec)
-            for g in group_generator_matrices(spec, args.n, args.level)]
+    gens = generator_images(
+        module, spec, group_generator_matrices(spec, args.n, args.level))
     rep = invariance_report(gauss, H, gens, trials=2,
                             sample_count=args.count)
     first = sample(gauss, min(args.count, 5))

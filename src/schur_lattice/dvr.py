@@ -13,7 +13,7 @@ echelon basis unique per module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -395,72 +395,6 @@ class LatticeClass:
 # conjugation into a lattice basis
 # ---------------------------------------------------------------------------
 
-class _PadicEntries:
-    """Entries of Z_(p) as Python ints modulo p^m, m = sum(k_i) + e + 1.
-
-    B is scaled by p^s to be integral with val(B_ii) = k_i; each h is
-    scaled by p^e to be integral, so X' = p^e X is what is solved for.
-    """
-
-    def __init__(self, spec: RationalAtP, vectors, mats):
-        p = spec.p
-        s = -min(spec.val(x) for v in vectors for x in v if x)
-        k = [int(spec.val(v[i])) + s for i, v in enumerate(vectors)]
-        # an entry whose denominator p divides has valuation < 0
-        e = max((-int(spec.val(x)) for h in mats for row in h for x in row
-                 if x.denominator % p == 0), default=0)
-        self.p, self.zero = p, 0
-        self.P = p ** (sum(k) + e + 1)
-        self.b_scale = Fraction(p) ** s
-        self.h_scale = p ** e
-        self.pk = [p ** ki for ki in k]
-        # inverse of the unit part of each scaled diagonal entry
-        self.unit_inv = [self._enc(pk / (v[i] * self.b_scale))
-                         for i, (v, pk) in enumerate(zip(vectors, self.pk))]
-
-    def _enc(self, x) -> int:
-        if x.denominator == 1:
-            return x.numerator % self.P
-        return x.numerator * pow(x.denominator, -1, self.P) % self.P
-
-    def b(self, x) -> int:
-        return self._enc(x * self.b_scale)
-
-    def h(self, x) -> int:
-        return self._enc(x * self.h_scale if self.h_scale > 1 else x)
-
-    def div(self, n: int, i: int):
-        n %= self.P
-        if n % self.pk[i]:
-            return None
-        return n // self.pk[i] * self.unit_inv[i] % self.P
-
-    def residue(self, x: int):
-        if x % self.h_scale:
-            return None
-        return x // self.h_scale % self.p
-
-
-class _ExactEntries:
-    """Exact field entries (the F_q(t) backend); nothing is scaled."""
-
-    def __init__(self, spec: FieldSpec, vectors, mats):
-        self.spec, self.zero = spec, spec.zero()
-        self.diag = [v[i] for i, v in enumerate(vectors)]
-
-    def b(self, x):
-        return x
-
-    h = b
-
-    def div(self, n, i: int):
-        x = n / self.diag[i]
-        return x if self.spec.val(x) >= 0 else None
-
-    def residue(self, x):
-        return self.spec.reduce(x)
-
-
 def _is_lower_triangular(L: Lattice) -> bool:
     """True iff basis vector i vanishes before coordinate i and not at it."""
     spec = L.spec
@@ -470,10 +404,13 @@ def _is_lower_triangular(L: Lattice) -> bool:
 
 
 def conjugate_residues(L: Lattice, mats):
-    """Residue matrices of B^-1 h B for each h in mats, or None as soon
-    as one of them is not integral.  B is the basis matrix of L (basis
-    vectors as columns), in L's canonical echelon basis when the stored
-    basis is not lower triangular.
+    """Residue matrices of B^-1 h B for each h in mats, as a (k, N, N)
+    int64 array, or None when one of them is not integral.  B is the
+    basis matrix of L (basis vectors as columns), in L's canonical
+    echelon basis when the stored basis is not lower triangular.  Over
+    Q_p, mats is an integer (k, N, N) array (MatrixModule.matrices) or a
+    sequence of matrices of ints or Fractions; over F_q(t), a sequence
+    of matrices of field elements.
 
     B^-1 h B is the matrix of h in L's basis, so it is integral iff
     h L is contained in L: L is invariant under every h iff the result is
@@ -484,62 +421,128 @@ def conjugate_residues(L: Lattice, mats):
     diagonal; a lattice stored otherwise is first put into canonical form.
     Scaling B by a nonzero scalar leaves B^-1 h B unchanged, so B may be
     taken integral, with val(B_ii) = k_i.  X = B^-1 h B solves B X = h B
-    = Y, and forward substitution gives, in each column,
+    = Y, and forward substitution gives, row by row,
 
         x_i = n_i / B_ii,   n_i = y_i - sum_{j<i} B_ij x_j.
 
     For integral h, X is integral iff val(n_i) >= k_i for every i: by
-    induction on i, if x_j is integral for j < i then n_i is integral and
-    x_i is integral iff val(n_i) >= k_i.
+    induction on i, if the rows x_j are integral for j < i then n_i is
+    integral and x_i is integral iff val(n_i) >= k_i.
 
-    p-adic backend: entries are Python ints modulo p^m.  Let p^e (e >= 0)
-    clear every denominator of every h; then X' = p^e X is solved for
-    with the integral h' = p^e h, and X is integral iff X' is and p^e
-    divides every entry of X'.  Take m = sum(k_i) + e + 1.  Dividing a
-    numerator known modulo p^a by p^{k_i} times a unit gives x_i modulo
-    p^{a - k_i}, and x_i only feeds later rows, so n_i is known modulo
-    p^{m - k_1 - ... - k_{i-1}}, at least p^{k_i + e + 1}, and x_i modulo
-    at least p^{e + 1}.  That decides val(n_i) >= k_i, decides whether
-    p^e divides x_i, and gives x_i / p^e mod p, the residue.
+    Q_p (_conjugate_padic): every entry is an integer modulo p^m, and
+    row i is one step over the (k, N) array of row i of every X at once.
+    Let p^e (e >= 0) clear every denominator of every h; then X' = p^e X
+    is solved for with the integral h' = p^e h, and X is integral iff X'
+    is and p^e divides every entry of X'.  Take m = sum(k_i) + e + 1.
+    Dividing a numerator known modulo p^a by p^{k_i} times a unit gives
+    x_i modulo p^{a - k_i}, and x_i only feeds later rows, so n_i is
+    known modulo p^{m - k_1 - ... - k_{i-1}}, at least p^{k_i + e + 1},
+    and x_i modulo at least p^{e + 1}.  That decides val(n_i) >= k_i,
+    decides whether p^e divides x_i, and gives x_i / p^e mod p, the
+    residue.
 
-    F_q(t) backend: the same loop runs on exact field elements, divides
-    exactly and reads the valuation of each x_i.
+    F_q(t) (_conjugate_exact): the same substitution runs on exact field
+    elements, entry by entry, divides exactly and reads the valuation of
+    each x_i.
     """
     spec = L.spec
     if not _is_lower_triangular(L):
         L = Lattice.from_vectors(spec, L.vectors)
-    N, vectors = L.m, L.vectors
-    kind = _PadicEntries if isinstance(spec, RationalAtP) else _ExactEntries
-    ent = kind(spec, vectors, mats)
+    if isinstance(spec, RationalAtP):
+        return _conjugate_padic(spec, L.vectors, mats)
+    return _conjugate_exact(spec, L.vectors, mats)
+
+
+def _conjugate_padic(spec: RationalAtP, vectors, mats):
+    """conjugate_residues over Q_p, for a lower triangular basis: one
+    batched integer forward substitution modulo p^m.  Its int64 arrays
+    hold entries below p^m, and a step sums at most N products of two, so
+    nothing overflows while N * (p^m - 1)^2 < 2^63; past that the arrays
+    hold Python ints (dtype object), as in the p-adic lane.  The unit
+    part of B_ii is known modulo p^(m - k_i), and so is its inverse, as
+    much of x_i as n_i gives (see conjugate_residues)."""
+    p, N = spec.p, len(vectors)
+    # B is scaled by p^-s, s the least valuation of its entries, to be
+    # integral; class representatives have s = 0
+    s = min(spec.val(x) for v in vectors for x in v if x)
+    if s:
+        scale = Fraction(p) ** -s
+        vectors = [[x * scale for x in v] for v in vectors]
+    k = [spec.val(v[i]) for i, v in enumerate(vectors)]
+    if isinstance(mats, np.ndarray):
+        e = 0
+    else:
+        # an entry whose denominator p divides has valuation -v_p(den)
+        e = max((_int_val(x.denominator, p) for h in mats for row in h
+                 for x in row if x.denominator % p == 0), default=0)
+    mod = p ** (sum(k) + e + 1)
+    dtype = np.int64 if N * (mod - 1) ** 2 < 2 ** 63 else object
+
+    def enc(x):
+        """An int, or a Fraction with a unit denominator, modulo p^m."""
+        if x.denominator == 1:
+            return x.numerator % mod
+        return x.numerator * pow(x.denominator, -1, mod) % mod
+
+    if isinstance(mats, np.ndarray):
+        # an object stack may hold ints past int64 until it is reduced
+        wide = mats if mats.dtype == object else mats.astype(dtype)
+        H = (wide % mod).astype(dtype, copy=False)
+    else:
+        pe = p ** e
+        H = np.array([[[enc(x * pe) for x in row] for row in h] for h in mats],
+                     dtype=dtype).reshape(-1, N, N)
+    # B[r][j] = vectors[j][r], zero above the diagonal
+    B = np.zeros((N, N), dtype=dtype)
+    for j, v in enumerate(vectors):
+        for r in range(j, N):
+            if v[r]:
+                B[r, j] = enc(v[r])
+    X = np.matmul(H, B) % mod
+    for i in range(N):
+        n = X[:, i]
+        if i:
+            n = (n - np.matmul(B[i, :i], X[:, :i])) % mod
+        pk = p ** k[i]
+        if (n % pk).any():
+            return None
+        X[:, i] = n // pk * pow(int(B[i, i]) // pk, -1, mod) % mod
+    if e:
+        if (X % p ** e).any():
+            return None
+        X //= p ** e
+    return (X % p).astype(np.int64)
+
+
+def _conjugate_exact(spec: FieldSpec, vectors, mats):
+    """conjugate_residues over F_q(t), for a lower triangular basis: the
+    forward substitution on exact field elements."""
+    N = len(vectors)
     # B[r][j] = vectors[j][r]: nonzero entries of each column (the
     # diagonal first), and of each row left of the diagonal
-    col_nz = [[(r, ent.b(v[r])) for r in range(j, N)
-               if not spec.is_zero(v[r])] for j, v in enumerate(vectors)]
+    col_nz = [[(r, v[r]) for r in range(j, N) if not spec.is_zero(v[r])]
+              for j, v in enumerate(vectors)]
     row_nz = [[] for _ in range(N)]
     for j, col in enumerate(col_nz):
         for r, b in col[1:]:
             row_nz[r].append((j, b))
-    out = []
-    for h in mats:
-        hh = [[ent.h(x) for x in row] for row in h]
+    out = np.zeros((len(mats), N, N), dtype=np.int64)
+    for h, res in zip(mats, out):
         X = []
         for i in range(N):
-            hi, row = hh[i], []
+            hi, row = h[i], []
             for j in range(N):
-                n = ent.zero
+                n = spec.zero()
                 for r, b in col_nz[j]:
                     n = n + hi[r] * b
                 for l, b in row_nz[i]:
                     n = n - b * X[l][j]
-                x = ent.div(n, i)
-                if x is None:
+                x = n / vectors[i][i]
+                if spec.val(x) < 0:
                     return None
                 row.append(x)
+                res[i, j] = spec.reduce(x)
             X.append(row)
-        res = tuple(tuple(ent.residue(x) for x in row) for row in X)
-        if any(r is None for row in res for r in row):
-            return None
-        out.append(res)
     return out
 
 
@@ -547,19 +550,71 @@ def conjugate_residues(L: Lattice, mats):
 # finitely generated matrix modules in End(K^N)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class MatrixModule:
-    """R-submodule of N x N matrices, in canonical echelon form."""
+    """R-submodule of N x N matrices, in canonical echelon form.
 
-    spec: FieldSpec
-    N: int
-    basis: tuple            # tuple of N x N matrices over the field
-    divisors: tuple         # sorted elementary-divisor valuations
-    certificate: dict = field(default_factory=dict)
+    An order over Q_p, from _PadicLane or _full_end_module, holds its
+    basis as `stack`, one exact integer (rank, N, N) array: int64 while
+    the lane's N * (p^P - 1)^2 < 2^63, dtype object past it.  `basis`,
+    the same matrices as tuples of field elements, is then built on
+    first access.  Any other module (over F_q(t), or from field matrices
+    through module_from_matrices) holds `basis` only, and `stack` is
+    None.  The residue readers go through `matrices`,
+    `valuation_profile` and `residues`, which read the stack when there
+    is one.
+    """
+
+    def __init__(self, spec: FieldSpec, N: int, basis, divisors,
+                 certificate=None, stack=None):
+        self.spec, self.N, self.divisors = spec, N, divisors
+        self.certificate = {} if certificate is None else certificate
+        self.stack = stack
+        if basis is not None:
+            # fills the slot of the cached_property below
+            self.__dict__["basis"] = basis
+
+    @cached_property
+    def basis(self) -> tuple:
+        """Tuple of N x N matrices over the field."""
+        return tuple(tuple(tuple(self.spec.from_int(x) for x in row)
+                           for row in mat) for mat in self.stack.tolist())
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.basis if self.stack is None else self.stack)
+
+    @property
+    def matrices(self):
+        """The basis as conjugate_residues reads it: the stack if any."""
+        return self.basis if self.stack is None else self.stack
+
+    def valuation_profile(self):
+        """Entry-wise minimum valuation over the basis, N x N, with INF
+        where every basis matrix vanishes.  On a stack it is one gcd:
+        v_p(gcd(a, b)) = min(v_p(a), v_p(b)), and gcd(0, a) = a."""
+        N = self.N
+        if self.stack is not None:
+            p = self.spec.p
+            g = np.gcd.reduce(self.stack, axis=0).tolist()
+            return tuple(tuple(INF if x == 0 else _int_val(x, p) for x in row)
+                         for row in g)
+        val = self.spec.val
+        prof = [[INF] * N for _ in range(N)]
+        for mat in self.basis:
+            for i in range(N):
+                for j in range(N):
+                    prof[i][j] = min(prof[i][j], val(mat[i][j]))
+        return tuple(tuple(row) for row in prof)
+
+    def residues(self):
+        """The basis reduced mod the uniformizer, as a (rank, N, N) int64
+        array of residue-field ints."""
+        if self.stack is not None:
+            return (self.stack % self.spec.p).astype(np.int64)
+        reduce = self.spec.reduce
+        return np.array([[[reduce(x) for x in row] for row in mat]
+                         for mat in self.basis],
+                        dtype=np.int64).reshape(-1, self.N, self.N)
 
     @cached_property
     def _echelon(self) -> ExactEchelon:
@@ -630,6 +685,30 @@ def saturation_alphabet(spec: FieldSpec, n: int, level: int):
     non-invertible-over-R part of the integral image)."""
     return group_generator_matrices(spec, n, level) + \
         uniformizer_diagonal_matrices(spec, n)
+
+
+def generator_images(module: SchurModule, spec: FieldSpec, gens):
+    """rho of each matrix of gens, as the pipeline uses them.  Over Q_p
+    every matrix that group_generator_matrices and saturation_alphabet
+    write is an integer matrix (transpositions, transvections, the
+    integer units of unit_sample_set, diag(p)), so its image is taken
+    over Z: integer matrices, memoized in the module, which the order,
+    the residue representation and the Gaussian words share.  Over
+    F_q(t), the images over the field."""
+    if isinstance(spec, RationalAtP):
+        return [rho(module, [[spec.to_int(x) for x in row] for row in g])
+                for g in gens]
+    return [rho(module, g, spec) for g in gens]
+
+
+def reduce_images(spec: FieldSpec, images):
+    """Integral images reduced mod the uniformizer, as a (k, N, N) int64
+    array; over Q_p, where they are integer matrices (generator_images),
+    with one % p."""
+    if isinstance(spec, RationalAtP):
+        return (np.array(images, dtype=object) % spec.p).astype(np.int64)
+    return np.array([[[spec.reduce(x) for x in row] for row in im]
+                     for im in images], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -716,16 +795,16 @@ class _IntEchelon:
         return changed
 
     def canonical_rows(self):
-        """The rows lifted to Z^m, as lists of ints, with every entry
-        above a pivot p^v reduced below p^v: the Hermite normal form."""
+        """The rows lifted to Z^m, as an m x m array of the echelon's
+        dtype, with every entry above a pivot p^v reduced below p^v: the
+        Hermite normal form."""
         p, R = self.p, self.rows.copy()
         for c in range(1, self.m):
             R[:c, c:] -= (R[:c, c] // p ** self.vals[c])[:, None] * R[c, c:]
             R[:c, c:] %= self.mod
-        rows = R.tolist()
-        for c, v in enumerate(self.vals):
-            rows[c][c] = p ** v
-        return rows
+        diag = np.arange(self.m)
+        R[diag, diag] = [p ** v for v in self.vals]
+        return R
 
 
 def _int_smith_divisors(rows, p: int, P: int):
@@ -782,10 +861,16 @@ def _residue_closure_is_full(spec: FieldSpec, residue_mats, N: int) -> bool:
 
 
 def _full_end_module(spec: FieldSpec, N: int, certificate) -> MatrixModule:
+    """M_N(R), with the matrix units E_ij as its basis; over Q_p they are
+    held as the identity stack."""
+    divisors = (0,) * (N * N)
+    if isinstance(spec, RationalAtP):
+        stack = np.eye(N * N, dtype=np.int64).reshape(N * N, N, N)
+        return MatrixModule(spec, N, None, divisors, certificate, stack)
     one = spec.one()
     basis = tuple(_matrix(spec, N, {(i, j): one}, identity=False)
                   for i in range(N) for j in range(N))
-    return MatrixModule(spec, N, basis, (0,) * (N * N), certificate)
+    return MatrixModule(spec, N, basis, divisors, certificate)
 
 
 class _PadicLane:
@@ -841,11 +926,9 @@ class _PadicLane:
         return self.ech.rows[sorted(cols)].reshape(-1, self.N, self.N)
 
     def result(self):
-        spec, N = self.spec, self.N
-        rows = self.ech.canonical_rows()
-        basis = tuple(unvectorize(tuple(spec.from_int(x) for x in row), N)
-                      for row in rows)
-        return basis, _int_smith_divisors(self.ech.rows, spec.p, self.ech.P)
+        """The canonical rows as a (rank, N, N) stack, and the divisors."""
+        return (self.ech.canonical_rows().reshape(-1, self.N, self.N),
+                _int_smith_divisors(self.ech.rows, self.spec.p, self.ech.P))
 
 
 # Cap on r * P, the F_q-coordinates of the F_q(t) lane (r = dim A, P the
@@ -1110,11 +1193,11 @@ def _saturate_padic(spec, images, N, level, trials):
     while True:
         lane = _PadicLane(spec, N, P)
         _close(lane, lane.enc(images), lane.insert(lane.enc(seeds)))
-        basis, divisors = lane.result()
+        stack, divisors = lane.result()
         if divisors[-1] < P:
-            return MatrixModule(spec, N, basis, divisors,
+            return MatrixModule(spec, N, None, divisors,
                                 _exact_certificate(level, trials,
-                                                   "saturation"))
+                                                   "saturation"), stack)
         if P >= PRECISION:
             raise CapExceeded(
                 f"p-adic saturation reached the working precision "
@@ -1203,24 +1286,13 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
     N = module.N
     if N == 0:
         raise Singular("the module is zero (shape has more rows than n)")
-    alphabet = saturation_alphabet(spec, module.n, level)
+    images = generator_images(module, spec,
+                              saturation_alphabet(spec, module.n, level))
     padic = isinstance(spec, RationalAtP)
-    if padic:
-        # every Q_p letter is an integer matrix (transpositions,
-        # transvections, the integer units of unit_sample_set, diag(p)),
-        # so its image is one too
-        images = [rho(module, [[spec.to_int(x) for x in row] for row in g])
-                  for g in alphabet]
-    else:
-        images = [rho(module, g, spec) for g in alphabet]
-    for im in images:
-        if not is_integral_matrix(spec, im):
-            raise NonIntegralInput("generator image has an entry with val < 0")
-
-    reduce = (lambda x: x % spec.p) if padic else spec.reduce
-    residue_mats = [tuple(tuple(reduce(x) for x in row) for row in im)
-                    for im in images]
-    if _residue_closure_is_full(spec, residue_mats, N):
+    # the integer images over Q_p are integral by construction
+    if not padic and not all(is_integral_matrix(spec, im) for im in images):
+        raise NonIntegralInput("generator image has an entry with val < 0")
+    if _residue_closure_is_full(spec, reduce_images(spec, images), N):
         return _full_end_module(
             spec, N, _exact_certificate(level, trials, "residue-full"))
     if padic:

@@ -117,9 +117,7 @@ def _residue_transform(gauss: LatticeGaussian, word):
     canonical basis B of the lattice, or None if it is not integral (the
     lattice is not invariant under the word)."""
     res = conjugate_residues(gauss.lattice, [word])
-    if res is None:
-        return None
-    return np.array(res[0], dtype=np.int64)
+    return None if res is None else res[0]
 
 
 def invariance_report(gauss: LatticeGaussian, H: MatrixModule, generators,

@@ -9,11 +9,17 @@ Zassenhaus echelon (``dvr.lattice_sum_and_meet``), reads a class's
 distance from the standard class off its representative's Smith
 divisors, and bounds the scalings of ``building.convexity_check`` by a
 walk, so it needs none of these.
+
+``conjugate_residues_loop`` is the entry-by-entry p-adic forward
+substitution that ``dvr.conjugate_residues`` ran before it became one
+batched integer solve over the whole stack: the oracle of that solve.
 """
+
+from fractions import Fraction
 
 from schur_lattice import (INF, Lattice, LatticeClass, Singular,
                            lattice_sum_and_meet, smith_divisors)
-from schur_lattice.dvr import mat_vec
+from schur_lattice.dvr import _is_lower_triangular, mat_vec
 
 
 def mat_inv(spec, A):
@@ -65,3 +71,92 @@ def class_distance(c1: LatticeClass, c2: LatticeClass) -> int:
     """max - min of the relative elementary-divisor valuations."""
     divs = relative_divisors(c1.rep, c2.rep)
     return int(divs[-1] - divs[0])
+
+
+class PadicEntries:
+    """Entries of Z_(p) as Python ints modulo p^m, m = sum(k_i) + e + 1.
+
+    B is scaled by p^s to be integral with val(B_ii) = k_i; each h is
+    scaled by p^e to be integral, so X' = p^e X is what is solved for.
+    """
+
+    def __init__(self, spec, vectors, mats):
+        p = spec.p
+        s = -min(spec.val(x) for v in vectors for x in v if x)
+        k = [int(spec.val(v[i])) + s for i, v in enumerate(vectors)]
+        # an entry whose denominator p divides has valuation < 0
+        e = max((-int(spec.val(x)) for h in mats for row in h for x in row
+                 if Fraction(x).denominator % p == 0), default=0)
+        self.p = p
+        self.P = p ** (sum(k) + e + 1)
+        self.b_scale = Fraction(p) ** s
+        self.h_scale = p ** e
+        self.pk = [p ** ki for ki in k]
+        # inverse of the unit part of each scaled diagonal entry
+        self.unit_inv = [self._enc(pk / (v[i] * self.b_scale))
+                         for i, (v, pk) in enumerate(zip(vectors, self.pk))]
+
+    def _enc(self, x) -> int:
+        x = Fraction(x)
+        return x.numerator * pow(x.denominator, -1, self.P) % self.P
+
+    def b(self, x) -> int:
+        return self._enc(x * self.b_scale)
+
+    def h(self, x) -> int:
+        return self._enc(x * self.h_scale)
+
+    def div(self, n: int, i: int):
+        n %= self.P
+        if n % self.pk[i]:
+            return None
+        return n // self.pk[i] * self.unit_inv[i] % self.P
+
+    def residue(self, x: int):
+        if x % self.h_scale:
+            return None
+        return x // self.h_scale % self.p
+
+
+def conjugate_residues_loop(L: Lattice, mats):
+    """Residues of B^-1 h B over Q_p, as tuples, or None: the forward
+    substitution of ``dvr.conjugate_residues``, one entry at a time on
+    Python ints (``PadicEntries``); mats holds matrices of ints or
+    Fractions, or an integer (k, N, N) array."""
+    spec = L.spec
+    if not _is_lower_triangular(L):
+        L = Lattice.from_vectors(spec, L.vectors)
+    N, vectors = L.m, L.vectors
+    mats = [[[Fraction(int(x)) if not isinstance(x, Fraction) else x
+              for x in row] for row in h] for h in mats]
+    ent = PadicEntries(spec, vectors, mats)
+    # B[r][j] = vectors[j][r]: nonzero entries of each column (the
+    # diagonal first), and of each row left of the diagonal
+    col_nz = [[(r, ent.b(v[r])) for r in range(j, N)
+               if not spec.is_zero(v[r])] for j, v in enumerate(vectors)]
+    row_nz = [[] for _ in range(N)]
+    for j, col in enumerate(col_nz):
+        for r, b in col[1:]:
+            row_nz[r].append((j, b))
+    out = []
+    for h in mats:
+        hh = [[ent.h(x) for x in row] for row in h]
+        X = []
+        for i in range(N):
+            hi, row = hh[i], []
+            for j in range(N):
+                n = 0
+                for r, b in col_nz[j]:
+                    n = n + hi[r] * b
+                for l, b in row_nz[i]:
+                    n = n - b * X[l][j]
+                x = ent.div(n, i)
+                if x is None:
+                    return None
+                row.append(x)
+            X.append(row)
+        res = tuple(tuple(ent.residue(x) for x in row) for row in X)
+        if any(r is None for row in res for r in row):
+            return None
+        out.append(res)
+    return out

@@ -8,7 +8,8 @@ import pytest
 
 from schur_lattice import (GF, INF, Lattice, LatticeClass, NegativeCycle,
                            NotFullRank, RationalAtP, RationalFunctionOverFq,
-                           SchurLatticeError, SchurModule, compute_order,
+                           SchurLatticeError, SchurModule, Singular,
+                           compute_order,
                            congruence_level, convexity_check,
                            detect_graduated, diagonal_lattice, dimension,
                            entry_profile, fix_bfs, fix_polytrope, full_rank,
@@ -222,6 +223,31 @@ def test_invariant_subspaces_identity_only():
     rep = ResidueRep(GF(2), 2, (((1, 0), (0, 1)),))
     subs = invariant_subspaces(rep)
     assert len(subs) == 3  # 3 lines of F_2^2; the sum-closure is all of k^2
+
+
+def test_residue_rep_rejects_a_singular_generator():
+    """One batched elimination ranks every generator image: a singular
+    image after invertible ones raises Singular, over prime and
+    non-prime fields, as an array or as tuples, and at p = 10^9 + 7,
+    where the elimination reduces every step and uses no tables."""
+    swap, unit = ((0, 1), (1, 0)), ((2, 0), (0, 1))
+    ResidueRep(GF(3), 2, (swap, unit))
+    with pytest.raises(Singular):
+        ResidueRep(GF(3), 2, (swap, unit, ((1, 2), (2, 1))))
+    with pytest.raises(Singular):
+        ResidueRep(GF(3), 2, np.array([swap, unit, ((1, 1), (0, 0))]))
+    ResidueRep(GF(4), 2, (swap, ((2, 0), (0, 3))))
+    with pytest.raises(Singular):
+        ResidueRep(GF(4), 2, (swap, ((2, 0), (0, 3)), ((1, 2), (3, 1))))
+    fq, N = RationalAtP(10 ** 9 + 7).residue_field, 9
+    big = [[(i * 7919 + j * 104729) % fq.p if j > i else int(i == j)
+            for j in range(N)] for i in range(N)]
+    cycle = [[int(j == (i + 1) % N) for j in range(N)] for i in range(N)]
+    ResidueRep(fq, N, (big, cycle))
+    low = [row[:] for row in big]
+    low[N - 1] = [(2 * x) % fq.p for x in big[N - 2]]
+    with pytest.raises(Singular):
+        ResidueRep(fq, N, (big, cycle, low))
 
 
 def test_invariant_subspaces_frozen_2adic():

@@ -786,6 +786,43 @@ def test_fix_both_conjugates_each_bfs_class_once(monkeypatch):
     assert len(keys) == len(set(keys)) == report["fix"]["bfs"]["size"] == 2
 
 
+@pytest.mark.parametrize("case", [
+    {"n": 2, "lambda": [3, 1], "field": "padic", "p": 3, "gaussian": True},
+    {"n": 3, "lambda": [2, 1], "field": "padic", "p": 5, "gaussian": True},
+    {"n": 2, "lambda": [3], "field": "padic", "p": 2, "gaussian": True},
+    {"n": 3, "lambda": [2, 1], "field": "padic", "p": 3},
+], ids=str)
+def test_padic_case_never_builds_the_fraction_basis(case, monkeypatch):
+    """Over Q_p, order, fix, irreducible and the Gaussian report read the
+    order's integer stack only: its Fraction basis is never built, on
+    residue-full orders and on lane orders alike."""
+    from functools import cached_property
+
+    import schur_lattice.dvr as dvr
+    from schur_lattice import RationalAtP, SchurModule, compute_order
+
+    built = []
+    real = dvr.MatrixModule.basis
+
+    def counted(self):
+        built.append(self.N)
+        return real.func(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(dvr.MatrixModule, "basis")
+    monkeypatch.setattr(dvr.MatrixModule, "basis", prop)
+    report = run_case(case, parts=("order", "fix", "irreducible"))
+    assert report["fix"]["agreement"] is not False
+    assert report["irreducible"]["agree"] is True
+    if case.get("gaussian"):
+        assert report["gaussian"]["exact_invariant"] is True
+    assert built == []
+    # the counter sees a build: reading the basis makes one
+    H = compute_order(SchurModule(case["n"], case["lambda"]),
+                      RationalAtP(case["p"]))
+    assert H.basis and built == [H.N]
+
+
 def test_exit_violation_in_bfs_names_case_and_stage(capsys, monkeypatch):
     """A class that fails the BFS invariance check exits 4 with the case
     and the stage."""

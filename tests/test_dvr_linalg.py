@@ -2,6 +2,7 @@
 homothety classes, and order computation by saturation."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,14 +11,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from schur_lattice import (CapExceeded, FixSet, Lattice, LatticeClass,
-                           NonIntegralInput, RationalAtP,
+from schur_lattice import (INF, CapExceeded, FixSet, Lattice, LatticeClass,
+                           MatrixModule, NonIntegralInput, RationalAtP,
                            RationalFunctionOverFq, SchurModule, Singular,
                            compute_order, congruence_level, convexity_check,
-                           full_rank, hnf_dvr, lattice_sum_and_meet,
-                           membership, module_from_matrices, partitions_of,
-                           rho, smith_divisors, standard_lattice,
-                           unit_sample_set)
+                           entry_profile, full_rank, hnf_dvr,
+                           lattice_sum_and_meet, membership,
+                           module_from_matrices, partitions_of, rho,
+                           smith_divisors, spans_end_residue,
+                           standard_lattice, unit_sample_set)
 from schur_lattice import dvr
 from schur_lattice.dvr import (PRECISION, ExactEchelon, _int_smith_divisors,
                                _exact_certificate, _IntEchelon,
@@ -440,6 +442,92 @@ def test_saturation_alphabet_frozen_order():
     assert dvr._full_end_module(P3, 2, {}).basis == (
         fmat([[1, 0], [0, 0]]), fmat([[0, 1], [0, 0]]),
         fmat([[0, 0], [1, 0]]), fmat([[0, 0], [0, 1]]))
+
+
+# ---------------------------------------------------------------------------
+# the integer view of Q_p orders
+# ---------------------------------------------------------------------------
+
+def fraction_profile(H):
+    """The least valuation of each entry over H's Fraction basis, INF
+    where every basis matrix vanishes: the walk entry_profile ran before
+    it read the integer stack."""
+    spec, N = H.spec, H.N
+    prof = [[INF] * N for _ in range(N)]
+    for mat in H.basis:
+        for i in range(N):
+            for j in range(N):
+                prof[i][j] = min(prof[i][j], spec.val(mat[i][j]))
+    return tuple(tuple(row) for row in prof)
+
+
+def fraction_residues(H):
+    return np.array([[[H.spec.reduce(x) for x in row] for row in mat]
+                     for mat in H.basis], dtype=np.int64)
+
+
+@pytest.mark.parametrize("n, lam, p", [
+    (2, (2,), 2), (2, (6,), 2), (2, (7,), 3), (3, (2, 1), 3), (2, (3,), 5),
+    (2, (2,), 1000003)], ids=str)
+def test_padic_order_holds_an_integer_stack(n, lam, p):
+    """A Q_p order, from the lane or _full_end_module, holds its basis as
+    one integer (N^2, N, N) stack and builds no Fraction basis until one
+    is read.  That basis is canonical (the generic echelon of it gives it
+    back), and the profile, the residues and the residue span read from
+    the stack equal the Fraction walk over it."""
+    spec, module = RationalAtP(p), SchurModule(n, lam)
+    N = module.N
+    for H in (compute_order(module, spec),
+              dvr._full_end_module(spec, N, {})):
+        assert "basis" not in vars(H)
+        assert H.stack.shape == (N * N, N, N) and H.rank == N * N
+        assert H.stack.dtype == np.int64
+        assert H.matrices is H.stack
+        profile, residues = H.valuation_profile(), H.residues()
+        spans = spans_end_residue(H)
+        assert "basis" not in vars(H)
+        G = module_from_matrices(spec, H.basis)
+        assert G.stack is None and G.basis == H.basis
+        assert profile == G.valuation_profile() == fraction_profile(H)
+        assert np.array_equal(residues, fraction_residues(H))
+        assert np.array_equal(residues, G.residues())
+        assert spans == spans_end_residue(G)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), N=st.integers(1, 3), data=st.data())
+def test_module_views_agree_with_fraction_walk(p, N, data):
+    """On a module from module_from_matrices (Fraction basis, no stack)
+    and on the same basis held as an integer stack (int64, or Python ints
+    as past the lane's int64 bound), each matrix scaled by a unit to
+    clear its denominators, entry_profile, the residues and
+    spans_end_residue agree with the Fraction walk, degenerate profiles
+    included."""
+    spec = RationalAtP(p)
+    entry = st.builds(lambda c, k: c * p ** k, st.integers(-9, 9),
+                      st.integers(0, 3))
+    mats = data.draw(st.lists(
+        st.lists(st.lists(entry, min_size=N, max_size=N), min_size=N,
+                 max_size=N), min_size=1, max_size=N * N + 1))
+    assume(any(x for m in mats for row in m for x in row))
+    M = module_from_matrices(spec, [fmat(m) for m in mats])
+    scaled = [tuple(tuple(x * d for x in row) for row in mat)
+              for mat in M.basis
+              for d in [math.lcm(*(x.denominator for row in mat
+                                   for x in row))]]
+    assert all(x.denominator == 1 for m in scaled for row in m for x in row)
+    dtype = data.draw(st.sampled_from([np.int64, object]))
+    S = MatrixModule(spec, N, None, M.divisors, {},
+                     np.array(scaled, dtype=object).astype(dtype))
+    assert S.basis == tuple(scaled) and M.stack is None
+    profile = fraction_profile(M)
+    assert entry_profile(M, allow_degenerate=True) == profile
+    assert entry_profile(S, allow_degenerate=True) == profile
+    assert fraction_profile(S) == profile
+    assert np.array_equal(S.residues(), fraction_residues(S))
+    assert np.array_equal(M.residues(), fraction_residues(M))
+    if full_rank(M):
+        assert spans_end_residue(S) == spans_end_residue(M)
 
 
 def test_group_only_span_is_strictly_smaller_2adic():

@@ -11,7 +11,7 @@ from schur_lattice import (LatticeGaussian, RationalAtP,
                            SchurModule, chi2_uniform_counts, compute_order,
                            diagonal_lattice, invariance_report, rho, sample,
                            standard_lattice)
-from schur_lattice.dvr import group_generator_matrices
+from schur_lattice.dvr import generator_images, group_generator_matrices
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -127,3 +127,23 @@ def test_invariance_report_deterministic():
     a = _report(P3, (2,))
     b = _report(P3, (2,))
     assert a == b
+
+
+@pytest.mark.parametrize("lam, u", [((2,), None), ((3,), None),
+                                    ((2,), (1, 0, 0)), ((3,), (0, 1, 1, 2))])
+def test_invariance_report_integer_words_match_field_words(lam, u):
+    """Over Q_p the pipeline multiplies Gaussian words of the integer
+    generator images (generator_images); the report equals the one from
+    the same images as Fraction matrices, on invariant and non-invariant
+    lattices."""
+    m = SchurModule(2, lam)
+    H = compute_order(m, P2)
+    L = (standard_lattice(P2, m.N) if u is None
+         else diagonal_lattice(P2, u))
+    g = LatticeGaussian(P2, L, precision=2, seed=5)
+    gens = group_generator_matrices(P2, 2, 1)
+    ints = generator_images(m, P2, gens)
+    assert all(type(x) is int for im in ints for row in im for x in row)
+    fields = [rho(m, x, P2) for x in gens]
+    assert invariance_report(g, H, ints, trials=3, sample_count=500) == \
+        invariance_report(g, H, fields, trials=3, sample_count=500)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from schur_lattice import (GF, RationalAtP, RationalFunctionOverFq,
                            SchurModule, compute_order, fix_bfs)
-from schur_lattice._kernels import (GFSpan, _dense_units, _line_maps,
-                                    _unit_orbits, digit_histogram, gf_matmul,
+from schur_lattice._kernels import (GFSpan, _dense_units, _gf_batched_rref,
+                                    _line_maps, _unit_orbits,
+                                    digit_histogram, gf_matmul,
                                     gf_rank, gf_rref, line_spin_profile,
                                     minplus_closure_matrix,
                                     residue_algebra_basis,
@@ -127,6 +128,48 @@ def test_gf_rref_matches_row_at_a_time_echelon(q, m, data):
     ref, ref_piv = _oracle_rref(fq, rows, m)
     assert red.shape == ref.shape and np.array_equal(red, ref)
     assert piv == ref_piv
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 9, 4099, 1000000007, 3037000493]),
+       data=st.data())
+def test_batched_rref_matches_gf_rref(q, data):
+    """_gf_batched_rref reduces each matrix of a stack to the rows of
+    gf_rref and returns its rank: through the tables over non-prime
+    fields, through _inverse_mod_p over prime ones (GF(4099) has no
+    tables), and, where the lazy clearing could pass int64 (p = 10^9 + 7
+    with 9 or more columns, and the largest prime with
+    (p - 1)^2 < 2^63), reducing every step.  A repeated row makes some
+    stacks singular."""
+    fq = GF(q)
+    c, d, N = (data.draw(st.integers(1, k)) for k in (4, 10, 10))
+    entry = st.integers(0, q - 1)
+    W = np.array(data.draw(st.lists(
+        st.lists(st.lists(entry, min_size=N, max_size=N), min_size=d,
+                 max_size=d), min_size=c, max_size=c)), dtype=np.int64)
+    if d > 1 and data.draw(st.booleans()):
+        W[:, -1] = W[:, 0]
+    out = W.copy()
+    ranks = _gf_batched_rref(fq, out)
+    for w, o, r in zip(W, out, ranks):
+        rows, _ = gf_rref(fq, w)
+        assert r == len(rows)
+        assert np.array_equal(o[:r], rows) and not o[r:].any()
+
+
+def test_batched_rref_reduces_every_step_near_the_int64_bound():
+    """At p = 3037000493, the largest prime with (p - 1)^2 < 2^63, this
+    matrix is singular (row 3 reduces to 3 - (p-1)^2 - (p-2)(p-1) = 0
+    mod p), but its lazy clearing sums two products near (p - 1)^2 and
+    wraps int64, which would read it as invertible."""
+    fq = GF(3037000493)
+    p = fq.p
+    W = np.array([[[1, p - 1, p - 1], [p - 1, 2, 0], [p - 1, p - 1, 3]]],
+                 dtype=np.int64)
+    rows, _ = gf_rref(fq, W[0])
+    assert len(rows) == 2
+    assert list(_gf_batched_rref(fq, W)) == [2]
+    assert np.array_equal(W[0, :2], rows) and not W[0, 2].any()
 
 
 def test_gf_span_slices_products_for_large_primes():
