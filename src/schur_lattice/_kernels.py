@@ -15,6 +15,13 @@ and ``_gf_batched_rref``, which row-reduces a stack of matrices at once:
 the images of a chunk of lines for the line spins, and the generator
 images of a ``building.ResidueRep``.
 
+The residue algebra of a case closes once: the pass that decides
+whether the order's alphabet spans M_N(F_q) (``residue_ring_closure_rank``)
+also keeps, as one array reference, the basis of the algebra of its
+first letters, the group generators (``_algebra_closure``).  The
+irreducibility stage reads that basis, and an algebra basis of N*N rows
+is read as Burnside's answer with no further elimination.
+
 A line's spin closure is constant on the orbits of the units of the
 algebra it is spun under, so ``line_spin_profile`` spins one line per
 orbit of a few dense units and copies its closure to the rest; the
@@ -201,20 +208,30 @@ class GFSpan:
 # residue ring closure (Burnside / Nakayama test)
 # ---------------------------------------------------------------------------
 
-def residue_ring_closure_rank(fq: GF, mats, N: int) -> int:
+def residue_ring_closure_rank(fq: GF, mats, N: int, prefix: int | None = None):
     """Dimension over F_q of the unital ring generated by the matrices.
 
     Returns the rank of the span of all products of the given N x N
     residue matrices (including the identity); N*N means the matrices
-    generate the full matrix algebra.
+    generate the full matrix algebra.  With `prefix` = k it returns the
+    pair (that rank, the RREF basis of the algebra that the first k
+    matrices generate), both from the one pass of ``_algebra_closure``.
     """
-    return len(residue_algebra_basis(fq, mats, N))
+    kept, basis = _algebra_closure(fq, mats, N, 0 if prefix is None
+                                   else prefix)
+    return len(basis) if prefix is None else (len(basis), kept)
 
 
 def residue_algebra_basis(fq: GF, mats, N: int):
     """The RREF basis, as a (dim A, N, N) array, of the unital
-    F_q-algebra A the matrices generate; N*N elements (Burnside) stop the
-    pass early.
+    F_q-algebra A the matrices generate (``_algebra_closure``)."""
+    return _algebra_closure(fq, mats, N, 0)[1]
+
+
+def _algebra_closure(fq: GF, mats, N: int, prefix: int):
+    """The RREF bases, as (dim, N, N) arrays, of the unital F_q-algebras
+    that mats[:prefix] and all the matrices generate, from one pass;
+    N*N elements (Burnside) stop the pass early.
 
     The span, a GFSpan, starts at I.  A matrix becomes a left multiplier,
     in input order, only when it is not already in the span.  A new
@@ -222,21 +239,34 @@ def residue_algebra_basis(fq: GF, mats, N: int):
     product; then the rows that each `add` gains are multiplied by every
     multiplier so far, in one product, until an `add` gains nothing.
 
-    After each multiplier the span is closed under left products by the
-    multipliers S so far.  Before g it was, by induction; g times its
-    basis is added; and every gained set is multiplied by all of S.  The
-    old basis and the gained sets span the new span, since `add` rewrites
-    old rows only inside the same span, so every s*x, s in S and x in the
-    span, lies in it.  Holding I and closed under left products, the span
-    holds every word s_1*(s_2*(...*(s_k*I))) of S, and only combinations
-    of words were added: it is alg(S).  Every matrix passed over lies in
-    the span, so alg(S) = A.
+    After each matrix the span is alg of the matrices so far.  Let S be
+    the multipliers so far.  Before g the span was closed under left
+    products by S, by induction; g times its basis is added; and every
+    gained set is multiplied by all of S.  The old basis and the gained
+    sets span the new span, since `add` rewrites old rows only inside
+    the same span, so every s*x, s in S and x in the span, lies in it.
+    Holding I and closed under left products, the span holds every word
+    s_1*(s_2*(...*(s_k*I))) of S, and only combinations of words were
+    added: it is alg(S).  Every matrix passed over lies in the span, so
+    alg(S) is the algebra of all the matrices so far.
+
+    So the rows of the span when the pass reaches mats[prefix], or ends
+    before it, are the basis of alg(mats[:prefix]): the RREF basis of a
+    subspace is unique, so they equal
+    residue_algebra_basis(mats[:prefix]).  If the pass stops early, the
+    span was already M_N(F_q) at a shorter prefix, and so is the algebra
+    of mats[:prefix].  `add` replaces `rows` and never writes into
+    it, so the prefix basis is kept as the array that was current then,
+    with no copy and no further elimination.
     """
     full = N * N
     span = GFSpan(fq, full)
     span.add(np.eye(N, dtype=np.int64).reshape(1, full))
     gens = np.zeros((0, N, N), dtype=np.int64)
-    for m in mats:
+    kept = None
+    for i, m in enumerate(mats):
+        if i == prefix:
+            kept = span.rows
         if len(span.pivots) == full:
             break
         g = np.asarray(m, dtype=np.int64).reshape(1, N, N)
@@ -246,7 +276,10 @@ def residue_algebra_basis(fq: GF, mats, N: int):
         gained = span.add(_left_products(fq, g, span.rows, N))
         while len(gained) and len(span.pivots) < full:
             gained = span.add(_left_products(fq, gens, gained, N))
-    return span.rows.reshape(len(span.rows), N, N)
+    if kept is None:
+        kept = span.rows
+    return (kept.reshape(len(kept), N, N),
+            span.rows.reshape(len(span.rows), N, N))
 
 
 def _left_products(fq: GF, gens, rows, N: int):

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,9 +24,9 @@ from . import _kernels
 # reads it as building.membership
 from .dvr import (Lattice, LatticeClass, MatrixModule, congruence_level,
                   conjugate_residues, full_rank, generator_images,
-                  group_generator_matrices, lattice_sum_and_meet, mat_vec,
-                  membership, reduce_images, smith_divisors,
-                  standard_lattice)
+                  group_generator_matrices, is_full_end,
+                  lattice_sum_and_meet, mat_vec, membership, reduce_images,
+                  smith_divisors, standard_lattice)
 from .errors import (CapExceeded, InternalInvariantViolation, NegativeCycle,
                      NotFullRank, SchurLatticeError, Singular)
 from .fields import GF, INF, FieldSpec
@@ -47,17 +48,31 @@ class ResidueRep:
     Generator images must be invertible (this is a group representation;
     the BFS engine works with algebra bases instead and bypasses this
     type); one batched elimination ranks them all.
+
+    `algebra` is the RREF basis, a (dim, N, N) array, of the unital
+    F_q-algebra the generators span.  It is closed on first access, or
+    given at construction as `algebra_basis` (residue_generator_rep
+    passes the one compute_order kept), as MatrixModule.basis is.
     """
 
     fq: GF
     N: int
     generators: tuple | np.ndarray
+    algebra_basis: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, algebra_basis):
         gens = np.array(self.generators, dtype=np.int64).reshape(
             -1, self.N, self.N)
         if (_kernels._gf_batched_rref(self.fq, gens) < self.N).any():
             raise Singular("residue generator image is not invertible")
+        if algebra_basis is not None:
+            # fills the slot of the cached_property below
+            self.__dict__["algebra"] = algebra_basis
+
+    @cached_property
+    def algebra(self) -> np.ndarray:
+        return _kernels.residue_algebra_basis(self.fq, self.generators,
+                                              self.N)
 
 
 @dataclass(frozen=True)
@@ -220,7 +235,8 @@ def fix_polytrope(M, spec: FieldSpec | None = None, unbounded_radius: int = 2,
 # invariant subspaces over the residue field
 # ---------------------------------------------------------------------------
 
-def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int):
+def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int,
+                                reduced: bool = False):
     """All proper nonzero subspaces of k^N invariant under every matrix.
 
     Precondition: the matrices span a unital algebra A.  The residues
@@ -229,12 +245,15 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int):
     B the basis matrix of L, is an R-algebra in M_N(R) that holds I, and
     reduction mod the uniformizer is a ring map, so the residues of its
     R-basis span a unital algebra.  One elimination of the flattened
-    matrices gives a basis of A.  N*N elements mean A is the full matrix
-    algebra, and there are no such subspaces (Burnside).  Otherwise the
-    lines' closures under the basis are closed under sums; the cap
-    guards the q^N line enumeration.
+    matrices gives a basis of A; `reduced` says they are one already (an
+    RREF basis from residue_algebra_basis), and none is run.  N*N
+    elements mean A is the full matrix algebra, and there are no such
+    subspaces (Burnside).  Otherwise the lines' closures under the basis
+    are closed under sums; the cap guards the q^N line enumeration.
     """
-    basis, _ = _kernels.gf_rref(fq, np.reshape(mats, (-1, N * N)))
+    basis = np.reshape(mats, (-1, N * N))
+    if not reduced:
+        basis, _ = _kernels.gf_rref(fq, basis)
     if len(basis) == N * N:
         return []
     q = fq.q
@@ -269,9 +288,10 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int):
 
 def invariant_subspaces(rep: ResidueRep, cap: int = DEFAULT_SUBSPACE_CAP):
     """Proper nonzero subspaces invariant under all generator images,
-    as canonical row-echelon bases sorted by (dimension, rows)."""
-    algebra = _kernels.residue_algebra_basis(rep.fq, rep.generators, rep.N)
-    return _proper_invariant_subspaces(rep.fq, algebra, rep.N, cap)
+    as canonical row-echelon bases sorted by (dimension, rows): those of
+    their algebra, whose RREF basis rep.algebra is read as it is."""
+    return _proper_invariant_subspaces(rep.fq, rep.algebra, rep.N, cap,
+                                       reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +318,20 @@ def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
     has the identity basis, so a class's distance from it is the spread
     of the elementary divisors of its representative, whose least one is
     0 (see ``LatticeClass``): the top divisor.
+
+    At congruence level 0, with every elementary divisor 0, H is M_N(R)
+    (is_full_end), which fixes the standard class; the ball of radius 0
+    holds no other class, so that class alone is returned, with no
+    conjugation and no subspace search.
     """
     if not full_rank(H):
         raise NotFullRank("fix_bfs needs a full-rank order")
     level = congruence_level(H)
     N = H.N
+    c0 = LatticeClass(standard_lattice(spec, N))
+    if is_full_end(H):
+        return FixSet(classes=(c0,), bounded=True, method="bfs",
+                      u_vectors=None)
     fq = spec.residue_field
     pi = spec.uniformizer()
     label = case_label(module, spec)
@@ -314,7 +343,6 @@ def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
                 f"{label}: stage bfs: class {cls.key()} is not H-invariant")
         return mats
 
-    c0 = LatticeClass(standard_lattice(spec, N))
     visited = {c0.key(): c0}
     # each class is conjugated once, when found; the residues wait in the
     # queue with it
@@ -385,9 +413,12 @@ def convexity_check(S: FixSet) -> bool:
 def spans_end_residue(H: MatrixModule) -> bool:
     """True iff the mod-uniformizer reductions of H's basis span the full
     matrix algebra over the residue field (absolute irreducibility of the
-    residue representation)."""
+    residue representation).  When H is M_N(R) (is_full_end), its
+    reductions are M_N(k), and no rank is taken."""
     if not full_rank(H):
         raise NotFullRank("residue span test needs a full-rank module")
+    if is_full_end(H):
+        return True
     rows = H.residues().reshape(H.rank, -1)
     return _kernels.gf_rank(H.spec.residue_field, rows) == H.N * H.N
 
@@ -411,8 +442,14 @@ def residue_generator_rep(module: SchurModule, spec: FieldSpec) -> ResidueRep:
     generator of k^x at one position has, as its powers, the diagonals
     with every unit there, so both sets generate the same F_q-algebra,
     and the invariant subspaces of a set are those of its algebra.
+
+    The rep's algebra is the one compute_order kept for this spec
+    (module.residue_algebras), the algebra of the same residues at its
+    level, which is that of level 1 (see compute_order); before any
+    order, it is closed on first access.
     """
     images = generator_images(module, spec,
                               group_generator_matrices(spec, module.n, 1))
     return ResidueRep(spec.residue_field, module.N,
-                      reduce_images(spec, images))
+                      reduce_images(spec, images),
+                      module.residue_algebras.get(spec))

@@ -247,7 +247,7 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         "certificate": dict(H.certificate),
     }
     report["order"] = order_summary
-    if "order" in parts and "fix" not in parts:
+    if "fix" not in parts and "irreducible" not in parts:
         if timings:
             report["timings"] = {k: round(v, 6) for k, v in clock.items()}
         return report

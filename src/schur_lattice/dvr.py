@@ -24,17 +24,18 @@ from .errors import (CapExceeded, InternalInvariantViolation,
                      NonIntegralInput, NotFullRank, Singular)
 from .fields import (INF, FieldSpec, LaurentRational, RationalAtP,
                      unit_sample_set)
-from .schur import SchurModule, rho
+from .schur import _Z, SchurModule, rho
 
 # ---------------------------------------------------------------------------
 # generic exact matrix helpers
 # ---------------------------------------------------------------------------
 
 
-def _matrix(spec: FieldSpec, m: int, entries=None, identity=True):
+def _matrix(ring, m: int, entries=None, identity=True):
     """The m x m identity, or zero matrix when not `identity`, with the
-    {(row, col): value} `entries` written over it."""
-    one, zero = spec.one(), spec.zero()
+    {(row, col): value} `entries` written over it; `ring` is a FieldSpec,
+    or Z (_letter_ring)."""
+    one, zero = ring.one(), ring.zero()
     rows = [[one if identity and i == j else zero for j in range(m)]
             for i in range(m)]
     for (i, j), x in (entries or {}).items():
@@ -651,6 +652,14 @@ def congruence_level(M: MatrixModule) -> int:
     return int(max(M.divisors)) if M.divisors else 0
 
 
+def is_full_end(M: MatrixModule) -> bool:
+    """True iff M = M_N(R): full rank with every elementary divisor 0,
+    that is, congruence level 0 with no negative divisor.  The Smith form
+    of M's coordinates is then a unit matrix, so its basis is an R-basis
+    of M_N(R)."""
+    return full_rank(M) and not any(M.divisors)
+
+
 def membership(M: MatrixModule, X) -> bool:
     """Exact membership of the matrix X in the R-span of M's basis."""
     return M._echelon.member(vectorize(tuple(tuple(row) for row in X)))
@@ -660,44 +669,59 @@ def membership(M: MatrixModule, X) -> bool:
 # standard generator sets
 # ---------------------------------------------------------------------------
 
+def _letter_ring(spec: FieldSpec):
+    """The ring the generator matrices are written over, and the map of
+    their field scalars into it.  Over Q_p every letter is an integer
+    matrix (transpositions, transvections, the integer units of
+    unit_sample_set, diag(p)), so it is written with int entries, Z and
+    to_int; over F_q(t), the field and its own scalars."""
+    if isinstance(spec, RationalAtP):
+        return _Z, spec.to_int
+    return spec, lambda x: x
+
+
 def group_generator_matrices(spec: FieldSpec, n: int, level: int):
-    """Transpositions, elementary transvections, and unit diagonals."""
-    one, zero = spec.one(), spec.zero()
-    gens = [_matrix(spec, n, {(i, i): zero, (j, j): zero,
+    """Transpositions, elementary transvections, and unit diagonals, as
+    tuples of ints over Q_p and of field elements over F_q(t)
+    (_letter_ring)."""
+    ring, scalar = _letter_ring(spec)
+    one, zero = ring.one(), ring.zero()
+    gens = [_matrix(ring, n, {(i, i): zero, (j, j): zero,
                               (i, j): one, (j, i): one})
             for i in range(n) for j in range(i + 1, n)]
-    gens += [_matrix(spec, n, {(i, j): one})
+    gens += [_matrix(ring, n, {(i, j): one})
              for i in range(n) for j in range(n) if i != j]
-    gens += [_matrix(spec, n, {(pos, pos): u})
+    gens += [_matrix(ring, n, {(pos, pos): scalar(u)})
              for u in unit_sample_set(spec, level) for pos in range(n)]
     return gens
 
 
 def uniformizer_diagonal_matrices(spec: FieldSpec, n: int):
-    """diag(1, ..., pi, ..., 1) for each position."""
-    pi = spec.uniformizer()
-    return [_matrix(spec, n, {(pos, pos): pi}) for pos in range(n)]
+    """diag(1, ..., pi, ..., 1) for each position, written as
+    group_generator_matrices writes its letters."""
+    ring, scalar = _letter_ring(spec)
+    pi = scalar(spec.uniformizer())
+    return [_matrix(ring, n, {(pos, pos): pi}) for pos in range(n)]
 
 
 def saturation_alphabet(spec: FieldSpec, n: int, level: int):
     """Generator matrices whose span closure is the order: the group
-    generators together with uniformizer diagonals (the latter reach the
-    non-invertible-over-R part of the integral image)."""
+    generators, then the n uniformizer diagonals (the latter reach the
+    non-invertible-over-R part of the integral image).  compute_order
+    reads the group generators as the first letters."""
     return group_generator_matrices(spec, n, level) + \
         uniformizer_diagonal_matrices(spec, n)
 
 
 def generator_images(module: SchurModule, spec: FieldSpec, gens):
     """rho of each matrix of gens, as the pipeline uses them.  Over Q_p
-    every matrix that group_generator_matrices and saturation_alphabet
-    write is an integer matrix (transpositions, transvections, the
-    integer units of unit_sample_set, diag(p)), so its image is taken
-    over Z: integer matrices, memoized in the module, which the order,
+    group_generator_matrices and saturation_alphabet write integer
+    matrices with int entries (_letter_ring), handed to rho over Z as
+    they are: integer images, memoized in the module, which the order,
     the residue representation and the Gaussian words share.  Over
     F_q(t), the images over the field."""
     if isinstance(spec, RationalAtP):
-        return [rho(module, [[spec.to_int(x) for x in row] for row in g])
-                for g in gens]
+        return [rho(module, g) for g in gens]
     return [rho(module, g, spec) for g in gens]
 
 
@@ -851,14 +875,6 @@ def _int_smith_divisors(rows, p: int, P: int):
 # ---------------------------------------------------------------------------
 # the order of a representation image
 # ---------------------------------------------------------------------------
-
-def _residue_closure_is_full(spec: FieldSpec, residue_mats, N: int) -> bool:
-    """True iff the ring closure of the residue images spans all N x N
-    matrices over the residue field.  (If so, the exact module is the
-    full End lattice by Nakayama's lemma.)"""
-    fq = spec.residue_field
-    return _kernels.residue_ring_closure_rank(fq, residue_mats, N) == N * N
-
 
 def _full_end_module(spec: FieldSpec, N: int, certificate) -> MatrixModule:
     """M_N(R), with the matrix units E_ij as its basis; over Q_p they are
@@ -1282,17 +1298,33 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
     make it the order (_saturate_generic); no random word is drawn there
     either.  Both certificates are exact, and `trials` only sets the
     count they report.
+
+    The residues of the images close once, in alphabet order
+    (_kernels.residue_ring_closure_rank).  When they span M_N(k), the
+    order is M_N(R) by Nakayama's lemma.  The same pass keeps the basis
+    of the algebra alg(G) of the residues of the group generators, the
+    alphabet's first letters, in module.residue_algebras[spec], where
+    building.residue_generator_rep reads it.  Those are the generators at
+    `level`, and alg(G) is that of level 1: over Q_p unit_sample_set does
+    not depend on the level, and over F_q(t) the extra units 1 + c*t^j
+    reduce to 1, so their diagonals reduce to I, which every algebra
+    holds.
     """
     N = module.N
     if N == 0:
         raise Singular("the module is zero (shape has more rows than n)")
-    images = generator_images(module, spec,
-                              saturation_alphabet(spec, module.n, level))
+    alphabet = saturation_alphabet(spec, module.n, level)
+    images = generator_images(module, spec, alphabet)
     padic = isinstance(spec, RationalAtP)
     # the integer images over Q_p are integral by construction
     if not padic and not all(is_integral_matrix(spec, im) for im in images):
         raise NonIntegralInput("generator image has an entry with val < 0")
-    if _residue_closure_is_full(spec, reduce_images(spec, images), N):
+    # the alphabet ends with the n uniformizer diagonals
+    rank, algebra = _kernels.residue_ring_closure_rank(
+        spec.residue_field, reduce_images(spec, images), N,
+        prefix=len(alphabet) - module.n)
+    module.residue_algebras[spec] = algebra
+    if rank == N * N:
         return _full_end_module(
             spec, N, _exact_certificate(level, trials, "residue-full"))
     if padic:

@@ -12,6 +12,7 @@ test).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -100,15 +101,22 @@ def sample(gauss: LatticeGaussian, count: int):
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _chi2_threshold(q: int, significance: float) -> float:
+    """The chi-squared quantile at 1 - significance with q - 1 degrees
+    of freedom, computed once per (q, significance)."""
+    from scipy.stats import chi2
+
+    return float(chi2.ppf(1.0 - significance, q - 1))
+
+
 def chi2_uniform_counts(counts, total: int, q: int,
                         significance: float = DEFAULT_SIGNIFICANCE):
     """Per-row chi-squared uniformity stats: (stats, threshold, all_pass)."""
-    from scipy.stats import chi2
-
     counts = np.asarray(counts, dtype=np.float64)
     expected = total / q
     stats = ((counts - expected) ** 2 / expected).sum(axis=1)
-    threshold = float(chi2.ppf(1.0 - significance, q - 1))
+    threshold = _chi2_threshold(q, significance)
     return stats, threshold, bool(np.all(stats <= threshold))
 
 

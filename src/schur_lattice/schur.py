@@ -12,7 +12,8 @@ convention ``rho(g) @ rho(h) == rho(g @ h)`` holds literally.
 
 Straightening coefficients are integers and independent of the scalar
 field, so each ``SchurModule`` caches them, and the images it has formed,
-for its own lifetime (the pipeline builds one module per case).  The
+for its own lifetime (the pipeline builds one module per case), with
+the residue algebra of the group generators that the order closed.  The
 image of an integer matrix is straightened over Z, the Z-form of S_lam(V)
 (Green 1980), and mapped into the field once.
 """
@@ -46,11 +47,16 @@ def _sort_with_sign(col):
 
 class _Integers:
     """Z as the scalar ring of the straightening (the part of the
-    FieldSpec interface that rho uses)."""
+    FieldSpec interface that rho uses), and of the integer generator
+    matrices that dvr writes over Q_p."""
 
     @staticmethod
     def zero():
         return 0
+
+    @staticmethod
+    def one():
+        return 1
 
     @staticmethod
     def from_int(k):
@@ -84,6 +90,10 @@ class SchurModule:
         self._column_index = {cols: i for i, cols in enumerate(self._columns)}
         self._straighten_cache: dict = {}
         self._rho_memo: dict = {}
+        # spec -> RREF basis of the F_q-algebra of the residues of the
+        # group generator images: dvr.compute_order keeps it from its
+        # closure, building.residue_generator_rep reads it
+        self.residue_algebras: dict = {}
 
     # -- straightening ---------------------------------------------------
     def _validate_filling(self, filling):

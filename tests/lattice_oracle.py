@@ -13,13 +13,23 @@ walk, so it needs none of these.
 ``conjugate_residues_loop`` is the entry-by-entry p-adic forward
 substitution that ``dvr.conjugate_residues`` ran before it became one
 batched integer solve over the whole stack: the oracle of that solve.
+
+``spans_by_rank`` and ``bfs_searched_keys`` are the stock paths of
+``building.spans_end_residue`` and ``building.fix_bfs``, which read
+congruence level 0 as H = M_N(R) with no rank and no search: the
+rank of H's residues, and the BFS that searches every class it finds.
 """
 
+from collections import deque
 from fractions import Fraction
 
 from schur_lattice import (INF, Lattice, LatticeClass, Singular,
-                           lattice_sum_and_meet, smith_divisors)
-from schur_lattice.dvr import _is_lower_triangular, mat_vec
+                           lattice_sum_and_meet, smith_divisors,
+                           standard_lattice)
+from schur_lattice._kernels import gf_rank
+from schur_lattice.building import _proper_invariant_subspaces
+from schur_lattice.dvr import (_is_lower_triangular, conjugate_residues,
+                               mat_vec)
 
 
 def mat_inv(spec, A):
@@ -160,3 +170,33 @@ def conjugate_residues_loop(L: Lattice, mats):
             return None
         out.append(res)
     return out
+
+
+def spans_by_rank(H) -> bool:
+    """Do the residues of H's basis span M_N(k)?  By their rank."""
+    rows = H.residues().reshape(H.rank, -1)
+    return gf_rank(H.spec.residue_field, rows) == H.N * H.N
+
+
+def bfs_searched_keys(H, spec, cap: int = 2 ** 16):
+    """The sorted keys of the H-fixed classes, by a BFS from the standard
+    class that conjugates every class it finds and searches the invariant
+    subspaces of its residues for neighbours, at any congruence level."""
+    N, fq, pi = H.N, spec.residue_field, spec.uniformizer()
+    c0 = LatticeClass(standard_lattice(spec, N))
+    visited = {c0.key(): c0}
+    queue = deque([c0])
+    while queue:
+        L = queue.popleft().rep
+        mats = conjugate_residues(L, H.matrices)
+        assert mats is not None, f"class {L.key()} is not H-invariant"
+        B = L.basis_matrix()
+        for rows in _proper_invariant_subspaces(fq, mats, N, cap):
+            vectors = [tuple(pi * x for x in v) for v in L.vectors]
+            vectors += [mat_vec(B, tuple(spec.lift(int(c)) for c in w))
+                        for w in rows]
+            cls = LatticeClass(Lattice.from_vectors(spec, vectors))
+            if cls.key() not in visited:
+                visited[cls.key()] = cls
+                queue.append(cls)
+    return sorted(visited)

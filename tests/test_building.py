@@ -20,7 +20,8 @@ from schur_lattice import (GF, INF, Lattice, LatticeClass, NegativeCycle,
                            standard_lattice)
 from schur_lattice._kernels import gf_rref, residue_algebra_basis
 from schur_lattice.building import ResidueRep
-from lattice_oracle import class_distance
+from schur_lattice.partitions import is_core
+from lattice_oracle import bfs_searched_keys, class_distance, spans_by_rank
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -351,6 +352,64 @@ def test_spans_end_residue(order_2adic):
     assert spans_end_residue(order_2adic) is False
     H3 = compute_order(SchurModule(2, (2,)), P3)
     assert spans_end_residue(H3) is True
+
+
+@pytest.mark.parametrize("n, lam, spec", [
+    (2, (2,), P3), (2, (3,), P2), (3, (2, 1), RationalAtP(3)),
+    (2, (2,), RationalFunctionOverFq(3)), (2, (3,), F2T),
+    (2, (2,), RationalFunctionOverFq(4))],
+    ids=["Q3-(2)", "Q2-(3)", "Q3-(2,1)", "F3t-(2)", "F2t-(3)", "F4t-(2)"])
+@pytest.mark.parametrize("level", [1, 2])
+def test_residue_generator_rep_reads_the_algebra_the_order_kept(
+        n, lam, spec, level):
+    """After compute_order at level 1 or 2, residue_generator_rep holds
+    the algebra that the order's closure kept, the same array, and it is
+    the algebra of the rep's own level-1 generators; over F_q(t) level 2
+    adds the units 1 + c*t^2, whose diagonals reduce to I.  Without an
+    order the rep closes its generators on first access."""
+    module = SchurModule(n, lam)
+    closed = residue_generator_rep(module, spec)
+    compute_order(module, spec, level=level, trials=8)
+    rep = residue_generator_rep(module, spec)
+    assert rep.algebra is module.residue_algebras[spec]
+    want = residue_algebra_basis(rep.fq, rep.generators, rep.N)
+    assert np.array_equal(rep.algebra, want)
+    assert np.array_equal(closed.algebra, want)
+
+
+def _scan_full_cases():
+    """The scan-full benchmark grid: the criterion-8 grid (|lambda| <= 3,
+    n in {2, 3}, p in {2, 3}) without its two N = 10 cases, then the
+    p-cores with n in {2, 3}, 2 <= |lambda| <= 4, p in {2, 3, 5} that it
+    does not hold, without the three N = 15 ones."""
+    grid = [(n, lam, p) for d in range(1, 4) for lam in partitions_of(d)
+            for n in (2, 3) for p in (2, 3) if len(lam) <= n]
+    cores = [(n, lam, p) for d in range(2, 5) for lam in partitions_of(d)
+             for n in (2, 3) for p in (2, 3, 5)
+             if len(lam) <= n and is_core(lam, p) and (n, lam, p) not in grid]
+    return ([c for c in grid if dimension(c[1], c[0]) < 10]
+            + [c for c in cores if dimension(c[1], c[0]) < 15])
+
+
+def test_level_zero_shortcuts_match_the_stock_paths():
+    """On the 36 orders of the scan-full grid, fix_bfs gives the classes
+    of the BFS that searches every class (bfs_searched_keys), and at
+    congruence level 0, 31 of them, spans_end_residue gives the rank of
+    the residues (spans_by_rank): the level-0 shortcuts, the standard
+    class alone and True, are what the stock paths compute."""
+    cases = _scan_full_cases()
+    assert len(cases) == 36
+    level0 = 0
+    for n, lam, p in cases:
+        module, spec = SchurModule(n, lam), RationalAtP(p)
+        H = compute_order(module, spec, trials=8)
+        got = fix_bfs(H, module, spec)
+        assert list(got.keys()) == bfs_searched_keys(H, spec), (n, lam, p)
+        if congruence_level(H) == 0:
+            level0 += 1
+            assert got.keys() == (standard_lattice(spec, H.N).key(),)
+            assert spans_end_residue(H) is spans_by_rank(H) is True
+    assert level0 == 31
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,58 @@ def test_run_case_parts_selection():
     assert report["irreducible"] is None
 
 
+@pytest.mark.parametrize("lam, p, want", [
+    ("2", "3", {"spans_full": True, "subspace_count": 0, "agree": True}),
+    ("3", "2", {"spans_full": False, "subspace_count": 4, "agree": True}),
+])
+def test_irreducible_subcommand_runs_its_stage(capsys, lam, p, want):
+    """The irreducible subcommand reports the residue irreducibility
+    stage, and no fixed points: a 3-core, and a non-core whose residue
+    representation has four invariant subspaces."""
+    code, out, _ = run_main(
+        capsys, ["irreducible", "--n", "2", "--lambda", lam, "--p", p])
+    assert code == 0
+    report = json.loads(out)
+    assert report["irreducible"] == want
+    assert report["fix"] is None
+
+
+@pytest.mark.parametrize("case, truncated", [
+    ({"n": 2, "lambda": [2], "field": "padic", "p": 3}, False),
+    ({"n": 2, "lambda": [3], "field": "padic", "p": 2}, False),
+    ({"n": 2, "lambda": [2], "field": "laurent", "q": 3}, False),
+    ({"n": 2, "lambda": [3], "field": "laurent", "q": 2}, True),
+], ids=["Q3-full", "Q2-lane", "F3t-full", "F2t-lane"])
+def test_run_case_closes_the_residue_algebra_once(case, truncated,
+                                                  monkeypatch):
+    """With order, fix and irreducible, the residues of the alphabet close
+    once, in compute_order, and the irreducible stage reads the group
+    generators' algebra that pass kept (prefix > 0).  The only other
+    closure is that of each F_q(t) lane, over the divided powers, another
+    algebra (residue_algebra_basis, prefix 0)."""
+    from schur_lattice import _kernels, dvr
+
+    prefixes, lanes = [], []
+    real = _kernels._algebra_closure
+
+    def counted(fq, mats, N, prefix):
+        prefixes.append(prefix)
+        return real(fq, mats, N, prefix)
+
+    class Recording(dvr._TruncatedLane):
+        def __init__(self, *args):
+            super().__init__(*args)
+            lanes.append(self)
+
+    monkeypatch.setattr(_kernels, "_algebra_closure", counted)
+    monkeypatch.setattr(dvr, "_TruncatedLane", Recording)
+    report = run_case(case, parts=("order", "fix", "irreducible"))
+    assert report["irreducible"]["agree"] is True
+    assert len(lanes) == int(truncated)
+    assert len(prefixes) == 1 + len(lanes)
+    assert prefixes[0] > 0 and prefixes.count(0) == len(lanes)
+
+
 def test_sweep_cases_grid():
     cases = sweep_cases(3, (2, 3), (2, 3))
     # partitions with <= n rows: n=2 -> 5 shapes, n=3 -> 6 shapes; 2 primes

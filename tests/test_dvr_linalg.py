@@ -23,7 +23,7 @@ from schur_lattice import (INF, CapExceeded, FixSet, Lattice, LatticeClass,
 from schur_lattice import dvr
 from schur_lattice.dvr import (PRECISION, ExactEchelon, _int_smith_divisors,
                                _exact_certificate, _IntEchelon,
-                               group_generator_matrices,
+                               generator_images, group_generator_matrices,
                                identity_matrix, mat_mul, saturation_alphabet,
                                uniformizer_diagonal_matrices, unvectorize,
                                vectorize)
@@ -442,6 +442,23 @@ def test_saturation_alphabet_frozen_order():
     assert dvr._full_end_module(P3, 2, {}).basis == (
         fmat([[1, 0], [0, 0]]), fmat([[0, 1], [0, 0]]),
         fmat([[0, 0], [1, 0]]), fmat([[0, 0], [0, 1]]))
+
+
+def test_padic_letters_are_int_matrices_that_rho_reads_as_they_are(
+        monkeypatch):
+    """Over Q_p the alphabet is written with int entries, and
+    generator_images hands it to rho over Z with no to_int: its images
+    are those of the same letters as Fraction matrices."""
+    alphabet = saturation_alphabet(P3, 2, 1)
+    assert all(type(x) is int for g in alphabet for row in g for x in row)
+    m = SchurModule(2, (3,))
+    want = [rho(m, fmat(g), P3) for g in alphabet]
+
+    def refuse(self, x):
+        raise AssertionError("to_int called")
+
+    monkeypatch.setattr(RationalAtP, "to_int", refuse)
+    assert generator_images(m, P3, alphabet) == want
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +935,8 @@ def test_truncated_lane_matches_exact_oracle(case, level, seed):
     G = dvr._saturate_generic(spec, images, N, level, 8, module)
     residues = [tuple(tuple(spec.reduce(x) for x in row) for row in im)
                 for im in images]
-    if dvr._residue_closure_is_full(spec, residues, N):
+    if dvr._kernels.residue_ring_closure_rank(spec.residue_field, residues,
+                                              N) == N * N:
         E = dvr._full_end_module(spec, N, {})
     else:
         E = saturate_exact(spec, images, N, level, 8, random.Random(seed),

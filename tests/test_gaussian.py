@@ -147,3 +147,33 @@ def test_invariance_report_integer_words_match_field_words(lam, u):
     fields = [rho(m, x, P2) for x in gens]
     assert invariance_report(g, H, ints, trials=3, sample_count=500) == \
         invariance_report(g, H, fields, trials=3, sample_count=500)
+
+
+def test_chi2_threshold_is_computed_once_per_field_and_significance(
+        monkeypatch):
+    """invariance_report asks for the chi-squared threshold on every
+    trial and retry; scipy computes it once per (q, significance), and
+    every test of the report reads that value."""
+    from scipy.stats import chi2
+
+    from schur_lattice import gaussian
+
+    calls = []
+    real = chi2.ppf
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(chi2, "ppf", counted)
+    gaussian._chi2_threshold.cache_clear()
+    m = SchurModule(2, (2,))
+    g = LatticeGaussian(P3, standard_lattice(P3, m.N), precision=2, seed=0)
+    gens = generator_images(m, P3, group_generator_matrices(P3, 2, 1))
+    report = invariance_report(g, compute_order(m, P3), gens, trials=4,
+                               sample_count=500)
+    assert calls == [(1.0 - 0.001, 2)]
+    assert {t["threshold"] for t in report["tests"]} == {real(0.999, 2)}
+    invariance_report(g, compute_order(m, P3), gens, trials=2,
+                      sample_count=500, significance=0.01)
+    assert calls == [(1.0 - 0.001, 2), (1.0 - 0.01, 2)]

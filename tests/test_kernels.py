@@ -289,6 +289,51 @@ def test_residue_algebra_basis_matches_row_at_a_time_closure(q, data):
     assert flat.shape == ref.shape and np.array_equal(flat, ref)
 
 
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5]), data=st.data())
+def test_closure_prefix_basis_is_the_algebra_of_the_prefix(q, data):
+    """The basis that residue_ring_closure_rank keeps after the first k
+    matrices is residue_algebra_basis of those k alone, array-equal, and
+    its rank is that of all of them; k runs from 0 (the algebra of I)
+    past the last matrix.  Blocks zeroed below `split` keep many draws
+    short of M_N, so the prefix's algebra is often a proper subalgebra
+    of the whole one."""
+    fq = GF(q)
+    N = data.draw(st.integers(1, 4))
+    split = data.draw(st.integers(0, N))
+    entry = st.integers(0, q - 1)
+    mats = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        m = np.array(data.draw(st.lists(entry, min_size=N * N,
+                                        max_size=N * N)),
+                     dtype=np.int64).reshape(N, N)
+        if data.draw(st.booleans()):
+            m[split:, :split] = 0
+        mats.append(m)
+    k = data.draw(st.integers(0, len(mats) + 1))
+    rank, kept = residue_ring_closure_rank(fq, mats, N, prefix=k)
+    assert rank == residue_ring_closure_rank(fq, mats, N)
+    assert np.array_equal(kept, residue_algebra_basis(fq, mats[:k], N))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_closure_prefix_basis_empty_and_full(q):
+    """An empty prefix keeps the algebra of I; a prefix that is already
+    M_2 (E_12 and E_21 generate it) keeps M_2, and the pass stops before
+    the matrix after it."""
+    fq, N = GF(q), 2
+    e12 = np.array([[0, 1], [0, 0]], dtype=np.int64)
+    e21 = np.array([[0, 0], [1, 0]], dtype=np.int64)
+    mats = [e12, e21, np.eye(N, dtype=np.int64) * (q - 1)]
+    rank, kept = residue_ring_closure_rank(fq, mats, N, prefix=0)
+    assert rank == 4
+    assert kept.reshape(-1, N * N).tolist() == [[1, 0, 0, 1]]
+    for k in (2, 3):
+        rank, kept = residue_ring_closure_rank(fq, mats, N, prefix=k)
+        assert rank == 4
+        assert np.array_equal(kept.reshape(-1, N * N), np.eye(4))
+
+
 def test_spin_closure_grows_to_invariant():
     fq = GF(2)
     # the transvection maps e2 -> e1 + e2: spinning e2 gives the plane
