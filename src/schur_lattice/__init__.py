@@ -4,11 +4,10 @@ fixed-point sets on the lattice-class building, residue irreducibility
 tests, and lattice Gaussian sampling.
 """
 
-from .building import (FixSet, ResidueRep, convexity_check, detect_graduated,
+from .building import (FixSet, convexity_check, detect_graduated,
                        diagonal_lattice, entry_profile, fix_bfs,
                        fix_polytrope, invariant_subspaces, is_invariant,
-                       min_plus_closure, residue_generator_rep,
-                       spans_end_residue)
+                       min_plus_closure, spans_end_residue)
 from .dvr import (HNFResult, Lattice, LatticeClass, MatrixModule,
                   compute_order, congruence_level, full_rank,
                   group_generator_matrices, hnf_dvr, lattice_sum_and_meet,
@@ -32,7 +31,7 @@ __all__ = [
     "InternalInvariantViolation", "Lattice", "LatticeClass",
     "LatticeGaussian", "LaurentRational", "MatrixModule", "NegativeCycle",
     "NegativeValuation", "NonIntegralInput", "NotFullRank", "RationalAtP",
-    "RationalFunctionOverFq", "ResidueRep", "SchurLatticeError",
+    "RationalFunctionOverFq", "SchurLatticeError",
     "SchurModule", "ShapeMismatch", "Singular", "character",
     "chi2_uniform_counts", "compute_order", "congruence_level",
     "conjugate", "convexity_check", "detect_graduated", "diagonal_lattice",
@@ -41,7 +40,7 @@ __all__ = [
     "hook_lengths", "invariance_report", "invariant_subspaces",
     "is_core", "is_invariant", "lattice_sum_and_meet", "membership",
     "min_plus_closure", "module_from_matrices", "partitions_of",
-    "residue_generator_rep", "rho",
+    "rho",
     "sample", "smith_divisors", "spans_end_residue", "ssyt_enumerate",
     "standard_lattice", "uniformizer_diagonal_matrices", "unit_sample_set",
     "validate_partition",

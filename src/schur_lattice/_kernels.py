@@ -12,15 +12,16 @@ pass over one matrix; ``GFSpan``, an incremental span that reduces a
 batch of rows in one product and finishes it with ``gf_rref``, on which
 the residue algebra closes in batched rounds (``residue_algebra_basis``);
 and ``_gf_batched_rref``, which row-reduces a stack of matrices at once:
-the images of a chunk of lines for the line spins, and the generator
-images of a ``building.ResidueRep``.
+the images of a chunk of lines for the line spins, and the candidate
+units whose orbits they spin.
 
 The residue algebra of a case closes once: the pass that decides
 whether the order's alphabet spans M_N(F_q) (``residue_ring_closure_rank``)
 also keeps, as one array reference, the basis of the algebra of its
 first letters, the group generators (``_algebra_closure``).  The
-irreducibility stage reads that basis, and an algebra basis of N*N rows
-is read as Burnside's answer with no further elimination.
+irreducibility stage reads that basis (``building.invariant_subspaces``),
+and an algebra basis of N*N rows is read as Burnside's answer with no
+further elimination.
 
 A line's spin closure is constant on the orbits of the units of the
 algebra it is spun under, so ``line_spin_profile`` spins one line per

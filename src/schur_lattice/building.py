@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import InitVar, dataclass
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .dvr import (Lattice, LatticeClass, MatrixModule, congruence_level,
                   lattice_sum_and_meet, mat_vec, membership, reduce_images,
                   smith_divisors, standard_lattice)
 from .errors import (CapExceeded, InternalInvariantViolation, NegativeCycle,
-                     NotFullRank, SchurLatticeError, Singular)
+                     NotFullRank, SchurLatticeError)
 from .fields import GF, INF, FieldSpec
 from .schur import SchurModule
 
@@ -39,41 +38,6 @@ DEFAULT_ENUM_CAP = 10 ** 6
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidueRep:
-    """Residue-field representation data: generator images over k, a
-    (k, N, N) int64 array or a sequence of N x N matrices of ints.
-
-    Generator images must be invertible (this is a group representation;
-    the BFS engine works with algebra bases instead and bypasses this
-    type); one batched elimination ranks them all.
-
-    `algebra` is the RREF basis, a (dim, N, N) array, of the unital
-    F_q-algebra the generators span.  It is closed on first access, or
-    given at construction as `algebra_basis` (residue_generator_rep
-    passes the one compute_order kept), as MatrixModule.basis is.
-    """
-
-    fq: GF
-    N: int
-    generators: tuple | np.ndarray
-    algebra_basis: InitVar[np.ndarray | None] = None
-
-    def __post_init__(self, algebra_basis):
-        gens = np.array(self.generators, dtype=np.int64).reshape(
-            -1, self.N, self.N)
-        if (_kernels._gf_batched_rref(self.fq, gens) < self.N).any():
-            raise Singular("residue generator image is not invertible")
-        if algebra_basis is not None:
-            # fills the slot of the cached_property below
-            self.__dict__["algebra"] = algebra_basis
-
-    @cached_property
-    def algebra(self) -> np.ndarray:
-        return _kernels.residue_algebra_basis(self.fq, self.generators,
-                                              self.N)
-
 
 @dataclass(frozen=True)
 class FixSet:
@@ -131,27 +95,25 @@ def min_plus_closure(M):
 
 
 def detect_graduated(H: MatrixModule):
-    """Exponent matrix M with H = {X : val(X_ij) >= m_ij}, or None.
+    """Exponent matrix M with H = {X : val(X_ij) >= m_ij}, or None; H an
+    order, an R-subalgebra of M_N(R) that holds I.
 
-    Computes the entry-wise minimum profile M, verifies zero diagonal and
-    triangle closure, then decides H = P(M), P(M) = {X : val(X_ij) >=
-    m_ij}, by comparing indices.  Every basis matrix of H has its (i, j)
-    entry of valuation >= m_ij, so H is contained in P(M).  Both are
-    free of rank N^2, so the length of P(M)/H is val det(H) - val
-    det(P(M)) and is 0 exactly when H = P(M).  The basis pi^{m_ij} E_ij
-    of P(M) gives val det(P(M)) = sum(m_ij), and the elementary divisors
-    of H give val det(H) = sum(H.divisors).
+    M is the entry-wise minimum profile, and H = P(M), P(M) = {X :
+    val(X_ij) >= m_ij}, is decided by comparing indices.  Every basis
+    matrix of H has its (i, j) entry of valuation >= m_ij, so H is
+    contained in P(M).  Both are free of rank N^2, so the length of
+    P(M)/H is val det(H) - val det(P(M)) and is 0 exactly when H = P(M).
+    The basis pi^{m_ij} E_ij of P(M) gives val det(P(M)) = sum(m_ij), and
+    the elementary divisors of H give val det(H) = sum(H.divisors).
+    When the indices agree, M is the profile of an order and so a valid
+    exponent matrix: I in H gives m_ii <= 0, and H in M_N(R) gives every
+    m_ij >= 0, so the diagonal is zero; pi^{m_ij} E_ij and pi^{m_jk} E_jk
+    lie in H, so their product pi^{m_ij + m_jk} E_ik does, and m_ik <=
+    m_ij + m_jk: M is min-plus closed.
     """
     if not full_rank(H):
         raise NotFullRank("graduated detection needs a full-rank module")
     M = entry_profile(H)
-    N = H.N
-    for i in range(N):
-        if M[i][i] != 0:
-            return None
-    closed, neg = _kernels.minplus_closure_matrix(M)
-    if neg or any(closed[i][j] != M[i][j] for i in range(N) for j in range(N)):
-        return None
     if sum(H.divisors) != sum(map(sum, M)):
         return None
     return M
@@ -248,8 +210,18 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int,
     matrices gives a basis of A; `reduced` says they are one already (an
     RREF basis from residue_algebra_basis), and none is run.  N*N
     elements mean A is the full matrix algebra, and there are no such
-    subspaces (Burnside).  Otherwise the lines' closures under the basis
-    are closed under sums; the cap guards the q^N line enumeration.
+    subspaces (Burnside).  Otherwise every invariant subspace is the sum
+    of the closures of its lines under the basis; the cap guards the q^N
+    line enumeration.
+
+    The sums are formed in one pass over the distinct closures C_1, C_2,
+    ...: C_j is kept, and so is W + C_j for every W kept before C_j,
+    when it is proper.  By induction on j the pass then holds every
+    proper sum of C_1, ..., C_j: such a sum that involves C_j is C_j or
+    T + C_j for T a sum of earlier closures, and T is proper because T
+    is contained in T + C_j, so T was kept before C_j.  A sum equal to
+    k^N stays k^N under further sums.  A closure kept before its turn is
+    a sum of earlier ones and adds no new sum.
     """
     basis = np.reshape(mats, (-1, N * N))
     if not reduced:
@@ -267,31 +239,57 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int,
     for packed, rows in zip(closures,
                             _kernels.unpack_gf_rows(closures, q, N)):
         dim = int(np.count_nonzero(packed))
-        found[rows[:dim].tobytes() + bytes([dim])] = rows[:dim]
-    # close under sums
-    changed = True
-    while changed:
-        changed = False
-        items = list(found.values())
-        for a, b in itertools.combinations(items, 2):
-            rows, _ = _kernels.gf_rref(fq, np.vstack([a, b]))
+        closure = rows[:dim]
+        key = closure.tobytes() + bytes([dim])
+        if key in found:
+            continue
+        earlier = list(found.values())
+        found[key] = closure
+        for w in earlier:
+            rows, _ = _kernels.gf_rref(fq, np.vstack([w, closure]))
             dim = rows.shape[0]
-            if 0 < dim < N:
-                key = rows.tobytes() + bytes([dim])
-                if key not in found:
-                    found[key] = rows
-                    changed = True
-    out = sorted(found.values(),
-                 key=lambda r: (r.shape[0], r.reshape(-1).tolist()))
-    return out
+            if dim < N:
+                found.setdefault(rows.tobytes() + bytes([dim]), rows)
+    return sorted(found.values(),
+                  key=lambda r: (r.shape[0], r.reshape(-1).tolist()))
 
 
-def invariant_subspaces(rep: ResidueRep, cap: int = DEFAULT_SUBSPACE_CAP):
-    """Proper nonzero subspaces invariant under all generator images,
-    as canonical row-echelon bases sorted by (dimension, rows): those of
-    their algebra, whose RREF basis rep.algebra is read as it is."""
-    return _proper_invariant_subspaces(rep.fq, rep.algebra, rep.N, cap,
-                                       reduced=True)
+def invariant_subspaces(module: SchurModule, spec: FieldSpec,
+                        cap: int = DEFAULT_SUBSPACE_CAP):
+    """Proper nonzero subspaces of k^N invariant under the residue action
+    of GL(n, R) on S_lambda(V), as canonical row-echelon bases sorted by
+    (dimension, rows).
+
+    They are the invariant subspaces of alg(G), the F_q-algebra of the
+    reductions mod the uniformizer of rho(g) for g in
+    group_generator_matrices(spec, n, 1): the transpositions, the
+    transvections and diag(1, ..., c, ..., 1) for c in unit_sample_set.
+    Proof: reduction mod the uniformizer is a ring map and rho has
+    integer straightening coefficients, so it sends rho(g) to the image
+    over k of g mod the uniformizer, and GL(n, R) reduces onto GL(n, k),
+    which the transpositions, the transvections and the diagonals
+    diag(1, ..., c, ..., 1) for c a generator of k^x generate.  The
+    residues of unit_sample_set generate k^x: for odd p it holds a
+    primitive root g mod p^2, which is one mod p as well; F_2^x is
+    trivial; over F_q(t) it holds c itself.  A diagonal with a generator
+    of k^x at one position has, as its powers, the diagonals with every
+    unit there, so both sets generate the same F_q-algebra, and the
+    invariant subspaces of a set are those of its algebra.
+
+    compute_order keeps alg(G) for the spec in module.residue_algebras:
+    the algebra of the same residues at its level, which is that of
+    level 1 (see compute_order).  Before any order, the residues of the
+    level-1 generators are closed here (_kernels.residue_algebra_basis).
+    Either way the RREF basis is read as it is.
+    """
+    fq, N = spec.residue_field, module.N
+    algebra = module.residue_algebras.get(spec)
+    if algebra is None:
+        images = generator_images(
+            module, spec, group_generator_matrices(spec, module.n, 1))
+        algebra = _kernels.residue_algebra_basis(
+            fq, reduce_images(spec, images), N)
+    return _proper_invariant_subspaces(fq, algebra, N, cap, reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -421,35 +419,3 @@ def spans_end_residue(H: MatrixModule) -> bool:
         return True
     rows = H.residues().reshape(H.rank, -1)
     return _kernels.gf_rank(H.spec.residue_field, rows) == H.N * H.N
-
-
-def residue_generator_rep(module: SchurModule, spec: FieldSpec) -> ResidueRep:
-    """Group-generator residue representation: the reductions mod the
-    uniformizer of rho(g) for g in group_generator_matrices(spec, n, 1),
-    the transpositions, transvections and unit diagonals whose images
-    compute_order has already formed (generator_images; rho memoizes
-    them in the module).  Over Q_p those are integer matrices, reduced
-    with one % p.
-
-    Its invariant subspaces are those of the images over k of the
-    transpositions, the transvections and diag(1, ..., c, ..., 1) for c a
-    generator of k^x (none when k = F_2).  Proof: reduction mod the
-    uniformizer is a ring map and rho has integer straightening
-    coefficients, so it sends rho(g) to the image over k of g mod the
-    uniformizer.  The residues of unit_sample_set generate k^x: for odd
-    p it holds a primitive root g mod p^2, which is one mod p as well;
-    F_2^x is trivial; over F_q(t) it holds c itself.  A diagonal with a
-    generator of k^x at one position has, as its powers, the diagonals
-    with every unit there, so both sets generate the same F_q-algebra,
-    and the invariant subspaces of a set are those of its algebra.
-
-    The rep's algebra is the one compute_order kept for this spec
-    (module.residue_algebras), the algebra of the same residues at its
-    level, which is that of level 1 (see compute_order); before any
-    order, it is closed on first access.
-    """
-    images = generator_images(module, spec,
-                              group_generator_matrices(spec, module.n, 1))
-    return ResidueRep(spec.residue_field, module.N,
-                      reduce_images(spec, images),
-                      module.residue_algebras.get(spec))

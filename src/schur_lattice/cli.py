@@ -26,8 +26,7 @@ import jsonschema
 from .building import (FixSet, case_label, convexity_check,
                        detect_graduated, entry_profile, fix_bfs,
                        fix_polytrope, invariant_subspaces, is_invariant,
-                       min_plus_closure, residue_generator_rep,
-                       spans_end_residue)
+                       min_plus_closure, spans_end_residue)
 from .dvr import (MatrixModule, compute_order, congruence_level, full_rank,
                   generator_images, group_generator_matrices,
                   standard_lattice)
@@ -247,10 +246,6 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         "certificate": dict(H.certificate),
     }
     report["order"] = order_summary
-    if "fix" not in parts and "irreducible" not in parts:
-        if timings:
-            report["timings"] = {k: round(v, 6) for k, v in clock.items()}
-        return report
 
     if "fix" in parts:
         _progress(f"fixed points for {label}")
@@ -310,8 +305,7 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         _progress(f"residue irreducibility for {label}")
         t0 = time.perf_counter()
         spans = spans_end_residue(H)
-        subs = invariant_subspaces(residue_generator_rep(module, spec),
-                                   cap=cfg["subspace_cap"])
+        subs = invariant_subspaces(module, spec, cap=cfg["subspace_cap"])
         agree = spans == (len(subs) == 0)
         if not agree:
             raise InternalInvariantViolation(
@@ -479,11 +473,8 @@ def sweep_cases(d_max: int, ns, ps, field: str = "padic"):
 
 def _scan_worker(case_json: str) -> str:
     case = json.loads(case_json)
-    parts = ["order", "fix", "irreducible"]
-    if case.get("gaussian"):
-        parts.append("gaussian")
     try:
-        report = run_case(case, parts=tuple(parts))
+        report = run_case(case)
         return json.dumps(report)
     except InternalInvariantViolation:
         raise

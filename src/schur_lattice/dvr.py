@@ -1304,7 +1304,7 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
     order is M_N(R) by Nakayama's lemma.  The same pass keeps the basis
     of the algebra alg(G) of the residues of the group generators, the
     alphabet's first letters, in module.residue_algebras[spec], where
-    building.residue_generator_rep reads it.  Those are the generators at
+    building.invariant_subspaces reads it.  Those are the generators at
     `level`, and alg(G) is that of level 1: over Q_p unit_sample_set does
     not depend on the level, and over F_q(t) the extra units 1 + c*t^j
     reduce to 1, so their diagonals reduce to I, which every algebra

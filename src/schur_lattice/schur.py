@@ -92,7 +92,7 @@ class SchurModule:
         self._rho_memo: dict = {}
         # spec -> RREF basis of the F_q-algebra of the residues of the
         # group generator images: dvr.compute_order keeps it from its
-        # closure, building.residue_generator_rep reads it
+        # closure, building.invariant_subspaces reads it
         self.residue_algebras: dict = {}
 
     # -- straightening ---------------------------------------------------

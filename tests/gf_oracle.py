@@ -5,11 +5,18 @@ row with a per-row update; ``_kernels.gf_rref``, ``GFSpan`` and
 ``residue_algebra_basis`` once ran on it.  ``spin_closure`` spins seed
 vectors under matrices one product at a time, the per-line oracle of
 ``line_spin_profile``, and ``gf_matvec`` is its matrix-vector product.
+``subspaces_by_rounds`` closes the lines' closures under sums in rounds
+of pairwise sums until a round finds nothing new, as
+``building._proper_invariant_subspaces`` once did: the oracle of its
+one-pass sums and, with a per-line profile, of its line spins.
 """
+
+import itertools
 
 import numpy as np
 
-from schur_lattice._kernels import _check_int64, gf_matmul
+from schur_lattice._kernels import (_check_int64, gf_matmul, gf_rref,
+                                    line_spin_profile, unpack_gf_rows)
 from schur_lattice.fields import GF
 
 
@@ -109,3 +116,30 @@ def spin_closure(fq: GF, seed_vectors, mats):
                     new.append(w)
         frontier = new
     return ech.rows()
+
+
+def subspaces_by_rounds(fq: GF, mats, N: int, profile=line_spin_profile):
+    """Proper nonzero subspaces of F_q^N invariant under mats, which span
+    a unital algebra: the distinct proper closures of the lines under
+    `profile` (line_spin_profile, or a per-line oracle of it), then
+    rounds of pairwise sums of everything found until a round adds
+    nothing, sorted by (dimension, rows)."""
+    mats = np.asarray(mats, dtype=np.int64).reshape(-1, N, N)
+    dims, sigs = profile(fq, mats, N)
+    closures = np.unique(sigs[(dims > 0) & (dims < N)], axis=0)
+    found = {}
+    for packed, rows in zip(closures, unpack_gf_rows(closures, fq.q, N)):
+        dim = int(np.count_nonzero(packed))
+        found[rows[:dim].tobytes() + bytes([dim])] = rows[:dim]
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(list(found.values()), 2):
+            rows, _ = gf_rref(fq, np.vstack([a, b]))
+            dim = rows.shape[0]
+            key = rows.tobytes() + bytes([dim])
+            if dim < N and key not in found:
+                found[key] = rows
+                changed = True
+    return sorted(found.values(),
+                  key=lambda r: (r.shape[0], r.reshape(-1).tolist()))

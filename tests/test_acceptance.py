@@ -22,7 +22,7 @@ from schur_lattice import (LatticeClass, LatticeGaussian, RationalAtP,
                            hnf_dvr, invariance_report, invariant_subspaces,
                            is_core, is_invariant, membership, min_plus_closure,
                            module_from_matrices, partitions_of,
-                           residue_generator_rep, rho, smith_divisors,
+                           rho, smith_divisors,
                            spans_end_residue, ssyt_enumerate,
                            standard_lattice)
 from schur_lattice.cli import run_case, sweep_cases
@@ -187,12 +187,12 @@ def test_criterion_05_irreducibility_dichotomy():
         assert is_core(lam, p)
         spans = spans_end_residue(order)
         assert spans is True, f"core case {key} must span"
-        subs = invariant_subspaces(residue_generator_rep(module, spec))
+        subs = invariant_subspaces(module, spec)
         assert subs == [], f"core case {key} must be irreducible"
     module, spec, order = padic_case(2, (2,), 2)
     assert not is_core((2,), 2)
     assert spans_end_residue(order) is False
-    subs = invariant_subspaces(residue_generator_rep(module, spec))
+    subs = invariant_subspaces(module, spec)
     assert len(subs) > 0
 
 

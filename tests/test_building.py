@@ -8,19 +8,23 @@ import pytest
 
 from schur_lattice import (GF, INF, Lattice, LatticeClass, NegativeCycle,
                            NotFullRank, RationalAtP, RationalFunctionOverFq,
-                           SchurLatticeError, SchurModule, Singular,
+                           SchurLatticeError, SchurModule,
                            compute_order,
                            congruence_level, convexity_check,
                            detect_graduated, diagonal_lattice, dimension,
                            entry_profile, fix_bfs, fix_polytrope, full_rank,
-                           invariant_subspaces, is_invariant, membership,
+                           group_generator_matrices, invariant_subspaces,
+                           is_invariant, membership,
                            min_plus_closure, module_from_matrices,
-                           partitions_of, residue_generator_rep, rho,
+                           partitions_of, rho,
                            smith_divisors, spans_end_residue,
                            standard_lattice)
-from schur_lattice._kernels import gf_rref, residue_algebra_basis
-from schur_lattice.building import ResidueRep
+from schur_lattice._kernels import residue_algebra_basis
+from schur_lattice.building import _proper_invariant_subspaces
+from schur_lattice.dvr import (conjugate_residues, generator_images,
+                               reduce_images)
 from schur_lattice.partitions import is_core
+from gf_oracle import subspaces_by_rounds
 from lattice_oracle import bfs_searched_keys, class_distance, spans_by_rank
 
 P2 = RationalAtP(2)
@@ -219,42 +223,20 @@ def test_fix_polytrope_points_satisfy_inequalities():
 # invariant subspaces over the residue field
 # ---------------------------------------------------------------------------
 
+def _subspaces_of(fq, gens, N):
+    """The subspace search over the algebra of hand-built generators."""
+    return _proper_invariant_subspaces(
+        fq, residue_algebra_basis(fq, gens, N), N, 2 ** 16, reduced=True)
+
+
 def test_invariant_subspaces_identity_only():
     """With only the identity acting, every line of k^2 is invariant."""
-    rep = ResidueRep(GF(2), 2, (((1, 0), (0, 1)),))
-    subs = invariant_subspaces(rep)
+    subs = _subspaces_of(GF(2), (((1, 0), (0, 1)),), 2)
     assert len(subs) == 3  # 3 lines of F_2^2; the sum-closure is all of k^2
 
 
-def test_residue_rep_rejects_a_singular_generator():
-    """One batched elimination ranks every generator image: a singular
-    image after invertible ones raises Singular, over prime and
-    non-prime fields, as an array or as tuples, and at p = 10^9 + 7,
-    where the elimination reduces every step and uses no tables."""
-    swap, unit = ((0, 1), (1, 0)), ((2, 0), (0, 1))
-    ResidueRep(GF(3), 2, (swap, unit))
-    with pytest.raises(Singular):
-        ResidueRep(GF(3), 2, (swap, unit, ((1, 2), (2, 1))))
-    with pytest.raises(Singular):
-        ResidueRep(GF(3), 2, np.array([swap, unit, ((1, 1), (0, 0))]))
-    ResidueRep(GF(4), 2, (swap, ((2, 0), (0, 3))))
-    with pytest.raises(Singular):
-        ResidueRep(GF(4), 2, (swap, ((2, 0), (0, 3)), ((1, 2), (3, 1))))
-    fq, N = RationalAtP(10 ** 9 + 7).residue_field, 9
-    big = [[(i * 7919 + j * 104729) % fq.p if j > i else int(i == j)
-            for j in range(N)] for i in range(N)]
-    cycle = [[int(j == (i + 1) % N) for j in range(N)] for i in range(N)]
-    ResidueRep(fq, N, (big, cycle))
-    low = [row[:] for row in big]
-    low[N - 1] = [(2 * x) % fq.p for x in big[N - 2]]
-    with pytest.raises(Singular):
-        ResidueRep(fq, N, (big, cycle, low))
-
-
 def test_invariant_subspaces_frozen_2adic():
-    m = SchurModule(2, (2,))
-    rep = residue_generator_rep(m, P2)
-    subs = invariant_subspaces(rep)
+    subs = invariant_subspaces(SchurModule(2, (2,)), P2)
     dims = sorted(len(s) for s in subs)
     assert dims == [1, 2]
     flat = [tuple(tuple(int(x) for x in row) for row in s) for s in subs]
@@ -263,16 +245,15 @@ def test_invariant_subspaces_frozen_2adic():
 
 
 def test_invariant_subspaces_irreducible_empty():
-    m = SchurModule(2, (2,))
-    rep = residue_generator_rep(m, P3)
-    assert invariant_subspaces(rep) == []
+    assert invariant_subspaces(SchurModule(2, (2,)), P3) == []
 
 
-def _hand_built_residue_rep(module, spec):
-    """The generator set residue_generator_rep reduced before it reduced
-    rho of group_generator_matrices: transpositions, transvections and
-    diag(1, ..., c, ..., 1), c = generator() of the residue field, written
-    as residue ints, lifted entrywise, imaged and reduced."""
+def _hand_built_generators(module, spec):
+    """The residue generator set that the irreducible stage once reduced
+    in place of rho of group_generator_matrices: transpositions,
+    transvections and diag(1, ..., c, ..., 1), c = generator() of the
+    residue field, written as residue ints, lifted entrywise, imaged and
+    reduced."""
     fq = spec.residue_field
     n = module.n
 
@@ -300,7 +281,7 @@ def _hand_built_residue_rep(module, spec):
         lifted = tuple(tuple(spec.lift(x) for x in row) for row in g)
         images.append(tuple(tuple(spec.reduce(x) for x in row)
                             for row in rho(module, lifted, spec)))
-    return ResidueRep(fq, module.N, tuple(images))
+    return tuple(images)
 
 
 def _small_residue_cases():
@@ -318,30 +299,36 @@ def _small_residue_cases():
     return out
 
 
-def _algebra_rref(rep):
-    basis = residue_algebra_basis(rep.fq, rep.generators, rep.N)
-    return gf_rref(rep.fq, np.reshape(basis, (-1, rep.N * rep.N)))[0]
+def _level_one_algebra(module, spec):
+    """The algebra of the residues of the level-1 group generators."""
+    images = generator_images(
+        module, spec, group_generator_matrices(spec, module.n, 1))
+    return residue_algebra_basis(spec.residue_field,
+                                 reduce_images(spec, images), module.N)
 
 
 def test_residue_generator_rep_matches_hand_built_oracle():
-    """Reducing the order's own generator images gives the algebra, and so
-    the invariant subspaces, of the hand-built residue generator set (see
-    residue_generator_rep for the proof).  invariant_subspaces reads a rep
-    only through the canonical basis of its algebra, so the algebras are
-    compared on every case, and the subspaces as well where the line spin
-    is cheap: q^N <= 2^12, 128 of the 144 cases."""
+    """The residues of the order's own generator images have the algebra,
+    and so the invariant subspaces, of the hand-built residue generator
+    set (see invariant_subspaces for the proof).  The search reads only
+    the canonical basis of that algebra, so the algebras are compared on
+    every case, and invariant_subspaces with the search over the
+    hand-built algebra where the line spin is cheap: q^N <= 2^12, 128 of
+    the 144 cases."""
     cases = _small_residue_cases()
     assert len(cases) == 144
     spun = 0
     for n, lam, spec in cases:
         m = SchurModule(n, lam)
-        new = residue_generator_rep(m, spec)
-        old = _hand_built_residue_rep(m, spec)
-        assert np.array_equal(_algebra_rref(new), _algebra_rref(old)), \
+        fq, N = spec.residue_field, m.N
+        hand = _hand_built_generators(m, spec)
+        assert np.array_equal(_level_one_algebra(m, spec),
+                              residue_algebra_basis(fq, hand, N)), \
             (n, lam, spec)
-        if spec.residue_size ** m.N <= 2 ** 12:
+        if spec.residue_size ** N <= 2 ** 12:
             spun += 1
-            got, want = invariant_subspaces(new), invariant_subspaces(old)
+            got = invariant_subspaces(m, spec)
+            want = _subspaces_of(fq, hand, N)
             assert len(got) == len(want), (n, lam, spec)
             assert all(np.array_equal(x, y) for x, y in zip(got, want)), \
                 (n, lam, spec)
@@ -361,20 +348,84 @@ def test_spans_end_residue(order_2adic):
     ids=["Q3-(2)", "Q2-(3)", "Q3-(2,1)", "F3t-(2)", "F2t-(3)", "F4t-(2)"])
 @pytest.mark.parametrize("level", [1, 2])
 def test_residue_generator_rep_reads_the_algebra_the_order_kept(
-        n, lam, spec, level):
-    """After compute_order at level 1 or 2, residue_generator_rep holds
-    the algebra that the order's closure kept, the same array, and it is
-    the algebra of the rep's own level-1 generators; over F_q(t) level 2
-    adds the units 1 + c*t^2, whose diagonals reduce to I.  Without an
-    order the rep closes its generators on first access."""
+        n, lam, spec, level, monkeypatch):
+    """invariant_subspaces closes the group generators' residues itself
+    only before any order.  After compute_order at level 1 or 2 it reads
+    the algebra the order's closure kept, closes nothing, and finds the
+    same subspaces.  The kept algebra is that of the residues of the
+    level-1 group generators; over F_q(t) level 2 adds the units
+    1 + c*t^2, whose diagonals reduce to I."""
+    from schur_lattice import _kernels
+
+    closures = []
+    real = _kernels._algebra_closure
+
+    def counted(*args):
+        closures.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_algebra_closure", counted)
+    before = invariant_subspaces(SchurModule(n, lam), spec)
+    assert len(closures) == 1
     module = SchurModule(n, lam)
-    closed = residue_generator_rep(module, spec)
     compute_order(module, spec, level=level, trials=8)
-    rep = residue_generator_rep(module, spec)
-    assert rep.algebra is module.residue_algebras[spec]
-    want = residue_algebra_basis(rep.fq, rep.generators, rep.N)
-    assert np.array_equal(rep.algebra, want)
-    assert np.array_equal(closed.algebra, want)
+    del closures[:]
+    after = invariant_subspaces(module, spec)
+    assert closures == []
+    assert [r.tolist() for r in after] == [r.tolist() for r in before]
+    assert np.array_equal(module.residue_algebras[spec],
+                          _level_one_algebra(module, spec))
+
+
+@pytest.mark.parametrize("n, lam, spec", [
+    (2, (3,), P2), (2, (4,), P2), (2, (5,), P2), (2, (3, 1), P2),
+    (3, (2,), P2), (2, (4,), P3), (2, (3,), F2T)],
+    ids=["Q2-(3)", "Q2-(4)", "Q2-(5)", "Q2-(3,1)", "Q2-n3-(2)", "Q3-(4)",
+         "F2t-(3)"])
+def test_one_pass_sums_match_the_rounds_oracle(n, lam, spec):
+    """At every class of the BFS, the subspace search on the class's
+    residues, which sums the line closures in one pass, gives what rounds
+    of pairwise sums give (gf_oracle.subspaces_by_rounds); every case
+    has a class with invariant subspaces.  Random algebras are compared
+    in test_kernels.test_algebra_generators_match_full_set."""
+    module = SchurModule(n, lam)
+    H = compute_order(module, spec, trials=8)
+    fq, N = spec.residue_field, H.N
+    searched = 0
+    for cls in fix_bfs(H, module, spec).classes:
+        res = conjugate_residues(cls.rep, H.matrices)
+        got = _proper_invariant_subspaces(fq, res, N, 2 ** 16)
+        want = subspaces_by_rounds(fq, res, N)
+        assert [r.tolist() for r in got] == [r.tolist() for r in want]
+        searched += bool(want)
+    assert searched > 0
+
+
+def _subspace_count(q, N, k):
+    """Number of k-dimensional subspaces of F_q^N (Gaussian binomial)."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (N - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("q, N", [(2, 4), (2, 5), (3, 3), (3, 4), (4, 3)])
+def test_one_pass_sums_find_every_subspace_under_the_scalars(q, N):
+    """Under the scalars k*I every subspace is invariant and every line
+    is its own closure, so the proper subspaces of dimension d >= 3 are
+    sums of d closures: the one pass finds all of them, each once."""
+    fq = GF(q)
+    scalars = np.eye(N, dtype=np.int64).reshape(1, N, N)
+    got = _proper_invariant_subspaces(fq, scalars, N, 2 ** 16)
+    dims = [len(r) for r in got]
+    assert dims == sorted(dims)
+    assert len({r.tobytes() for r in got}) == len(got)
+    for d in range(1, N):
+        assert dims.count(d) == _subspace_count(q, N, d), d
+    if q ** N <= 16:
+        want = subspaces_by_rounds(fq, scalars, N)
+        assert [r.tolist() for r in got] == [r.tolist() for r in want]
 
 
 def _scan_full_cases():

@@ -182,6 +182,26 @@ def test_run_case_parts_selection():
     assert report["irreducible"] is None
 
 
+@pytest.mark.parametrize("case, parts", [
+    ({"n": 2, "lambda": [2], "field": "padic", "p": 5, "gaussian": True},
+     ("order",)),
+    ({"n": 2, "lambda": [2], "field": "padic", "p": 5}, ("order", "gaussian")),
+], ids=["gaussian-true", "gaussian-part"])
+def test_run_case_runs_the_gaussian_stage_after_the_order_alone(case, parts):
+    """A case with "gaussian": true, or parts that name the stage, gets a
+    Gaussian section with no fix or irreducible stage before it.  The
+    order section is that of the order alone, and the Gaussian section
+    that of the full pipeline."""
+    report = run_case(case, parts=parts)
+    assert report["gaussian"]["exact_invariant"] is True
+    assert report["fix"] is None and report["irreducible"] is None
+    alone = run_case({**case, "gaussian": False}, parts=("order",))
+    assert alone["gaussian"] is None
+    assert json.dumps(report["order"]) == json.dumps(alone["order"])
+    full = run_case({**case, "gaussian": True})
+    assert json.dumps(report["gaussian"]) == json.dumps(full["gaussian"])
+
+
 @pytest.mark.parametrize("lam, p, want", [
     ("2", "3", {"spans_full": True, "subspace_count": 0, "agree": True}),
     ("3", "2", {"spans_full": False, "subspace_count": 4, "agree": True}),

@@ -20,7 +20,7 @@ from schur_lattice._kernels import (GFSpan, _dense_units, _gf_batched_rref,
 from schur_lattice.building import _proper_invariant_subspaces
 from schur_lattice.dvr import conjugate_residues, standard_lattice
 from schur_lattice.errors import CapExceeded
-from gf_oracle import GFEchelon, gf_matvec, spin_closure
+from gf_oracle import GFEchelon, gf_matvec, spin_closure, subspaces_by_rounds
 
 
 def reference_mul(fq, A, B):
@@ -498,28 +498,6 @@ def test_line_spin_profile_bfs_generators_frozen():
     assert np.array_equal(sigs, oracle_sigs)
 
 
-def _subspaces_reference(fq, mats, N, profile=_profile_reference):
-    """Proper invariant subspaces: every line spun by itself under every
-    matrix (per-line spin_closure, or another per-line profile), closed
-    under sums, sorted as _proper_invariant_subspaces."""
-    dims, sigs = profile(fq, mats, N)
-    found = {}
-    for code in np.nonzero(dims > 0)[0]:
-        rows = unpack_gf_rows(sigs[code], fq.q, N)[:dims[code]]
-        found[rows.tobytes()] = rows
-    grown = True
-    while grown:
-        grown = False
-        for a in list(found.values()):
-            for b in list(found.values()):
-                rows, _ = gf_rref(fq, np.vstack([a, b]))
-                if rows.tobytes() not in found:
-                    found[rows.tobytes()] = rows
-                    grown = True
-    proper = [r for r in found.values() if 0 < r.shape[0] < N]
-    return sorted(proper, key=lambda r: (r.shape[0], r.reshape(-1).tolist()))
-
-
 @settings(max_examples=30, deadline=None)
 @given(q=st.sampled_from([2, 3, 4]), data=st.data())
 def test_algebra_generators_match_full_set(q, data):
@@ -543,7 +521,7 @@ def test_algebra_generators_match_full_set(q, data):
     assert dim == residue_ring_closure_rank(fq, mats, N)
     assert dim == len(two_sided_closure_rows(fq, mats, N))
     got = _proper_invariant_subspaces(fq, alg_basis, N, 2 ** 16)
-    ref = _subspaces_reference(fq, mats, N)
+    ref = subspaces_by_rounds(fq, mats, N, profile=_profile_reference)
     assert [r.tolist() for r in got] == [r.tolist() for r in ref]
 
 
@@ -565,7 +543,7 @@ def test_bfs_residues_span_their_algebra(n, lam, spec):
         span = gf_rank(fq, np.reshape(res, (-1, N * N)))
         assert span == residue_ring_closure_rank(fq, res, N)
         got = _proper_invariant_subspaces(fq, res, N, 2 ** 16)
-        ref = _subspaces_reference(fq, res, N, profile=_line_spin_oracle)
+        ref = subspaces_by_rounds(fq, res, N, profile=_line_spin_oracle)
         assert [r.tolist() for r in got] == [r.tolist() for r in ref]
 
 
