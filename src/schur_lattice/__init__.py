@@ -8,10 +8,9 @@ from .building import (FixSet, convexity_check, detect_graduated,
                        diagonal_lattice, entry_profile, fix_bfs,
                        fix_polytrope, invariant_subspaces, is_invariant,
                        min_plus_closure, spans_end_residue)
-from .dvr import (HNFResult, Lattice, LatticeClass, MatrixModule,
-                  compute_order, congruence_level, full_rank,
-                  group_generator_matrices, hnf_dvr, lattice_sum_and_meet,
-                  membership, module_from_matrices, smith_divisors,
+from .dvr import (Lattice, LatticeClass, MatrixModule, compute_order,
+                  congruence_level, full_rank, group_generator_matrices,
+                  lattice_sum_and_meet, membership, smith_divisors,
                   standard_lattice, uniformizer_diagonal_matrices)
 from .errors import (CapExceeded, InternalInvariantViolation, NegativeCycle,
                      NegativeValuation, NonIntegralInput, NotFullRank,
@@ -27,7 +26,7 @@ from .schur import SchurModule, character, rho
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapExceeded", "FieldSpec", "FixSet", "GF", "HNFResult", "INF",
+    "CapExceeded", "FieldSpec", "FixSet", "GF", "INF",
     "InternalInvariantViolation", "Lattice", "LatticeClass",
     "LatticeGaussian", "LaurentRational", "MatrixModule", "NegativeCycle",
     "NegativeValuation", "NonIntegralInput", "NotFullRank", "RationalAtP",
@@ -36,10 +35,10 @@ __all__ = [
     "chi2_uniform_counts", "compute_order", "congruence_level",
     "conjugate", "convexity_check", "detect_graduated", "diagonal_lattice",
     "dimension", "entry_profile", "field_from_descriptor", "fix_bfs",
-    "fix_polytrope", "full_rank", "group_generator_matrices", "hnf_dvr",
+    "fix_polytrope", "full_rank", "group_generator_matrices",
     "hook_lengths", "invariance_report", "invariant_subspaces",
     "is_core", "is_invariant", "lattice_sum_and_meet", "membership",
-    "min_plus_closure", "module_from_matrices", "partitions_of",
+    "min_plus_closure", "partitions_of",
     "rho",
     "sample", "smith_divisors", "spans_end_residue", "ssyt_enumerate",
     "standard_lattice", "uniformizer_diagonal_matrices", "unit_sample_set",

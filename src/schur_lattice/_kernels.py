@@ -137,10 +137,6 @@ def gf_rref(fq: GF, rows):
     return W[pivot_rows], tuple(pivots)
 
 
-def gf_rank(fq: GF, rows) -> int:
-    return gf_rref(fq, rows)[0].shape[0]
-
-
 class GFSpan:
     """Reduced row-echelon basis of a subspace of F_q^m, grown a batch of
     rows at a time: `rows` holds the basis sorted by pivot column and

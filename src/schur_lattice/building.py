@@ -276,10 +276,9 @@ def invariant_subspaces(module: SchurModule, spec: FieldSpec,
     unit there, so both sets generate the same F_q-algebra, and the
     invariant subspaces of a set are those of its algebra.
 
-    compute_order keeps alg(G) for the spec in module.residue_algebras:
-    the algebra of the same residues at its level, which is that of
-    level 1 (see compute_order).  Before any order, the residues of the
-    level-1 generators are closed here (_kernels.residue_algebra_basis).
+    compute_order keeps alg(G) for the spec in module.residue_algebras.
+    Before any order, the residues of the level-1 generators are closed
+    here (_kernels.residue_algebra_basis).
     Either way the RREF basis is read as it is.
     """
     fq, N = spec.residue_field, module.N
@@ -411,11 +410,14 @@ def convexity_check(S: FixSet) -> bool:
 def spans_end_residue(H: MatrixModule) -> bool:
     """True iff the mod-uniformizer reductions of H's basis span the full
     matrix algebra over the residue field (absolute irreducibility of the
-    residue representation).  When H is M_N(R) (is_full_end), its
-    reductions are M_N(k), and no rank is taken."""
+    residue representation), for a full-rank H inside M_N(R).
+
+    That is is_full_end(H), and no rank is taken.  The reductions span
+    (H + pi*M_N(R)) / pi*M_N(R), so they span M_N(k) iff
+    H + pi*M_N(R) = M_N(R).  Then Q = M_N(R) / H satisfies Q = pi*Q, and
+    Q is a finitely generated module over the local ring R with pi in
+    its maximal ideal, so Q = 0 by Nakayama's lemma: H = M_N(R).  The
+    converse is clear."""
     if not full_rank(H):
         raise NotFullRank("residue span test needs a full-rank module")
-    if is_full_end(H):
-        return True
-    rows = H.residues().reshape(H.rank, -1)
-    return _kernels.gf_rank(H.spec.residue_field, rows) == H.N * H.N
+    return is_full_end(H)

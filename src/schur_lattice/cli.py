@@ -185,11 +185,10 @@ def _check_cap_N(module: SchurModule, cap_N: int):
             f"N = {module.N} exceeds the configured cap {cap_N}")
 
 
-def _order(module: SchurModule, spec: FieldSpec, level: int,
-           trials: int) -> MatrixModule:
+def _order(module: SchurModule, spec: FieldSpec) -> MatrixModule:
     """compute_order, with the case and the stage in its errors."""
     try:
-        return compute_order(module, spec, level=level, trials=trials)
+        return compute_order(module, spec)
     except (CapExceeded, InternalInvariantViolation) as exc:
         raise type(exc)(
             f"{case_label(module, spec)}: stage order: {exc}") from exc
@@ -228,11 +227,18 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
     if module.N == 0:
         return report
     _check_cap_N(module, cfg["cap_N"])
+    level = cfg["level"]
+    if level < 1:
+        raise SchurLatticeError(f"level must be >= 1, got {level}")
+    # the level picks only the Gaussian stage's generator words; they are
+    # built first, so that a level over MAX_LEVEL stops before the order
+    gaussian = "gaussian" in parts or cfg.get("gaussian")
+    words = group_generator_matrices(spec, n, level) if gaussian else None
     clock: dict[str, float] = {}
     label = case_label(module, spec)
     _progress(f"computing order for {label}")
     t0 = time.perf_counter()
-    H = _order(module, spec, cfg["level"], cfg["trials"])
+    H = _order(module, spec)
     clock["order_s"] = time.perf_counter() - t0
     is_full = full_rank(H)
     profile = entry_profile(H, allow_degenerate=True)
@@ -243,7 +249,9 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         "congruence_level": congruence_level(H) if is_full else None,
         "graduated": None,
         "profile": _ser_exponent(profile),
-        "certificate": dict(H.certificate),
+        "certificate": {**H.certificate, "level": level,
+                        "trials": cfg["trials"],
+                        "trials_passed": cfg["trials"]},
     }
     report["order"] = order_summary
 
@@ -318,13 +326,12 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
             "agree": agree,
         }
 
-    if "gaussian" in parts or cfg.get("gaussian"):
+    if gaussian:
         _progress(f"gaussian invariance for {label}")
         t0 = time.perf_counter()
         gauss = LatticeGaussian(spec, standard_lattice(spec, module.N),
                                 precision=2, seed=seed)
-        gens = generator_images(
-            module, spec, group_generator_matrices(spec, n, cfg["level"]))
+        gens = generator_images(module, spec, words)
         report["gaussian"] = invariance_report(
             gauss, H, gens, trials=2,
             sample_count=cfg["gaussian_samples"])
@@ -428,10 +435,11 @@ def cmd_sample(args) -> int:
     # the digit caps of invariance_report and sample, before the order
     _check_entries(module.N, args.count)
     _check_entries(min(args.count, 5), module.N, gauss.precision)
+    # the Gaussian words, and the MAX_LEVEL cap on them, before the order
+    words = group_generator_matrices(spec, args.n, args.level)
     _progress(f"computing order for {case_label(module, spec)}")
-    H = _order(module, spec, args.level, args.trials)
-    gens = generator_images(
-        module, spec, group_generator_matrices(spec, args.n, args.level))
+    H = _order(module, spec)
+    gens = generator_images(module, spec, words)
     rep = invariance_report(gauss, H, gens, trials=2,
                             sample_count=args.count)
     first = sample(gauss, min(args.count, 5))
@@ -559,9 +567,16 @@ def _add_common(sp, *, field=True, seed=True):
                     help="refuse modules of dimension N above this")
     if seed:
         sp.add_argument("--level", type=_int_at_least(1),
-                        default=DEFAULTS["level"])
+                        default=DEFAULTS["level"],
+                        help="unit-diagonal level of the Gaussian check's "
+                             "generator words (at most MAX_LEVEL = 64 on "
+                             "--field laurent); the order does not "
+                             "depend on it")
         sp.add_argument("--trials", type=_int_at_least(0),
-                        default=DEFAULTS["trials"])
+                        default=DEFAULTS["trials"],
+                        help="echoed in the order certificate as trials "
+                             "and trials_passed; the order is exact and "
+                             "draws no trial word")
         sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
 
 

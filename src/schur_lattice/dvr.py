@@ -13,7 +13,6 @@ echelon basis unique per module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -242,30 +241,6 @@ def smith_divisors(vectors, spec: FieldSpec):
         active_rows.remove(br)
         active_cols.remove(bc)
     return tuple(sorted(divisors))
-
-
-@dataclass(frozen=True)
-class HNFResult:
-    rows: tuple
-    pivot_vals: tuple
-    divisors: tuple
-
-
-def hnf_dvr(vectors, spec: FieldSpec) -> HNFResult:
-    """Canonical echelon basis plus elementary-divisor valuations.
-
-    The echelon rows span the same R-module as the input vectors; the
-    divisors come from an independent Smith pass (pivot valuations of the
-    echelon form are *not* elementary divisors in general).
-    """
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return HNFResult((), (), ())
-    ech = ExactEchelon(spec, len(vectors[0]))
-    for v in vectors:
-        ech.insert(v)
-    rows, pivot_vals = ech.canonical_rows()
-    return HNFResult(rows, pivot_vals, smith_divisors(rows, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +533,10 @@ class MatrixModule:
     basis as `stack`, one exact integer (rank, N, N) array: int64 while
     the lane's N * (p^P - 1)^2 < 2^63, dtype object past it.  `basis`,
     the same matrices as tuples of field elements, is then built on
-    first access.  Any other module (over F_q(t), or from field matrices
-    through module_from_matrices) holds `basis` only, and `stack` is
-    None.  The residue readers go through `matrices`,
-    `valuation_profile` and `residues`, which read the stack when there
-    is one.
+    first access.  Any other module (over F_q(t), or built from a basis
+    of field matrices) holds `basis` only, and `stack` is None.  The
+    residue readers go through `matrices` and `valuation_profile`, which
+    read the stack when there is one.
     """
 
     def __init__(self, spec: FieldSpec, N: int, basis, divisors,
@@ -607,16 +581,6 @@ class MatrixModule:
                     prof[i][j] = min(prof[i][j], val(mat[i][j]))
         return tuple(tuple(row) for row in prof)
 
-    def residues(self):
-        """The basis reduced mod the uniformizer, as a (rank, N, N) int64
-        array of residue-field ints."""
-        if self.stack is not None:
-            return (self.stack % self.spec.p).astype(np.int64)
-        reduce = self.spec.reduce
-        return np.array([[[reduce(x) for x in row] for row in mat]
-                         for mat in self.basis],
-                        dtype=np.int64).reshape(-1, self.N, self.N)
-
     @cached_property
     def _echelon(self) -> ExactEchelon:
         """Echelon of the basis, built once; only read afterwards."""
@@ -624,21 +588,6 @@ class MatrixModule:
         for b in self.basis:
             ech.insert(vectorize(b))
         return ech
-
-    def summary(self) -> dict:
-        return {"rank": self.rank, "divisors": list(self.divisors),
-                "N": self.N, "certificate": dict(self.certificate)}
-
-
-def module_from_matrices(spec: FieldSpec, mats, certificate=None) -> MatrixModule:
-    mats = [tuple(tuple(row) for row in m) for m in mats]
-    if not mats:
-        raise Singular("need at least one matrix")
-    N = len(mats[0])
-    result = hnf_dvr([vectorize(m) for m in mats], spec)
-    basis = tuple(unvectorize(r, N) for r in result.rows)
-    return MatrixModule(spec, N, basis, result.divisors,
-                        certificate or {})
 
 
 def full_rank(M: MatrixModule) -> bool:
@@ -704,12 +653,12 @@ def uniformizer_diagonal_matrices(spec: FieldSpec, n: int):
     return [_matrix(ring, n, {(pos, pos): pi}) for pos in range(n)]
 
 
-def saturation_alphabet(spec: FieldSpec, n: int, level: int):
-    """Generator matrices whose span closure is the order: the group
-    generators, then the n uniformizer diagonals (the latter reach the
-    non-invertible-over-R part of the integral image).  compute_order
+def saturation_alphabet(spec: FieldSpec, n: int):
+    """Generator matrices whose span closure is the order: the level-1
+    group generators, then the n uniformizer diagonals (the latter reach
+    the non-invertible-over-R part of the integral image).  compute_order
     reads the group generators as the first letters."""
-    return group_generator_matrices(spec, n, level) + \
+    return group_generator_matrices(spec, n, 1) + \
         uniformizer_diagonal_matrices(spec, n)
 
 
@@ -1037,8 +986,10 @@ class _TruncatedLane:
         gens += [rho(module, _matrix(spec, n, {(i, i): t}), spec)
                  for i in range(n)]
         mats = [G for g in gens for G in self._coefficients(g)]
-        elems = _kernels.residue_algebra_basis(fq, mats, N)
-        return _kernels.gf_rref(fq, np.reshape(elems, (-1, N * N)))
+        # already RREF rows (GFSpan): each pivot is a row's first nonzero
+        B = np.reshape(_kernels.residue_algebra_basis(fq, mats, N),
+                       (-1, N * N))
+        return B, (B != 0).argmax(axis=1)
 
     def _coefficients(self, mat):
         """(D, N, N) array of the t^m coefficients of a matrix of
@@ -1169,15 +1120,15 @@ def _close(lane, gens, frontier):
         frontier = lane.round(gens, frontier)
 
 
-def _exact_certificate(level, trials, method):
-    """The certificate of an order known exactly: every one of `trials`
-    random words would lie in it, so each counts as passed."""
-    return {"level": level, "trials": trials, "trials_passed": trials,
-            "restarts": 0, "exact": True, "label": "exact",
+def _exact_certificate(method):
+    """The certificate of an order known exactly, by `method`, with no
+    restart.  The report adds the case's level and trial count
+    (cli.run_case)."""
+    return {"restarts": 0, "exact": True, "label": "exact",
             "method": method}
 
 
-def _saturate_padic(spec, images, N, level, trials):
+def _saturate_padic(spec, images, N):
     """The order over Q_p: the closure of the identity and the images
     (the integer images of the whole saturation alphabet, from schur.rho
     over Z) under products, in the p-adic lane at a working precision P
@@ -1212,8 +1163,7 @@ def _saturate_padic(spec, images, N, level, trials):
         stack, divisors = lane.result()
         if divisors[-1] < P:
             return MatrixModule(spec, N, None, divisors,
-                                _exact_certificate(level, trials,
-                                                   "saturation"), stack)
+                                _exact_certificate("saturation"), stack)
         if P >= PRECISION:
             raise CapExceeded(
                 f"p-adic saturation reached the working precision "
@@ -1222,7 +1172,7 @@ def _saturate_padic(spec, images, N, level, trials):
         P = min(2 * P, PRECISION)
 
 
-def _saturate_generic(spec, images, N, level, trials, module):
+def _saturate_generic(spec, images, N, module):
     """The order over F_q(t), q = p^e: the closure M of the identity and
     the images in the truncated lane (_TruncatedLane), at its working
     precision P, tested against the letters diag_pos(1 + a*t^j) for each
@@ -1278,17 +1228,15 @@ def _saturate_generic(spec, images, N, level, trials, module):
         if not failing:
             basis, divisors = lane.result()
             return MatrixModule(spec, N, basis, divisors,
-                                _exact_certificate(level, trials,
-                                                   "saturation"))
+                                _exact_certificate("saturation"))
         images = images + failing
 
 
-def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
-                  trials: int = 64) -> MatrixModule:
+def compute_order(module: SchurModule, spec: FieldSpec) -> MatrixModule:
     """R-span of the integral representation image, by saturation.
 
     Seeds with the images of transpositions, transvections, unit
-    diagonals (from unit_sample_set at the given level), and uniformizer
+    diagonals (from unit_sample_set at level 1), and uniformizer
     diagonals, and closes the span under products.  Over Q_p that closure
     is the order, and no random word is drawn (_saturate_padic);
     CapExceeded is raised when its top elementary divisor reaches
@@ -1296,24 +1244,32 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
     closure runs in the truncated lane (_TruncatedLane), with its cap
     MAX_LANE_COORDS, together with the finite set of unit diagonals that
     make it the order (_saturate_generic); no random word is drawn there
-    either.  Both certificates are exact, and `trials` only sets the
-    count they report.
+    either.  Both certificates are exact.
+
+    The order does not depend on a level, so none is taken.  Let A_L be
+    the alphabet whose unit diagonals come from unit_sample_set(spec, L),
+    L >= 1.
+    - A_L holds A_1, since unit_sample_set(spec, L) holds
+      unit_sample_set(spec, 1).
+    - A_L lies in GL_n(R) together with the uniformizer diagonals.
+    - Each engine's docstring proves that its closure is the order, the
+      span of the words in GL_n(R) and the uniformizer diagonals, for
+      any alphabet with these two properties (the unit diagonals that
+      _saturate_generic adds lie in GL_n(R)).
+    So every level gives the same order, and A_1 is the one closed.
 
     The residues of the images close once, in alphabet order
     (_kernels.residue_ring_closure_rank).  When they span M_N(k), the
     order is M_N(R) by Nakayama's lemma.  The same pass keeps the basis
     of the algebra alg(G) of the residues of the group generators, the
     alphabet's first letters, in module.residue_algebras[spec], where
-    building.invariant_subspaces reads it.  Those are the generators at
-    `level`, and alg(G) is that of level 1: over Q_p unit_sample_set does
-    not depend on the level, and over F_q(t) the extra units 1 + c*t^j
-    reduce to 1, so their diagonals reduce to I, which every algebra
-    holds.
+    building.invariant_subspaces reads it: alg(G) of level 1, by
+    construction.
     """
     N = module.N
     if N == 0:
         raise Singular("the module is zero (shape has more rows than n)")
-    alphabet = saturation_alphabet(spec, module.n, level)
+    alphabet = saturation_alphabet(spec, module.n)
     images = generator_images(module, spec, alphabet)
     padic = isinstance(spec, RationalAtP)
     # the integer images over Q_p are integral by construction
@@ -1325,8 +1281,7 @@ def compute_order(module: SchurModule, spec: FieldSpec, level: int = 1,
         prefix=len(alphabet) - module.n)
     module.residue_algebras[spec] = algebra
     if rank == N * N:
-        return _full_end_module(
-            spec, N, _exact_certificate(level, trials, "residue-full"))
+        return _full_end_module(spec, N, _exact_certificate("residue-full"))
     if padic:
-        return _saturate_padic(spec, images, N, level, trials)
-    return _saturate_generic(spec, images, N, level, trials, module)
+        return _saturate_padic(spec, images, N)
+    return _saturate_generic(spec, images, N, module)

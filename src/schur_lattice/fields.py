@@ -952,9 +952,11 @@ def _primitive_root_mod_p2(p: int) -> int:
     raise SchurLatticeError("no primitive root found")  # pragma: no cover
 
 
-# Each level adds n unit diagonals to the F_q(t) saturation alphabet.  On
-# a 2-core x86 host (Python 3.11), order --n 2 --lambda 2 --field laurent
-# --q 2 takes about 3 s at level 64, and n = 3, lambda = (2) about 27 s.
+# Each level adds n unit diagonals to the F_q(t) generator words of the
+# Gaussian check (cli.run_case, cmd_sample); the order reads level 1 only.
+# In-process on a 2-core x86 host (Python 3.11), sample --n 2 --lambda 2
+# --field laurent --q 2 takes about 0.05 s at level 64, and n = 3 about
+# 0.08 s.
 MAX_LEVEL = 64
 
 
@@ -966,9 +968,10 @@ def unit_sample_set(spec: FieldSpec, level: int = 1):
     {-1, 3}.  For the equal-characteristic backend it is {c} together with
     {1 + c*t^j : 1 <= j <= level} where c generates the multiplicative
     group of F_q (c = 1 when q = 2); a level above MAX_LEVEL raises
-    CapExceeded there.  The p-adic set does not depend on the level, and
-    neither does the order on either backend: over F_q(t) the order adds
-    the unit diagonals it needs beyond these (dvr._saturate_generic).
+    CapExceeded there.  The p-adic set does not depend on the level.
+    The order reads the level-1 set on both backends, and over F_q(t) it
+    adds the unit diagonals it needs beyond it (dvr.compute_order,
+    dvr._saturate_generic); a higher level only adds Gaussian words.
     """
     if level < 1:
         raise SchurLatticeError(f"level must be >= 1, got {level}")

@@ -9,6 +9,7 @@ vectors under matrices one product at a time, the per-line oracle of
 of pairwise sums until a round finds nothing new, as
 ``building._proper_invariant_subspaces`` once did: the oracle of its
 one-pass sums and, with a per-line profile, of its line spins.
+``gf_rank`` is the rank of a set of rows by one ``gf_rref``.
 """
 
 import itertools
@@ -18,6 +19,10 @@ import numpy as np
 from schur_lattice._kernels import (_check_int64, gf_matmul, gf_rref,
                                     line_spin_profile, unpack_gf_rows)
 from schur_lattice.fields import GF
+
+
+def gf_rank(fq: GF, rows) -> int:
+    return gf_rref(fq, rows)[0].shape[0]
 
 
 def gf_matvec(fq: GF, A, v):

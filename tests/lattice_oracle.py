@@ -16,20 +16,75 @@ batched integer solve over the whole stack: the oracle of that solve.
 
 ``spans_by_rank`` and ``bfs_searched_keys`` are the stock paths of
 ``building.spans_end_residue`` and ``building.fix_bfs``, which read
-congruence level 0 as H = M_N(R) with no rank and no search: the
-rank of H's residues, and the BFS that searches every class it finds.
+H = M_N(R) off the elementary divisors with no rank, and congruence
+level 0 with no search: the rank of H's residues (``residues``), and
+the BFS that searches every class it finds.
+
+``hnf_dvr`` is the canonical echelon basis of a list of vectors with
+its elementary divisors, and ``module_from_matrices`` the module that
+basis spans: the way tests build a ``MatrixModule`` from field matrices.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
-from schur_lattice import (INF, Lattice, LatticeClass, Singular,
-                           lattice_sum_and_meet, smith_divisors,
+import numpy as np
+
+from gf_oracle import gf_rank
+from schur_lattice import (INF, Lattice, LatticeClass, MatrixModule,
+                           Singular, lattice_sum_and_meet, smith_divisors,
                            standard_lattice)
-from schur_lattice._kernels import gf_rank
 from schur_lattice.building import _proper_invariant_subspaces
-from schur_lattice.dvr import (_is_lower_triangular, conjugate_residues,
-                               mat_vec)
+from schur_lattice.dvr import (ExactEchelon, _is_lower_triangular,
+                               conjugate_residues, mat_vec, unvectorize,
+                               vectorize)
+
+
+@dataclass(frozen=True)
+class HNFResult:
+    rows: tuple
+    pivot_vals: tuple
+    divisors: tuple
+
+
+def hnf_dvr(vectors, spec) -> HNFResult:
+    """Canonical echelon basis plus elementary-divisor valuations.
+
+    The echelon rows span the same R-module as the input vectors; the
+    divisors come from an independent Smith pass (pivot valuations of the
+    echelon form are *not* elementary divisors in general).
+    """
+    vectors = [tuple(v) for v in vectors]
+    if not vectors:
+        return HNFResult((), (), ())
+    ech = ExactEchelon(spec, len(vectors[0]))
+    for v in vectors:
+        ech.insert(v)
+    rows, pivot_vals = ech.canonical_rows()
+    return HNFResult(rows, pivot_vals, smith_divisors(rows, spec))
+
+
+def module_from_matrices(spec, mats, certificate=None) -> MatrixModule:
+    mats = [tuple(tuple(row) for row in m) for m in mats]
+    if not mats:
+        raise Singular("need at least one matrix")
+    N = len(mats[0])
+    result = hnf_dvr([vectorize(m) for m in mats], spec)
+    basis = tuple(unvectorize(r, N) for r in result.rows)
+    return MatrixModule(spec, N, basis, result.divisors,
+                        certificate or {})
+
+
+def residues(H):
+    """H's basis reduced mod the uniformizer, as a (rank, N, N) int64
+    array of residue-field ints, read from the stack when there is one."""
+    if H.stack is not None:
+        return (H.stack % H.spec.p).astype(np.int64)
+    reduce = H.spec.reduce
+    return np.array([[[reduce(x) for x in row] for row in mat]
+                     for mat in H.basis],
+                    dtype=np.int64).reshape(-1, H.N, H.N)
 
 
 def mat_inv(spec, A):
@@ -174,7 +229,7 @@ def conjugate_residues_loop(L: Lattice, mats):
 
 def spans_by_rank(H) -> bool:
     """Do the residues of H's basis span M_N(k)?  By their rank."""
-    rows = H.residues().reshape(H.rank, -1)
+    rows = residues(H).reshape(H.rank, -1)
     return gf_rank(H.spec.residue_field, rows) == H.N * H.N
 
 

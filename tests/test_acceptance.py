@@ -19,15 +19,15 @@ from schur_lattice import (LatticeClass, LatticeGaussian, RationalAtP,
                            congruence_level, convexity_check,
                            detect_graduated, diagonal_lattice, dimension,
                            entry_profile, fix_bfs, fix_polytrope, full_rank,
-                           hnf_dvr, invariance_report, invariant_subspaces,
+                           invariance_report, invariant_subspaces,
                            is_core, is_invariant, membership, min_plus_closure,
-                           module_from_matrices, partitions_of,
-                           rho, smith_divisors,
+                           partitions_of, rho, smith_divisors,
                            spans_end_residue, ssyt_enumerate,
                            standard_lattice)
 from schur_lattice.cli import run_case, sweep_cases
 from schur_lattice.dvr import ExactEchelon, group_generator_matrices, mat_mul
-from lattice_oracle import class_distance, mat_inv
+from lattice_oracle import (class_distance, hnf_dvr, mat_inv,
+                            module_from_matrices)
 
 # ---------------------------------------------------------------------------
 # shared case producers (memoized so later criteria reuse earlier work)
@@ -65,7 +65,7 @@ def padic_case(n, lam, p):
 def laurent_case():
     spec = RationalFunctionOverFq(2)
     module = SchurModule(2, (2,))
-    order = compute_order(module, spec, trials=16)
+    order = compute_order(module, spec)
     return module, spec, order
 
 

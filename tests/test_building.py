@@ -1,7 +1,9 @@
 """Tests for exponent profiles, graduated detection, fixed-point sets on
 the lattice-class graph, and residue irreducibility."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,7 @@ from schur_lattice import (GF, INF, Lattice, LatticeClass, NegativeCycle,
                            detect_graduated, diagonal_lattice, dimension,
                            entry_profile, fix_bfs, fix_polytrope, full_rank,
                            group_generator_matrices, invariant_subspaces,
-                           is_invariant, membership,
-                           min_plus_closure, module_from_matrices,
+                           is_invariant, membership, min_plus_closure,
                            partitions_of, rho,
                            smith_divisors, spans_end_residue,
                            standard_lattice)
@@ -25,7 +26,8 @@ from schur_lattice.dvr import (conjugate_residues, generator_images,
                                reduce_images)
 from schur_lattice.partitions import is_core
 from gf_oracle import subspaces_by_rounds
-from lattice_oracle import bfs_searched_keys, class_distance, spans_by_rank
+from lattice_oracle import (bfs_searched_keys, class_distance,
+                            module_from_matrices, spans_by_rank)
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -43,7 +45,7 @@ def order_2adic():
 
 @pytest.fixture(scope="module")
 def order_laurent():
-    return compute_order(SchurModule(2, (2,)), F2T, trials=16)
+    return compute_order(SchurModule(2, (2,)), F2T)
 
 
 def non_graduated_module():
@@ -299,10 +301,10 @@ def _small_residue_cases():
     return out
 
 
-def _level_one_algebra(module, spec):
-    """The algebra of the residues of the level-1 group generators."""
+def _generator_algebra(module, spec, level=1):
+    """The algebra of the residues of the group generators of a level."""
     images = generator_images(
-        module, spec, group_generator_matrices(spec, module.n, 1))
+        module, spec, group_generator_matrices(spec, module.n, level))
     return residue_algebra_basis(spec.residue_field,
                                  reduce_images(spec, images), module.N)
 
@@ -322,7 +324,7 @@ def test_residue_generator_rep_matches_hand_built_oracle():
         m = SchurModule(n, lam)
         fq, N = spec.residue_field, m.N
         hand = _hand_built_generators(m, spec)
-        assert np.array_equal(_level_one_algebra(m, spec),
+        assert np.array_equal(_generator_algebra(m, spec),
                               residue_algebra_basis(fq, hand, N)), \
             (n, lam, spec)
         if spec.residue_size ** N <= 2 ** 12:
@@ -350,11 +352,12 @@ def test_spans_end_residue(order_2adic):
 def test_residue_generator_rep_reads_the_algebra_the_order_kept(
         n, lam, spec, level, monkeypatch):
     """invariant_subspaces closes the group generators' residues itself
-    only before any order.  After compute_order at level 1 or 2 it reads
-    the algebra the order's closure kept, closes nothing, and finds the
-    same subspaces.  The kept algebra is that of the residues of the
-    level-1 group generators; over F_q(t) level 2 adds the units
-    1 + c*t^2, whose diagonals reduce to I."""
+    only before any order.  After compute_order it reads the algebra the
+    order's closure kept, closes nothing, and finds the same subspaces.
+    The kept algebra is that of the residues of the level-1 group
+    generators, and so of the Gaussian words at level 1 or 2: over
+    F_q(t) level 2 adds the units 1 + c*t^2, whose diagonals reduce
+    to I."""
     from schur_lattice import _kernels
 
     closures = []
@@ -368,13 +371,15 @@ def test_residue_generator_rep_reads_the_algebra_the_order_kept(
     before = invariant_subspaces(SchurModule(n, lam), spec)
     assert len(closures) == 1
     module = SchurModule(n, lam)
-    compute_order(module, spec, level=level, trials=8)
+    compute_order(module, spec)
     del closures[:]
     after = invariant_subspaces(module, spec)
     assert closures == []
     assert [r.tolist() for r in after] == [r.tolist() for r in before]
     assert np.array_equal(module.residue_algebras[spec],
-                          _level_one_algebra(module, spec))
+                          _generator_algebra(module, spec))
+    assert np.array_equal(module.residue_algebras[spec],
+                          _generator_algebra(module, spec, level))
 
 
 @pytest.mark.parametrize("n, lam, spec", [
@@ -389,7 +394,7 @@ def test_one_pass_sums_match_the_rounds_oracle(n, lam, spec):
     has a class with invariant subspaces.  Random algebras are compared
     in test_kernels.test_algebra_generators_match_full_set."""
     module = SchurModule(n, lam)
-    H = compute_order(module, spec, trials=8)
+    H = compute_order(module, spec)
     fq, N = spec.residue_field, H.N
     searched = 0
     for cls in fix_bfs(H, module, spec).classes:
@@ -442,25 +447,48 @@ def _scan_full_cases():
             + [c for c in cores if dimension(c[1], c[0]) < 15])
 
 
+def _order_only_cases():
+    """The cases of the order-only benchmark grid, as its workload file
+    lists them."""
+    path = (Path(__file__).resolve().parents[1] / "pipeline_bench"
+            / "workloads.json")
+    grid = json.loads(path.read_text())["workloads"]["order-only"]["cases"]
+    return [(c["n"], tuple(c["lambda"]),
+             RationalAtP(c["p"]) if c["field"] == "padic"
+             else RationalFunctionOverFq(c["q"])) for c in grid]
+
+
 def test_level_zero_shortcuts_match_the_stock_paths():
     """On the 36 orders of the scan-full grid, fix_bfs gives the classes
     of the BFS that searches every class (bfs_searched_keys), and at
-    congruence level 0, 31 of them, spans_end_residue gives the rank of
-    the residues (spans_by_rank): the level-0 shortcuts, the standard
-    class alone and True, are what the stock paths compute."""
+    congruence level 0, 31 of them, that is the standard class alone.
+    On the 110 full-rank orders among the 114 of the scan-full and
+    order-only grids, spans_end_residue, which reads is_full_end
+    (Nakayama's lemma), gives the rank of the residues (spans_by_rank),
+    both True and False."""
     cases = _scan_full_cases()
     assert len(cases) == 36
     level0 = 0
+    spans = []
     for n, lam, p in cases:
         module, spec = SchurModule(n, lam), RationalAtP(p)
-        H = compute_order(module, spec, trials=8)
+        H = compute_order(module, spec)
         got = fix_bfs(H, module, spec)
         assert list(got.keys()) == bfs_searched_keys(H, spec), (n, lam, p)
         if congruence_level(H) == 0:
             level0 += 1
             assert got.keys() == (standard_lattice(spec, H.N).key(),)
-            assert spans_end_residue(H) is spans_by_rank(H) is True
+        spans.append(spans_end_residue(H))
+        assert spans[-1] is spans_by_rank(H), (n, lam, p)
     assert level0 == 31
+    order_only = _order_only_cases()
+    assert len(cases) + len(order_only) == 114
+    for n, lam, spec in order_only:
+        H = compute_order(SchurModule(n, lam), spec)
+        if full_rank(H):
+            spans.append(spans_end_residue(H))
+            assert spans[-1] is spans_by_rank(H), (n, lam, spec)
+    assert len(spans) == 110 and set(spans) == {True, False}
 
 
 # ---------------------------------------------------------------------------

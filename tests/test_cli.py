@@ -740,25 +740,58 @@ def test_rho_prime_below_factoring_cap_answers(capsys):
 
 
 def test_laurent_level_over_cap_exits_3(capsys):
+    """The level picks only the Gaussian check's words, and over F_q(t)
+    MAX_LEVEL caps them: sample stops with exit 3 before the order."""
     code, out, err = run_main(
-        capsys, ["order", "--n", "2", "--lambda", "2", "--field", "laurent",
+        capsys, ["sample", "--n", "2", "--lambda", "2", "--field", "laurent",
                  "--q", "2", "--level", "100000"])
     assert code == 3 and out == ""
-    assert ("n=2 lambda=2 {'backend': 'laurent', 'q': 2}: stage order: "
-            "level 100000 exceeds the cap MAX_LEVEL = 64") in err
+    assert "level 100000 exceeds the cap MAX_LEVEL = 64" in err
+    assert "computing order" not in err
+
+
+def test_level_guards_stop_before_the_order(capsys, tmp_path, monkeypatch):
+    """Without the Gaussian stage a Laurent case answers above MAX_LEVEL.
+    A level below 1 is refused, and a Gaussian scan case above the cap
+    gets a CapExceeded error row, both before any order is computed."""
+    from schur_lattice import SchurLatticeError, cli
+
+    case = {"n": 2, "lambda": [2], "field": "laurent", "q": 2}
+    report = run_case({**case, "level": 65}, parts=("order",))
+    assert report["order"]["certificate"]["level"] == 65
+    orders = []
+    monkeypatch.setattr(cli, "compute_order", lambda *a: orders.append(a))
+    with pytest.raises(SchurLatticeError, match="level must be >= 1, got 0"):
+        run_case({**case, "level": 0})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"cases": [{**case, "level": 65, "gaussian": True}]}))
+    code, out, _ = run_main(capsys, ["scan", str(path)])
+    assert code == 0
+    assert json.loads(out)["table"][0]["error"] == "CapExceeded"
+    assert orders == []
 
 
 def test_padic_order_ignores_level(capsys):
-    reports = []
-    for level in ("1", "100000"):
-        code, out, _ = run_main(
-            capsys, ["order", "--n", "2", "--lambda", "2", "--p", "3",
-                     "--level", level])
-        assert code == 0
-        report = json.loads(out)["order"]
-        report.pop("certificate")
-        reports.append(report)
-    assert reports[0] == reports[1]
+    """The order is a function of the case alone, on both backends: at
+    every level, over MAX_LEVEL on F_q(t) too, the order section is that
+    of level 1 but for the level its certificate echoes."""
+    laurent = ["--field", "laurent", "--q", "2"]
+    for case, levels in (
+            (["--n", "2", "--lambda", "2", "--p", "3"], ("1", "100000")),
+            (["--n", "2", "--lambda", "4", *laurent],
+             ("1", "2", "64", "100000")),
+            (["--n", "3", "--lambda", "2", *laurent],
+             ("1", "2", "64", "100000"))):
+        reports = []
+        for level in levels:
+            code, out, _ = run_main(capsys,
+                                    ["order", *case, "--level", level])
+            assert code == 0, case
+            report = json.loads(out)["order"]
+            assert report["certificate"].pop("level") == int(level)
+            reports.append(report)
+        assert all(r == reports[0] for r in reports[1:]), case
 
 
 def test_order_former_exit4_case_answers(capsys):

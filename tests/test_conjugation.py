@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from schur_lattice import (Lattice, RationalAtP, RationalFunctionOverFq,
                            SchurModule, Singular, compute_order, fix_bfs,
-                           is_invariant, module_from_matrices)
+                           is_invariant)
 from schur_lattice.dvr import (ExactEchelon, conjugate_residues, mat_mul,
                                mat_vec)
 from schur_lattice.fields import LaurentRational
-from lattice_oracle import conjugate_residues_loop, mat_inv
+from lattice_oracle import (conjugate_residues_loop, mat_inv,
+                            module_from_matrices)
 
 PADIC = [RationalAtP(2), RationalAtP(3), RationalAtP(5)]
 FIELDS = PADIC + [RationalFunctionOverFq(2), RationalFunctionOverFq(3),

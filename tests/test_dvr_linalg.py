@@ -15,21 +15,22 @@ from schur_lattice import (INF, CapExceeded, FixSet, Lattice, LatticeClass,
                            MatrixModule, NonIntegralInput, RationalAtP,
                            RationalFunctionOverFq, SchurModule, Singular,
                            compute_order, congruence_level, convexity_check,
-                           entry_profile, full_rank, hnf_dvr,
-                           lattice_sum_and_meet, membership,
-                           module_from_matrices, partitions_of, rho,
-                           smith_divisors, spans_end_residue,
-                           standard_lattice, unit_sample_set)
+                           entry_profile, full_rank, lattice_sum_and_meet,
+                           membership, partitions_of, rho, smith_divisors,
+                           spans_end_residue, standard_lattice,
+                           unit_sample_set)
 from schur_lattice import dvr
+from schur_lattice.cli import run_case
 from schur_lattice.dvr import (PRECISION, ExactEchelon, _int_smith_divisors,
                                _exact_certificate, _IntEchelon,
                                generator_images, group_generator_matrices,
                                identity_matrix, mat_mul, saturation_alphabet,
                                uniformizer_diagonal_matrices, unvectorize,
                                vectorize)
-from lattice_oracle import (class_distance, lattice_dual,
+from lattice_oracle import (class_distance, hnf_dvr, lattice_dual,
                             lattice_intersection, lattice_sum,
-                            relative_divisors)
+                            module_from_matrices, relative_divisors,
+                            residues)
 from saturation_oracle import (int_smith_divisors_exact,
                                module_add_and_saturate, random_word,
                                saturate_exact, word_image)
@@ -432,7 +433,7 @@ def test_saturation_alphabet_frozen_order():
     alphabet, so its matrices and their order are frozen: transpositions,
     transvections, unit diagonals (units 2 and -1 at p = 3), uniformizer
     diagonals."""
-    assert saturation_alphabet(P3, 2, 1) == [
+    assert saturation_alphabet(P3, 2) == [
         fmat([[0, 1], [1, 0]]),
         fmat([[1, 1], [0, 1]]), fmat([[1, 0], [1, 1]]),
         fmat([[2, 0], [0, 1]]), fmat([[1, 0], [0, 2]]),
@@ -449,7 +450,7 @@ def test_padic_letters_are_int_matrices_that_rho_reads_as_they_are(
     """Over Q_p the alphabet is written with int entries, and
     generator_images hands it to rho over Z with no to_int: its images
     are those of the same letters as Fraction matrices."""
-    alphabet = saturation_alphabet(P3, 2, 1)
+    alphabet = saturation_alphabet(P3, 2)
     assert all(type(x) is int for g in alphabet for row in g for x in row)
     m = SchurModule(2, (3,))
     want = [rho(m, fmat(g), P3) for g in alphabet]
@@ -500,14 +501,14 @@ def test_padic_order_holds_an_integer_stack(n, lam, p):
         assert H.stack.shape == (N * N, N, N) and H.rank == N * N
         assert H.stack.dtype == np.int64
         assert H.matrices is H.stack
-        profile, residues = H.valuation_profile(), H.residues()
+        profile, reduced = H.valuation_profile(), residues(H)
         spans = spans_end_residue(H)
         assert "basis" not in vars(H)
         G = module_from_matrices(spec, H.basis)
         assert G.stack is None and G.basis == H.basis
         assert profile == G.valuation_profile() == fraction_profile(H)
-        assert np.array_equal(residues, fraction_residues(H))
-        assert np.array_equal(residues, G.residues())
+        assert np.array_equal(reduced, fraction_residues(H))
+        assert np.array_equal(reduced, residues(G))
         assert spans == spans_end_residue(G)
 
 
@@ -543,8 +544,8 @@ def test_module_views_agree_with_fraction_walk(p, N, data):
     assert entry_profile(M, allow_degenerate=True) == profile
     assert entry_profile(S, allow_degenerate=True) == profile
     assert fraction_profile(S) == profile
-    assert np.array_equal(S.residues(), fraction_residues(S))
-    assert np.array_equal(M.residues(), fraction_residues(M))
+    assert np.array_equal(residues(S), fraction_residues(S))
+    assert np.array_equal(residues(M), fraction_residues(M))
     if full_rank(M):
         assert spans_end_residue(S) == spans_end_residue(M)
 
@@ -567,12 +568,21 @@ def test_group_only_span_is_strictly_smaller_2adic():
 
 
 def test_compute_order_laurent_certificate():
+    """The order knows only how it was found; the report adds the level
+    and the trial count the case was run with."""
     spec = RationalFunctionOverFq(2)
     m = SchurModule(2, (2,))
-    H = compute_order(m, spec, level=1, trials=8)
+    H = compute_order(m, spec)
     assert H.rank == 7
     assert not full_rank(H)
-    assert H.certificate == _exact_certificate(1, 8, "saturation")
+    assert H.certificate == _exact_certificate("saturation") == {
+        "restarts": 0, "exact": True, "label": "exact",
+        "method": "saturation"}
+    report = run_case({"n": 2, "lambda": [2], "field": "laurent", "q": 2,
+                       "trials": 8}, parts=("order",))
+    assert report["order"]["certificate"] == {
+        "level": 1, "trials": 8, "trials_passed": 8, "restarts": 0,
+        "exact": True, "label": "exact", "method": "saturation"}
 
 
 @pytest.mark.parametrize("n, lam, q, rank", [
@@ -580,16 +590,20 @@ def test_compute_order_laurent_certificate():
     (2, (3, 1), 4, 7),
 ])
 def test_laurent_saturation_certificates_are_frozen(n, lam, q, rank):
-    """The F_q(t) orders of the order-only benchmark grid that saturate,
-    at 32 trials: the ranks recorded before the scalar normalization
-    short cuts, and the exact certificate (the benchmark digests leave
-    the certificate out)."""
-    H = compute_order(SchurModule(n, lam), RationalFunctionOverFq(q),
-                      level=1, trials=32)
+    """The F_q(t) orders of the order-only benchmark grid that saturate:
+    the ranks recorded before the scalar normalization short cuts, and
+    the exact certificate, which the report composes at the grid's 32
+    trials (the benchmark digests leave the certificate out)."""
+    H = compute_order(SchurModule(n, lam), RationalFunctionOverFq(q))
     assert H.rank == rank
-    assert H.certificate == {"level": 1, "trials": 32, "trials_passed": 32,
-                             "restarts": 0, "exact": True, "label": "exact",
+    assert H.certificate == {"restarts": 0, "exact": True, "label": "exact",
                              "method": "saturation"}
+    report = run_case({"n": n, "lambda": list(lam), "field": "laurent",
+                       "q": q, "trials": 32}, parts=("order",))
+    assert report["order"]["rank"] == rank
+    assert report["order"]["certificate"] == {
+        "level": 1, "trials": 32, "trials_passed": 32, "restarts": 0,
+        "exact": True, "label": "exact", "method": "saturation"}
 
 
 def test_echelon_member_rejects_sharper_valuation():
@@ -688,9 +702,9 @@ def test_padic_order_matches_exact_lane(lam, p):
     draws trial words; not one of those enlarges the closure, as
     _saturate_padic proves."""
     spec, module = RationalAtP(p), SchurModule(2, lam)
-    H = compute_order(module, spec, trials=8)
+    H = compute_order(module, spec)
     assert H.certificate["method"] == "saturation"
-    alphabet = saturation_alphabet(spec, 2, 1)
+    alphabet = saturation_alphabet(spec, 2)
     images = [rho(module, g, spec) for g in alphabet]
     G = saturate_exact(spec, images, module.N, 1, 8, random.Random(0),
                        images, module)
@@ -703,17 +717,21 @@ def test_padic_order_matches_exact_lane(lam, p):
                                     ((3,), 3)])
 def test_padic_order_draws_no_word(lam, p):
     """Over Q_p compute_order forms no trial word, yet it gives the order
-    of the exact lane, which draws them, and the exact certificate with
-    every trial passed."""
+    of the exact lane, which draws them, and the exact certificate; the
+    report counts every one of the default 64 trials as passed."""
     spec, module = RationalAtP(p), SchurModule(2, lam)
-    images = [rho(module, g, spec) for g in saturation_alphabet(spec, 2, 1)]
+    images = [rho(module, g, spec) for g in saturation_alphabet(spec, 2)]
     G = saturate_exact(spec, images, module.N, 1, 64, random.Random(0),
                        images, module)
     H = compute_order(module, spec)
     assert (H.basis, H.divisors) == (G.basis, G.divisors)
-    assert H.certificate == {"level": 1, "trials": 64, "trials_passed": 64,
-                             "restarts": 0, "exact": True, "label": "exact",
+    assert H.certificate == {"restarts": 0, "exact": True, "label": "exact",
                              "method": "saturation"}
+    report = run_case({"n": 2, "lambda": list(lam), "field": "padic",
+                       "p": p}, parts=("order",))
+    assert report["order"]["certificate"] == {
+        "level": 1, "trials": 64, "trials_passed": 64, "restarts": 0,
+        "exact": True, "label": "exact", "method": "saturation"}
 
 
 # the former exit-4 cases with N >= 8, too large for the exact lane
@@ -723,10 +741,10 @@ def test_padic_order_independent_of_precision(lam, p, monkeypatch):
     """With top divisor c < P the result is M itself, so P = c + 1 gives
     the same order and certificate as P = 128."""
     spec, module = RationalAtP(p), SchurModule(2, lam)
-    H = compute_order(module, spec, trials=8)
+    H = compute_order(module, spec)
     assert H.divisors[-1] < PRECISION
     monkeypatch.setattr(dvr, "PRECISION", H.divisors[-1] + 1)
-    G = compute_order(module, spec, trials=8)
+    G = compute_order(module, spec)
     assert (G.basis, G.divisors, G.certificate) == \
         (H.basis, H.divisors, H.certificate)
 
@@ -737,7 +755,7 @@ def test_padic_precision_rises_to_the_order(lam, top, monkeypatch):
     it, rerunning the closure, and stops at the first P above the order's
     top divisor, with the result of the default start."""
     spec, module = P2, SchurModule(2, lam)
-    H = compute_order(module, spec, trials=8)
+    H = compute_order(module, spec)
     assert H.divisors[-1] == top
     precisions = []
 
@@ -748,7 +766,7 @@ def test_padic_precision_rises_to_the_order(lam, top, monkeypatch):
 
     monkeypatch.setattr(dvr, "_PadicLane", Recording)
     monkeypatch.setattr(dvr, "_start_precision", lambda p, N: 1)
-    G = compute_order(module, spec, trials=8)
+    G = compute_order(module, spec)
     assert precisions[0] == 1 and len(precisions) >= 2
     assert precisions[-2] <= top < precisions[-1]
     assert (G.basis, G.divisors, G.certificate) == \
@@ -760,9 +778,9 @@ def test_padic_closure_rounds_in_small_batches(lam, p, monkeypatch):
     """A closure round split into batches of one frontier row each gives
     the order and certificate of one batch per round."""
     spec, module = RationalAtP(p), SchurModule(2, lam)
-    H = compute_order(module, spec, trials=8)
+    H = compute_order(module, spec)
     monkeypatch.setattr(dvr, "BATCH_ENTRIES", 1)
-    G = compute_order(module, spec, trials=8)
+    G = compute_order(module, spec)
     assert (G.basis, G.divisors, G.certificate) == \
         (H.basis, H.divisors, H.certificate)
 
@@ -781,17 +799,17 @@ def test_padic_lane_matches_oracles_on_order_only_shapes(lam, p):
     where that lane is too slow, the order at a start forced to
     PRECISION, in Python ints."""
     spec, module = RationalAtP(p), SchurModule(2, lam)
-    H = compute_order(module, spec, trials=8)
+    H = compute_order(module, spec)
     assume(H.certificate["method"] == "saturation")
     if module.N <= 7:
-        alphabet = saturation_alphabet(spec, 2, 1)
+        alphabet = saturation_alphabet(spec, 2)
         images = [rho(module, g, spec) for g in alphabet]
         G = saturate_exact(spec, images, module.N, 1, 8, random.Random(0),
                            images, module)
     else:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dvr, "_start_precision", lambda p, N: PRECISION)
-            G = compute_order(module, spec, trials=8)
+            G = compute_order(module, spec)
         assert G.certificate == H.certificate
     assert (G.basis, G.divisors) == (H.basis, H.divisors)
 
@@ -802,10 +820,10 @@ def test_saturation_absorbs_random_words(lam):
     uniformizer diagonals.  The first random word that holds one restarts
     the count, and the two-sided closure of that word reaches the order."""
     spec, module = P2, SchurModule(2, lam)
-    letters = [rho(module, a, spec) for a in saturation_alphabet(spec, 2, 1)]
+    letters = [rho(module, a, spec) for a in saturation_alphabet(spec, 2)]
     group = [rho(module, g, spec)
              for g in group_generator_matrices(spec, 2, 1)]
-    H = compute_order(module, spec, trials=8)
+    H = compute_order(module, spec)
     G = saturate_exact(spec, group, module.N, 1, 8, random.Random(0),
                        letters, module)
     assert G.certificate["restarts"] == 1
@@ -842,7 +860,7 @@ def test_word_image_matches_rho(spec, shape, seed):
     weights, is rho of the drawn word's matrix, over every field."""
     n, lam = shape
     module = SchurModule(n, lam)
-    alphabet = saturation_alphabet(spec, n, 1)
+    alphabet = saturation_alphabet(spec, n)
     word, units = random_word(spec, n, len(alphabet), random.Random(seed))
     W = word_matrix(spec, alphabet, word, units)
     letters = [rho(module, a, spec) for a in alphabet]
@@ -879,14 +897,14 @@ def test_seed_span_is_two_sided_closure(spec, lam, alphabet_of):
     two-sided closure of I and the images, in the exact lane and in the
     lane of the field (p-adic or truncated, before its extra letters)."""
     module = SchurModule(2, lam)
-    alphabet = (saturation_alphabet(spec, 2, 1) if alphabet_of == "saturation"
+    alphabet = (saturation_alphabet(spec, 2) if alphabet_of == "saturation"
                 else group_generator_matrices(spec, 2, 1))
     images = [rho(module, g, spec) for g in alphabet]
     ref = two_sided_span(spec, images, module.N)
     results = [saturate_exact(spec, images, module.N, 1, 0, random.Random(0),
                               images, module)]
     if isinstance(spec, RationalAtP):
-        results.append(dvr._saturate_padic(spec, images, module.N, 1, 0))
+        results.append(dvr._saturate_padic(spec, images, module.N))
     for G in results:
         assert (G.basis, G.divisors) == ref
     if not isinstance(spec, RationalAtP):
@@ -897,10 +915,10 @@ def test_padic_order_raises_cap_at_precision(monkeypatch):
     """(2,(4),2) has top divisor 3; with P = 2 the lane can only see
     M + 4 Z^m, whose top divisor is P, and stops."""
     spec, module = P2, SchurModule(2, (4,))
-    assert compute_order(module, spec, trials=8).divisors[-1] == 3
+    assert compute_order(module, spec).divisors[-1] == 3
     monkeypatch.setattr(dvr, "PRECISION", 2)
     with pytest.raises(CapExceeded, match="working precision p\\^2"):
-        compute_order(module, spec, trials=8)
+        compute_order(module, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -915,9 +933,15 @@ LAURENT_ORDER_ONLY = [
 
 
 def laurent_images(n, lam, q, level=1):
+    """The images of the alphabet with the unit diagonals of `level`:
+    saturation_alphabet at level 1, and the alphabet the order was closed
+    over at that level before it took none."""
     spec, module = RationalFunctionOverFq(q), SchurModule(n, lam)
-    return spec, module, [rho(module, g, spec)
-                          for g in saturation_alphabet(spec, n, level)]
+    alphabet = (group_generator_matrices(spec, n, level)
+                + uniformizer_diagonal_matrices(spec, n))
+    if level == 1:
+        assert alphabet == saturation_alphabet(spec, n)
+    return spec, module, [rho(module, g, spec) for g in alphabet]
 
 
 @settings(max_examples=12, deadline=None)
@@ -934,7 +958,7 @@ def test_truncated_lane_matches_exact_oracle(case, level, seed):
     takes seconds there at N = 8."""
     spec, module, images = laurent_images(*case, level=level)
     N = module.N
-    G = dvr._saturate_generic(spec, images, N, level, 8, module)
+    G = dvr._saturate_generic(spec, images, N, module)
     residues = [tuple(tuple(spec.reduce(x) for x in row) for row in im)
                 for im in images]
     if dvr._kernels.residue_ring_closure_rank(spec.residue_field, residues,
@@ -944,7 +968,32 @@ def test_truncated_lane_matches_exact_oracle(case, level, seed):
         E = saturate_exact(spec, images, N, level, 8, random.Random(seed),
                            images, module)
     assert (G.basis, G.divisors) == (E.basis, E.divisors)
-    assert G.certificate == _exact_certificate(level, 8, "saturation")
+    assert G.certificate == _exact_certificate("saturation")
+
+
+@pytest.mark.parametrize("level", [2, 5])
+@pytest.mark.parametrize("case", LAURENT_ORDER_ONLY, ids=str)
+def test_laurent_order_equals_the_closure_at_higher_levels(case, level):
+    """compute_order closes the level-1 alphabet only.  The truncated lane
+    over the images of the alphabet of a higher level, with its n unit
+    diagonals per level, gives the same basis and divisors (the proof is
+    in compute_order)."""
+    spec, module, images = laurent_images(*case, level=level)
+    H = compute_order(module, spec)
+    G = dvr._saturate_generic(spec, images, module.N, module)
+    assert (G.basis, G.divisors) == (H.basis, H.divisors)
+
+
+@pytest.mark.parametrize("case", LAURENT_ORDER_ONLY, ids=str)
+def test_truncated_lane_reads_the_pivots_of_the_rref_basis(case):
+    """The algebra basis of the divided powers comes from GFSpan already
+    in RREF, so the lane reads each pivot as the row's first nonzero
+    column: B and the pivots are gf_rref's."""
+    spec, module, images = laurent_images(*case)
+    lane = dvr._TruncatedLane(spec, module, images)
+    rows, pivots = dvr._kernels.gf_rref(spec.residue_field, lane.B)
+    assert np.array_equal(lane.B, rows)
+    assert lane.piv.tolist() == list(pivots)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -955,10 +1004,10 @@ def test_truncated_lane_rebuilds_with_a_failing_letter(q, monkeypatch):
     fail, and the rebuilt lane gives the order of the full alphabet."""
     spec, module, images = laurent_images(2, (6,), q)
     N, one_ct = module.N, unit_sample_set(spec, 1)[1]
-    kept = [im for g, im in zip(saturation_alphabet(spec, 2, 1), images)
+    kept = [im for g, im in zip(saturation_alphabet(spec, 2), images)
             if one_ct not in (g[0][0], g[1][1])]
     assert len(kept) == len(images) - 2
-    full = dvr._saturate_generic(spec, images, N, 1, 8, module)
+    full = dvr._saturate_generic(spec, images, N, module)
     lanes = []
 
     class Recording(dvr._TruncatedLane):
@@ -967,7 +1016,7 @@ def test_truncated_lane_rebuilds_with_a_failing_letter(q, monkeypatch):
             lanes.append(self)
 
     monkeypatch.setattr(dvr, "_TruncatedLane", Recording)
-    G = dvr._saturate_generic(spec, kept, N, 1, 8, module)
+    G = dvr._saturate_generic(spec, kept, N, module)
     assert len(lanes) == 2
     assert lanes[0].result() != lanes[1].result()
     assert (G.basis, G.divisors) == (full.basis, full.divisors)
@@ -980,9 +1029,9 @@ def test_truncated_lane_rounds_in_small_batches(n, lam, q, monkeypatch):
     """A closure round split into batches of one frontier row each gives
     the order and certificate of one batch per round."""
     spec, module = RationalFunctionOverFq(q), SchurModule(n, lam)
-    H = compute_order(module, spec, trials=8)
+    H = compute_order(module, spec)
     monkeypatch.setattr(dvr, "BATCH_ENTRIES", 1)
-    G = compute_order(module, spec, trials=8)
+    G = compute_order(module, spec)
     assert (G.basis, G.divisors, G.certificate) == \
         (H.basis, H.divisors, H.certificate)
 
@@ -998,16 +1047,15 @@ def test_truncated_lane_guard_rejects_images_outside_the_algebra(
                         lambda fq, mats, N: [np.eye(N, dtype=np.int64)])
     with pytest.raises(InternalInvariantViolation,
                        match="outside the algebra of the divided powers"):
-        compute_order(SchurModule(2, (3,)), RationalFunctionOverFq(2),
-                      trials=8)
+        compute_order(SchurModule(2, (3,)), RationalFunctionOverFq(2))
 
 
 def test_truncated_lane_cap_on_coordinates(monkeypatch):
     """(2,(4),F_2(t)) has r = 17 and top divisor 1, so it needs P = 2:
     with the cap at 17 coordinates the lane stops at P = 2."""
     spec, module = RationalFunctionOverFq(2), SchurModule(2, (4,))
-    assert compute_order(module, spec, trials=8).divisors[-1] == 1
+    assert compute_order(module, spec).divisors[-1] == 1
     monkeypatch.setattr(dvr, "MAX_LANE_COORDS", 17)
     with pytest.raises(CapExceeded,
                        match=r"r \* P = 17 \* 2 .* MAX_LANE_COORDS = 17"):
-        compute_order(module, spec, trials=8)
+        compute_order(module, spec)

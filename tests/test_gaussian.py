@@ -114,7 +114,7 @@ def test_invariance_report_non_invariant_lattice():
 def test_invariance_report_laurent():
     spec = RationalFunctionOverFq(2)
     m = SchurModule(2, (2,))
-    H = compute_order(m, spec, trials=8)
+    H = compute_order(m, spec)
     g = LatticeGaussian(spec, standard_lattice(spec, 3), precision=2, seed=3)
     gens = [rho(m, x, spec) for x in group_generator_matrices(spec, 2, 1)]
     rep = invariance_report(g, H, gens, trials=2, sample_count=2000)

@@ -12,15 +12,16 @@ from schur_lattice import (GF, RationalAtP, RationalFunctionOverFq,
                            SchurModule, compute_order, fix_bfs)
 from schur_lattice._kernels import (GFSpan, _dense_units, _gf_batched_rref,
                                     _line_maps, _unit_orbits,
-                                    digit_histogram, gf_matmul,
-                                    gf_rank, gf_rref, line_spin_profile,
+                                    digit_histogram, gf_matmul, gf_rref,
+                                    line_spin_profile,
                                     minplus_closure_matrix,
                                     residue_algebra_basis,
                                     residue_ring_closure_rank, unpack_gf_rows)
 from schur_lattice.building import _proper_invariant_subspaces
 from schur_lattice.dvr import conjugate_residues, standard_lattice
 from schur_lattice.errors import CapExceeded
-from gf_oracle import GFEchelon, gf_matvec, spin_closure, subspaces_by_rounds
+from gf_oracle import (GFEchelon, gf_matvec, gf_rank, spin_closure,
+                       subspaces_by_rounds)
 
 
 def reference_mul(fq, A, B):
