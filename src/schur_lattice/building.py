@@ -262,7 +262,7 @@ def invariant_subspaces(module: SchurModule, spec: FieldSpec,
 
     They are the invariant subspaces of alg(G), the F_q-algebra of the
     reductions mod the uniformizer of rho(g) for g in
-    group_generator_matrices(spec, n, 1): the transpositions, the
+    group_generator_matrices(spec, n): the transpositions, the
     transvections and diag(1, ..., c, ..., 1) for c in unit_sample_set.
     Proof: reduction mod the uniformizer is a ring map and rho has
     integer straightening coefficients, so it sends rho(g) to the image
@@ -277,7 +277,7 @@ def invariant_subspaces(module: SchurModule, spec: FieldSpec,
     invariant subspaces of a set are those of its algebra.
 
     compute_order keeps alg(G) for the spec in module.residue_algebras.
-    Before any order, the residues of the level-1 generators are closed
+    Before any order, the residues of the generators are closed
     here (_kernels.residue_algebra_basis).
     Either way the RREF basis is read as it is.
     """
@@ -285,7 +285,7 @@ def invariant_subspaces(module: SchurModule, spec: FieldSpec,
     algebra = module.residue_algebras.get(spec)
     if algebra is None:
         images = generator_images(
-            module, spec, group_generator_matrices(spec, module.n, 1))
+            module, spec, group_generator_matrices(spec, module.n))
         algebra = _kernels.residue_algebra_basis(
             fq, reduce_images(spec, images), N)
     return _proper_invariant_subspaces(fq, algebra, N, cap, reduced=True)

@@ -42,8 +42,6 @@ from .schur import SchurModule, rho
 VERSION = "0.1.0"
 
 DEFAULTS = {
-    "level": 1,
-    "trials": 64,
     "seed": 0,
     "method": "both",
     "cap_N": 40,
@@ -194,6 +192,17 @@ def _order(module: SchurModule, spec: FieldSpec) -> MatrixModule:
             f"{case_label(module, spec)}: stage order: {exc}") from exc
 
 
+def _gaussian_report(module: SchurModule, spec: FieldSpec, H: MatrixModule,
+                     gauss: LatticeGaussian, sample_count: int) -> dict:
+    """The Gaussian stage of run_case and sample: the invariance report
+    of `gauss` under the order H, its random words drawn from the images
+    of the group generators."""
+    gens = generator_images(module, spec,
+                            group_generator_matrices(spec, module.n))
+    return invariance_report(gauss, H, gens, trials=2,
+                             sample_count=sample_count)
+
+
 # ---------------------------------------------------------------------------
 # the case pipeline
 # ---------------------------------------------------------------------------
@@ -227,13 +236,6 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
     if module.N == 0:
         return report
     _check_cap_N(module, cfg["cap_N"])
-    level = cfg["level"]
-    if level < 1:
-        raise SchurLatticeError(f"level must be >= 1, got {level}")
-    # the level picks only the Gaussian stage's generator words; they are
-    # built first, so that a level over MAX_LEVEL stops before the order
-    gaussian = "gaussian" in parts or cfg.get("gaussian")
-    words = group_generator_matrices(spec, n, level) if gaussian else None
     clock: dict[str, float] = {}
     label = case_label(module, spec)
     _progress(f"computing order for {label}")
@@ -249,9 +251,7 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         "congruence_level": congruence_level(H) if is_full else None,
         "graduated": None,
         "profile": _ser_exponent(profile),
-        "certificate": {**H.certificate, "level": level,
-                        "trials": cfg["trials"],
-                        "trials_passed": cfg["trials"]},
+        "certificate": dict(H.certificate),
     }
     report["order"] = order_summary
 
@@ -326,15 +326,13 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
             "agree": agree,
         }
 
-    if gaussian:
+    if "gaussian" in parts or cfg["gaussian"]:
         _progress(f"gaussian invariance for {label}")
         t0 = time.perf_counter()
         gauss = LatticeGaussian(spec, standard_lattice(spec, module.N),
                                 precision=2, seed=seed)
-        gens = generator_images(module, spec, words)
-        report["gaussian"] = invariance_report(
-            gauss, H, gens, trials=2,
-            sample_count=cfg["gaussian_samples"])
+        report["gaussian"] = _gaussian_report(module, spec, H, gauss,
+                                              cfg["gaussian_samples"])
         clock["gaussian_s"] = time.perf_counter() - t0
 
     if timings:
@@ -404,8 +402,6 @@ def _args_case(args) -> dict:
         "field": args.field,
         "p": args.p,
         "q": args.q,
-        "level": args.level,
-        "trials": args.trials,
         "seed": args.seed,
         "method": getattr(args, "method", "both"),
         "cap_N": args.cap_N,
@@ -435,13 +431,9 @@ def cmd_sample(args) -> int:
     # the digit caps of invariance_report and sample, before the order
     _check_entries(module.N, args.count)
     _check_entries(min(args.count, 5), module.N, gauss.precision)
-    # the Gaussian words, and the MAX_LEVEL cap on them, before the order
-    words = group_generator_matrices(spec, args.n, args.level)
     _progress(f"computing order for {case_label(module, spec)}")
-    H = _order(module, spec)
-    gens = generator_images(module, spec, words)
-    rep = invariance_report(gauss, H, gens, trials=2,
-                            sample_count=args.count)
+    rep = _gaussian_report(module, spec, _order(module, spec), gauss,
+                           args.count)
     first = sample(gauss, min(args.count, 5))
     report = {
         "case": _case_descriptor(args.n, lam, spec),
@@ -566,17 +558,6 @@ def _add_common(sp, *, field=True, seed=True):
                     default=DEFAULTS["cap_N"],
                     help="refuse modules of dimension N above this")
     if seed:
-        sp.add_argument("--level", type=_int_at_least(1),
-                        default=DEFAULTS["level"],
-                        help="unit-diagonal level of the Gaussian check's "
-                             "generator words (at most MAX_LEVEL = 64 on "
-                             "--field laurent); the order does not "
-                             "depend on it")
-        sp.add_argument("--trials", type=_int_at_least(0),
-                        default=DEFAULTS["trials"],
-                        help="echoed in the order certificate as trials "
-                             "and trials_passed; the order is exact and "
-                             "draws no trial word")
         sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
 
 

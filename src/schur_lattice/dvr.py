@@ -274,12 +274,6 @@ class Lattice:
         """Matrix whose columns are the basis vectors."""
         return transpose(self.vectors)
 
-    def member(self, v) -> bool:
-        ech = ExactEchelon(self.spec, self.m)
-        for w in self.vectors:
-            ech.insert(w)
-        return ech.member(v)
-
     def scaled(self, k: int) -> "Lattice":
         pi = self.spec.uniformizer() ** k
         return Lattice(self.spec,
@@ -629,9 +623,11 @@ def _letter_ring(spec: FieldSpec):
     return spec, lambda x: x
 
 
-def group_generator_matrices(spec: FieldSpec, n: int, level: int):
-    """Transpositions, elementary transvections, and unit diagonals, as
-    tuples of ints over Q_p and of field elements over F_q(t)
+def group_generator_matrices(spec: FieldSpec, n: int):
+    """Transpositions, elementary transvections, and the diagonals
+    diag(1, ..., u, ..., 1) for u in unit_sample_set: the group letters
+    of the saturation alphabet and the words of the Gaussian check.
+    Tuples of ints over Q_p and of field elements over F_q(t)
     (_letter_ring)."""
     ring, scalar = _letter_ring(spec)
     one, zero = ring.one(), ring.zero()
@@ -641,7 +637,7 @@ def group_generator_matrices(spec: FieldSpec, n: int, level: int):
     gens += [_matrix(ring, n, {(i, j): one})
              for i in range(n) for j in range(n) if i != j]
     gens += [_matrix(ring, n, {(pos, pos): scalar(u)})
-             for u in unit_sample_set(spec, level) for pos in range(n)]
+             for u in unit_sample_set(spec) for pos in range(n)]
     return gens
 
 
@@ -654,11 +650,11 @@ def uniformizer_diagonal_matrices(spec: FieldSpec, n: int):
 
 
 def saturation_alphabet(spec: FieldSpec, n: int):
-    """Generator matrices whose span closure is the order: the level-1
-    group generators, then the n uniformizer diagonals (the latter reach
+    """Generator matrices whose span closure is the order: the group
+    generators, then the n uniformizer diagonals (the latter reach
     the non-invertible-over-R part of the integral image).  compute_order
     reads the group generators as the first letters."""
-    return group_generator_matrices(spec, n, 1) + \
+    return group_generator_matrices(spec, n) + \
         uniformizer_diagonal_matrices(spec, n)
 
 
@@ -1120,14 +1116,6 @@ def _close(lane, gens, frontier):
         frontier = lane.round(gens, frontier)
 
 
-def _exact_certificate(method):
-    """The certificate of an order known exactly, by `method`, with no
-    restart.  The report adds the case's level and trial count
-    (cli.run_case)."""
-    return {"restarts": 0, "exact": True, "label": "exact",
-            "method": method}
-
-
 def _saturate_padic(spec, images, N):
     """The order over Q_p: the closure of the identity and the images
     (the integer images of the whole saturation alphabet, from schur.rho
@@ -1151,8 +1139,7 @@ def _saturate_padic(spec, images, N):
     u = prod s_j^(e_j) mod p^P, with e_j >= 0 and each s_j in the set,
     and rho(diag_pos(u)) = prod rho(diag_pos(s_j))^(e_j) mod p^P, a
     product of alphabet images.  Hence rho(W) lies in the span: every
-    word would pass, with no restart, and the certificate says so
-    (_exact_certificate).
+    word would pass, and the order is exact.
     """
     P = _start_precision(spec.p, N)
     eye = tuple(tuple(int(i == j) for j in range(N)) for i in range(N))
@@ -1163,7 +1150,7 @@ def _saturate_padic(spec, images, N):
         stack, divisors = lane.result()
         if divisors[-1] < P:
             return MatrixModule(spec, N, None, divisors,
-                                _exact_certificate("saturation"), stack)
+                                {"method": "saturation"}, stack)
         if P >= PRECISION:
             raise CapExceeded(
                 f"p-adic saturation reached the working precision "
@@ -1182,7 +1169,7 @@ def _saturate_generic(spec, images, N, module):
     images added to the alphabet's, and the letters of its P are tested
     again.  Each rebuild strictly enlarges M inside R (x) A, above the
     t^(P-1) * (R (x) A) that the first M holds, so this ends.  No word
-    is sampled, and the certificate is exact (_exact_certificate).
+    is sampled, and the order is exact.
 
     Why M is the order, once every letter passes.  The stopping rule of
     the lane gives t^(P-1) * (R (x) A) <= M.
@@ -1228,7 +1215,7 @@ def _saturate_generic(spec, images, N, module):
         if not failing:
             basis, divisors = lane.result()
             return MatrixModule(spec, N, basis, divisors,
-                                _exact_certificate("saturation"))
+                                {"method": "saturation"})
         images = images + failing
 
 
@@ -1236,35 +1223,27 @@ def compute_order(module: SchurModule, spec: FieldSpec) -> MatrixModule:
     """R-span of the integral representation image, by saturation.
 
     Seeds with the images of transpositions, transvections, unit
-    diagonals (from unit_sample_set at level 1), and uniformizer
-    diagonals, and closes the span under products.  Over Q_p that closure
+    diagonals (from unit_sample_set), and uniformizer diagonals, and
+    closes the span under products.  Over Q_p that closure
     is the order, and no random word is drawn (_saturate_padic);
     CapExceeded is raised when its top elementary divisor reaches
     PRECISION, the cap on the rising working precision.  Over F_q(t) the
     closure runs in the truncated lane (_TruncatedLane), with its cap
     MAX_LANE_COORDS, together with the finite set of unit diagonals that
     make it the order (_saturate_generic); no random word is drawn there
-    either.  Both certificates are exact.
+    either.  Both orders are exact, and the certificate names only the
+    method: "residue-full" or "saturation".
 
-    The order does not depend on a level, so none is taken.  Let A_L be
-    the alphabet whose unit diagonals come from unit_sample_set(spec, L),
-    L >= 1.
-    - A_L holds A_1, since unit_sample_set(spec, L) holds
-      unit_sample_set(spec, 1).
-    - A_L lies in GL_n(R) together with the uniformizer diagonals.
-    - Each engine's docstring proves that its closure is the order, the
-      span of the words in GL_n(R) and the uniformizer diagonals, for
-      any alphabet with these two properties (the unit diagonals that
-      _saturate_generic adds lie in GL_n(R)).
-    So every level gives the same order, and A_1 is the one closed.
+    The alphabet is fixed: each engine's docstring proves its closure is
+    the order for any alphabet in GL_n(R) and the uniformizer diagonals
+    that holds this one, so no larger alphabet could change it.
 
     The residues of the images close once, in alphabet order
     (_kernels.residue_ring_closure_rank).  When they span M_N(k), the
     order is M_N(R) by Nakayama's lemma.  The same pass keeps the basis
     of the algebra alg(G) of the residues of the group generators, the
     alphabet's first letters, in module.residue_algebras[spec], where
-    building.invariant_subspaces reads it: alg(G) of level 1, by
-    construction.
+    building.invariant_subspaces reads it: alg(G), by construction.
     """
     N = module.N
     if N == 0:
@@ -1281,7 +1260,7 @@ def compute_order(module: SchurModule, spec: FieldSpec) -> MatrixModule:
         prefix=len(alphabet) - module.n)
     module.residue_algebras[spec] = algebra
     if rank == N * N:
-        return _full_end_module(spec, N, _exact_certificate("residue-full"))
+        return _full_end_module(spec, N, {"method": "residue-full"})
     if padic:
         return _saturate_padic(spec, images, N)
     return _saturate_generic(spec, images, N, module)

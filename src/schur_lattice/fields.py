@@ -952,40 +952,21 @@ def _primitive_root_mod_p2(p: int) -> int:
     raise SchurLatticeError("no primitive root found")  # pragma: no cover
 
 
-# Each level adds n unit diagonals to the F_q(t) generator words of the
-# Gaussian check (cli.run_case, cmd_sample); the order reads level 1 only.
-# In-process on a 2-core x86 host (Python 3.11), sample --n 2 --lambda 2
-# --field laurent --q 2 takes about 0.05 s at level 64, and n = 3 about
-# 0.08 s.
-MAX_LEVEL = 64
-
-
-def unit_sample_set(spec: FieldSpec, level: int = 1):
+def unit_sample_set(spec: FieldSpec):
     """The units of the saturation alphabet's diagonals.
 
     For the p-adic backend with p odd this is {g, -1} with g the smallest
     primitive root mod p^2 (so <g> is dense in the units); for p = 2 it is
-    {-1, 3}.  For the equal-characteristic backend it is {c} together with
-    {1 + c*t^j : 1 <= j <= level} where c generates the multiplicative
-    group of F_q (c = 1 when q = 2); a level above MAX_LEVEL raises
-    CapExceeded there.  The p-adic set does not depend on the level.
-    The order reads the level-1 set on both backends, and over F_q(t) it
-    adds the unit diagonals it needs beyond it (dvr.compute_order,
-    dvr._saturate_generic); a higher level only adds Gaussian words.
+    {-1, 3}.  For the equal-characteristic backend it is {c, 1 + c*t}
+    where c generates the multiplicative group of F_q (c = 1 when
+    q = 2); the order adds the unit diagonals it needs beyond these
+    (dvr._saturate_generic).
     """
-    if level < 1:
-        raise SchurLatticeError(f"level must be >= 1, got {level}")
     if isinstance(spec, RationalAtP):
         if spec.p == 2:
             return [Fraction(-1), Fraction(3)]
         return [Fraction(_primitive_root_mod_p2(spec.p)), Fraction(-1)]
-    if level > MAX_LEVEL:
-        raise CapExceeded(
-            f"level {level} exceeds the cap MAX_LEVEL = {MAX_LEVEL} for "
-            f"F_q(t)")
     fq = spec.residue_field
     c = fq.generator()
-    out = [LaurentRational.const(fq, c)]
-    for j in range(1, level + 1):
-        out.append(LaurentRational.make(fq, 0, (1,) + (0,) * (j - 1) + (c,), (1,)))
-    return out
+    return [LaurentRational.const(fq, c),
+            LaurentRational.make(fq, 0, (1, c), (1,))]

@@ -20,6 +20,9 @@ H = M_N(R) off the elementary divisors with no rank, and congruence
 level 0 with no search: the rank of H's residues (``residues``), and
 the BFS that searches every class it finds.
 
+``lattice_member`` is membership in a lattice, by a fresh echelon of
+its basis: only tests ask it.
+
 ``hnf_dvr`` is the canonical echelon basis of a list of vectors with
 its elementary divisors, and ``module_from_matrices`` the module that
 basis spans: the way tests build a ``MatrixModule`` from field matrices.
@@ -39,6 +42,14 @@ from schur_lattice.building import _proper_invariant_subspaces
 from schur_lattice.dvr import (ExactEchelon, _is_lower_triangular,
                                conjugate_residues, mat_vec, unvectorize,
                                vectorize)
+
+
+def lattice_member(L: Lattice, v) -> bool:
+    """True iff the vector v lies in the lattice L."""
+    ech = ExactEchelon(L.spec, L.m)
+    for w in L.vectors:
+        ech.insert(w)
+    return ech.member(v)
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,47 @@ reference of both lanes.  ``word_image`` forms a trial word's image as
 that oracle does, and ``module_add_and_saturate`` closes a module under
 given matrices.  ``int_smith_divisors_exact`` is the Smith pass over
 unreduced integers, the oracle of the p-adic lane's pass modulo p^P.
+
+``unit_sample_set_at_level`` and ``group_generator_matrices_at_level``
+are the larger alphabets the order was once closed over, one per level
+L: over F_q(t), the units 1 + c*t^j for j <= L.  The package closes the
+level-1 alphabet only (``dvr.compute_order`` proves a larger one changes
+nothing); the tests that check this build the others here.
 """
 
 import math
 import random
 
 from schur_lattice.dvr import (ExactEchelon, MatrixModule, _int_val,
+                               _matrix, group_generator_matrices,
                                identity_matrix, is_integral_matrix, mat_mul,
                                smith_divisors, unvectorize, vectorize)
 from schur_lattice.errors import NonIntegralInput
-from schur_lattice.fields import LaurentRational, RationalAtP
+from schur_lattice.fields import LaurentRational, RationalAtP, unit_sample_set
+
+
+def unit_sample_set_at_level(spec, level: int):
+    """The unit set of level L >= 1: over F_q(t), {c} and
+    {1 + c*t^j : 1 <= j <= L}, c the generator of F_q^x (c = 1 when
+    q = 2); over Q_p, unit_sample_set at every level.  Level 1 is
+    unit_sample_set."""
+    if isinstance(spec, RationalAtP):
+        return unit_sample_set(spec)
+    fq = spec.residue_field
+    c = fq.generator()
+    return [LaurentRational.const(fq, c)] + [
+        LaurentRational.make(fq, 0, (1,) + (0,) * (j - 1) + (c,), (1,))
+        for j in range(1, level + 1)]
+
+
+def group_generator_matrices_at_level(spec, n: int, level: int):
+    """group_generator_matrices with the unit diagonals of level L, in the
+    order the level-L alphabet listed them: those of unit_sample_set
+    first, then diag_pos(1 + c*t^j) for 2 <= j <= L."""
+    extra = unit_sample_set_at_level(spec, level)[
+        len(unit_sample_set(spec)):]
+    return group_generator_matrices(spec, n) + [
+        _matrix(spec, n, {(pos, pos): u}) for u in extra for pos in range(n)]
 
 
 def random_unit(spec, rng: random.Random):

@@ -355,7 +355,7 @@ def test_criterion_08_conjecture_scan_clean():
     cases = sweep_cases(3, (2, 3), (2, 3))
     assert len(cases) == 22
     for case in cases:
-        report = run_case(dict(case, seed=0, trials=32))
+        report = run_case(dict(case, seed=0))
         if report["N"] == 0:
             continue
         order = report["order"]
@@ -381,7 +381,7 @@ def test_criterion_09_gaussian_invariance_and_uniformity():
         gauss = LatticeGaussian(spec, standard_lattice(spec, module.N),
                                 precision=2, seed=0)
         gens = [rho(module, g, spec)
-                for g in group_generator_matrices(spec, n, 1)]
+                for g in group_generator_matrices(spec, n)]
         report = invariance_report(gauss, order, gens, trials=2,
                                    sample_count=10_000)
         assert report["exact_invariant"] is True, f"case {key}"

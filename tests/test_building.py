@@ -15,7 +15,7 @@ from schur_lattice import (GF, INF, Lattice, LatticeClass, NegativeCycle,
                            congruence_level, convexity_check,
                            detect_graduated, diagonal_lattice, dimension,
                            entry_profile, fix_bfs, fix_polytrope, full_rank,
-                           group_generator_matrices, invariant_subspaces,
+                           invariant_subspaces,
                            is_invariant, membership, min_plus_closure,
                            partitions_of, rho,
                            smith_divisors, spans_end_residue,
@@ -28,6 +28,7 @@ from schur_lattice.partitions import is_core
 from gf_oracle import subspaces_by_rounds
 from lattice_oracle import (bfs_searched_keys, class_distance,
                             module_from_matrices, spans_by_rank)
+from saturation_oracle import group_generator_matrices_at_level
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -302,9 +303,10 @@ def _small_residue_cases():
 
 
 def _generator_algebra(module, spec, level=1):
-    """The algebra of the residues of the group generators of a level."""
-    images = generator_images(
-        module, spec, group_generator_matrices(spec, module.n, level))
+    """The algebra of the residues of the group generators of a level
+    (saturation_oracle.group_generator_matrices_at_level)."""
+    gens = group_generator_matrices_at_level(spec, module.n, level)
+    images = generator_images(module, spec, gens)
     return residue_algebra_basis(spec.residue_field,
                                  reduce_images(spec, images), module.N)
 
@@ -354,10 +356,9 @@ def test_residue_generator_rep_reads_the_algebra_the_order_kept(
     """invariant_subspaces closes the group generators' residues itself
     only before any order.  After compute_order it reads the algebra the
     order's closure kept, closes nothing, and finds the same subspaces.
-    The kept algebra is that of the residues of the level-1 group
-    generators, and so of the Gaussian words at level 1 or 2: over
-    F_q(t) level 2 adds the units 1 + c*t^2, whose diagonals reduce
-    to I."""
+    The kept algebra is that of the residues of the group generators,
+    and so of the larger alphabet of level 2: over F_q(t) it adds the
+    units 1 + c*t^2, whose diagonals reduce to I."""
     from schur_lattice import _kernels
 
     closures = []

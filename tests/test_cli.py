@@ -102,7 +102,7 @@ def test_fix_report_frozen(capsys):
 def test_fix_laurent_inf_serialization(capsys):
     code, out, _ = run_main(
         capsys, ["fix", "--n", "2", "--lambda", "2", "--field", "laurent",
-                 "--q", "2", "--trials", "8"])
+                 "--q", "2"])
     assert code == 0
     report = json.loads(out)
     assert report["order"]["full_rank"] is False
@@ -200,6 +200,36 @@ def test_run_case_runs_the_gaussian_stage_after_the_order_alone(case, parts):
     assert json.dumps(report["order"]) == json.dumps(alone["order"])
     full = run_case({**case, "gaussian": True})
     assert json.dumps(report["gaussian"]) == json.dumps(full["gaussian"])
+
+
+def test_run_case_and_sample_share_the_gaussian_stage(capsys):
+    """run_case and sample report the invariance of the standard lattice's
+    Gaussian under the order, with words in the images of the group
+    generators, at their own precision and sample count."""
+    from schur_lattice import (LatticeGaussian, RationalFunctionOverFq,
+                               SchurModule, compute_order,
+                               invariance_report, standard_lattice)
+    from schur_lattice.dvr import generator_images, group_generator_matrices
+
+    spec, module = RationalFunctionOverFq(2), SchurModule(2, (2,))
+    H = compute_order(module, spec)
+    gens = generator_images(module, spec, group_generator_matrices(spec, 2))
+
+    def want(precision, samples):
+        gauss = LatticeGaussian(spec, standard_lattice(spec, module.N),
+                                precision=precision, seed=0)
+        return json.loads(json.dumps(invariance_report(
+            gauss, H, gens, trials=2, sample_count=samples)))
+
+    case = {"n": 2, "lambda": [2], "field": "laurent", "q": 2,
+            "gaussian_samples": 300}
+    report = run_case(case, parts=("order", "gaussian"))
+    assert json.loads(json.dumps(report["gaussian"])) == want(2, 300)
+    code, out, _ = run_main(
+        capsys, ["sample", "--n", "2", "--lambda", "2", "--field", "laurent",
+                 "--q", "2", "--precision", "3", "--count", "300"])
+    assert code == 0
+    assert json.loads(out)["gaussian"] == want(3, 300)
 
 
 @pytest.mark.parametrize("lam, p, want", [
@@ -505,8 +535,8 @@ def test_scan_workers_print_progress(capfd, scan_config, monkeypatch, method):
     ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--count", "0"],
     ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--count", "-1"],
     ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--precision", "0"],
-    ["order", "--n", "2", "--lambda", "2", "--p", "2", "--trials", "-3"],
-    ["order", "--n", "2", "--lambda", "2", "--p", "2", "--level", "0"],
+    ["order", "--n", "2", "--lambda", "2", "--p", "2", "--trials", "1"],
+    ["order", "--n", "2", "--lambda", "2", "--p", "2", "--level", "1"],
     ["order", "--n", "2", "--lambda", "2", "--p", "2", "--cap-N", "0"],
     ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--cap-N", "0"],
     ["rho", "--n", "2", "--lambda", "2", "--p", "2", "--matrix", "1,0;0,1",
@@ -516,12 +546,19 @@ def test_scan_workers_print_progress(capfd, scan_config, monkeypatch, method):
     ["fix", "--n", "2", "--lambda", "2", "--p", "2", "--radius", "-1"],
     ["scan", "config.json", "--workers", "0"],
     ["scan", "config.json", "--workers", "-2"],
+    ["fix", "--n", "2", "--lambda", "2", "--p", "2", "--trials", "1"],
+    ["fix", "--n", "2", "--lambda", "2", "--p", "2", "--level", "1"],
+    ["irreducible", "--n", "2", "--lambda", "2", "--p", "2", "--trials", "1"],
+    ["irreducible", "--n", "2", "--lambda", "2", "--p", "2", "--level", "1"],
+    ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--trials", "1"],
+    ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--level", "1"],
 ])
 def test_out_of_range_flag_exits_2_before_computing(capsys, monkeypatch,
                                                     argv):
     """An integer flag below its minimum (the scan schema's, for the keys
     the schema has), or not an integer, stops argument parsing with
-    exit 2, before any computation."""
+    exit 2, before any computation.  So do the removed --level and
+    --trials, on each case subcommand."""
     from schur_lattice import cli
 
     def no_computation(*args, **kwargs):
@@ -564,28 +601,6 @@ def run_cli(argv):
     """The command line in a child interpreter, stopped after 20 s."""
     return subprocess.run([sys.executable, "-m", "schur_lattice.cli", *argv],
                           capture_output=True, text=True, timeout=20)
-
-
-def test_padic_order_million_trials_answers():
-    """Over Q_p no trial word is drawn, so a million trials cost nothing
-    and all of them count as passed."""
-    out = run_cli(["order", "--n", "2", "--lambda", "4", "--p", "2",
-                   "--trials", "1000000"])
-    assert out.returncode == 0
-    cert = json.loads(out.stdout)["order"]["certificate"]
-    assert cert["trials_passed"] == 1000000 and cert["restarts"] == 0
-
-
-def test_laurent_order_million_trials_answers():
-    """Over F_q(t) no trial word is drawn either, so a million trials cost
-    nothing, and the certificate is exact."""
-    out = run_cli(["order", "--n", "2", "--lambda", "3", "--field",
-                   "laurent", "--q", "2", "--trials", "1000000"])
-    assert out.returncode == 0
-    cert = json.loads(out.stdout)["order"]["certificate"]
-    assert cert == {"level": 1, "trials": 1000000, "trials_passed": 1000000,
-                    "restarts": 0, "exact": True, "label": "exact",
-                    "method": "saturation"}
 
 
 def test_padic_order_smith_pass_is_bounded():
@@ -739,59 +754,54 @@ def test_rho_prime_below_factoring_cap_answers(capsys):
     assert json.loads(out)["rho"] == [["1", "1"], ["0", "1"]]
 
 
-def test_laurent_level_over_cap_exits_3(capsys):
-    """The level picks only the Gaussian check's words, and over F_q(t)
-    MAX_LEVEL caps them: sample stops with exit 3 before the order."""
-    code, out, err = run_main(
-        capsys, ["sample", "--n", "2", "--lambda", "2", "--field", "laurent",
-                 "--q", "2", "--level", "100000"])
-    assert code == 3 and out == ""
-    assert "level 100000 exceeds the cap MAX_LEVEL = 64" in err
-    assert "computing order" not in err
+def test_padic_order_ignores_level():
+    """The order is a function of the case alone, on both backends: a
+    case's `level` and `trials` keys, which a scan config still accepts,
+    leave its report as it is, at levels that once lengthened the
+    Gaussian words or stopped at a cap (above 64 on F_q(t))."""
+    laurent = {"field": "laurent", "q": 2}
+    for case in ({"n": 2, "lambda": [2], "field": "padic", "p": 3},
+                 {"n": 2, "lambda": [4], **laurent},
+                 {"n": 3, "lambda": [2], **laurent}):
+        plain = run_case(case, parts=("order", "gaussian"))
+        for level in (1, 2, 64, 100000):
+            assert run_case({**case, "level": level, "trials": level},
+                            parts=("order", "gaussian")) == plain, case
 
 
-def test_level_guards_stop_before_the_order(capsys, tmp_path, monkeypatch):
-    """Without the Gaussian stage a Laurent case answers above MAX_LEVEL.
-    A level below 1 is refused, and a Gaussian scan case above the cap
-    gets a CapExceeded error row, both before any order is computed."""
-    from schur_lattice import SchurLatticeError, cli
+def test_scan_reports_ignore_level_and_trials(capsys, tmp_path):
+    """A scan config whose defaults carry the ignored `trials` and `level`
+    keys prints the bytes of the same config without them, a Gaussian
+    F_q(t) case included (its words once grew with the level)."""
+    cases = [{"n": 2, "lambda": [2], "field": "padic", "p": 2},
+             {"n": 2, "lambda": [2], "field": "laurent", "q": 2,
+              "gaussian": True, "gaussian_samples": 200}]
+    outs = []
+    for defaults in ({"seed": 0}, {"seed": 0, "trials": 32, "level": 3}):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"defaults": defaults, "cases": cases}))
+        code, out, _ = run_main(capsys, ["scan", str(path)])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["cases"][1]["gaussian"]["exact_invariant"]
 
-    case = {"n": 2, "lambda": [2], "field": "laurent", "q": 2}
-    report = run_case({**case, "level": 65}, parts=("order",))
-    assert report["order"]["certificate"]["level"] == 65
-    orders = []
-    monkeypatch.setattr(cli, "compute_order", lambda *a: orders.append(a))
-    with pytest.raises(SchurLatticeError, match="level must be >= 1, got 0"):
-        run_case({**case, "level": 0})
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(
-        {"cases": [{**case, "level": 65, "gaussian": True}]}))
-    code, out, _ = run_main(capsys, ["scan", str(path)])
+
+@pytest.mark.parametrize("case, method", [
+    ({"field": "padic", "p": 3}, "residue-full"),
+    ({"field": "padic", "p": 2}, "saturation"),
+    ({"field": "laurent", "q": 3}, "residue-full"),
+    ({"field": "laurent", "q": 2}, "saturation"),
+], ids=["Q3", "Q2", "F3t", "F2t"])
+def test_report_certificate_is_the_method(capsys, case, method):
+    """The certificate names how the order was found, and nothing else:
+    a residue-full and a saturation case on each backend."""
+    argv = ["order", "--n", "2", "--lambda", "2"]
+    for key, value in case.items():
+        argv += [f"--{key}", str(value)]
+    code, out, _ = run_main(capsys, argv)
     assert code == 0
-    assert json.loads(out)["table"][0]["error"] == "CapExceeded"
-    assert orders == []
-
-
-def test_padic_order_ignores_level(capsys):
-    """The order is a function of the case alone, on both backends: at
-    every level, over MAX_LEVEL on F_q(t) too, the order section is that
-    of level 1 but for the level its certificate echoes."""
-    laurent = ["--field", "laurent", "--q", "2"]
-    for case, levels in (
-            (["--n", "2", "--lambda", "2", "--p", "3"], ("1", "100000")),
-            (["--n", "2", "--lambda", "4", *laurent],
-             ("1", "2", "64", "100000")),
-            (["--n", "3", "--lambda", "2", *laurent],
-             ("1", "2", "64", "100000"))):
-        reports = []
-        for level in levels:
-            code, out, _ = run_main(capsys,
-                                    ["order", *case, "--level", level])
-            assert code == 0, case
-            report = json.loads(out)["order"]
-            assert report["certificate"].pop("level") == int(level)
-            reports.append(report)
-        assert all(r == reports[0] for r in reports[1:]), case
+    assert json.loads(out)["order"]["certificate"] == {"method": method}
 
 
 def test_order_former_exit4_case_answers(capsys):

@@ -11,10 +11,11 @@ from schur_lattice import (GF, INF, LaurentRational, RationalAtP,
                            RationalFunctionOverFq, SchurLatticeError,
                            field_from_descriptor, unit_sample_set)
 from schur_lattice.errors import CapExceeded, NegativeValuation
-from schur_lattice.fields import (MAX_LEVEL, MAX_NONPRIME_Q,
-                                  MAX_TABLE_ENTRIES, _prime_factors, _prime_power,
+from schur_lattice.fields import (MAX_NONPRIME_Q, MAX_TABLE_ENTRIES,
+                                  _prime_factors, _prime_power,
                                   _primitive_root_mod_p2, laurent_parse,
                                   laurent_to_str)
+from saturation_oracle import unit_sample_set_at_level
 
 
 # ---------------------------------------------------------------------------
@@ -270,35 +271,28 @@ def test_field_descriptor_roundtrip():
 
 def test_unit_sample_set_padic():
     spec = RationalAtP(5)
-    units = unit_sample_set(spec, level=1)
+    units = unit_sample_set(spec)
     assert Fraction(-1) in units
     for u in units:
         assert spec.val(u) == 0
     # p = 2 has only the units -1 and 3 at our sample size
-    units2 = unit_sample_set(RationalAtP(2), level=1)
+    units2 = unit_sample_set(RationalAtP(2))
     assert set(units2) == {Fraction(-1), Fraction(3)}
 
 
 def test_unit_sample_set_laurent():
+    """Over F_q(t) the set is {c, 1 + c*t}, the level-1 set of the
+    oracle; a higher level adds 1 + c*t^j for each j up to it."""
     spec = RationalFunctionOverFq(2)
-    units = unit_sample_set(spec, level=2)
-    assert len(units) >= 2
+    units = unit_sample_set(spec)
+    assert units == [laurent(spec, "1"), laurent(spec, "1 + t")]
     for u in units:
         assert spec.val(u) == 0
-    # contains 1 + c*t^j samples up to the level
-    assert laurent(spec, "1 + t") in units
-    assert laurent(spec, "1 + t^2") in units
-
-
-def test_unit_sample_set_level_cap():
-    """Over F_q(t) each level adds a unit, so the level is capped; the
-    p-adic set does not depend on the level."""
-    spec = RationalFunctionOverFq(2)
-    assert len(unit_sample_set(spec, MAX_LEVEL)) == MAX_LEVEL + 1
-    with pytest.raises(CapExceeded, match=f"level {MAX_LEVEL + 1} exceeds"):
-        unit_sample_set(spec, MAX_LEVEL + 1)
-    assert unit_sample_set(RationalAtP(3), 10 ** 6) == \
-        unit_sample_set(RationalAtP(3), 1)
+    assert unit_sample_set_at_level(spec, 1) == units
+    assert unit_sample_set_at_level(spec, 2) == units + [
+        laurent(spec, "1 + t^2")]
+    assert unit_sample_set_at_level(RationalAtP(3), 5) == \
+        unit_sample_set(RationalAtP(3))
 
 
 # ---------------------------------------------------------------------------
