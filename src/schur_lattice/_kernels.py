@@ -18,10 +18,11 @@ units whose orbits they spin.
 The residue algebra of a case closes once: the pass that decides
 whether the order's alphabet spans M_N(F_q) (``residue_ring_closure_rank``)
 also keeps, as one array reference, the basis of the algebra of its
-first letters, the group generators (``_algebra_closure``).  The
-irreducibility stage reads that basis (``building.invariant_subspaces``),
-and an algebra basis of N*N rows is read as Burnside's answer with no
-further elimination.
+first letters, the group generators (``_algebra_closure``).
+``dvr.compute_order`` keeps that basis on the order it returns
+(``MatrixModule.group_algebra``), where the irreducibility stage reads it
+(``building.invariant_subspaces``), and an algebra basis of N*N rows is
+read as Burnside's answer with no further elimination.
 
 A line's spin closure is constant on the orbits of the units of the
 algebra it is spun under, so ``line_spin_profile`` spins one line per

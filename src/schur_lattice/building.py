@@ -22,10 +22,9 @@ from . import _kernels
 # membership is no longer called here, but pipeline_bench's tracer test
 # reads it as building.membership
 from .dvr import (Lattice, LatticeClass, MatrixModule, congruence_level,
-                  conjugate_residues, full_rank, generator_images,
-                  group_generator_matrices, is_full_end,
-                  lattice_sum_and_meet, mat_vec, membership, reduce_images,
-                  smith_divisors, standard_lattice)
+                  conjugate_residues, full_rank, is_full_end,
+                  lattice_sum_and_meet, mat_vec, membership, smith_divisors,
+                  standard_lattice)
 from .errors import (CapExceeded, InternalInvariantViolation, NegativeCycle,
                      NotFullRank, SchurLatticeError)
 from .fields import GF, INF, FieldSpec
@@ -197,8 +196,7 @@ def fix_polytrope(M, spec: FieldSpec | None = None, unbounded_radius: int = 2,
 # invariant subspaces over the residue field
 # ---------------------------------------------------------------------------
 
-def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int,
-                                reduced: bool = False):
+def _proper_invariant_subspaces(fq: GF, mats, N: int, reduced: bool = False):
     """All proper nonzero subspaces of k^N invariant under every matrix.
 
     Precondition: the matrices span a unital algebra A.  The residues
@@ -211,8 +209,8 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int,
     RREF basis from residue_algebra_basis), and none is run.  N*N
     elements mean A is the full matrix algebra, and there are no such
     subspaces (Burnside).  Otherwise every invariant subspace is the sum
-    of the closures of its lines under the basis; the cap guards the q^N
-    line enumeration.
+    of the closures of its lines under the basis; DEFAULT_SUBSPACE_CAP
+    guards the q^N line enumeration.
 
     The sums are formed in one pass over the distinct closures C_1, C_2,
     ...: C_j is kept, and so is W + C_j for every W kept before C_j,
@@ -228,7 +226,7 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int,
         basis, _ = _kernels.gf_rref(fq, basis)
     if len(basis) == N * N:
         return []
-    q = fq.q
+    q, cap = fq.q, DEFAULT_SUBSPACE_CAP
     if q ** N > cap:
         raise CapExceeded(f"residue subspace search: {q}^{N} exceeds {cap}")
     dims, sigs = _kernels.line_spin_profile(fq, basis.reshape(-1, N, N), N)
@@ -254,8 +252,7 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, cap: int,
                   key=lambda r: (r.shape[0], r.reshape(-1).tolist()))
 
 
-def invariant_subspaces(module: SchurModule, spec: FieldSpec,
-                        cap: int = DEFAULT_SUBSPACE_CAP):
+def invariant_subspaces(H: MatrixModule):
     """Proper nonzero subspaces of k^N invariant under the residue action
     of GL(n, R) on S_lambda(V), as canonical row-echelon bases sorted by
     (dimension, rows).
@@ -276,19 +273,12 @@ def invariant_subspaces(module: SchurModule, spec: FieldSpec,
     unit there, so both sets generate the same F_q-algebra, and the
     invariant subspaces of a set are those of its algebra.
 
-    compute_order keeps alg(G) for the spec in module.residue_algebras.
-    Before any order, the residues of the generators are closed
-    here (_kernels.residue_algebra_basis).
-    Either way the RREF basis is read as it is.
+    H is the order from compute_order, which keeps the RREF basis of
+    alg(G) from its residue closure as H.group_algebra; it is read as it
+    is.
     """
-    fq, N = spec.residue_field, module.N
-    algebra = module.residue_algebras.get(spec)
-    if algebra is None:
-        images = generator_images(
-            module, spec, group_generator_matrices(spec, module.n))
-        algebra = _kernels.residue_algebra_basis(
-            fq, reduce_images(spec, images), N)
-    return _proper_invariant_subspaces(fq, algebra, N, cap, reduced=True)
+    return _proper_invariant_subspaces(H.spec.residue_field, H.group_algebra,
+                                       H.N, reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +291,7 @@ def is_invariant(H: MatrixModule, L: Lattice) -> bool:
     return conjugate_residues(L, H.matrices) is not None
 
 
-def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
-            subspace_cap: int = DEFAULT_SUBSPACE_CAP) -> FixSet:
+def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec) -> FixSet:
     """Exhaustive BFS over H-fixed lattice classes from the standard one;
     H must be an order (see ``_proper_invariant_subspaces``).
 
@@ -348,7 +337,7 @@ def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec,
         cls, mats = queue.popleft()
         L = cls.rep
         B = L.basis_matrix()
-        for rows in _proper_invariant_subspaces(fq, mats, N, subspace_cap):
+        for rows in _proper_invariant_subspaces(fq, mats, N):
             vectors = [tuple(pi * x for x in v) for v in L.vectors]
             for w in rows:
                 lifted = tuple(spec.lift(int(c)) for c in w)

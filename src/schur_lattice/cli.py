@@ -28,7 +28,6 @@ from .building import (FixSet, case_label, convexity_check,
                        fix_polytrope, invariant_subspaces, is_invariant,
                        min_plus_closure, spans_end_residue)
 from .dvr import (MatrixModule, compute_order, congruence_level, full_rank,
-                  generator_images, group_generator_matrices,
                   standard_lattice)
 from .errors import (CapExceeded, InternalInvariantViolation, NotFullRank,
                      SchurLatticeError)
@@ -45,7 +44,6 @@ DEFAULTS = {
     "seed": 0,
     "method": "both",
     "cap_N": 40,
-    "subspace_cap": 2 ** 16,
     "gaussian": False,
     "gaussian_samples": 10_000,
     "radius": 5,
@@ -183,23 +181,29 @@ def _check_cap_N(module: SchurModule, cap_N: int):
             f"N = {module.N} exceeds the configured cap {cap_N}")
 
 
+def _staged(module: SchurModule, spec: FieldSpec, stage: str, fn, *args,
+            errors=(CapExceeded,)):
+    """fn(*args), with the case and the stage in the messages of
+    `errors`."""
+    try:
+        return fn(*args)
+    except errors as exc:
+        raise type(exc)(
+            f"{case_label(module, spec)}: stage {stage}: {exc}") from exc
+
+
 def _order(module: SchurModule, spec: FieldSpec) -> MatrixModule:
     """compute_order, with the case and the stage in its errors."""
-    try:
-        return compute_order(module, spec)
-    except (CapExceeded, InternalInvariantViolation) as exc:
-        raise type(exc)(
-            f"{case_label(module, spec)}: stage order: {exc}") from exc
+    return _staged(module, spec, "order", compute_order, module, spec,
+                   errors=(CapExceeded, InternalInvariantViolation))
 
 
-def _gaussian_report(module: SchurModule, spec: FieldSpec, H: MatrixModule,
-                     gauss: LatticeGaussian, sample_count: int) -> dict:
+def _gaussian_report(H: MatrixModule, gauss: LatticeGaussian,
+                     sample_count: int) -> dict:
     """The Gaussian stage of run_case and sample: the invariance report
     of `gauss` under the order H, its random words drawn from the images
-    of the group generators."""
-    gens = generator_images(module, spec,
-                            group_generator_matrices(spec, module.n))
-    return invariance_report(gauss, H, gens, trials=2,
+    of the group generators that the order kept."""
+    return invariance_report(gauss, H, H.group_images, trials=2,
                              sample_count=sample_count)
 
 
@@ -269,8 +273,9 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
                 poly_set = fix_polytrope(M, spec,
                                          unbounded_radius=cfg["radius"])
             if method in ("bfs", "both"):
-                bfs_set = fix_bfs(H, module, spec,
-                                  subspace_cap=cfg["subspace_cap"])
+                # fix_bfs names the case in its invariant errors itself
+                bfs_set = _staged(module, spec, "bfs", fix_bfs, H, module,
+                                  spec)
         else:
             closed = min_plus_closure(profile)
             if method in ("polytrope", "both"):
@@ -313,7 +318,7 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         _progress(f"residue irreducibility for {label}")
         t0 = time.perf_counter()
         spans = spans_end_residue(H)
-        subs = invariant_subspaces(module, spec, cap=cfg["subspace_cap"])
+        subs = _staged(module, spec, "irreducible", invariant_subspaces, H)
         agree = spans == (len(subs) == 0)
         if not agree:
             raise InternalInvariantViolation(
@@ -331,7 +336,7 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         t0 = time.perf_counter()
         gauss = LatticeGaussian(spec, standard_lattice(spec, module.N),
                                 precision=2, seed=seed)
-        report["gaussian"] = _gaussian_report(module, spec, H, gauss,
+        report["gaussian"] = _gaussian_report(H, gauss,
                                               cfg["gaussian_samples"])
         clock["gaussian_s"] = time.perf_counter() - t0
 
@@ -432,8 +437,7 @@ def cmd_sample(args) -> int:
     _check_entries(module.N, args.count)
     _check_entries(min(args.count, 5), module.N, gauss.precision)
     _progress(f"computing order for {case_label(module, spec)}")
-    rep = _gaussian_report(module, spec, _order(module, spec), gauss,
-                           args.count)
+    rep = _gaussian_report(_order(module, spec), gauss, args.count)
     first = sample(gauss, min(args.count, 5))
     report = {
         "case": _case_descriptor(args.n, lam, spec),

@@ -531,6 +531,12 @@ class MatrixModule:
     of field matrices) holds `basis` only, and `stack` is None.  The
     residue readers go through `matrices` and `valuation_profile`, which
     read the stack when there is one.
+
+    An order from compute_order also keeps what its closure formed on the
+    way: `group_images`, the images of the group generators (the
+    alphabet's first letters), and `group_algebra`, the RREF basis of
+    alg(G), the F_q-algebra of their residues.  The Gaussian check and
+    the irreducible stage read them.  Any other module leaves them None.
     """
 
     def __init__(self, spec: FieldSpec, N: int, basis, divisors,
@@ -538,6 +544,7 @@ class MatrixModule:
         self.spec, self.N, self.divisors = spec, N, divisors
         self.certificate = {} if certificate is None else certificate
         self.stack = stack
+        self.group_images = self.group_algebra = None
         if basis is not None:
             # fills the slot of the cached_property below
             self.__dict__["basis"] = basis
@@ -626,7 +633,8 @@ def _letter_ring(spec: FieldSpec):
 def group_generator_matrices(spec: FieldSpec, n: int):
     """Transpositions, elementary transvections, and the diagonals
     diag(1, ..., u, ..., 1) for u in unit_sample_set: the group letters
-    of the saturation alphabet and the words of the Gaussian check.
+    of the saturation alphabet, whose images the order keeps for the
+    irreducible stage and the Gaussian check (compute_order).
     Tuples of ints over Q_p and of field elements over F_q(t)
     (_letter_ring)."""
     ring, scalar = _letter_ring(spec)
@@ -662,9 +670,8 @@ def generator_images(module: SchurModule, spec: FieldSpec, gens):
     """rho of each matrix of gens, as the pipeline uses them.  Over Q_p
     group_generator_matrices and saturation_alphabet write integer
     matrices with int entries (_letter_ring), handed to rho over Z as
-    they are: integer images, memoized in the module, which the order,
-    the residue representation and the Gaussian words share.  Over
-    F_q(t), the images over the field."""
+    they are: integer images, memoized in the module.  Over F_q(t), the
+    images over the field."""
     if isinstance(spec, RationalAtP):
         return [rho(module, g) for g in gens]
     return [rho(module, g, spec) for g in gens]
@@ -1224,10 +1231,17 @@ def compute_order(module: SchurModule, spec: FieldSpec) -> MatrixModule:
 
     Seeds with the images of transpositions, transvections, unit
     diagonals (from unit_sample_set), and uniformizer diagonals, and
-    closes the span under products.  Over Q_p that closure
-    is the order, and no random word is drawn (_saturate_padic);
-    CapExceeded is raised when its top elementary divisor reaches
-    PRECISION, the cap on the rising working precision.  Over F_q(t) the
+    closes the span under products.  So H is the R-span of
+    rho(M_n(R) meet GL_n(K)), the monoid that GL_n(R) and the uniformizer
+    diagonals generate (Smith normal form), and the classes that `fix`
+    reports are those invariant under GL_n(R) *and* the uniformizer
+    diagonals.  The irreducible stage and the Gaussian check read
+    GL_n(R) alone (group_algebra and group_images below).
+
+    Over Q_p that closure is the order, and no random word is drawn
+    (_saturate_padic); CapExceeded is raised when its top elementary
+    divisor reaches PRECISION, the cap on the rising working precision.
+    Over F_q(t) the
     closure runs in the truncated lane (_TruncatedLane), with its cap
     MAX_LANE_COORDS, together with the finite set of unit diagonals that
     make it the order (_saturate_generic); no random word is drawn there
@@ -1242,8 +1256,9 @@ def compute_order(module: SchurModule, spec: FieldSpec) -> MatrixModule:
     (_kernels.residue_ring_closure_rank).  When they span M_N(k), the
     order is M_N(R) by Nakayama's lemma.  The same pass keeps the basis
     of the algebra alg(G) of the residues of the group generators, the
-    alphabet's first letters, in module.residue_algebras[spec], where
-    building.invariant_subspaces reads it: alg(G), by construction.
+    alphabet's first letters: alg(G), by construction.  The order
+    returned holds it as group_algebra, and those letters' images as
+    group_images, whatever engine formed it.
     """
     N = module.N
     if N == 0:
@@ -1255,12 +1270,14 @@ def compute_order(module: SchurModule, spec: FieldSpec) -> MatrixModule:
     if not padic and not all(is_integral_matrix(spec, im) for im in images):
         raise NonIntegralInput("generator image has an entry with val < 0")
     # the alphabet ends with the n uniformizer diagonals
+    prefix = len(alphabet) - module.n
     rank, algebra = _kernels.residue_ring_closure_rank(
-        spec.residue_field, reduce_images(spec, images), N,
-        prefix=len(alphabet) - module.n)
-    module.residue_algebras[spec] = algebra
+        spec.residue_field, reduce_images(spec, images), N, prefix=prefix)
     if rank == N * N:
-        return _full_end_module(spec, N, {"method": "residue-full"})
-    if padic:
-        return _saturate_padic(spec, images, N)
-    return _saturate_generic(spec, images, N, module)
+        H = _full_end_module(spec, N, {"method": "residue-full"})
+    elif padic:
+        H = _saturate_padic(spec, images, N)
+    else:
+        H = _saturate_generic(spec, images, N, module)
+    H.group_images, H.group_algebra = images[:prefix], algebra
+    return H

@@ -102,45 +102,22 @@ def _fp_poly_mod(a, m, p):
 
 
 def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree e over F_p, by brute force."""
-    def encode(k):
+    """Smallest monic irreducible of degree e over F_p, by brute force:
+    the first f, in the order of its low digits, with no monic divisor of
+    degree 1 to e // 2."""
+    def monic(k, deg):
+        # the monic polynomial of degree deg whose low coefficients are
+        # the base-p digits of k
         digits = []
-        for _ in range(e):
+        for _ in range(deg):
             digits.append(k % p)
             k //= p
         return tuple(digits) + (1,)
 
-    def divides(d, f):
-        # does monic d divide f over F_p?
-        r = list(f)
-        dd = len(d) - 1
-        while len(r) - 1 >= dd and r:
-            if r[-1]:
-                c = r[-1]
-                shift = len(r) - 1 - dd
-                for i, y in enumerate(d):
-                    r[shift + i] = (r[shift + i] - c * y) % p
-            r.pop()
-        return not _fp_poly_trim(r)
-
     for k in range(p ** e):
-        f = encode(k)
-        ok = True
-        for deg in range(1, e // 2 + 1):
-            for j in range(p ** deg, 2 * p ** deg if deg > 0 else 0):
-                # monic candidates of degree `deg`: digits of j below p**deg
-                digits = []
-                jj = j - p ** deg
-                for _ in range(deg):
-                    digits.append(jj % p)
-                    jj //= p
-                d = tuple(digits) + (1,)
-                if divides(d, f):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        f = monic(k, e)
+        if all(_fp_poly_mod(f, monic(j, deg), p)
+               for deg in range(1, e // 2 + 1) for j in range(p ** deg)):
             return f
     raise SchurLatticeError("no irreducible polynomial found")  # pragma: no cover
 

@@ -12,8 +12,7 @@ convention ``rho(g) @ rho(h) == rho(g @ h)`` holds literally.
 
 Straightening coefficients are integers and independent of the scalar
 field, so each ``SchurModule`` caches them, and the images it has formed,
-for its own lifetime (the pipeline builds one module per case), with
-the residue algebra of the group generators that the order closed.  The
+for its own lifetime (the pipeline builds one module per case).  The
 image of an integer matrix is straightened over Z, the Z-form of S_lam(V)
 (Green 1980), and mapped into the field once.
 """
@@ -90,10 +89,6 @@ class SchurModule:
         self._column_index = {cols: i for i, cols in enumerate(self._columns)}
         self._straighten_cache: dict = {}
         self._rho_memo: dict = {}
-        # spec -> RREF basis of the F_q-algebra of the residues of the
-        # group generator images: dvr.compute_order keeps it from its
-        # closure, building.invariant_subspaces reads it
-        self.residue_algebras: dict = {}
 
     # -- straightening ---------------------------------------------------
     def _validate_filling(self, filling):
@@ -123,13 +118,6 @@ class SchurModule:
         stack = [(columns, 1)]
         while stack:
             cols, coeff = stack.pop()
-            cached = cache.get(cols)
-            if cached is not None:
-                for idx, c in cached.items():
-                    out[idx] = out.get(idx, 0) + coeff * c
-                    if out[idx] == 0:
-                        del out[idx]
-                continue
             cols = list(cols)
             sign = 1
             for j, col in enumerate(cols):

@@ -244,7 +244,7 @@ def spans_by_rank(H) -> bool:
     return gf_rank(H.spec.residue_field, rows) == H.N * H.N
 
 
-def bfs_searched_keys(H, spec, cap: int = 2 ** 16):
+def bfs_searched_keys(H, spec):
     """The sorted keys of the H-fixed classes, by a BFS from the standard
     class that conjugates every class it finds and searches the invariant
     subspaces of its residues for neighbours, at any congruence level."""
@@ -257,7 +257,7 @@ def bfs_searched_keys(H, spec, cap: int = 2 ** 16):
         mats = conjugate_residues(L, H.matrices)
         assert mats is not None, f"class {L.key()} is not H-invariant"
         B = L.basis_matrix()
-        for rows in _proper_invariant_subspaces(fq, mats, N, cap):
+        for rows in _proper_invariant_subspaces(fq, mats, N):
             vectors = [tuple(pi * x for x in v) for v in L.vectors]
             vectors += [mat_vec(B, tuple(spec.lift(int(c)) for c in w))
                         for w in rows]

@@ -187,12 +187,12 @@ def test_criterion_05_irreducibility_dichotomy():
         assert is_core(lam, p)
         spans = spans_end_residue(order)
         assert spans is True, f"core case {key} must span"
-        subs = invariant_subspaces(module, spec)
+        subs = invariant_subspaces(order)
         assert subs == [], f"core case {key} must be irreducible"
     module, spec, order = padic_case(2, (2,), 2)
     assert not is_core((2,), 2)
     assert spans_end_residue(order) is False
-    subs = invariant_subspaces(module, spec)
+    subs = invariant_subspaces(order)
     assert len(subs) > 0
 
 

@@ -22,8 +22,9 @@ from schur_lattice import (GF, INF, Lattice, LatticeClass, NegativeCycle,
                            standard_lattice)
 from schur_lattice._kernels import residue_algebra_basis
 from schur_lattice.building import _proper_invariant_subspaces
-from schur_lattice.dvr import (conjugate_residues, generator_images,
-                               reduce_images)
+from schur_lattice.dvr import (_saturate_padic, conjugate_residues,
+                               generator_images, reduce_images,
+                               uniformizer_diagonal_matrices)
 from schur_lattice.partitions import is_core
 from gf_oracle import subspaces_by_rounds
 from lattice_oracle import (bfs_searched_keys, class_distance,
@@ -229,7 +230,7 @@ def test_fix_polytrope_points_satisfy_inequalities():
 def _subspaces_of(fq, gens, N):
     """The subspace search over the algebra of hand-built generators."""
     return _proper_invariant_subspaces(
-        fq, residue_algebra_basis(fq, gens, N), N, 2 ** 16, reduced=True)
+        fq, residue_algebra_basis(fq, gens, N), N, reduced=True)
 
 
 def test_invariant_subspaces_identity_only():
@@ -239,7 +240,7 @@ def test_invariant_subspaces_identity_only():
 
 
 def test_invariant_subspaces_frozen_2adic():
-    subs = invariant_subspaces(SchurModule(2, (2,)), P2)
+    subs = invariant_subspaces(compute_order(SchurModule(2, (2,)), P2))
     dims = sorted(len(s) for s in subs)
     assert dims == [1, 2]
     flat = [tuple(tuple(int(x) for x in row) for row in s) for s in subs]
@@ -248,7 +249,7 @@ def test_invariant_subspaces_frozen_2adic():
 
 
 def test_invariant_subspaces_irreducible_empty():
-    assert invariant_subspaces(SchurModule(2, (2,)), P3) == []
+    assert invariant_subspaces(compute_order(SchurModule(2, (2,)), P3)) == []
 
 
 def _hand_built_generators(module, spec):
@@ -331,7 +332,7 @@ def test_residue_generator_rep_matches_hand_built_oracle():
             (n, lam, spec)
         if spec.residue_size ** N <= 2 ** 12:
             spun += 1
-            got = invariant_subspaces(m, spec)
+            got = invariant_subspaces(compute_order(m, spec))
             want = _subspaces_of(fq, hand, N)
             assert len(got) == len(want), (n, lam, spec)
             assert all(np.array_equal(x, y) for x, y in zip(got, want)), \
@@ -353,12 +354,10 @@ def test_spans_end_residue(order_2adic):
 @pytest.mark.parametrize("level", [1, 2])
 def test_residue_generator_rep_reads_the_algebra_the_order_kept(
         n, lam, spec, level, monkeypatch):
-    """invariant_subspaces closes the group generators' residues itself
-    only before any order.  After compute_order it reads the algebra the
-    order's closure kept, closes nothing, and finds the same subspaces.
-    The kept algebra is that of the residues of the group generators,
-    and so of the larger alphabet of level 2: over F_q(t) it adds the
-    units 1 + c*t^2, whose diagonals reduce to I."""
+    """invariant_subspaces reads the algebra the order's closure kept and
+    closes nothing.  The kept algebra is that of the residues of the
+    group generators, and so of the larger alphabet of level 2: over
+    F_q(t) it adds the units 1 + c*t^2, whose diagonals reduce to I."""
     from schur_lattice import _kernels
 
     closures = []
@@ -368,18 +367,17 @@ def test_residue_generator_rep_reads_the_algebra_the_order_kept(
         closures.append(args)
         return real(*args)
 
-    monkeypatch.setattr(_kernels, "_algebra_closure", counted)
-    before = invariant_subspaces(SchurModule(n, lam), spec)
-    assert len(closures) == 1
     module = SchurModule(n, lam)
-    compute_order(module, spec)
-    del closures[:]
-    after = invariant_subspaces(module, spec)
+    H = compute_order(module, spec)
+    monkeypatch.setattr(_kernels, "_algebra_closure", counted)
+    got = invariant_subspaces(H)
     assert closures == []
-    assert [r.tolist() for r in after] == [r.tolist() for r in before]
-    assert np.array_equal(module.residue_algebras[spec],
-                          _generator_algebra(module, spec))
-    assert np.array_equal(module.residue_algebras[spec],
+    fresh = _generator_algebra(module, spec)
+    assert np.array_equal(H.group_algebra, fresh)
+    want = _proper_invariant_subspaces(spec.residue_field, fresh, module.N,
+                                       reduced=True)
+    assert [r.tolist() for r in got] == [r.tolist() for r in want]
+    assert np.array_equal(H.group_algebra,
                           _generator_algebra(module, spec, level))
 
 
@@ -400,7 +398,7 @@ def test_one_pass_sums_match_the_rounds_oracle(n, lam, spec):
     searched = 0
     for cls in fix_bfs(H, module, spec).classes:
         res = conjugate_residues(cls.rep, H.matrices)
-        got = _proper_invariant_subspaces(fq, res, N, 2 ** 16)
+        got = _proper_invariant_subspaces(fq, res, N)
         want = subspaces_by_rounds(fq, res, N)
         assert [r.tolist() for r in got] == [r.tolist() for r in want]
         searched += bool(want)
@@ -423,7 +421,7 @@ def test_one_pass_sums_find_every_subspace_under_the_scalars(q, N):
     sums of d closures: the one pass finds all of them, each once."""
     fq = GF(q)
     scalars = np.eye(N, dtype=np.int64).reshape(1, N, N)
-    got = _proper_invariant_subspaces(fq, scalars, N, 2 ** 16)
+    got = _proper_invariant_subspaces(fq, scalars, N)
     dims = [len(r) for r in got]
     assert dims == sorted(dims)
     assert len({r.tobytes() for r in got}) == len(got)
@@ -588,6 +586,51 @@ def test_fix_bfs_requires_full_rank(order_laurent):
     m = SchurModule(2, (2,))
     with pytest.raises(NotFullRank):
         fix_bfs(order_laurent, m, F2T)
+
+
+def _even_sum_lattice():
+    """{(a, b, c) : a + b + c even} in the tableau basis 11, 12, 22 of
+    (2,(2)), spanned by the columns (1,0,1), (0,1,1) and (0,0,2)."""
+    return Lattice.from_vectors(P2, fmat([[1, 0, 1], [0, 1, 1], [0, 0, 2]]))
+
+
+def test_fix_answers_for_the_group_and_the_uniformizer_diagonals():
+    """The order closes GL_n(R) and the uniformizer diagonals, so Fix(H)
+    misses a lattice that GL_2(Z_2) alone fixes: rho(diag(2, 1)) =
+    diag(4, 2, 1) sends (1,0,1) to (4,0,1), whose coordinates sum to 5."""
+    module = SchurModule(2, (2,))
+    assert module.basis == (((1, 1),), ((1, 2),), ((2, 2),))
+    H = compute_order(module, P2)
+    L = _even_sum_lattice()
+    assert conjugate_residues(L, H.group_images) is not None
+    diagonals = generator_images(
+        module, P2, uniformizer_diagonal_matrices(P2, 2))
+    assert [conjugate_residues(L, [d]) is not None
+            for d in diagonals] == [False, False]
+    assert LatticeClass(L).key() not in fix_bfs(H, module, P2).keys()
+
+
+@pytest.mark.parametrize("n, lam, p, sizes", [
+    (2, (2,), 2, (2, 4)), (2, (3,), 2, (3, 5)), (3, (2,), 2, (2, 2)),
+    (2, (4,), 3, (4, 6))])
+def test_group_closure_lies_in_the_order_and_fixes_its_classes(n, lam, p, sizes):
+    """H', the closure of the group generators alone (the same p-adic
+    engine on the order's group_images), lies in H, so every H-fixed
+    class is H'-fixed.  On (2,(2),2) the even-sum lattice is H'-fixed
+    only."""
+    spec = RationalAtP(p)
+    module = SchurModule(n, lam)
+    H = compute_order(module, spec)
+    H_group = _saturate_padic(spec, list(H.group_images), module.N)
+    assert full_rank(H_group)
+    assert all(membership(H, X) for X in H_group.basis)
+    fixed = set(fix_bfs(H, module, spec).keys())
+    group_fixed = set(fix_bfs(H_group, module, spec).keys())
+    assert fixed <= group_fixed
+    assert (len(fixed), len(group_fixed)) == sizes
+    if (n, lam, p) == (2, (2,), 2):
+        key = LatticeClass(_even_sum_lattice()).key()
+        assert key in group_fixed and key not in fixed
 
 
 # ---------------------------------------------------------------------------

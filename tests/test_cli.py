@@ -580,6 +580,48 @@ def test_exit_cap_exceeded(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("command, stage", [("fix", "bfs"),
+                                            ("irreducible", "irreducible")])
+def test_subspace_cap_exits_3_naming_the_case_and_stage(capsys, command,
+                                                        stage):
+    """(2,(6),5) has N = 7, and 5^7 lines are over DEFAULT_SUBSPACE_CAP:
+    each stage that searches residue subspaces exits 3 and names the case
+    and itself."""
+    code, out, err = run_main(
+        capsys, [command, "--n", "2", "--lambda", "6", "--p", "5"])
+    assert code == 3
+    assert out == ""
+    assert ("error: cap exceeded: n=2 lambda=6 {'backend': 'p-adic', "
+            f"'p': 5}}: stage {stage}: residue subspace search: 5^7 "
+            "exceeds 65536") in err
+
+
+def test_subspace_cap_is_the_module_constant(capsys, monkeypatch):
+    """The search reads building.DEFAULT_SUBSPACE_CAP when it runs."""
+    from schur_lattice import building
+
+    monkeypatch.setattr(building, "DEFAULT_SUBSPACE_CAP", 4)
+    code, _, err = run_main(
+        capsys, ["irreducible", "--n", "2", "--lambda", "2", "--p", "2"])
+    assert code == 3
+    assert "stage irreducible: residue subspace search: 2^3 exceeds 4" in err
+
+
+@pytest.mark.parametrize("where", ["defaults", "case"])
+def test_scan_config_subspace_cap_exits_2(capsys, tmp_path, where):
+    """subspace_cap is no scan-config key: a config that sets it fails
+    the schema."""
+    case = {"n": 2, "lambda": [2], "field": "padic", "p": 2}
+    cfg = {"defaults": {}, "cases": [case]}
+    (cfg["defaults"] if where == "defaults" else case)["subspace_cap"] = 8
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_main(capsys, ["scan", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "subspace_cap" in err
+
+
 IDENTITY_8 = ";".join(",".join("1" if i == j else "0" for j in range(8))
                       for i in range(8))
 

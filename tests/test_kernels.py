@@ -521,7 +521,7 @@ def test_algebra_generators_match_full_set(q, data):
     dim = len(alg_basis)
     assert dim == residue_ring_closure_rank(fq, mats, N)
     assert dim == len(two_sided_closure_rows(fq, mats, N))
-    got = _proper_invariant_subspaces(fq, alg_basis, N, 2 ** 16)
+    got = _proper_invariant_subspaces(fq, alg_basis, N)
     ref = subspaces_by_rounds(fq, mats, N, profile=_profile_reference)
     assert [r.tolist() for r in got] == [r.tolist() for r in ref]
 
@@ -543,7 +543,7 @@ def test_bfs_residues_span_their_algebra(n, lam, spec):
         res = conjugate_residues(cls.rep, H.basis)
         span = gf_rank(fq, np.reshape(res, (-1, N * N)))
         assert span == residue_ring_closure_rank(fq, res, N)
-        got = _proper_invariant_subspaces(fq, res, N, 2 ** 16)
+        got = _proper_invariant_subspaces(fq, res, N)
         ref = subspaces_by_rounds(fq, res, N, profile=_line_spin_oracle)
         assert [r.tolist() for r in got] == [r.tolist() for r in ref]
 

@@ -1,5 +1,6 @@
 """Tests for the exact valued-field scalars and residue fields."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -61,6 +62,34 @@ def test_gf_tables_match_field_operations(q):
     assert add.tolist() == [[fq.add(a, b) for b in range(q)] for a in range(q)]
     assert mul.tolist() == [[fq.mul(a, b) for b in range(q)] for a in range(q)]
     assert inv.tolist() == [0] + [fq.inv(a) for a in range(1, q)]
+
+
+# GF(q)._modulus for every non-prime q <= 1024, the largest q whose tables
+# are allowed: the smallest monic irreducible of degree e over F_p, its
+# coefficients from the constant term up.
+MODULI = {
+    4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1), 16: (1, 1, 0, 0, 1),
+    25: (2, 0, 1), 27: (1, 2, 0, 1), 32: (1, 0, 1, 0, 0, 1), 49: (1, 0, 1),
+    64: (1, 1, 0, 0, 0, 0, 1), 81: (2, 1, 0, 0, 1), 121: (1, 0, 1),
+    125: (1, 1, 0, 1), 128: (1, 1, 0, 0, 0, 0, 0, 1), 169: (2, 0, 1),
+    243: (1, 2, 0, 0, 0, 1), 256: (1, 1, 0, 1, 1, 0, 0, 0, 1), 289: (3, 0, 1),
+    343: (2, 0, 0, 1), 361: (1, 0, 1), 512: (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    529: (1, 0, 1), 625: (2, 0, 0, 0, 1), 729: (2, 1, 0, 0, 0, 0, 1),
+    841: (2, 0, 1), 961: (1, 0, 1), 1024: (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+}
+
+
+def test_gf_moduli_match_the_recorded_table():
+    """The modulus of every non-prime GF(q) with q <= 1024 is the
+    recorded one, so the tables and the F_q(t) reports built on it stay
+    as they are."""
+    got = {}
+    for q in range(4, 1025):
+        p = min(d for d in range(2, q + 1) if q % d == 0)
+        e = round(math.log(q, p))
+        if e > 1 and p ** e == q:
+            got[q] = GF(q)._modulus
+    assert got == MODULI
 
 
 def test_gf_tables_over_cap_raise():
