@@ -97,16 +97,16 @@ def run_suite():
     # P rises, and the membership test of the extra unit diagonals
     spec2, module2 = RationalFunctionOverFq(2), SchurModule(2, (4,))
     letters2 = [rho(module2, a, spec2)
-                for a in dvr.saturation_alphabet(spec2, 2, 1)]
+                for a in dvr.saturation_alphabet(spec2, 2)]
     rows.append(_bench("F_2(t) order (2,(4))",
                        lambda: dvr._saturate_generic(
-                           spec2, letters2, module2.N, 1, 0, module2), 3))
+                           spec2, letters2, module2.N, module2), 3))
 
     # the images of the saturation alphabet over Q_3, as one case forms
     # them: a fresh module each time, so nothing is memoized in advance
     spec3 = RationalAtP(3)
     for n, lam in [(2, (8,)), (3, (4, 2))]:
-        alphabet = dvr.saturation_alphabet(spec3, n, 1)
+        alphabet = dvr.saturation_alphabet(spec3, n)
         rows.append(_bench(
             f"alphabet rho ({n},({','.join(map(str, lam))}),3)",
             lambda n=n, lam=lam, alphabet=alphabet: [
@@ -116,22 +116,24 @@ def run_suite():
                        lambda: rho(SchurModule(2, (12,)), ((1, 2), (3, 5)),
                                    spec3), 3))
 
-    # the first seed-closure round of the (2, (7), 3) order in the p-adic
-    # lane: the products g*b of every image g and every echelon row b the
-    # seeds set, reduced as one batch
+    # the first closure round of the (2, (7), 3) order in the p-adic
+    # echelon: the products g*b of every image g and every echelon row b
+    # the seeds set, reduced as one batch
     module = SchurModule(2, (7,))
-    P = dvr._start_precision(3, module.N)
-    lane = dvr._PadicLane(spec3, module.N, P)
-    images = [rho(module, [[int(x) for x in row] for row in a])
-              for a in dvr.saturation_alphabet(spec3, 2, 1)]
-    letters = lane.enc(images)
-    frontier = lane.insert(lane.enc([np.eye(module.N, dtype=int).tolist()]
-                                    + images))
-    seeded = lane.ech.rows.copy(), list(lane.ech.vals)
+    N, m = module.N, module.N ** 2
+    ech = dvr._IntEchelon(m, 3, dvr._start_precision(3, N), np.int64)
+    images = dvr.generator_images(module, spec3,
+                                  dvr.saturation_alphabet(spec3, 2))
+    letters = np.array(images, dtype=np.int64) % ech.mod
+    cols = ech.reduce(np.concatenate([np.eye(N, dtype=np.int64).reshape(1, m),
+                                      letters.reshape(-1, m)]))
+    frontier = ech.rows[cols].reshape(-1, N, N)
+    seeded = ech.rows.copy(), list(ech.vals)
 
     def closure_round():
-        lane.ech.rows, lane.ech.vals = seeded[0].copy(), list(seeded[1])
-        lane.round(letters, frontier)
+        ech.rows, ech.vals = seeded[0].copy(), list(seeded[1])
+        prods = np.matmul(letters, frontier[:, None]) % ech.mod
+        ech.reduce(prods.reshape(-1, m))
 
     label = f"closure round (2,(7),3) {len(frontier)}x{len(letters)}"
     rows.append(_bench(label, closure_round, 5))

@@ -145,8 +145,8 @@ def diagonal_lattice(spec: FieldSpec, u) -> Lattice:
     return Lattice.from_vectors(spec, vectors)
 
 
-def fix_polytrope(M, spec: FieldSpec | None = None, unbounded_radius: int = 2,
-                  enumeration_cap: int = DEFAULT_ENUM_CAP) -> FixSet:
+def fix_polytrope(M, spec: FieldSpec | None = None,
+                  unbounded_radius: int = 2) -> FixSet:
     """Integer points of {u : u_i - u_j <= m_ij}, normalized to min 0.
 
     Requires a closed exponent matrix.  The diagonal lattice of each
@@ -154,7 +154,8 @@ def fix_polytrope(M, spec: FieldSpec | None = None, unbounded_radius: int = 2,
     the polytrope is unbounded (some entry of the closed matrix is
     infinite, leaving a difference unconstrained in one direction),
     enumeration is capped at ``unbounded_radius`` and the boundedness
-    flag is False.
+    flag is False.  CapExceeded is raised when the (radius + 1)^N points
+    of the box pass DEFAULT_ENUM_CAP, read when the enumeration runs.
     """
     N = len(M)
     bounded = _polytrope_bounded(M)
@@ -164,9 +165,10 @@ def fix_polytrope(M, spec: FieldSpec | None = None, unbounded_radius: int = 2,
         radius = max(finite) if finite else 0
     else:
         radius = unbounded_radius
-    if (radius + 1) ** N > enumeration_cap:
+    if (radius + 1) ** N > DEFAULT_ENUM_CAP:
         raise CapExceeded(
-            f"polytrope enumeration ({radius + 1}^{N}) exceeds the cap")
+            f"polytrope enumeration ({radius + 1}^{N}) exceeds the cap "
+            f"DEFAULT_ENUM_CAP = {DEFAULT_ENUM_CAP}")
     points = []
     for u in itertools.product(range(radius + 1), repeat=N):
         if min(u) != 0:

@@ -182,11 +182,11 @@ def _check_cap_N(module: SchurModule, cap_N: int):
 
 
 def _staged(module: SchurModule, spec: FieldSpec, stage: str, fn, *args,
-            errors=(CapExceeded,)):
-    """fn(*args), with the case and the stage in the messages of
-    `errors`."""
+            errors=(CapExceeded,), **kwargs):
+    """fn(*args, **kwargs), with the case and the stage in the messages
+    of `errors`."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except errors as exc:
         raise type(exc)(
             f"{case_label(module, spec)}: stage {stage}: {exc}") from exc
@@ -270,8 +270,8 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
             if M is not None:
                 order_summary["graduated"] = _ser_exponent(M)
             if method in ("polytrope", "both") and M is not None:
-                poly_set = fix_polytrope(M, spec,
-                                         unbounded_radius=cfg["radius"])
+                poly_set = _staged(module, spec, "polytrope", fix_polytrope,
+                                   M, spec, unbounded_radius=cfg["radius"])
             if method in ("bfs", "both"):
                 # fix_bfs names the case in its invariant errors itself
                 bfs_set = _staged(module, spec, "bfs", fix_bfs, H, module,
@@ -279,8 +279,9 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
         else:
             closed = min_plus_closure(profile)
             if method in ("polytrope", "both"):
-                poly_set = fix_polytrope(closed, spec,
-                                         unbounded_radius=cfg["radius"])
+                poly_set = _staged(module, spec, "polytrope", fix_polytrope,
+                                   closed, spec,
+                                   unbounded_radius=cfg["radius"])
         agreement = None
         if poly_set is not None and bfs_set is not None:
             poly_keys, bfs_keys = set(poly_set.keys()), set(bfs_set.keys())

@@ -425,10 +425,9 @@ def conjugate_residues(L: Lattice, mats):
 
 def _conjugate_padic(spec: RationalAtP, vectors, mats):
     """conjugate_residues over Q_p, for a lower triangular basis: one
-    batched integer forward substitution modulo p^m.  Its int64 arrays
-    hold entries below p^m, and a step sums at most N products of two, so
-    nothing overflows while N * (p^m - 1)^2 < 2^63; past that the arrays
-    hold Python ints (dtype object), as in the p-adic lane.  The unit
+    batched integer forward substitution modulo p^m.  Its arrays hold
+    entries below p^m, and a step sums at most N products of two, so they
+    are int64 or Python ints by _int_dtype(N, p^m).  The unit
     part of B_ii is known modulo p^(m - k_i), and so is its inverse, as
     much of x_i as n_i gives (see conjugate_residues)."""
     p, N = spec.p, len(vectors)
@@ -446,7 +445,7 @@ def _conjugate_padic(spec: RationalAtP, vectors, mats):
         e = max((_int_val(x.denominator, p) for h in mats for row in h
                  for x in row if x.denominator % p == 0), default=0)
     mod = p ** (sum(k) + e + 1)
-    dtype = np.int64 if N * (mod - 1) ** 2 < 2 ** 63 else object
+    dtype = _int_dtype(N, mod)
 
     def enc(x):
         """An int, or a Fraction with a unit denominator, modulo p^m."""
@@ -523,9 +522,9 @@ def _conjugate_exact(spec: FieldSpec, vectors, mats):
 class MatrixModule:
     """R-submodule of N x N matrices, in canonical echelon form.
 
-    An order over Q_p, from _PadicLane or _full_end_module, holds its
-    basis as `stack`, one exact integer (rank, N, N) array: int64 while
-    the lane's N * (p^P - 1)^2 < 2^63, dtype object past it.  `basis`,
+    An order over Q_p, from _saturate_padic or _full_end_module, holds
+    its basis as `stack`, one exact integer (rank, N, N) array of the
+    dtype _int_dtype(N, p^P) gives at the working precision.  `basis`,
     the same matrices as tuples of field elements, is then built on
     first access.  Any other module (over F_q(t), or built from a basis
     of field matrices) holds `basis` only, and `stack` is None.  The
@@ -707,10 +706,17 @@ PRECISION = 128
 BATCH_ENTRIES = 2 ** 20
 
 
+def _int_dtype(k: int, mod: int):
+    """The dtype of integer arrays whose entries lie below `mod` and that
+    sum k products of two of them: int64 while k * (mod - 1)^2 < 2^63,
+    so that nothing overflows, and Python ints (object) past it."""
+    return np.int64 if k * (mod - 1) ** 2 < 2 ** 63 else object
+
+
 def _start_precision(p: int, N: int) -> int:
-    """The largest P <= PRECISION with N * (p^P - 1)^2 < 2^63, or 1."""
+    """The largest P <= PRECISION with _int_dtype(N, p^P) int64, or 1."""
     P = 1
-    while P < PRECISION and N * (p ** (P + 1) - 1) ** 2 < 2 ** 63:
+    while P < PRECISION and _int_dtype(N, p ** (P + 1)) is np.int64:
         P += 1
     return P
 
@@ -800,16 +806,14 @@ def _int_smith_divisors(rows, p: int, P: int):
     row without touching the others, so the row and the column are
     dropped, and the entries left hold the other factors.  Once every
     entry is 0 modulo p^P, the divisors not found are P.  When the
-    top one is below P they are M's own (_PadicLane), and that is all
-    _saturate_padic reads (Domich, Kannan & Trotter 1987, "Hermite normal
+    top one is below P they are M's own, as _saturate_padic proves, and
+    that is all it reads (Domich, Kannan & Trotter 1987, "Hermite normal
     form computation using modulo determinant arithmetic"; Cohen 1993,
-    §2.4).  While (p^P - 1)^2 < 2^63 the entries, which must then fit
-    int64, are held as int64, and no product overflows; past that they
-    are Python ints.
+    §2.4).  A step forms one product of two entries, so they are
+    held in _int_dtype(1, p^P).
     """
     mod = p ** P
-    A = np.array(rows, dtype=np.int64 if (mod - 1) ** 2 < 2 ** 63
-                 else object) % mod
+    A = np.array(rows, dtype=_int_dtype(1, mod)) % mod
     m, divisors = A.shape[1], []
     while A.size:
         g = int(np.gcd.reduce(A, axis=None))
@@ -839,64 +843,6 @@ def _full_end_module(spec: FieldSpec, N: int, certificate) -> MatrixModule:
     basis = tuple(_matrix(spec, N, {(i, j): one}, identity=False)
                   for i in range(N) for j in range(N))
     return MatrixModule(spec, N, basis, divisors, certificate)
-
-
-class _PadicLane:
-    """Q_p lane: stacks of integer matrices modulo p^P in an _IntEchelon.
-
-    The saturation computes M + p^P * Z^m exactly (see _IntEchelon), M
-    the true span.  If its top elementary divisor c is below P, it is M.
-    Proof: p^c * Z^m lies in M + p^P * Z^m, so M + p^c * Z^m equals
-    M + p^P * Z^m, and Q = (M + p^c * Z^m) / M is the image of
-    p^P * Z^m = p^(P - c) * p^c * Z^m, that is, Q = p^(P - c) * Q.  Q is
-    a finitely generated module over the local ring Z_(p), and p lies in
-    its maximal ideal, so Q = 0 by Nakayama's lemma.  Otherwise c = P
-    (the result contains p^P * Z^m), and _saturate_padic reruns at a
-    higher P.  The canonical rows do not depend on P: M holds p^c * e_j,
-    so every pivot valuation is at most c, and every entry above a pivot
-    is reduced below p^c.
-
-    Entries are int64 while N * (p^P - 1)^2 < 2^63: a product of two
-    matrices sums N products below p^(2P), and an echelon step forms one
-    such product, so nothing overflows.  Past that bound (a large p, or
-    P raised) the same arrays hold Python ints (dtype object).
-    """
-
-    def __init__(self, spec: RationalAtP, N: int, P: int):
-        self.spec, self.N = spec, N
-        self.dtype = (np.int64 if N * (spec.p ** P - 1) ** 2 < 2 ** 63
-                      else object)
-        self.ech = _IntEchelon(N * N, spec.p, P, self.dtype)
-        self.mod = self.ech.mod
-
-    def enc(self, mats):
-        """Integer matrices as a stack of residues modulo p^P."""
-        mod = self.mod
-        return np.array([[[x % mod for x in row] for row in mat]
-                         for mat in mats], dtype=self.dtype)
-
-    def _batch(self, mats):
-        return np.asarray(mats, dtype=self.dtype).reshape(-1, self.N ** 2)
-
-    def insert(self, mats):
-        """Rows changed by adding the stack `mats`, as matrices."""
-        cols = self.ech.reduce(self._batch(mats))
-        return self.ech.rows[cols].reshape(-1, self.N, self.N)
-
-    def round(self, gens, frontier):
-        """Add g*b for all g and b, as batched products of at most
-        BATCH_ENTRIES entries each; return the rows that changed."""
-        step = max(1, BATCH_ENTRIES // (len(gens) * self.N ** 2))
-        cols = set()
-        for start in range(0, len(frontier), step):
-            prods = np.matmul(gens, frontier[start:start + step, None])
-            cols.update(self.ech.reduce(self._batch(prods % self.mod)))
-        return self.ech.rows[sorted(cols)].reshape(-1, self.N, self.N)
-
-    def result(self):
-        """The canonical rows as a (rank, N, N) stack, and the divisors."""
-        return (self.ech.canonical_rows().reshape(-1, self.N, self.N),
-                _int_smith_divisors(self.ech.rows, self.spec.p, self.ech.P))
 
 
 # Cap on r * P, the F_q-coordinates of the F_q(t) lane (r = dim A, P the
@@ -935,8 +881,8 @@ class _TruncatedLane:
     At precision P the lane computes M + t^P R^r, which lies between
     t^P R^r and R^r: the F_q-span of the coordinates of I and the images,
     closed under the shift by t and under left products by the images
-    (_close: the span then holds every word, and R (x) A is an algebra of
-    which t^P R^r is a two-sided ideal).  If t^(P-1) e_k lies in it for
+    (_saturate_padic: the span then holds every word, and R (x) A is an
+    algebra of which t^P R^r is a two-sided ideal).  If t^(P-1) e_k lies in it for
     every k, then L = t^(P-1) R^r satisfies L <= M + t*L, so
     (M + L)/M = t*(M + L)/M, which is 0 by Nakayama's lemma: M holds L,
     the top divisor of M is below P, and the lane holds M itself.
@@ -1105,40 +1051,40 @@ class _TruncatedLane:
                 smith_divisors(rows, spec))
 
 
-def _close(lane, gens, frontier):
-    """Insert g*b for every gen g and every b in the frontier, in batched
-    rounds; the echelon rows a round changes are the next frontier, until
-    nothing changes.  Every matrix of the final span is then a
-    combination of matrices whose products were inserted.
-
-    Seeded with the identity and the images, the span needs left
-    products only.  Every element the closure adds is a word in the
-    images, so it lies in the algebra A that they generate.  Holding the
-    identity and closed under b -> g*b, the span holds every word
-    g_1*g_2*...*g_k = g_1*(g_2*(...*(g_k*I))), so it equals A, which is
-    closed under right products as well.  The p-adic lane holds the span
-    plus p^P times the integral matrices, a two-sided ideal, and the same
-    argument gives A plus that ideal."""
-    while len(frontier):
-        frontier = lane.round(gens, frontier)
-
-
 def _saturate_padic(spec, images, N):
     """The order over Q_p: the closure of the identity and the images
     (the integer images of the whole saturation alphabet, from schur.rho
-    over Z) under products, in the p-adic lane at a working precision P
-    that rises only when the order needs it.  P starts at
-    _start_precision(p, N), where the lane's arithmetic fits int64.
-    While the result's top elementary divisor reaches P, P doubles, up to
-    PRECISION, and the closure reruns; the first result below P is the
-    order (_PadicLane).  At PRECISION, CapExceeded is raised.
+    over Z) under products, held modulo p^P in an _IntEchelon at a
+    working precision P that rises only when the order needs it.
 
-    No trial word is drawn, because none could enlarge the span.  The
-    closure holds A + p^P * M_N(Z_(p)), A the algebra of the alphabet
-    images (_close); that set is closed under products, since
-    p^P * M_N is a two-sided ideal.  A trial word is W = a_1*...*a_k*
-    diag(u_1, ..., u_n), with integer units u_i, and each
-    rho(a_i) lies in A.  rho(diag_pos(u)) is the diagonal of the
+    At each P, I and the images are encoded modulo p^P and reduced; then
+    g*b is reduced for every image g and every echelon row b that
+    changed, in batches of at most BATCH_ENTRIES entries, until no row
+    changes.  Seeded with I and the images, the span needs left products
+    only: every element it gains is a word in the images, and holding I
+    and closed under b -> g*b, it holds every word
+    g_1*g_2*...*g_k = g_1*(g_2*(...*(g_k*I))), so it is the algebra A the
+    images generate, closed under right products as well.  The echelon
+    holds A + p^P * M_N(Z_(p)) exactly (_IntEchelon), and p^P * M_N is a
+    two-sided ideal, so the same argument holds there.
+
+    If the top elementary divisor c of that span (_int_smith_divisors) is
+    below P, the span is M = A itself.  Proof: p^c * Z^m lies in
+    M + p^P * Z^m, so M + p^c * Z^m equals M + p^P * Z^m, and
+    Q = (M + p^c * Z^m) / M is the image of p^P * Z^m =
+    p^(P - c) * p^c * Z^m, that is, Q = p^(P - c) * Q.  Q is a finitely
+    generated module over the local ring Z_(p), and p lies in its
+    maximal ideal, so Q = 0 by Nakayama's lemma.  Otherwise c = P, and P
+    doubles, up to PRECISION, where CapExceeded is raised.  The canonical
+    rows do not depend on P: M holds p^c * e_j, so every pivot valuation
+    is at most c, and every entry above a pivot is reduced below p^c.
+    P starts at _start_precision(p, N).  A product of two matrices sums N
+    products below p^(2P), and an echelon step forms one such product, so
+    the arrays are int64 or Python ints by _int_dtype(N, p^P).
+
+    No trial word is drawn, because none could enlarge the span.  A trial
+    word is W = a_1*...*a_k*diag(u_1, ..., u_n), with integer units u_i,
+    and each rho(a_i) lies in A.  rho(diag_pos(u)) is the diagonal of the
     monomials u^(k_T), k_T the number of times pos appears in the
     tableau T (schur.diagonal_weights).  The residues of unit_sample_set
     generate (Z/p^P)^x: for odd p, g is a primitive root mod p^2, so
@@ -1148,16 +1094,30 @@ def _saturate_padic(spec, images, N):
     product of alphabet images.  Hence rho(W) lies in the span: every
     word would pass, and the order is exact.
     """
-    P = _start_precision(spec.p, N)
-    eye = tuple(tuple(int(i == j) for j in range(N)) for i in range(N))
-    seeds = [eye] + images
+    p, m = spec.p, N * N
+    step = max(1, BATCH_ENTRIES // (len(images) * m))
+    P = _start_precision(p, N)
     while True:
-        lane = _PadicLane(spec, N, P)
-        _close(lane, lane.enc(images), lane.insert(lane.enc(seeds)))
-        stack, divisors = lane.result()
+        mod = p ** P
+        dtype = _int_dtype(N, mod)
+        letters = np.array([[[x % mod for x in row] for row in mat]
+                            for mat in images], dtype=dtype)
+        ech = _IntEchelon(m, p, P, dtype)
+        # reduce clears its batch: the seeds are a copy of the letters
+        seeds = np.concatenate([np.eye(N, dtype=dtype).reshape(1, m),
+                                letters.reshape(-1, m)])
+        cols = ech.reduce(seeds)
+        while cols:
+            frontier, changed = ech.rows[cols].reshape(-1, N, N), set()
+            for start in range(0, len(frontier), step):
+                prods = np.matmul(letters, frontier[start:start + step, None])
+                changed.update(ech.reduce((prods % mod).reshape(-1, m)))
+            cols = sorted(changed)
+        divisors = _int_smith_divisors(ech.rows, p, P)
         if divisors[-1] < P:
             return MatrixModule(spec, N, None, divisors,
-                                {"method": "saturation"}, stack)
+                                {"method": "saturation"},
+                                ech.canonical_rows().reshape(-1, N, N))
         if P >= PRECISION:
             raise CapExceeded(
                 f"p-adic saturation reached the working precision "
@@ -1196,15 +1156,15 @@ def _saturate_generic(spec, images, N, module):
       Frobenius is onto F_q), since w^p = 1 + b*t^j mod t^(j+p).  Match
       the t^j coefficient of an element of U, divide, and go up in j.
       The group is finite, so the same letters generate it as a monoid.
-      M is an algebra (_close) that holds every letter's image, so it
-      holds their products, and so rho(diag_pos(u)) for every unit u
-      of R.
+      M is an algebra (_saturate_padic) that holds every letter's
+      image, so it holds their products, and so rho(diag_pos(u)) for
+      every unit u of R.
     - Every element r of R is a unit or a sum of two units
       (r = 1 + (r - 1) when r is in t*R).  So I + r*E_ij is
       D*(I + E_ij)*D^-1 with D = diag_i(r) for a unit r, and
       (I + E_ij)*(I + (r - 1)*E_ij) otherwise.  The transvections and
       the unit diagonals generate GL_n(R), R being local, and M is an
-      algebra (_close), so it holds rho(GL_n(R)).
+      algebra (_saturate_padic), so it holds rho(GL_n(R)).
     Every letter is in GL_n(R), so M is the span of the words in the
     alphabet and GL_n(R), trial words included: the order, as over Q_p
     (_saturate_padic).

@@ -162,15 +162,6 @@ class SchurModule:
         cache[columns] = out
         return out
 
-    def straighten(self, filling, coeff=1):
-        """Expand a filling in the basis, scaled by coeff (a scalar or int)."""
-        combo = self.straighten_coeffs(filling)
-        zero = coeff * 0
-        vec = [zero] * self.N
-        for idx, c in combo.items():
-            vec[idx] = coeff * c
-        return tuple(vec)
-
     def __repr__(self):
         return f"SchurModule(n={self.n}, lam={self.lam}, N={self.N})"
 

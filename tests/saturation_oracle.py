@@ -101,8 +101,8 @@ class ExactLane:
 def close(lane, gens, frontier, right=True):
     """Rounds of products by the gens (and on the right when `right`),
     each from the matrices the last one added, until none is added.  The
-    seeds need left products only (dvr._close); a matrix absorbed into a
-    closed span needs both, to reach gens*W*gens."""
+    seeds need left products only (dvr._saturate_padic); a matrix
+    absorbed into a closed span needs both, to reach gens*W*gens."""
     while frontier:
         frontier = lane.round(gens, frontier, right)
 

@@ -607,6 +607,33 @@ def test_subspace_cap_is_the_module_constant(capsys, monkeypatch):
     assert "stage irreducible: residue subspace search: 2^3 exceeds 4" in err
 
 
+def test_polytrope_cap_exits_3_naming_the_case_and_stage(capsys):
+    """The F_2(t) order of (3,(3)) is not full rank, and its closed
+    profile spans a box of 6^10 points, over DEFAULT_ENUM_CAP: fix exits
+    3 and names the case, the stage and the cap."""
+    code, out, err = run_main(
+        capsys, ["fix", "--n", "3", "--lambda", "3", "--field", "laurent",
+                 "--q", "2"])
+    assert code == 3
+    assert out == ""
+    assert ("error: cap exceeded: n=3 lambda=3 {'backend': 'laurent', "
+            "'q': 2}: stage polytrope: polytrope enumeration (6^10) exceeds "
+            "the cap DEFAULT_ENUM_CAP = 1000000") in err
+
+
+def test_polytrope_cap_is_the_module_constant(capsys, monkeypatch):
+    """The enumeration reads building.DEFAULT_ENUM_CAP when it runs."""
+    from schur_lattice import building
+
+    monkeypatch.setattr(building, "DEFAULT_ENUM_CAP", 4)
+    code, _, err = run_main(
+        capsys, ["fix", "--n", "2", "--lambda", "2", "--p", "2",
+                 "--method", "polytrope"])
+    assert code == 3
+    assert ("stage polytrope: polytrope enumeration (2^3) exceeds the cap "
+            "DEFAULT_ENUM_CAP = 4") in err
+
+
 @pytest.mark.parametrize("where", ["defaults", "case"])
 def test_scan_config_subspace_cap_exits_2(capsys, tmp_path, where):
     """subspace_cap is no scan-config key: a config that sets it fails

@@ -1,6 +1,7 @@
 """Tests for valuation-ring linear algebra: echelon forms, lattices,
 homothety classes, and order computation by saturation."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -741,26 +742,93 @@ def test_padic_order_independent_of_precision(lam, p, monkeypatch):
 
 @pytest.mark.parametrize("lam, top", [((4,), 3), ((8,), 6)])
 def test_padic_precision_rises_to_the_order(lam, top, monkeypatch):
-    """Started at P = 1, the lane doubles P while the top divisor reaches
-    it, rerunning the closure, and stops at the first P above the order's
-    top divisor, with the result of the default start."""
+    """Started at P = 1, the engine doubles P while the top divisor
+    reaches it, rerunning the closure in a new echelon, and stops at the
+    first P above the order's top divisor, with the result of the default
+    start."""
     spec, module = P2, SchurModule(2, lam)
     H = compute_order(module, spec)
     assert H.divisors[-1] == top
     precisions = []
 
-    class Recording(dvr._PadicLane):
-        def __init__(self, spec, N, P):
+    class Recording(dvr._IntEchelon):
+        def __init__(self, m, p, P, dtype):
             precisions.append(P)
-            super().__init__(spec, N, P)
+            super().__init__(m, p, P, dtype)
 
-    monkeypatch.setattr(dvr, "_PadicLane", Recording)
+    monkeypatch.setattr(dvr, "_IntEchelon", Recording)
     monkeypatch.setattr(dvr, "_start_precision", lambda p, N: 1)
     G = compute_order(module, spec)
     assert precisions[0] == 1 and len(precisions) >= 2
     assert precisions[-2] <= top < precisions[-1]
     assert (G.basis, G.divisors, G.certificate) == \
         (H.basis, H.divisors, H.certificate)
+
+
+# _start_precision(p, N) for 1 <= N <= 40, recorded before the int64 rule
+# moved into _int_dtype: {p: {last N of a run: P}}
+START_PRECISIONS = {2: {2: 31, 8: 30, 32: 29, 40: 28}, 3: {6: 19, 40: 18},
+                    5: {6: 13, 40: 12}, 7: {2: 11, 40: 10}, 1000003: {40: 1}}
+
+
+@pytest.mark.parametrize("p", sorted(START_PRECISIONS))
+def test_start_precision_matches_the_recorded_table(p):
+    """The starting precision is the largest P whose int64 arithmetic
+    _int_dtype allows, as recorded, and past it the dtype is object."""
+    for N in range(1, 41):
+        P = START_PRECISIONS[p][min(k for k in START_PRECISIONS[p] if k >= N)]
+        assert dvr._start_precision(p, N) == P
+        if P > 1:
+            assert dvr._int_dtype(N, p ** P) is np.int64
+        assert dvr._int_dtype(N, p ** (P + 1)) is object
+
+
+def _sha256(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()
+
+
+# sha256 of the canonical stack (as nested lists of ints) and of the
+# divisors, recorded before the engine drove _IntEchelon itself
+PINNED_ORDERS = {
+    (2, (9,), 2): (
+        "38aa15055910780d48ef694d3ed4b6f7bf673f70a785023ceb2d4dbb32439a40",
+        "bbf27f24b214672a6cde5341f9ea6c35d3048e823c472710c37d95f5bb479423"),
+    (2, (10, 1), 2): (
+        "795b56cdefaf4b9cf4d48f8aed6fe63af7388ed5cdf29628336c09290133f9db",
+        "4dd599745083bf82c828b9ec28bf6d62cb88957ead354c99fcb34508799fa690"),
+    (2, (7,), 3): (
+        "185dd8e6ab29122d231079599d8ee613adaaea4c5944b428c17a2e35d4cc6cae",
+        "95e3d8aa33a80ce8b3521c2cfbbd95472503ff2a15e28b1facb7d2ba45710e84"),
+    (3, (3,), 2): (
+        "1bd9cdd6ecebe477d73501df850ed02c26b8dcadd375f5cf89b4508aeeada63d",
+        "434b014bcd977e67109a602b3fda82b81272d51745cd234ff93de1b8c25764b4"),
+}
+PINNED_2_8_2 = (
+    "19bb95e2fd411e90e6bf46c70c36c13a77247cc04e13ee67fc679c12d6fe6cf2",
+    "639055d87316619be7d184aa1e9a9b034ac6be55537a4b96761659666dac9833")
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_ORDERS))
+def test_padic_order_matches_the_pinned_digests(case):
+    """The canonical stack and divisors of fast orders are the recorded
+    ones."""
+    n, lam, p = case
+    H = compute_order(SchurModule(n, lam), RationalAtP(p))
+    assert H.stack.dtype == np.int64
+    assert (_sha256(H.stack.tolist()), _sha256(H.divisors)) == \
+        PINNED_ORDERS[case]
+
+
+@pytest.mark.parametrize("start, dtype", [(1, np.int64),
+                                          (PRECISION, object)])
+def test_padic_order_at_a_forced_start_matches_the_pinned_digests(
+        start, dtype, monkeypatch):
+    """(2,(8),2) from P = 1, rising, and from PRECISION, in Python ints,
+    gives the recorded stack and divisors."""
+    monkeypatch.setattr(dvr, "_start_precision", lambda p, N: start)
+    H = compute_order(SchurModule(2, (8,)), P2)
+    assert H.stack.dtype == dtype
+    assert (_sha256(H.stack.tolist()), _sha256(H.divisors)) == PINNED_2_8_2
 
 
 @pytest.mark.parametrize("lam, p", [((6,), 2), ((7,), 3), ((6, 1), 2)])

@@ -1,7 +1,9 @@
 """Tests for the residue-field and tropical kernels, against per-entry
 and per-line reference implementations."""
 
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -690,3 +692,18 @@ def test_digit_histogram():
     digits = np.array([[0, 1, 1, 2], [2, 2, 2, 2]], dtype=np.int64)
     hist = digit_histogram(digits, 3)
     assert hist.tolist() == [[1, 2, 1], [0, 0, 4]]
+
+
+def test_kernel_micro_benchmark_runs(capsys):
+    """benchmarks/bench_kernels.py runs its whole suite, the F_2(t) order
+    and the p-adic closure round included, and prints one table."""
+    path = (pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+            / "bench_kernels.py")
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.run_suite()
+    out = capsys.readouterr().out
+    assert out.startswith("kernel")
+    assert "F_2(t) order (2,(4))" in out
+    assert "closure round (2,(7),3)" in out
