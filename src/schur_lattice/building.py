@@ -32,6 +32,8 @@ from .schur import SchurModule
 
 DEFAULT_SUBSPACE_CAP = 2 ** 16
 DEFAULT_ENUM_CAP = 10 ** 6
+# the enumeration radius of an unbounded polytrope (fix --radius)
+DEFAULT_RADIUS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +148,7 @@ def diagonal_lattice(spec: FieldSpec, u) -> Lattice:
 
 
 def fix_polytrope(M, spec: FieldSpec | None = None,
-                  unbounded_radius: int = 2) -> FixSet:
+                  unbounded_radius: int = DEFAULT_RADIUS) -> FixSet:
     """Integer points of {u : u_i - u_j <= m_ij}, normalized to min 0.
 
     Requires a closed exponent matrix.  The diagonal lattice of each

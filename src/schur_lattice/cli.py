@@ -23,7 +23,8 @@ from importlib import resources
 
 import jsonschema
 
-from .building import (FixSet, case_label, convexity_check,
+from . import __version__ as VERSION
+from .building import (DEFAULT_RADIUS, FixSet, case_label, convexity_check,
                        detect_graduated, entry_profile, fix_bfs,
                        fix_polytrope, invariant_subspaces, is_invariant,
                        min_plus_closure, spans_end_residue)
@@ -33,21 +34,21 @@ from .errors import (CapExceeded, InternalInvariantViolation, NotFullRank,
                      SchurLatticeError)
 from .fields import (INF, FieldSpec, RationalAtP, RationalFunctionOverFq,
                      require_tables)
-from .gaussian import (LatticeGaussian, _check_entries, invariance_report,
-                       sample)
+from .gaussian import (DEFAULT_SAMPLES, LatticeGaussian, _check_entries,
+                       invariance_report, sample)
 from .partitions import dimension, hook_lengths, is_core, validate_partition
 from .schur import SchurModule, rho
-
-VERSION = "0.1.0"
 
 DEFAULTS = {
     "seed": 0,
     "method": "both",
-    "cap_N": 40,
     "gaussian": False,
-    "gaussian_samples": 10_000,
-    "radius": 5,
+    "gaussian_samples": DEFAULT_SAMPLES,
+    "radius": DEFAULT_RADIUS,
 }
+
+# the largest module dimension N a subcommand computes with
+MAX_MODULE_N = 40
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +176,12 @@ def _case_descriptor(n, lam, spec: FieldSpec) -> dict:
     return {"n": n, "lambda": list(lam), "field": spec.describe()}
 
 
-def _check_cap_N(module: SchurModule, cap_N: int):
-    if module.N > cap_N:
+def _check_module_N(module: SchurModule, spec: FieldSpec):
+    """Refuse a module over MAX_MODULE_N, read when the check runs."""
+    if module.N > MAX_MODULE_N:
         raise CapExceeded(
-            f"N = {module.N} exceeds the configured cap {cap_N}")
+            f"{case_label(module, spec)}: N = {module.N} exceeds the cap "
+            f"MAX_MODULE_N = {MAX_MODULE_N}")
 
 
 def _staged(module: SchurModule, spec: FieldSpec, stage: str, fn, *args,
@@ -239,7 +242,7 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
     report["N"] = module.N
     if module.N == 0:
         return report
-    _check_cap_N(module, cfg["cap_N"])
+    _check_module_N(module, spec)
     clock: dict[str, float] = {}
     label = case_label(module, spec)
     _progress(f"computing order for {label}")
@@ -385,7 +388,7 @@ def cmd_rho(args) -> int:
     spec = _build_spec(args.field, args.p, args.q, tables=False)
     module = SchurModule(args.n, lam)
     g = _parse_matrix(spec, args.matrix, args.n)
-    _check_cap_N(module, args.cap_N)
+    _check_module_N(module, spec)
     image = rho(module, g, spec)
     payload = {
         "case": _case_descriptor(args.n, lam, spec),
@@ -408,9 +411,7 @@ def _args_case(args) -> dict:
         "field": args.field,
         "p": args.p,
         "q": args.q,
-        "seed": args.seed,
         "method": getattr(args, "method", "both"),
-        "cap_N": args.cap_N,
         "radius": getattr(args, "radius", None),
     }
 
@@ -431,7 +432,7 @@ def cmd_sample(args) -> int:
     module = SchurModule(args.n, lam)
     if module.N == 0:
         raise SchurLatticeError("the module is zero for this (n, lambda)")
-    _check_cap_N(module, args.cap_N)
+    _check_module_N(module, spec)
     gauss = LatticeGaussian(spec, standard_lattice(spec, module.N),
                             precision=args.precision, seed=args.seed)
     # the digit caps of invariance_report and sample, before the order
@@ -456,24 +457,6 @@ def cmd_sample(args) -> int:
     _validate_report(report)
     _emit(report)
     return 0
-
-
-def sweep_cases(d_max: int, ns, ps, field: str = "padic"):
-    """All (n, lambda, p) scan cases with |lambda| <= d_max (zero modules
-    excluded); the standard conjecture-scan grid."""
-    from .partitions import partitions_of
-
-    cases = []
-    for d in range(1, d_max + 1):
-        for lam in partitions_of(d):
-            for n in ns:
-                if len(lam) > n:
-                    continue
-                for p in ps:
-                    key = "p" if field == "padic" else "q"
-                    cases.append({"n": n, "lambda": list(lam),
-                                  "field": field, key: p})
-    return cases
 
 
 def _scan_worker(case_json: str) -> str:
@@ -502,13 +485,9 @@ def cmd_scan(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     jsonschema.validate(config, _load_schema("scan_config.schema.json"))
-    defaults = dict(DEFAULTS)
-    defaults.update(config.get("defaults", {}))
-    cases = []
-    for c in config["cases"]:
-        merged = dict(defaults)
-        merged.update(c)
-        cases.append(merged)
+    # run_case merges DEFAULTS under each case
+    defaults = config.get("defaults", {})
+    cases = [dict(defaults, **c) for c in config["cases"]]
     # the pool starts all its processes at once, so it is never larger
     # than the work or the machine; reports do not depend on its size
     workers = min(args.workers, len(cases), os.cpu_count() or 1)
@@ -549,21 +528,12 @@ def cmd_scan(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, *, field=True, seed=True):
-    sp.add_argument("--json", action="store_true",
-                    help="emit JSON instead of plain text")
-    if field:
-        sp.add_argument("--field", choices=("padic", "laurent"),
-                        default="padic")
-        sp.add_argument("--p", type=int, default=None,
-                        help="residue characteristic (p-adic backend)")
-        sp.add_argument("--q", type=int, default=None,
-                        help="residue field size (laurent backend)")
-    sp.add_argument("--cap-N", dest="cap_N", type=_int_at_least(1),
-                    default=DEFAULTS["cap_N"],
-                    help="refuse modules of dimension N above this")
-    if seed:
-        sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+def _add_field(sp):
+    sp.add_argument("--field", choices=("padic", "laurent"), default="padic")
+    sp.add_argument("--p", type=int, default=None,
+                    help="residue characteristic (p-adic backend)")
+    sp.add_argument("--q", type=int, default=None,
+                    help="residue field size (laurent backend)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -590,7 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_int_at_least(1), required=True)
     sp.add_argument("--matrix", required=True,
                     help="semicolon-separated rows, comma-separated entries")
-    _add_common(sp, seed=False)
+    sp.add_argument("--json", action="store_true",
+                    help="emit JSON instead of plain text")
+    _add_field(sp)
     sp.set_defaults(func=cmd_rho)
 
     for name, parts in (("order", ("order",)),
@@ -599,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--lambda", dest="lam", required=True)
         sp.add_argument("--n", type=_int_at_least(1), required=True)
-        _add_common(sp)
+        _add_field(sp)
         sp.add_argument("--timings", action="store_true")
         if name == "fix":
             sp.add_argument("--method", choices=("polytrope", "bfs", "both"),
@@ -612,15 +584,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="batch conjecture scan from a config")
     sp.add_argument("config", help="JSON config file (see shipped schema)")
     sp.add_argument("--workers", type=_int_at_least(1), default=1)
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("sample", help="lattice Gaussian sampling report")
     sp.add_argument("--lambda", dest="lam", required=True)
     sp.add_argument("--n", type=_int_at_least(1), required=True)
-    _add_common(sp)
+    _add_field(sp)
+    sp.add_argument("--seed", type=_int_at_least(0), default=DEFAULTS["seed"])
     sp.add_argument("--precision", type=_int_at_least(1), default=2)
-    sp.add_argument("--count", type=_int_at_least(1), default=10_000)
+    sp.add_argument("--count", type=_int_at_least(1), default=DEFAULT_SAMPLES)
     sp.set_defaults(func=cmd_sample)
     return ap
 

@@ -356,11 +356,4 @@ def character(module: SchurModule, z):
     """Schur polynomial of shape lam evaluated at z (SSYT weight sum)."""
     if len(z) != module.n:
         raise ShapeMismatch(f"need {module.n} arguments, got {len(z)}")
-    total = 0
-    for tab in module.basis:
-        term = None
-        for row in tab:
-            for entry in row:
-                term = z[entry - 1] if term is None else term * z[entry - 1]
-        total = total + term
-    return total
+    return sum(diagonal_weights(module, z))

@@ -24,10 +24,11 @@ from schur_lattice import (LatticeClass, LatticeGaussian, RationalAtP,
                            partitions_of, rho, smith_divisors,
                            spans_end_residue, ssyt_enumerate,
                            standard_lattice)
-from schur_lattice.cli import run_case, sweep_cases
+from schur_lattice.cli import run_case
 from schur_lattice.dvr import ExactEchelon, group_generator_matrices, mat_mul
 from lattice_oracle import (class_distance, hnf_dvr, mat_inv,
                             module_from_matrices)
+from scan_grid import sweep_cases
 
 # ---------------------------------------------------------------------------
 # shared case producers (memoized so later criteria reuse earlier work)

@@ -5,21 +5,33 @@ import functools
 import json
 import logging
 import multiprocessing
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from schur_lattice.cli import (_load_schema, build_parser, main, run_case,
-                               sweep_cases)
+from schur_lattice.cli import _load_schema, build_parser, main, run_case
+from scan_grid import sweep_cases
 
 
 def run_main(capsys, argv):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_version_is_the_project_version():
+    """Reports carry the version that pyproject.toml declares."""
+    from schur_lattice import cli
+
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text(
+        encoding="utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
+    assert cli.VERSION == declared
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +158,12 @@ def test_fix_timing_covers_convexity_check(capsys, monkeypatch):
 
 
 def test_determinism_byte_identical(capsys):
-    argv = ["fix", "--n", "2", "--lambda", "2", "--p", "2", "--seed", "9"]
-    _, out1, _ = run_main(capsys, argv)
-    _, out2, _ = run_main(capsys, argv)
-    assert out1 == out2
+    for argv in (["fix", "--n", "2", "--lambda", "2", "--p", "2"],
+                 ["sample", "--n", "2", "--lambda", "2", "--p", "3",
+                  "--count", "200", "--seed", "9"]):
+        _, out1, _ = run_main(capsys, argv)
+        _, out2, _ = run_main(capsys, argv)
+        assert out1 == out2
 
 
 def test_sample_report(capsys):
@@ -302,7 +316,8 @@ def scan_config(tmp_path):
         "cases": [
             {"n": 2, "lambda": [2], "field": "padic", "p": 2},
             {"n": 2, "lambda": [2], "field": "padic", "p": 3},
-            {"n": 2, "lambda": [4], "field": "padic", "p": 2, "cap_N": 3},
+            # N = 56, over MAX_MODULE_N: an error row
+            {"n": 4, "lambda": [5], "field": "padic", "p": 2},
         ],
     }
     path = tmp_path / "config.json"
@@ -537,12 +552,12 @@ def test_scan_workers_print_progress(capfd, scan_config, monkeypatch, method):
     ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--precision", "0"],
     ["order", "--n", "2", "--lambda", "2", "--p", "2", "--trials", "1"],
     ["order", "--n", "2", "--lambda", "2", "--p", "2", "--level", "1"],
-    ["order", "--n", "2", "--lambda", "2", "--p", "2", "--cap-N", "0"],
-    ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--cap-N", "0"],
+    ["order", "--n", "2", "--lambda", "2", "--p", "2", "--cap-N", "50"],
+    ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--cap-N", "50"],
     ["rho", "--n", "2", "--lambda", "2", "--p", "2", "--matrix", "1,0;0,1",
-     "--cap-N", "0"],
+     "--cap-N", "50"],
     ["order", "--n", "0", "--lambda", "2", "--p", "2"],
-    ["order", "--n", "2", "--lambda", "2", "--p", "2", "--seed", "x"],
+    ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--seed", "x"],
     ["fix", "--n", "2", "--lambda", "2", "--p", "2", "--radius", "-1"],
     ["scan", "config.json", "--workers", "0"],
     ["scan", "config.json", "--workers", "-2"],
@@ -552,13 +567,26 @@ def test_scan_workers_print_progress(capfd, scan_config, monkeypatch, method):
     ["irreducible", "--n", "2", "--lambda", "2", "--p", "2", "--level", "1"],
     ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--trials", "1"],
     ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--level", "1"],
+    ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--seed", "-1"],
+    ["order", "--n", "2", "--lambda", "2", "--p", "2", "--json"],
+    ["fix", "--n", "2", "--lambda", "2", "--p", "2", "--json"],
+    ["irreducible", "--n", "2", "--lambda", "2", "--p", "2", "--json"],
+    ["sample", "--n", "2", "--lambda", "2", "--p", "2", "--json"],
+    ["scan", "config.json", "--json"],
+    ["order", "--n", "2", "--lambda", "2", "--p", "2", "--seed", "1"],
+    ["fix", "--n", "2", "--lambda", "2", "--p", "2", "--seed", "1"],
+    ["irreducible", "--n", "2", "--lambda", "2", "--p", "2", "--seed", "1"],
+    ["fix", "--n", "2", "--lambda", "2", "--p", "2", "--cap-N", "50"],
+    ["irreducible", "--n", "2", "--lambda", "2", "--p", "2", "--cap-N",
+     "50"],
 ])
 def test_out_of_range_flag_exits_2_before_computing(capsys, monkeypatch,
                                                     argv):
     """An integer flag below its minimum (the scan schema's, for the keys
     the schema has), or not an integer, stops argument parsing with
-    exit 2, before any computation.  So do the removed --level and
-    --trials, on each case subcommand."""
+    exit 2, before any computation.  So do the removed flags: --level
+    and --trials on each case subcommand, --json where the output is
+    always JSON, --seed where nothing reads it, and --cap-N."""
     from schur_lattice import cli
 
     def no_computation(*args, **kwargs):
@@ -573,11 +601,30 @@ def test_out_of_range_flag_exits_2_before_computing(capsys, monkeypatch,
 
 
 def test_exit_cap_exceeded(capsys):
-    code, _, err = run_main(
-        capsys, ["order", "--n", "2", "--lambda", "4", "--p", "2",
-                 "--cap-N", "3"])
+    """(4,(5)) has N = 56, over MAX_MODULE_N: order exits 3 and names
+    the case and the cap."""
+    code, out, err = run_main(
+        capsys, ["order", "--n", "4", "--lambda", "5", "--p", "2"])
     assert code == 3
-    assert "cap" in err
+    assert out == ""
+    assert ("error: cap exceeded: n=4 lambda=5 {'backend': 'p-adic', "
+            "'p': 2}: N = 56 exceeds the cap MAX_MODULE_N = 40") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["order"], ["sample"], ["rho", "--matrix", "1,0;0,1"],
+], ids=["order", "sample", "rho"])
+def test_module_cap_is_the_module_constant(capsys, monkeypatch, argv):
+    """Each subcommand reads cli.MAX_MODULE_N when its check runs."""
+    from schur_lattice import cli
+
+    monkeypatch.setattr(cli, "MAX_MODULE_N", 2)
+    code, out, err = run_main(
+        capsys, [*argv, "--n", "2", "--lambda", "2", "--p", "2"])
+    assert code == 3
+    assert out == ""
+    assert ("n=2 lambda=2 {'backend': 'p-adic', 'p': 2}: N = 3 exceeds "
+            "the cap MAX_MODULE_N = 2") in err
 
 
 @pytest.mark.parametrize("command, stage", [("fix", "bfs"),
@@ -649,6 +696,44 @@ def test_scan_config_subspace_cap_exits_2(capsys, tmp_path, where):
     assert "subspace_cap" in err
 
 
+@pytest.mark.parametrize("where", ["defaults", "case"])
+def test_scan_config_cap_N_exits_2(capsys, tmp_path, where):
+    """cap_N is no scan-config key: a config that sets it fails the
+    schema."""
+    case = {"n": 2, "lambda": [2], "field": "padic", "p": 2}
+    cfg = {"defaults": {}, "cases": [case]}
+    (cfg["defaults"] if where == "defaults" else case)["cap_N"] = 40
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_main(capsys, ["scan", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "cap_N" in err
+
+
+@pytest.mark.parametrize("where", ["defaults", "case"])
+def test_scan_config_negative_seed_exits_2(capsys, monkeypatch, tmp_path,
+                                           where):
+    """A negative seed fails the schema before any case runs, on a
+    Gaussian case, which would read it, as on any other."""
+    from schur_lattice import cli
+
+    def no_case(*args, **kwargs):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(cli, "run_case", no_case)
+    case = {"n": 2, "lambda": [2], "field": "padic", "p": 5,
+            "gaussian": True}
+    cfg = {"defaults": {}, "cases": [case]}
+    (cfg["defaults"] if where == "defaults" else case)["seed"] = -1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_main(capsys, ["scan", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "-1 is less than the minimum of 0" in err
+
+
 IDENTITY_8 = ";".join(",".join("1" if i == j else "0" for j in range(8))
                       for i in range(8))
 
@@ -658,12 +743,13 @@ IDENTITY_8 = ";".join(",".join("1" if i == j else "0" for j in range(8))
     ["rho", "--n", "8", "--lambda", "12", "--p", "2", "--matrix", IDENTITY_8],
 ])
 def test_cap_N_stops_rho_and_sample_before_any_image(argv):
-    """N = 50388 is over the default cap of 40: rho and sample exit 3 at
+    """N = 50388 is over MAX_MODULE_N = 40: rho and sample exit 3 at
     once, as order does, instead of forming a 50388 x 50388 image."""
     out = subprocess.run([sys.executable, "-m", "schur_lattice.cli", *argv],
                          capture_output=True, text=True, timeout=20)
     assert out.returncode == 3
-    assert "N = 50388 exceeds the configured cap 40" in out.stderr
+    assert ("n=8 lambda=12 {'backend': 'p-adic', 'p': 2}: N = 50388 exceeds "
+            "the cap MAX_MODULE_N = 40") in out.stderr
 
 
 def run_cli(argv):
@@ -875,7 +961,7 @@ def test_report_certificate_is_the_method(capsys, case, method):
 
 def test_order_former_exit4_case_answers(capsys):
     code, out, _ = run_main(capsys, ["order", "--n", "2", "--lambda", "4",
-                                     "--p", "2", "--json"])
+                                     "--p", "2"])
     assert code == 0
     assert json.loads(out)["order"]["divisors"][-1] == 3
 
