@@ -13,15 +13,13 @@ invariant violation (cross-check disagreements are bugs, never results).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
-
-import jsonschema
 
 from . import __version__ as VERSION
 from .building import (DEFAULT_RADIUS, FixSet, case_label, convexity_check,
@@ -82,12 +80,38 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _schema_validator(name: str):
+    """The validator of the packaged schema `name`, whose schema is checked
+    against its metaschema once per process.  jsonschema is imported here,
+    so a run that checks no schema (hooks, dim, rho) never loads it."""
+    from jsonschema.validators import validator_for
+
+    schema = _load_schema(name)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _schema_error(instance, name: str):
+    """The error that jsonschema.validate(instance, schema) raises, or None
+    when `instance` is valid under the packaged schema `name`."""
+    from jsonschema.exceptions import best_match
+
+    return best_match(_schema_validator(name).iter_errors(instance))
+
+
+def _json_path(error) -> str:
+    """The JSON path of the instance at fault, as ``$.cases[0]``."""
+    return "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                         for key in error.absolute_path)
+
+
 def _validate_report(report: dict):
-    try:
-        jsonschema.validate(report, _load_schema("report.schema.json"))
-    except jsonschema.ValidationError as exc:
+    error = _schema_error(report, "report.schema.json")
+    if error is not None:
         raise InternalInvariantViolation(
-            f"report does not validate against the schema: {exc.message}")
+            f"report does not validate against the schema: {error.message}")
 
 
 def _emit(obj: dict):
@@ -195,6 +219,14 @@ def _staged(module: SchurModule, spec: FieldSpec, stage: str, fn, *args,
             f"{case_label(module, spec)}: stage {stage}: {exc}") from exc
 
 
+def _timed(clock: dict, key: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with its wall time in clock[key]."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    clock[key] = time.perf_counter() - t0
+    return result
+
+
 def _order(module: SchurModule, spec: FieldSpec) -> MatrixModule:
     """compute_order, with the case and the stage in its errors."""
     return _staged(module, spec, "order", compute_order, module, spec,
@@ -273,18 +305,19 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
             if M is not None:
                 order_summary["graduated"] = _ser_exponent(M)
             if method in ("polytrope", "both") and M is not None:
-                poly_set = _staged(module, spec, "polytrope", fix_polytrope,
-                                   M, spec, unbounded_radius=cfg["radius"])
+                poly_set = _timed(clock, "polytrope_s", _staged, module,
+                                  spec, "polytrope", fix_polytrope, M, spec,
+                                  unbounded_radius=cfg["radius"])
             if method in ("bfs", "both"):
                 # fix_bfs names the case in its invariant errors itself
-                bfs_set = _staged(module, spec, "bfs", fix_bfs, H, module,
-                                  spec)
+                bfs_set = _timed(clock, "bfs_s", _staged, module, spec,
+                                 "bfs", fix_bfs, H, module, spec)
         else:
             closed = min_plus_closure(profile)
             if method in ("polytrope", "both"):
-                poly_set = _staged(module, spec, "polytrope", fix_polytrope,
-                                   closed, spec,
-                                   unbounded_radius=cfg["radius"])
+                poly_set = _timed(clock, "polytrope_s", _staged, module,
+                                  spec, "polytrope", fix_polytrope, closed,
+                                  spec, unbounded_radius=cfg["radius"])
         agreement = None
         if poly_set is not None and bfs_set is not None:
             poly_keys, bfs_keys = set(poly_set.keys()), set(bfs_set.keys())
@@ -305,7 +338,8 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
                         f"not invariant")
         primary = bfs_set if bfs_set is not None else poly_set
         if primary is not None and primary.bounded:
-            report["convexity"] = convexity_check(primary)
+            report["convexity"] = _timed(clock, "convexity_s",
+                                         convexity_check, primary)
             if report["convexity"] is False:
                 raise InternalInvariantViolation(
                     f"{label}: stage fix: {primary.method} fixed set is not "
@@ -484,7 +518,10 @@ def _scan_worker(case_json: str) -> str:
 def cmd_scan(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
-    jsonschema.validate(config, _load_schema("scan_config.schema.json"))
+    error = _schema_error(config, "scan_config.schema.json")
+    if error is not None:
+        raise SchurLatticeError(
+            f"scan config {args.config}: {_json_path(error)}: {error.message}")
     # run_case merges DEFAULTS under each case
     defaults = config.get("defaults", {})
     cases = [dict(defaults, **c) for c in config["cases"]]
@@ -494,6 +531,8 @@ def cmd_scan(args) -> int:
     _progress(f"scan: {len(cases)} cases, workers={workers}")
     payloads = [json.dumps(c) for c in cases]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_log_to_stderr) as pool:
             results = list(pool.map(_scan_worker, payloads))
@@ -610,7 +649,7 @@ def main(argv=None) -> int:
         print(f"error: internal invariant violation: {exc}", file=sys.stderr)
         return 4
     except (SchurLatticeError, NotFullRank, ValueError, OSError,
-            json.JSONDecodeError, jsonschema.ValidationError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

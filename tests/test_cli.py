@@ -1,6 +1,7 @@
 """Tests for the command-line interface: reports, schemas, exit codes,
 determinism."""
 
+import concurrent.futures
 import functools
 import json
 import logging
@@ -128,18 +129,29 @@ def test_fix_laurent_inf_serialization(capsys):
 
 
 def test_timings_flag(capsys):
+    """--timings times the stages and the fix steps that ran, and only
+    those: the order alone has no fix keys, and --method bfs no
+    polytrope_s."""
     code, out, _ = run_main(
         capsys, ["order", "--n", "2", "--lambda", "2", "--p", "3",
                  "--timings"])
     assert code == 0
     report = json.loads(out)
-    assert report["timings"] is not None
-    assert "order_s" in report["timings"]
+    assert set(report["timings"]) == {"order_s"}
+    code, out, _ = run_main(
+        capsys, ["fix", "--n", "2", "--lambda", "2", "--p", "2",
+                 "--method", "bfs", "--timings"])
+    assert code == 0
+    timings = json.loads(out)["timings"]
+    assert set(timings) == {"order_s", "fix_s", "bfs_s", "convexity_s",
+                            "irreducible_s"}
+    assert timings["bfs_s"] + timings["convexity_s"] <= timings["fix_s"]
 
 
 def test_fix_timing_covers_convexity_check(capsys, monkeypatch):
     """fix_s is read after the convexity check, so a slow check shows in
-    it; without --timings the report keeps timings null."""
+    it and in convexity_s, and fix_s holds its three timed steps; without
+    --timings the report keeps timings null."""
     from schur_lattice import cli
     real = cli.convexity_check
 
@@ -151,7 +163,12 @@ def test_fix_timing_covers_convexity_check(capsys, monkeypatch):
     argv = ["fix", "--n", "2", "--lambda", "2", "--p", "2"]
     code, out, _ = run_main(capsys, argv + ["--timings"])
     assert code == 0
-    assert json.loads(out)["timings"]["fix_s"] >= 0.3
+    timings = json.loads(out)["timings"]
+    assert set(timings) == {"order_s", "fix_s", "polytrope_s", "bfs_s",
+                            "convexity_s", "irreducible_s"}
+    assert timings["convexity_s"] >= 0.3
+    assert timings["fix_s"] >= (timings["polytrope_s"] + timings["bfs_s"]
+                                + timings["convexity_s"])
     code, out, _ = run_main(capsys, argv)
     assert code == 0
     assert json.loads(out)["timings"] is None
@@ -371,7 +388,9 @@ def test_scan_pool_never_exceeds_cases_or_cpus(capsys, scan_config,
 
     _, seq, _ = run_main(capsys, ["scan", scan_config])
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # scan imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code, out, _ = run_main(capsys, ["scan", scan_config, "--workers", "1000"])
     assert code == 0
@@ -384,7 +403,146 @@ def test_scan_rejects_malformed_config(tmp_path, capsys):
     bad.write_text(json.dumps({"cases": [{"n": 2}]}))
     code, _, err = run_main(capsys, ["scan", str(bad)])
     assert code == 2
-    assert "error" in err
+    assert err == (f"error: scan config {bad}: $.cases[0]: 'lambda' is a "
+                   f"required property\n")
+
+
+# ---------------------------------------------------------------------------
+# start-up and schema validation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("module", [
+    "scipy.stats", "jsonschema", "concurrent.futures.process"])
+def test_import_leaves_module_unloaded(module):
+    """Importing the command line loads only what every run reads:
+    scipy.stats is read by the chi-squared threshold alone, jsonschema
+    where a schema is checked, and the process pool by scan --workers
+    above 1."""
+    code = f"import sys, schur_lattice.cli; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0
+    assert out.stdout.strip() == "False"
+
+
+def test_small_subcommands_never_load_jsonschema():
+    """hooks, dim and rho check no schema, so they never import it."""
+    code = "\n".join([
+        "import sys",
+        "from schur_lattice.cli import main",
+        "assert main(['hooks', '--lambda', '2,1', '--p', '2']) == 0",
+        "assert main(['dim', '--n', '3', '--lambda', '2,1', '--json']) == 0",
+        "assert main(['rho', '--n', '2', '--lambda', '2', '--p', '2',",
+        "             '--matrix', '1,1;0,1', '--json']) == 0",
+        "print('jsonschema' in sys.modules, file=sys.stderr)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.strip() == "False"
+
+
+def test_each_schema_is_checked_once_per_process(capsys, scan_config,
+                                                  monkeypatch):
+    """A 3-case scan and an order check each packaged schema against the
+    metaschema once, not once per report."""
+    from jsonschema.validators import validator_for
+
+    from schur_lattice import cli
+
+    cls = validator_for(_load_schema("report.schema.json"))
+    assert cls is validator_for(_load_schema("scan_config.schema.json"))
+    real = cls.check_schema.__func__
+    checked = []
+
+    def counting(klass, schema, *args, **kwargs):
+        checked.append(schema["$id"])
+        return real(klass, schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", classmethod(counting))
+    cli._schema_validator.cache_clear()
+    code, _, _ = run_main(capsys, ["scan", scan_config])
+    assert code == 0
+    code, _, _ = run_main(capsys, ["order", "--n", "2", "--lambda", "2",
+                                   "--p", "3"])
+    assert code == 0
+    assert sorted(checked) == ["schur-lattice/report.schema.json",
+                               "schur-lattice/scan_config.schema.json"]
+
+
+def _broken(instance, *edits):
+    """A deep copy of `instance` with each (path, value) edit applied; a
+    value of KeyError deletes the key."""
+    out = json.loads(json.dumps(instance))
+    for path, value in edits:
+        node = out
+        for key in path[:-1]:
+            node = node[key]
+        if value is KeyError:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return out
+
+
+REPORT = run_case({"n": 2, "lambda": [2], "field": "padic", "p": 2})
+CONFIG = {"defaults": {"seed": 0},
+          "cases": [{"n": 2, "lambda": [2], "field": "padic", "p": 2},
+                    {"n": 2, "lambda": [3], "field": "laurent", "q": 3}]}
+
+
+@pytest.mark.parametrize("name, instance", [
+    ("report.schema.json", _broken(REPORT, (["version"], KeyError))),
+    ("report.schema.json", _broken(REPORT, (["order", "rank"], "9"))),
+    ("report.schema.json", _broken(REPORT, (["case", "n"], "2"),
+                                   (["seed"], 1.5), (["timings"], []))),
+    ("report.schema.json", _broken(REPORT, (["fix", "bfs", "size"], None),
+                                   (["seed"], KeyError))),
+    ("report.schema.json", []),
+    ("scan_config.schema.json", _broken(CONFIG, (["cases", 1, "cap_N"], 40))),
+    ("scan_config.schema.json", _broken(CONFIG, (["cases", 0, "lambda"],
+                                                 KeyError))),
+    ("scan_config.schema.json", _broken(CONFIG, (["defaults", "seed"], -1),
+                                        (["cases", 1, "n"], "two"),
+                                        (["cases", 0, "extra"], 1))),
+    ("scan_config.schema.json", _broken(CONFIG, (["cases"], KeyError),
+                                        (["other"], 1))),
+], ids=["report-required", "report-type", "report-three-errors",
+        "report-nested-and-required", "report-not-object", "config-extra-key",
+        "config-required", "config-three-errors", "config-root-errors"])
+def test_schema_error_matches_jsonschema_validate(name, instance):
+    """The cached validator finds the error that jsonschema.validate
+    raises, several errors at once included, and the scan-config message
+    prints its path as jsonschema's json_path does."""
+    from schur_lattice import cli
+
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(instance, _load_schema(name))
+    got = cli._schema_error(instance, name)
+    assert got is not None
+    assert got.message == want.value.message
+    assert list(got.absolute_path) == list(want.value.absolute_path)
+    if hasattr(got, "json_path"):
+        assert cli._json_path(got) == got.json_path
+
+
+def test_schema_error_is_none_on_valid_instances():
+    from schur_lattice import cli
+
+    assert cli._schema_error(REPORT, "report.schema.json") is None
+    assert cli._schema_error(CONFIG, "scan_config.schema.json") is None
+
+
+def test_invalid_report_is_an_internal_invariant_violation():
+    """A report that fails its schema is a bug: exit 4, with jsonschema's
+    message."""
+    from schur_lattice import cli
+    from schur_lattice.errors import InternalInvariantViolation
+
+    with pytest.raises(InternalInvariantViolation,
+                       match="report does not validate against the schema: "
+                             "'version' is a required property"):
+        cli._validate_report(_broken(REPORT, (["version"], KeyError)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +689,10 @@ def test_scan_workers_print_progress(capfd, scan_config, monkeypatch, method):
     """Each scan worker prints its cases' progress lines on stderr once,
     also when it is spawned and does not inherit main()'s logging setup."""
     from schur_lattice import cli
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
-        cli.ProcessPoolExecutor,
-        mp_context=multiprocessing.get_context(method)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(
+                            concurrent.futures.ProcessPoolExecutor,
+                            mp_context=multiprocessing.get_context(method)))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code = main(["scan", scan_config, "--workers", "2"])
     out, err = capfd.readouterr()
@@ -694,6 +853,7 @@ def test_scan_config_subspace_cap_exits_2(capsys, tmp_path, where):
     assert code == 2
     assert out == ""
     assert "subspace_cap" in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("where", ["defaults", "case"])
@@ -709,6 +869,10 @@ def test_scan_config_cap_N_exits_2(capsys, tmp_path, where):
     assert code == 2
     assert out == ""
     assert "cap_N" in err
+    assert len(err.splitlines()) == 1
+    at = "$.defaults" if where == "defaults" else "$.cases[0]"
+    assert err == (f"error: scan config {path}: {at}: Additional properties "
+                   f"are not allowed ('cap_N' was unexpected)\n")
 
 
 @pytest.mark.parametrize("where", ["defaults", "case"])
@@ -732,6 +896,7 @@ def test_scan_config_negative_seed_exits_2(capsys, monkeypatch, tmp_path,
     assert code == 2
     assert out == ""
     assert "-1 is less than the minimum of 0" in err
+    assert len(err.splitlines()) == 1
 
 
 IDENTITY_8 = ";".join(",".join("1" if i == j else "0" for j in range(8))
