@@ -32,6 +32,9 @@ from .schur import SchurModule
 
 DEFAULT_SUBSPACE_CAP = 2 ** 16
 DEFAULT_ENUM_CAP = 10 ** 6
+# the lattice classes the BFS may visit and convexity_check may pair:
+# at most 128 * 127 / 2 = 8128 pairs
+DEFAULT_CLASS_CAP = 128
 # the enumeration radius of an unbounded polytrope (fix --radius)
 DEFAULT_RADIUS = 5
 
@@ -312,7 +315,9 @@ def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec) -> FixSet:
     At congruence level 0, with every elementary divisor 0, H is M_N(R)
     (is_full_end), which fixes the standard class; the ball of radius 0
     holds no other class, so that class alone is returned, with no
-    conjugation and no subspace search.
+    conjugation and no subspace search.  CapExceeded is raised when a
+    new class would make the visited classes more than DEFAULT_CLASS_CAP,
+    read when the class is found.
     """
     if not full_rank(H):
         raise NotFullRank("fix_bfs needs a full-rank order")
@@ -355,6 +360,10 @@ def fix_bfs(H: MatrixModule, module: SchurModule, spec: FieldSpec) -> FixSet:
                 raise InternalInvariantViolation(
                     f"{label}: stage bfs: class {key} at distance {dist} > "
                     f"congruence level {level}")
+            if len(visited) >= DEFAULT_CLASS_CAP:
+                raise CapExceeded(
+                    f"fixed-class search: {len(visited) + 1} classes exceed "
+                    f"the cap DEFAULT_CLASS_CAP = {DEFAULT_CLASS_CAP}")
             visited[key] = neighbor
             queue.append((neighbor, conjugated(neighbor)))
     classes = tuple(sorted(visited.values(), key=lambda c: c.key()))
@@ -383,8 +392,14 @@ def convexity_check(S: FixSet) -> bool:
     or Smith pass to find d_1 and d_N.  Hermite forms are unique and
     ``lattice_sum_and_meet`` returns canonical halves, as La is, so equal
     bases are equal lattices.  A class paired with itself is skipped: its
-    sums and meets are scalings of La.
+    sums and meets are scalings of La.  CapExceeded is raised on entry
+    when the set has more classes than DEFAULT_CLASS_CAP, which bounds
+    the pairs.
     """
+    if len(S.classes) > DEFAULT_CLASS_CAP:
+        raise CapExceeded(
+            f"convexity check of {len(S.classes)} classes exceeds the cap "
+            f"DEFAULT_CLASS_CAP = {DEFAULT_CLASS_CAP}")
     keys = set(S.keys())
     reps = [c.rep for c in S.classes]
     for La, Lb in itertools.combinations(reps, 2):

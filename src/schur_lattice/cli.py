@@ -338,7 +338,8 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
                         f"not invariant")
         primary = bfs_set if bfs_set is not None else poly_set
         if primary is not None and primary.bounded:
-            report["convexity"] = _timed(clock, "convexity_s",
+            report["convexity"] = _timed(clock, "convexity_s", _staged,
+                                         module, spec, "convexity",
                                          convexity_check, primary)
             if report["convexity"] is False:
                 raise InternalInvariantViolation(

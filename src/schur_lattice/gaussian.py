@@ -104,10 +104,20 @@ def sample(gauss: LatticeGaussian, count: int):
 @functools.lru_cache(maxsize=64)
 def _chi2_threshold(q: int, significance: float) -> float:
     """The chi-squared quantile at 1 - significance with q - 1 degrees
-    of freedom, computed once per (q, significance)."""
-    from scipy.stats import chi2
+    of freedom, computed once per (q, significance).
 
-    return float(chi2.ppf(1.0 - significance, q - 1))
+    It is 2 * gammaincinv((q - 1) / 2, 1 - significance), the expression
+    scipy.stats.chi2.ppf evaluates (scipy 1.17: chi2_gen._ppf is
+    2 * gammaincinv(df / 2, p), with scale 1 and loc 0; p = 1 gives +inf
+    and p = 0 gives 0 on both).  Calling the one special function loads
+    scipy.special alone, 66 modules, where scipy.stats loads 490.  The
+    value stays scipy's rather than a quantile computed here: scipy's is
+    not always the correctly rounded one (1-2 ulp away for most q below
+    300 at significance 0.001), and each report prints it as the
+    threshold of its Gaussian tests."""
+    from scipy.special import gammaincinv
+
+    return float(2 * gammaincinv((q - 1) / 2, 1.0 - significance))
 
 
 def chi2_uniform_counts(counts, total: int, q: int,

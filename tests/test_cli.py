@@ -412,17 +412,37 @@ def test_scan_rejects_malformed_config(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("module", [
-    "scipy.stats", "jsonschema", "concurrent.futures.process"])
+    "scipy.stats", "scipy.special", "jsonschema",
+    "concurrent.futures.process"])
 def test_import_leaves_module_unloaded(module):
     """Importing the command line loads only what every run reads:
-    scipy.stats is read by the chi-squared threshold alone, jsonschema
-    where a schema is checked, and the process pool by scan --workers
-    above 1."""
+    scipy.special is read by the chi-squared threshold of the Gaussian
+    stage alone, and scipy.stats by nothing, jsonschema where a schema is
+    checked, and the process pool by scan --workers above 1."""
     code = f"import sys, schur_lattice.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=60)
     assert out.returncode == 0
     assert out.stdout.strip() == "False"
+
+
+def test_gaussian_stage_loads_scipy_special_not_scipy_stats():
+    """sample and a run_case with gaussian true read the chi-squared
+    threshold from scipy.special, and scipy.stats is never loaded."""
+    code = "\n".join([
+        "import sys",
+        "from schur_lattice.cli import main, run_case",
+        "assert main(['sample', '--n', '2', '--lambda', '2', '--p', '5']) == 0",
+        "r = run_case({'n': 2, 'lambda': [2], 'field': 'padic', 'p': 5,",
+        "              'gaussian': True})",
+        "assert r['gaussian']['tests'][0]['threshold'] is not None",
+        "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules,",
+        "      file=sys.stderr)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines()[-1] == "False True"
 
 
 def test_small_subcommands_never_load_jsonschema():
@@ -811,6 +831,47 @@ def test_subspace_cap_is_the_module_constant(capsys, monkeypatch):
         capsys, ["irreducible", "--n", "2", "--lambda", "2", "--p", "2"])
     assert code == 3
     assert "stage irreducible: residue subspace search: 2^3 exceeds 4" in err
+
+
+def test_class_cap_exits_3_naming_the_case_and_stage(capsys):
+    """(2,(8),2) has more than DEFAULT_CLASS_CAP fixed classes: the BFS
+    stops at the 129th and names the case, the stage and the cap."""
+    code, out, err = run_main(
+        capsys, ["fix", "--n", "2", "--lambda", "8", "--p", "2"])
+    assert code == 3
+    assert out == ""
+    assert ("error: cap exceeded: n=2 lambda=8 {'backend': 'p-adic', "
+            "'p': 2}: stage bfs: fixed-class search: 129 classes exceed the "
+            "cap DEFAULT_CLASS_CAP = 128") in err
+
+
+def test_class_cap_stops_the_convexity_check(capsys, monkeypatch):
+    """convexity_check reads building.DEFAULT_CLASS_CAP on entry, and the
+    stage is named.  The polytrope set of (2,(2),2) has two classes, over
+    a cap of 1; no BFS runs to stop first."""
+    from schur_lattice import building
+
+    monkeypatch.setattr(building, "DEFAULT_CLASS_CAP", 1)
+    code, out, err = run_main(
+        capsys, ["fix", "--n", "2", "--lambda", "2", "--p", "2",
+                 "--method", "polytrope"])
+    assert code == 3
+    assert out == ""
+    assert ("n=2 lambda=2 {'backend': 'p-adic', 'p': 2}: stage convexity: "
+            "convexity check of 2 classes exceeds the cap "
+            "DEFAULT_CLASS_CAP = 1") in err
+
+
+def test_class_cap_is_the_module_constant(capsys, monkeypatch):
+    """The BFS reads building.DEFAULT_CLASS_CAP when it finds a class."""
+    from schur_lattice import building
+
+    monkeypatch.setattr(building, "DEFAULT_CLASS_CAP", 2)
+    code, _, err = run_main(
+        capsys, ["fix", "--n", "2", "--lambda", "3", "--p", "2"])
+    assert code == 3
+    assert ("stage bfs: fixed-class search: 3 classes exceed the cap "
+            "DEFAULT_CLASS_CAP = 2") in err
 
 
 def test_polytrope_cap_exits_3_naming_the_case_and_stage(capsys):

@@ -143,26 +143,57 @@ def test_chi2_threshold_is_computed_once_per_field_and_significance(
     """invariance_report asks for the chi-squared threshold on every
     trial and retry; scipy computes it once per (q, significance), and
     every test of the report reads that value."""
+    import scipy.special
     from scipy.stats import chi2
 
     from schur_lattice import gaussian
 
+    # the oracle, taken before the patch: chi2.ppf calls gammaincinv too
+    oracle = chi2.ppf(0.999, 2)
     calls = []
-    real = chi2.ppf
+    real = scipy.special.gammaincinv
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(chi2, "ppf", counted)
+    # _chi2_threshold imports gammaincinv when it runs, so it reads the patch
+    monkeypatch.setattr(scipy.special, "gammaincinv", counted)
     gaussian._chi2_threshold.cache_clear()
     m = SchurModule(2, (2,))
     g = LatticeGaussian(P3, standard_lattice(P3, m.N), precision=2, seed=0)
     gens = generator_images(m, P3, group_generator_matrices(P3, 2))
     report = invariance_report(g, compute_order(m, P3), gens, trials=4,
                                sample_count=500)
-    assert calls == [(1.0 - 0.001, 2)]
-    assert {t["threshold"] for t in report["tests"]} == {real(0.999, 2)}
+    assert calls == [(1.0, 1.0 - 0.001)]
+    assert {t["threshold"] for t in report["tests"]} == {oracle}
     invariance_report(g, compute_order(m, P3), gens, trials=2,
                       sample_count=500, significance=0.01)
-    assert calls == [(1.0 - 0.001, 2), (1.0 - 0.01, 2)]
+    assert calls == [(1.0, 1.0 - 0.001), (1.0, 1.0 - 0.01)]
+
+
+def _prime_powers_below(bound):
+    sieve = [True] * bound
+    out = []
+    for p in range(2, bound):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, bound, p))
+            out.extend(p ** e for e in range(1, bound.bit_length())
+                       if p ** e < bound)
+    return sorted(out)
+
+
+def test_chi2_threshold_is_the_scipy_stats_quantile():
+    """The threshold from scipy.special is the very double that
+    scipy.stats.chi2.ppf gives, for every field size below 2000, three
+    large primes, and significances including 0 (+inf) and 1 (0)."""
+    from scipy.stats import chi2
+
+    from schur_lattice import gaussian
+
+    gaussian._chi2_threshold.cache_clear()
+    sizes = _prime_powers_below(2000) + [1000003, 2 ** 31 - 1, 3000000019]
+    for q in sizes:
+        for s in (0.001, 0.01, 0.05, 1e-6, 0.0, 1.0):
+            assert gaussian._chi2_threshold(q, s) == \
+                float(chi2.ppf(1 - s, q - 1)), (q, s)
