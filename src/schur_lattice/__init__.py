@@ -5,7 +5,7 @@ tests, and lattice Gaussian sampling.
 """
 
 from .building import (FixSet, convexity_check, detect_graduated,
-                       diagonal_lattice, entry_profile, fix_bfs,
+                       diagonal_lattice, fix_bfs,
                        fix_polytrope, invariant_subspaces, is_invariant,
                        min_plus_closure, spans_end_residue)
 from .dvr import (Lattice, LatticeClass, MatrixModule, compute_order,
@@ -16,12 +16,11 @@ from .errors import (CapExceeded, InternalInvariantViolation, NegativeCycle,
                      NegativeValuation, NonIntegralInput, NotFullRank,
                      SchurLatticeError, ShapeMismatch, Singular)
 from .fields import (GF, INF, FieldSpec, LaurentRational, RationalAtP,
-                     RationalFunctionOverFq, field_from_descriptor,
-                     unit_sample_set)
+                     RationalFunctionOverFq, unit_sample_set)
 from .gaussian import LatticeGaussian, chi2_uniform_counts, invariance_report, sample
 from .partitions import (conjugate, dimension, hook_lengths, is_core,
-                         partitions_of, ssyt_enumerate, validate_partition)
-from .schur import SchurModule, character, rho
+                         ssyt_enumerate, validate_partition)
+from .schur import SchurModule, rho
 
 __version__ = "0.1.0"
 
@@ -31,15 +30,14 @@ __all__ = [
     "LatticeGaussian", "LaurentRational", "MatrixModule", "NegativeCycle",
     "NegativeValuation", "NonIntegralInput", "NotFullRank", "RationalAtP",
     "RationalFunctionOverFq", "SchurLatticeError",
-    "SchurModule", "ShapeMismatch", "Singular", "character",
+    "SchurModule", "ShapeMismatch", "Singular",
     "chi2_uniform_counts", "compute_order", "congruence_level",
     "conjugate", "convexity_check", "detect_graduated", "diagonal_lattice",
-    "dimension", "entry_profile", "field_from_descriptor", "fix_bfs",
+    "dimension", "fix_bfs",
     "fix_polytrope", "full_rank", "group_generator_matrices",
     "hook_lengths", "invariance_report", "invariant_subspaces",
     "is_core", "is_invariant", "lattice_sum_and_meet", "membership",
-    "min_plus_closure", "partitions_of",
-    "rho",
+    "min_plus_closure", "rho",
     "sample", "smith_divisors", "spans_end_residue", "ssyt_enumerate",
     "standard_lattice", "uniformizer_diagonal_matrices", "unit_sample_set",
     "validate_partition",

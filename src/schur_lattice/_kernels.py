@@ -26,8 +26,8 @@ read as Burnside's answer with no further elimination.
 
 A line's spin closure is constant on the orbits of the units of the
 algebra it is spun under, so ``line_spin_profile`` spins one line per
-orbit of a few dense units and copies its closure to the rest; the
-proof is in its docstring.
+orbit of a few dense units and returns one closure per orbit; the proof
+is in its docstring.
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ DENSE_UNITS = 2  # ordered products of the units whose line maps are used
 
 
 def line_spin_profile(fq: GF, mats, N: int):
-    """Spin closure of every canonical line of F_q^N under the matrices.
+    """Spin closure of one line per unit orbit of F_q^N under the matrices.
 
     Precondition: the matrices span a unital algebra A, as the residues
     of an order do (see ``building._proper_invariant_subspaces``).
@@ -307,11 +307,13 @@ def line_spin_profile(fq: GF, mats, N: int):
     Lines are indexed by codes in [1, q**N): code c encodes the vector
     whose little-endian base-q digits are those of c, and a code is
     canonical when its first nonzero digit is 1 (one code per line).
-    Returns ``(dims, sigs)`` over all codes: ``dims[c]`` is the dimension
-    of the smallest subspace containing the line and carried into itself
-    by every matrix (-1 when c is not canonical), and ``sigs[c, r]`` packs
-    row r of the closure's canonical RREF basis as sum_j row[j] * q**j
-    (rows sorted by pivot column; unused rows zero).
+    Returns ``(dims, sigs)``, one entry per orbit representative (the
+    orbits that ``_unit_orbits`` finds): ``dims[r]`` is the dimension of
+    the smallest subspace containing the representative's line and
+    carried into itself by every matrix, and ``sigs[r, i]`` packs row i
+    of that closure's canonical RREF basis as sum_j row[j] * q**j (rows
+    sorted by pivot column; unused rows zero).  A closure holds its own
+    line, so every dim is at least 1.
 
     The closure of the line through v is A.v = span{m v : m in mats}.
     A.v holds v, because I is in A, and is invariant under every matrix,
@@ -323,9 +325,9 @@ def line_spin_profile(fq: GF, mats, N: int):
     u, so it lies in A, and A.u = A; hence A.(u v) = (A.u).v = A.v, and
     the line through u v has the closure, and the canonical RREF basis,
     of the line through v.  This holds for any set of units: with none,
-    every line is its own orbit.  So each orbit of the units that
-    ``_unit_orbits`` finds is spun once, from its least canonical code,
-    and its closure is copied to every line in it.
+    every line is its own orbit.  So every line has the closure of its
+    orbit's representative, and the closures of the representatives are
+    the closures of all lines.
 
     The representatives are taken ``LINE_CHUNK`` at a time: one batched
     product forms the images m v of each line, and one batched
@@ -336,8 +338,6 @@ def line_spin_profile(fq: GF, mats, N: int):
     total = q ** N
     if total.bit_length() >= 63:
         raise ValueError("q**N too large for packed line enumeration")
-    dims = np.full(total, -1, dtype=np.int64)
-    sigs = np.zeros((total, N), dtype=np.int64)
     # canonical codes: digit 1 at the first nonzero place j, any digits above
     codes = np.concatenate([np.arange(q ** j, total, q ** (j + 1))
                             for j in range(N)])
@@ -347,24 +347,23 @@ def line_spin_profile(fq: GF, mats, N: int):
     stacked = mats.reshape(-1, N)
     d = len(mats)
     top = min(d, N)
-    reps, orbit = np.unique(_unit_orbits(fq, mats, codes, N),
-                            return_inverse=True)
-    rep_dims = np.zeros(reps.size, dtype=np.int64)
-    rep_sigs = np.zeros((reps.size, N), dtype=np.int64)
+    # a representative is the line whose orbit label is its own index
+    label = _unit_orbits(fq, mats, codes, N)
+    reps = codes[label == np.arange(codes.size)]
+    dims = np.zeros(reps.size, dtype=np.int64)
+    sigs = np.zeros((reps.size, N), dtype=np.int64)
     for start in range(0, reps.size, LINE_CHUNK):
         part = slice(start, start + LINE_CHUNK)
-        vecs = unpack_gf_rows(codes[reps[part]], q, N)
+        vecs = unpack_gf_rows(reps[part], q, N)
         # W[c, k] = mats[k] @ vecs[c]: the images of line c, one per row
         W = gf_matmul(fq, vecs, stacked.T).reshape(-1, d, N)
-        rep_dims[part] = _gf_batched_rref(fq, W)
-        rep_sigs[part, :top] = W[:, :top] @ powers
-    dims[codes] = rep_dims[orbit]
-    sigs[codes] = rep_sigs[orbit]
+        dims[part] = _gf_batched_rref(fq, W)
+        sigs[part, :top] = W[:, :top] @ powers
     return dims, sigs
 
 
 def _unit_orbits(fq: GF, mats, codes, N: int):
-    """For each canonical code, the index in `codes` of the least code in
+    """For each canonical code, the least index in `codes` of a code in
     its line's orbit under the group that ``_dense_units`` generate.
 
     Labels start at each line's own index.  A round lowers each label to

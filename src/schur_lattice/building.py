@@ -30,7 +30,9 @@ from .errors import (CapExceeded, InternalInvariantViolation, NegativeCycle,
 from .fields import GF, INF, FieldSpec
 from .schur import SchurModule
 
-DEFAULT_SUBSPACE_CAP = 2 ** 16
+# N * q**N, the int64 entries of the largest arrays of a residue
+# subspace search (its orbit pass over the q**N codes)
+DEFAULT_SUBSPACE_CAP = 2 ** 22
 DEFAULT_ENUM_CAP = 10 ** 6
 # the lattice classes the BFS may visit and convexity_check may pair:
 # at most 128 * 127 / 2 = 8128 pairs
@@ -51,7 +53,6 @@ class FixSet:
     bounded: bool
     method: str               # "polytrope" | "bfs"
     u_vectors: tuple | None   # normalized integer vectors (polytrope only)
-    capped: bool = False      # True when an unbounded set was enumerated
     radius: int | None = None  # enumeration radius actually used
 
     def keys(self):
@@ -67,18 +68,6 @@ def case_label(module: SchurModule, spec: FieldSpec) -> str:
 # ---------------------------------------------------------------------------
 # exponent-matrix profiles
 # ---------------------------------------------------------------------------
-
-def entry_profile(H: MatrixModule, allow_degenerate: bool = False):
-    """Entry-wise minimum valuation profile of the module's basis.
-
-    Positions where every basis matrix vanishes get +inf; those only
-    occur for non-full-rank modules and require allow_degenerate.
-    """
-    prof = H.valuation_profile()
-    if not allow_degenerate and any(x == INF for row in prof for x in row):
-        raise NotFullRank("profile has empty positions; module is degenerate")
-    return prof
-
 
 def min_plus_closure(M):
     """All-pairs (min, +) closure of an exponent matrix.
@@ -102,7 +91,9 @@ def detect_graduated(H: MatrixModule):
     """Exponent matrix M with H = {X : val(X_ij) >= m_ij}, or None; H an
     order, an R-subalgebra of M_N(R) that holds I.
 
-    M is the entry-wise minimum profile, and H = P(M), P(M) = {X :
+    M is the entry-wise minimum profile, H.valuation_profile(), and
+    every m_ij is finite: a module of rank N^2 has a nonzero (i, j) entry
+    in some basis matrix.  H = P(M), P(M) = {X :
     val(X_ij) >= m_ij}, is decided by comparing indices.  Every basis
     matrix of H has its (i, j) entry of valuation >= m_ij, so H is
     contained in P(M).  Both are free of rank N^2, so the length of
@@ -117,7 +108,7 @@ def detect_graduated(H: MatrixModule):
     """
     if not full_rank(H):
         raise NotFullRank("graduated detection needs a full-rank module")
-    M = entry_profile(H)
+    M = H.valuation_profile()
     if sum(H.divisors) != sum(map(sum, M)):
         return None
     return M
@@ -150,7 +141,7 @@ def diagonal_lattice(spec: FieldSpec, u) -> Lattice:
     return Lattice.from_vectors(spec, vectors)
 
 
-def fix_polytrope(M, spec: FieldSpec | None = None,
+def fix_polytrope(M, spec: FieldSpec,
                   unbounded_radius: int = DEFAULT_RADIUS) -> FixSet:
     """Integer points of {u : u_i - u_j <= m_ij}, normalized to min 0.
 
@@ -190,13 +181,9 @@ def fix_polytrope(M, spec: FieldSpec | None = None,
         if ok:
             points.append(u)
     points.sort()
-    classes = ()
-    if spec is not None:
-        classes = tuple(LatticeClass(diagonal_lattice(spec, u))
-                        for u in points)
+    classes = tuple(LatticeClass(diagonal_lattice(spec, u)) for u in points)
     return FixSet(classes=classes, bounded=bounded, method="polytrope",
-                  u_vectors=tuple(points), capped=not bounded,
-                  radius=radius)
+                  u_vectors=tuple(points), radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +203,12 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, reduced: bool = False):
     RREF basis from residue_algebra_basis), and none is run.  N*N
     elements mean A is the full matrix algebra, and there are no such
     subspaces (Burnside).  Otherwise every invariant subspace is the sum
-    of the closures of its lines under the basis; DEFAULT_SUBSPACE_CAP
-    guards the q^N line enumeration.
+    of the closures of its lines under the basis, and every line has the
+    closure of its orbit's representative (``line_spin_profile``), so
+    the distinct closures of the representatives are those of all lines.
+    DEFAULT_SUBSPACE_CAP bounds N * q^N, the int64 entries of the
+    largest arrays of the search: a few N-wide rows per canonical line
+    in the orbit pass, its unpacked coordinates and unit images.
 
     The sums are formed in one pass over the distinct closures C_1, C_2,
     ...: C_j is kept, and so is W + C_j for every W kept before C_j,
@@ -234,12 +225,14 @@ def _proper_invariant_subspaces(fq: GF, mats, N: int, reduced: bool = False):
     if len(basis) == N * N:
         return []
     q, cap = fq.q, DEFAULT_SUBSPACE_CAP
-    if q ** N > cap:
-        raise CapExceeded(f"residue subspace search: {q}^{N} exceeds {cap}")
+    if N * q ** N > cap:
+        raise CapExceeded(
+            f"residue subspace search: {N} * {q}^{N} exceeds the cap "
+            f"DEFAULT_SUBSPACE_CAP = {cap}")
     dims, sigs = _kernels.line_spin_profile(fq, basis.reshape(-1, N, N), N)
     # a closure's packed RREF rows are its nonzero entries in sigs, so
     # equal rows are equal closures
-    closures = np.unique(sigs[(dims > 0) & (dims < N)], axis=0)
+    closures = np.unique(sigs[dims < N], axis=0)
     found: dict[bytes, np.ndarray] = {}
     for packed, rows in zip(closures,
                             _kernels.unpack_gf_rows(closures, q, N)):

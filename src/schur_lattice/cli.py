@@ -23,7 +23,7 @@ from importlib import resources
 
 from . import __version__ as VERSION
 from .building import (DEFAULT_RADIUS, FixSet, case_label, convexity_check,
-                       detect_graduated, entry_profile, fix_bfs,
+                       detect_graduated, fix_bfs,
                        fix_polytrope, invariant_subspaces, is_invariant,
                        min_plus_closure, spans_end_residue)
 from .dvr import (MatrixModule, compute_order, congruence_level, full_rank,
@@ -185,10 +185,9 @@ def _ser_fixset(S: FixSet | None):
         return None
     return {
         "method": S.method,
-        "size": len(S.classes) if S.classes else (
-            len(S.u_vectors) if S.u_vectors is not None else 0),
+        "size": len(S.classes),
         "bounded": S.bounded,
-        "capped": S.capped,
+        "capped": not S.bounded,
         "radius": S.radius,
         "u_vectors": [list(u) for u in S.u_vectors]
         if S.u_vectors is not None else None,
@@ -282,7 +281,7 @@ def run_case(case: dict, parts=("order", "fix", "irreducible"),
     H = _order(module, spec)
     clock["order_s"] = time.perf_counter() - t0
     is_full = full_rank(H)
-    profile = entry_profile(H, allow_degenerate=True)
+    profile = H.valuation_profile()
     order_summary = {
         "rank": H.rank,
         "full_rank": is_full,

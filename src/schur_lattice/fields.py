@@ -903,16 +903,6 @@ class RationalFunctionOverFq(FieldSpec):
         return f"RationalFunctionOverFq({self.q})"
 
 
-def field_from_descriptor(desc: dict) -> FieldSpec:
-    """Inverse of FieldSpec.describe()."""
-    backend = desc.get("backend")
-    if backend == "p-adic":
-        return RationalAtP(int(desc["p"]))
-    if backend == "laurent":
-        return RationalFunctionOverFq(int(desc["q"]))
-    raise SchurLatticeError(f"unknown field backend {backend!r}")
-
-
 # ---------------------------------------------------------------------------
 # unit sample sets
 # ---------------------------------------------------------------------------

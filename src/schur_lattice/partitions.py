@@ -66,19 +66,6 @@ def dimension(lam, n: int) -> int:
     return num // den if num else 0
 
 
-def partitions_of(d: int):
-    """All partitions of d, largest part first, in lexicographic order."""
-    def gen(remaining, maximum):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, maximum), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return list(gen(d, d))
-
-
 def reading_word(tab) -> tuple[int, ...]:
     """Row-reading word: rows concatenated top to bottom."""
     return tuple(itertools.chain.from_iterable(tab))

@@ -91,25 +91,10 @@ class SchurModule:
         self._rho_memo: dict = {}
 
     # -- straightening ---------------------------------------------------
-    def _validate_filling(self, filling):
-        filling = tuple(tuple(int(x) for x in row) for row in filling)
-        if tuple(len(row) for row in filling) != self.lam:
-            raise ShapeMismatch(
-                f"filling shape {tuple(len(r) for r in filling)} != {self.lam}")
-        for row in filling:
-            for x in row:
-                if not 1 <= x <= self.n:
-                    raise ShapeMismatch(f"entry {x} outside 1..{self.n}")
-        return filling
-
-    def straighten_coeffs(self, filling) -> dict:
-        """Integer expansion {basis index: coefficient} of a filling."""
-        filling = self._validate_filling(filling)
-        return self._straighten_columns(_columns_of(filling, self.lamc))
-
     def _straighten_columns(self, columns) -> dict:
-        """straighten_coeffs of the filling with these columns (a tuple of
-        entry tuples, one per column of the shape), unvalidated."""
+        """Integer expansion {basis index: coefficient} of the filling with
+        these columns (a tuple of entry tuples in 1..n, one per column of
+        the shape), unvalidated."""
         cache = self._straighten_cache
         hit = cache.get(columns)
         if hit is not None:
@@ -350,10 +335,3 @@ def _straightened_image(module: SchurModule, g, ring):
                 row[idx] = row[idx] + coeff * c
         out.append(tuple(row))
     return tuple(out)
-
-
-def character(module: SchurModule, z):
-    """Schur polynomial of shape lam evaluated at z (SSYT weight sum)."""
-    if len(z) != module.n:
-        raise ShapeMismatch(f"need {module.n} arguments, got {len(z)}")
-    return sum(diagonal_weights(module, z))

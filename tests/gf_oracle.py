@@ -4,11 +4,13 @@
 row with a per-row update; ``_kernels.gf_rref``, ``GFSpan`` and
 ``residue_algebra_basis`` once ran on it.  ``spin_closure`` spins seed
 vectors under matrices one product at a time, the per-line oracle of
-``line_spin_profile``, and ``gf_matvec`` is its matrix-vector product.
-``subspaces_by_rounds`` closes the lines' closures under sums in rounds
-of pairwise sums until a round finds nothing new, as
-``building._proper_invariant_subspaces`` once did: the oracle of its
-one-pass sums and, with a per-line profile, of its line spins.
+``line_spin_profile``, which spins one line per unit orbit: the distinct
+closures of every line are those of the orbit representatives.
+``gf_matvec`` is its matrix-vector product.  ``subspaces_by_rounds``
+closes the lines' closures under sums in rounds of pairwise sums until a
+round finds nothing new, as ``building._proper_invariant_subspaces``
+once did: the oracle of its one-pass sums and, with a per-line profile,
+of its line spins.
 ``gf_rank`` is the rank of a set of rows by one ``gf_rref``.
 """
 
@@ -126,7 +128,8 @@ def spin_closure(fq: GF, seed_vectors, mats):
 def subspaces_by_rounds(fq: GF, mats, N: int, profile=line_spin_profile):
     """Proper nonzero subspaces of F_q^N invariant under mats, which span
     a unital algebra: the distinct proper closures of the lines under
-    `profile` (line_spin_profile, or a per-line oracle of it), then
+    `profile` (line_spin_profile, one closure per orbit representative,
+    or a per-line oracle of it, with dim -1 for the codes of no line), then
     rounds of pairwise sums of everything found until a round adds
     nothing, sorted by (dimension, rows)."""
     mats = np.asarray(mats, dtype=np.int64).reshape(-1, N, N)

@@ -5,10 +5,14 @@ did before it straightened each distinct monomial once over Z: for every
 basis tableau, one filling per ordered choice of a column minor for each
 column, each filling straightened and scaled by the product of its
 minors.  It checks no singularity and takes no closed form, so a
-diagonal g goes through the same expansion.
+diagonal g goes through the same expansion.  ``character`` is the Schur
+polynomial, the trace of rho at a diagonal, summed over the basis
+tableaux.
 """
 
+import functools
 import itertools
+import operator
 
 
 def minor_table(g, letters, n, spec):
@@ -35,11 +39,6 @@ def minor_table(g, letters, n, spec):
     return table
 
 
-def filling_from_columns(cols, lam, lamc):
-    return tuple(tuple(cols[j][i] for j in range(len(lamc)) if lamc[j] > i)
-                 for i in range(len(lam)))
-
-
 def ordered_image(module, g, spec):
     """rho(g) over the spec, g a matrix of field elements or ints."""
     n, N = module.n, module.N
@@ -55,9 +54,17 @@ def ordered_image(module, g, spec):
             coeff = None
             for _, minor in choice:
                 coeff = minor if coeff is None else coeff * minor
-            filling = filling_from_columns(
-                [tuple(j + 1 for j in J) for J, _ in choice],
-                module.lam, module.lamc)
-            for idx, c in module.straighten_coeffs(filling).items():
+            columns = tuple(tuple(j + 1 for j in J) for J, _ in choice)
+            for idx, c in module._straighten_columns(columns).items():
                 row[idx] = row[idx] + coeff * c
     return tuple(tuple(r) for r in out)
+
+
+def character(module, z):
+    """The Schur polynomial of the module's shape at z, as elements of
+    z's field: the sum over the basis tableaux T of the products of
+    z[e - 1] over the entries e of T."""
+    weights = [functools.reduce(operator.mul,
+                                (z[e - 1] for row in tab for e in row))
+               for tab in module.basis]
+    return functools.reduce(operator.add, weights)

@@ -1,6 +1,18 @@
-"""The standard conjecture-scan grid, as scan cases for ``run_case``."""
+"""The standard conjecture-scan grid, as scan cases for ``run_case``, and
+the partitions it is built from."""
 
-from schur_lattice.partitions import partitions_of
+
+def partitions_of(d: int):
+    """All partitions of d, largest part first, in lexicographic order."""
+    def gen(remaining, maximum):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, maximum), 0, -1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+
+    return list(gen(d, d))
 
 
 def sweep_cases(d_max: int, ns, ps, field: str = "padic"):

@@ -15,20 +15,21 @@ import pytest
 
 from schur_lattice import (LatticeClass, LatticeGaussian, RationalAtP,
                            RationalFunctionOverFq, SchurModule, Singular,
-                           character, compute_order,
+                           compute_order,
                            congruence_level, convexity_check,
                            detect_graduated, diagonal_lattice, dimension,
-                           entry_profile, fix_bfs, fix_polytrope, full_rank,
+                           fix_bfs, fix_polytrope, full_rank,
                            invariance_report, invariant_subspaces,
                            is_core, is_invariant, membership, min_plus_closure,
-                           partitions_of, rho, smith_divisors,
+                           rho, smith_divisors,
                            spans_end_residue, ssyt_enumerate,
                            standard_lattice)
 from schur_lattice.cli import run_case
 from schur_lattice.dvr import ExactEchelon, group_generator_matrices, mat_mul
 from lattice_oracle import (class_distance, hnf_dvr, mat_inv,
                             module_from_matrices)
-from scan_grid import sweep_cases
+from rho_oracle import character
+from scan_grid import partitions_of, sweep_cases
 
 # ---------------------------------------------------------------------------
 # shared case producers (memoized so later criteria reuse earlier work)
@@ -166,7 +167,7 @@ def test_criterion_04_equal_characteristic_unbounded_family():
     assert not full_rank(H)
     for m in range(6):
         assert is_invariant(H, diagonal_lattice(spec, (m, 0, m)))
-    profile = entry_profile(H, allow_degenerate=True)
+    profile = H.valuation_profile()
     closed = min_plus_closure(profile)
     S = fix_polytrope(closed, spec, unbounded_radius=5)
     assert S.bounded is False
@@ -314,7 +315,7 @@ def test_criterion_06_property_suites():
         assert dist <= congruence_level(order2)
     # capped laurent family: convexity holds on the computed prefix
     lm, ls, lo = laurent_case()
-    prof = entry_profile(lo, allow_degenerate=True)
+    prof = lo.valuation_profile()
     lset = fix_polytrope(min_plus_closure(prof), ls, unbounded_radius=5)
     assert convexity_check(lset) is True
 

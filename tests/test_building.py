@@ -14,10 +14,10 @@ from schur_lattice import (GF, INF, Lattice, LatticeClass, NegativeCycle,
                            compute_order,
                            congruence_level, convexity_check,
                            detect_graduated, diagonal_lattice, dimension,
-                           entry_profile, fix_bfs, fix_polytrope, full_rank,
+                           fix_bfs, fix_polytrope, full_rank,
                            invariant_subspaces,
                            is_invariant, membership, min_plus_closure,
-                           partitions_of, rho,
+                           rho,
                            smith_divisors, spans_end_residue,
                            standard_lattice)
 from schur_lattice._kernels import residue_algebra_basis
@@ -30,6 +30,7 @@ from gf_oracle import subspaces_by_rounds
 from lattice_oracle import (bfs_searched_keys, class_distance,
                             module_from_matrices, spans_by_rank)
 from saturation_oracle import group_generator_matrices_at_level
+from scan_grid import partitions_of
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -73,13 +74,15 @@ def odd_diagonal_module():
 # ---------------------------------------------------------------------------
 
 def test_entry_profile_frozen(order_2adic):
-    assert entry_profile(order_2adic) == ((0, 1, 0), (0, 0, 0), (0, 1, 0))
+    assert order_2adic.valuation_profile() == (
+        (0, 1, 0), (0, 0, 0), (0, 1, 0))
 
 
-def test_entry_profile_degenerate_needs_flag(order_laurent):
-    with pytest.raises(NotFullRank):
-        entry_profile(order_laurent)
-    prof = entry_profile(order_laurent, allow_degenerate=True)
+def test_entry_profile_of_a_degenerate_order_has_inf(order_laurent):
+    """Where every basis matrix vanishes the entry profile is INF; only a
+    module below full rank has such an entry."""
+    assert not full_rank(order_laurent)
+    prof = order_laurent.valuation_profile()
     assert prof == ((0, INF, 0), (0, 0, 0), (0, INF, 0))
 
 
@@ -128,14 +131,14 @@ def test_detect_graduated_negative_fixture():
     """A ring with a graduated-looking profile that is not graduated."""
     H = non_graduated_module()
     assert H.rank == 4
-    assert entry_profile(H) == ((0, 1), (1, 0))
+    assert H.valuation_profile() == ((0, 1), (1, 0))
     assert detect_graduated(H) is None
 
 
 def _graduated_by_membership(H):
     """Reference: profile checks, then H = P(M) by N^2 membership tests of
     the generators uniformizer^{m_ij} E_ij of P(M)."""
-    M = entry_profile(H)
+    M = H.valuation_profile()
     N = H.N
     if any(M[i][i] != 0 for i in range(N)):
         return None
@@ -172,7 +175,7 @@ def test_detect_graduated_matches_membership_oracle(n, lam, p):
 def test_detect_graduated_closed_profile_strictly_smaller(make):
     """Closed zero-diagonal profile, but H is a proper submodule of P(M)."""
     H = make()
-    M = entry_profile(H)
+    M = H.valuation_profile()
     assert min_plus_closure(M) == M
     assert sum(H.divisors) > sum(map(sum, M))
     assert _graduated_by_membership(H) is None
@@ -191,7 +194,7 @@ def test_detect_graduated_requires_full_rank(order_laurent):
 def test_fix_polytrope_zero_matrix_single_point():
     S = fix_polytrope(((0, 0), (0, 0)), P2)
     assert S.u_vectors == ((0, 0),)
-    assert S.bounded and not S.capped
+    assert S.bounded
     assert len(S.classes) == 1
     assert S.classes[0].key() == LatticeClass(standard_lattice(P2, 2)).key()
 
@@ -200,7 +203,7 @@ def test_fix_polytrope_frozen_two_points():
     M = ((0, 1, 0), (0, 0, 0), (0, 1, 0))
     S = fix_polytrope(M, P2)
     assert S.u_vectors == ((0, 0, 0), (1, 0, 1))
-    assert S.bounded and not S.capped
+    assert S.bounded
     assert S.method == "polytrope"
 
 
@@ -208,7 +211,6 @@ def test_fix_polytrope_unbounded_family():
     M = ((0, INF, 0), (0, 0, 0), (0, INF, 0))
     S = fix_polytrope(M, F2T, unbounded_radius=5)
     assert not S.bounded
-    assert S.capped
     assert S.u_vectors == tuple((m, 0, m) for m in range(6))
 
 
@@ -498,7 +500,7 @@ def test_fix_bfs_frozen(order_2adic):
     m = SchurModule(2, (2,))
     S = fix_bfs(order_2adic, m, P2)
     assert S.method == "bfs"
-    assert S.bounded and not S.capped
+    assert S.bounded
     assert len(S.classes) == 2
     poly = fix_polytrope(detect_graduated(order_2adic), P2)
     assert set(S.keys()) == set(poly.keys())

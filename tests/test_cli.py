@@ -3,6 +3,7 @@ determinism."""
 
 import concurrent.futures
 import functools
+import importlib.util
 import json
 import logging
 import multiprocessing
@@ -810,16 +811,28 @@ def test_module_cap_is_the_module_constant(capsys, monkeypatch, argv):
                                             ("irreducible", "irreducible")])
 def test_subspace_cap_exits_3_naming_the_case_and_stage(capsys, command,
                                                         stage):
-    """(2,(6),5) has N = 7, and 5^7 lines are over DEFAULT_SUBSPACE_CAP:
-    each stage that searches residue subspaces exits 3 and names the case
-    and itself."""
+    """(3,(4),3) has N = 15, and 15 * 3^15 entries are over
+    DEFAULT_SUBSPACE_CAP: each stage that searches residue subspaces
+    exits 3 and names the case and itself."""
     code, out, err = run_main(
-        capsys, [command, "--n", "2", "--lambda", "6", "--p", "5"])
+        capsys, [command, "--n", "3", "--lambda", "4", "--p", "3"])
     assert code == 3
     assert out == ""
-    assert ("error: cap exceeded: n=2 lambda=6 {'backend': 'p-adic', "
-            f"'p': 5}}: stage {stage}: residue subspace search: 5^7 "
-            "exceeds 65536") in err
+    assert ("error: cap exceeded: n=3 lambda=4 {'backend': 'p-adic', "
+            f"'p': 3}}: stage {stage}: residue subspace search: 15 * 3^15 "
+            "exceeds the cap DEFAULT_SUBSPACE_CAP = 4194304") in err
+
+
+def test_subspace_cap_admits_a_search_of_few_entries(capsys):
+    """(2,(6),5) has 5^7 = 78,125 lines but only 7 * 5^7 entries, under
+    DEFAULT_SUBSPACE_CAP = 2^22: fix answers, with the BFS and the
+    irreducible stage run."""
+    code, out, _ = run_main(
+        capsys, ["fix", "--n", "2", "--lambda", "6", "--p", "5"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["fix"]["bfs"]["size"] == 4
+    assert report["irreducible"]["subspace_count"] == 3
 
 
 def test_subspace_cap_is_the_module_constant(capsys, monkeypatch):
@@ -830,7 +843,8 @@ def test_subspace_cap_is_the_module_constant(capsys, monkeypatch):
     code, _, err = run_main(
         capsys, ["irreducible", "--n", "2", "--lambda", "2", "--p", "2"])
     assert code == 3
-    assert "stage irreducible: residue subspace search: 2^3 exceeds 4" in err
+    assert ("stage irreducible: residue subspace search: 3 * 2^3 exceeds "
+            "the cap DEFAULT_SUBSPACE_CAP = 4") in err
 
 
 def test_class_cap_exits_3_naming_the_case_and_stage(capsys):
@@ -1378,3 +1392,24 @@ def test_parser_covers_documented_subcommands():
     names = set(subactions[0].choices)
     assert names == {"hooks", "dim", "rho", "order", "fix", "scan",
                      "sample", "irreducible"}
+
+
+def test_traced_benchmark_measures_every_per_layer_metric():
+    """Every per_layer metric that BENCHMARK.json names is a key of the
+    pipeline tracer's summary, built here without running anything, but
+    trace.* and dvr.compute_order.residue_full_frac, which
+    pipeline_bench/run.py derives itself.  A change that removes or
+    renames a traced function fails here, as the traced benchmark run
+    would."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "pipeline_tracing", root / "pipeline_bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    keys = tracing.Tracer().summary().keys()
+    bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in bench["per_layer"]
+             if not m["name"].startswith("trace.")
+             and m["name"] != "dvr.compute_order.residue_full_frac"]
+    assert names
+    assert [name for name in names if name not in keys] == []

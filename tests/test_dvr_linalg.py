@@ -16,8 +16,8 @@ from schur_lattice import (INF, CapExceeded, FixSet, Lattice, LatticeClass,
                            MatrixModule, NonIntegralInput, RationalAtP,
                            RationalFunctionOverFq, SchurModule, Singular,
                            compute_order, congruence_level, convexity_check,
-                           entry_profile, full_rank, lattice_sum_and_meet,
-                           membership, partitions_of, rho, smith_divisors,
+                           full_rank, lattice_sum_and_meet,
+                           membership, rho, smith_divisors,
                            spans_end_residue, standard_lattice,
                            unit_sample_set)
 from schur_lattice import dvr
@@ -36,6 +36,7 @@ from saturation_oracle import (group_generator_matrices_at_level,
                                int_smith_divisors_exact,
                                module_add_and_saturate, random_word,
                                saturate_exact, word_image)
+from scan_grid import partitions_of
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -469,8 +470,8 @@ def test_padic_letters_are_int_matrices_that_rho_reads_as_they_are(
 
 def fraction_profile(H):
     """The least valuation of each entry over H's Fraction basis, INF
-    where every basis matrix vanishes: the walk entry_profile ran before
-    it read the integer stack."""
+    where every basis matrix vanishes: the walk valuation_profile ran
+    before it read the integer stack."""
     spec, N = H.spec, H.N
     prof = [[INF] * N for _ in range(N)]
     for mat in H.basis:
@@ -519,7 +520,7 @@ def test_module_views_agree_with_fraction_walk(p, N, data):
     """On a module from module_from_matrices (Fraction basis, no stack)
     and on the same basis held as an integer stack (int64, or Python ints
     as past the lane's int64 bound), each matrix scaled by a unit to
-    clear its denominators, entry_profile, the residues and
+    clear its denominators, valuation_profile, the residues and
     spans_end_residue agree with the Fraction walk, degenerate profiles
     included."""
     spec = RationalAtP(p)
@@ -542,8 +543,8 @@ def test_module_views_agree_with_fraction_walk(p, N, data):
                      np.array(scaled, dtype=object).astype(dtype))
     assert S.basis == tuple(scaled) and M.stack is None
     profile = fraction_profile(M)
-    assert entry_profile(M, allow_degenerate=True) == profile
-    assert entry_profile(S, allow_degenerate=True) == profile
+    assert M.valuation_profile() == profile
+    assert S.valuation_profile() == profile
     assert fraction_profile(S) == profile
     assert np.array_equal(residues(S), fraction_residues(S))
     assert np.array_equal(residues(M), fraction_residues(M))

@@ -449,6 +449,26 @@ def _line_spin_oracle(fq, mats, N):
     return dims, sigs
 
 
+def _closures(dims, sigs):
+    """The sorted distinct (dim, packed rows) closures of a profile; the
+    per-line oracles give -1 for the codes of no line."""
+    keep = dims > 0
+    return sorted({(int(d), tuple(row.tolist()))
+                   for d, row in zip(dims[keep], sigs[keep])})
+
+
+def _spin(fq, mats, N):
+    """line_spin_profile, checked to spin one line per unit orbit: one
+    closure per distinct ``_unit_orbits`` label, each of dim >= 1."""
+    dims, sigs = line_spin_profile(fq, mats, N)
+    codes = _canonical_codes(fq.q, N)
+    mats = np.asarray(mats, dtype=np.int64).reshape(-1, N, N)
+    orbits = len(np.unique(_unit_orbits(fq, mats, codes, N)))
+    assert dims.shape == (orbits,) and sigs.shape == (orbits, N)
+    assert (dims >= 1).all()
+    return dims, sigs
+
+
 @settings(max_examples=25, deadline=None)
 @given(q=st.sampled_from([2, 3, 4, 5]), N=st.integers(1, 5),
        k=st.integers(0, 3), split=st.integers(0, 5),
@@ -457,11 +477,12 @@ def _line_spin_oracle(fq, mats, N):
 @example(q=3, N=5, k=3, split=3, seed=1)   # 121 lines over a prime field
 @example(q=9, N=3, k=2, split=1, seed=2)   # tables with -1 != 1
 def test_line_spin_profile_matches_per_line_closure(q, N, k, split, seed):
-    """The batched image under a basis of the algebra the matrices
-    generate equals the breadth-first oracle it replaced and per-line
-    spin_closure, both run under the matrices themselves.  Zeroing the
-    block below `split` keeps span(e_1..e_split) invariant, so closures
-    of every dimension occur."""
+    """The closures of the orbit representatives under a basis of the
+    algebra the matrices generate are the distinct closures of the
+    breadth-first oracle it replaced and of per-line spin_closure, both
+    run on every line under the matrices themselves.  Zeroing the block
+    below `split` keeps span(e_1..e_split) invariant, so closures of
+    every dimension occur."""
     fq = GF(q)
     rng = np.random.default_rng(seed)
     mats = []
@@ -469,13 +490,9 @@ def test_line_spin_profile_matches_per_line_closure(q, N, k, split, seed):
         m = rng.integers(0, q, size=(N, N), dtype=np.int64)
         m[min(split, N):, :min(split, N)] = 0
         mats.append(m)
-    dims, sigs = line_spin_profile(fq, residue_algebra_basis(fq, mats, N), N)
-    oracle_dims, oracle_sigs = _line_spin_oracle(fq, mats, N)
-    assert np.array_equal(dims, oracle_dims)
-    assert np.array_equal(sigs, oracle_sigs)
-    ref_dims, ref_sigs = _profile_reference(fq, mats, N)
-    assert np.array_equal(dims, ref_dims)
-    assert np.array_equal(sigs, ref_sigs)
+    got = _closures(*_spin(fq, residue_algebra_basis(fq, mats, N), N))
+    assert got == _closures(*_line_spin_oracle(fq, mats, N))
+    assert got == _closures(*_profile_reference(fq, mats, N))
 
 
 def test_line_spin_profile_bfs_generators_frozen():
@@ -492,13 +509,12 @@ def test_line_spin_profile_bfs_generators_frozen():
     span = gf_rank(fq, np.reshape(basis, (-1, N * N)))
     assert (N, len(basis), span) == (8, 64, 57)
     assert residue_ring_closure_rank(fq, basis, N) == span
-    dims, sigs = line_spin_profile(fq, basis, N)
-    assert np.bincount(dims[dims > 0]).tolist() == [0, 1] + [0] * 6 + [3279]
-    codes = _canonical_codes(fq.q, N)
-    assert len(np.unique(_unit_orbits(fq, basis, codes, N))) == 2
-    oracle_dims, oracle_sigs = _line_spin_oracle(fq, basis, N)
-    assert np.array_equal(dims, oracle_dims)
-    assert np.array_equal(sigs, oracle_sigs)
+    dims, sigs = _spin(fq, basis, N)
+    assert len(dims) == 2
+    oracle = _line_spin_oracle(fq, basis, N)
+    assert np.bincount(oracle[0][oracle[0] > 0]).tolist() == (
+        [0, 1] + [0] * 6 + [3279])
+    assert _closures(dims, sigs) == _closures(*oracle)
 
 
 @settings(max_examples=30, deadline=None)
@@ -559,22 +575,20 @@ def test_line_spin_profile_gf4_fixed_case():
     N = 3
     mats = [np.array([[2, 1, 0], [0, 3, 1], [0, 0, 2]], dtype=np.int64),
             np.array([[1, 2, 3], [0, 3, 1], [0, 0, 1]], dtype=np.int64)]
-    dims, sigs = line_spin_profile(fq, residue_algebra_basis(fq, mats, N), N)
-    assert np.bincount(dims[dims > 0]).tolist() == [0, 2, 3, 16]
-    ref_dims, ref_sigs = _profile_reference(fq, mats, N)
-    assert np.array_equal(dims, ref_dims)
-    assert np.array_equal(sigs, ref_sigs)
+    dims, sigs = _spin(fq, residue_algebra_basis(fq, mats, N), N)
+    ref = _profile_reference(fq, mats, N)
+    assert np.bincount(ref[0][ref[0] > 0]).tolist() == [0, 2, 3, 16]
+    assert _closures(dims, sigs) == _closures(*ref)
 
 
 def test_line_spin_profile_no_matrices_gives_lines():
-    """The algebra of no matrices is spanned by I alone."""
+    """The algebra of no matrices is spanned by I alone, whose one unit
+    fixes every line: each of the 7 lines is its own orbit and closure."""
     fq = GF(2)
-    dims, sigs = line_spin_profile(fq, [np.eye(3, dtype=np.int64)], 3)
-    canonical = [c for c in range(1, 8)]
-    assert all(dims[c] == 1 for c in canonical)
-    assert dims[0] == -1
-    # each closure is the line itself
-    assert [int(sigs[c, 0]) for c in canonical] == canonical
+    dims, sigs = _spin(fq, [np.eye(3, dtype=np.int64)], 3)
+    assert dims.tolist() == [1] * 7
+    assert sorted(sigs[:, 0].tolist()) == list(range(1, 8))
+    assert not sigs[:, 1:].any()
 
 
 def _canonical_codes(q, N):
@@ -613,11 +627,10 @@ def test_line_spin_orbits_skip_singular_i_plus_idempotent_over_f2():
     mats = np.concatenate([e[None], residue_algebra_basis(fq, [e, r], N)])
     orbits, _ = _check_unit_orbits(fq, mats, N)
     assert orbits < fq.q ** N - 1
-    dims, sigs = line_spin_profile(fq, mats, N)
-    assert np.bincount(dims[dims > 0]).tolist() == [0, 0, 3, 0, 12]
-    oracle_dims, oracle_sigs = _line_spin_oracle(fq, mats, N)
-    assert np.array_equal(dims, oracle_dims)
-    assert np.array_equal(sigs, oracle_sigs)
+    dims, sigs = _spin(fq, mats, N)
+    oracle = _line_spin_oracle(fq, mats, N)
+    assert np.bincount(oracle[0][oracle[0] > 0]).tolist() == [0, 0, 3, 0, 12]
+    assert _closures(dims, sigs) == _closures(*oracle)
 
 
 @pytest.mark.parametrize("q, N", [(4, 3), (9, 3)])
@@ -638,11 +651,11 @@ def test_line_spin_orbits_scale_through_tables(q, N):
     lead = [row[row != 0][0] for img in images for row in img]
     assert set(lead) - {1}
     assert 2 <= orbits < (q ** N - 1) // (q - 1)
-    dims, sigs = line_spin_profile(fq, basis, N)
-    assert np.bincount(dims[dims > 0]).tolist() == [0, 1, 0, q * q + q]
-    oracle_dims, oracle_sigs = _line_spin_oracle(fq, mats, N)
-    assert np.array_equal(dims, oracle_dims)
-    assert np.array_equal(sigs, oracle_sigs)
+    dims, sigs = _spin(fq, basis, N)
+    oracle = _line_spin_oracle(fq, mats, N)
+    assert np.bincount(oracle[0][oracle[0] > 0]).tolist() == (
+        [0, 1, 0, q * q + q])
+    assert _closures(dims, sigs) == _closures(*oracle)
 
 
 def test_line_spin_orbits_scalar_units_only():
@@ -656,11 +669,10 @@ def test_line_spin_orbits_scalar_units_only():
     assert _dense_units(fq, basis, N).shape == (0, N, N)
     orbits, _ = _check_unit_orbits(fq, basis, N)
     assert orbits == fq.q ** N - 1
-    dims, sigs = line_spin_profile(fq, basis, N)
-    assert np.bincount(dims[dims > 0]).tolist() == [0, 3, 3, 1]
-    ref_dims, ref_sigs = _profile_reference(fq, mats, N)
-    assert np.array_equal(dims, ref_dims)
-    assert np.array_equal(sigs, ref_sigs)
+    dims, sigs = _spin(fq, basis, N)
+    assert np.bincount(dims).tolist() == [0, 3, 3, 1]
+    ref = _profile_reference(fq, mats, N)
+    assert _closures(dims, sigs) == _closures(*ref)
 
 
 def test_unpack_gf_rows_roundtrip():

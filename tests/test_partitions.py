@@ -5,8 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schur_lattice import (SchurLatticeError, conjugate, dimension,
-                           hook_lengths, is_core, partitions_of,
-                           ssyt_enumerate, validate_partition)
+                           hook_lengths, is_core, ssyt_enumerate,
+                           validate_partition)
+from scan_grid import partitions_of
 
 
 @st.composite

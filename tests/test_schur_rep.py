@@ -7,10 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schur_lattice import (LaurentRational, RationalAtP,
-                           RationalFunctionOverFq, SchurModule, Singular,
-                           character, rho)
+                           RationalFunctionOverFq, SchurModule, Singular, rho)
 from schur_lattice.dvr import mat_mul
-from rho_oracle import filling_from_columns, minor_table, ordered_image
+from rho_oracle import character, minor_table, ordered_image
 
 P2 = RationalAtP(2)
 P3 = RationalAtP(3)
@@ -51,24 +50,26 @@ def test_basis_frozen_lambda2():
     assert set(m.basis) == {((1, 1),), ((1, 2),), ((2, 2),)}
 
 
+# a filling is straightened by its columns, one entry tuple per column
 def test_straighten_column_swap_sign():
     """Exchanging the two entries of a column negates the element."""
     m = SchurModule(2, (1, 1))
-    down = m.straighten_coeffs(((1,), (2,)))
-    up = m.straighten_coeffs(((2,), (1,)))
+    down = m._straighten_columns(((1, 2),))
+    up = m._straighten_columns(((2, 1),))
     assert down == {m.index[((1,), (2,))]: 1}
     assert up == {m.index[((1,), (2,))]: -1}
 
 
 def test_straighten_repeated_column_entry_is_zero():
     m = SchurModule(2, (1, 1))
-    assert m.straighten_coeffs(((1,), (1,))) == {}
+    assert m._straighten_columns(((1, 1),)) == {}
 
 
 def test_straighten_nonstandard_row():
-    """The 2x2 exchange identity: (2,1|1,2) rewrites into standard terms."""
+    """The 2x2 exchange identity: the filling (2,1|1,2), whose columns
+    are (2,1) and (1,2), rewrites into standard terms."""
     m = SchurModule(2, (2, 2))
-    got = m.straighten_coeffs(((2, 1), (1, 2)))
+    got = m._straighten_columns(((2, 1), (1, 2)))
     assert got  # expressible, nonzero
     for idx, coeff in got.items():
         assert m.basis[idx] in set(m.basis)
@@ -223,14 +224,15 @@ def test_straighten_equal_height_columns_commute(shape, data):
     n, lam = shape
     module = SchurModule(n, lam)
     lamc = module.lamc
-    cols = [[data.draw(st.integers(1, n)) for _ in range(h)] for h in lamc]
+    cols = [tuple(data.draw(st.integers(1, n)) for _ in range(h))
+            for h in lamc]
     pairs = [(a, b) for a in range(len(lamc)) for b in range(a + 1, len(lamc))
              if lamc[a] == lamc[b]]
     a, b = data.draw(st.sampled_from(pairs))
     swapped = list(cols)
     swapped[a], swapped[b] = cols[b], cols[a]
-    assert module.straighten_coeffs(filling_from_columns(cols, lam, lamc)) \
-        == module.straighten_coeffs(filling_from_columns(swapped, lam, lamc))
+    assert module._straighten_columns(tuple(cols)) \
+        == module._straighten_columns(tuple(swapped))
 
 
 @pytest.mark.parametrize("spec", [P2, F2T])

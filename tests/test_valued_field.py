@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from schur_lattice import (GF, INF, LaurentRational, RationalAtP,
                            RationalFunctionOverFq, SchurLatticeError,
-                           field_from_descriptor, unit_sample_set)
+                           unit_sample_set)
 from schur_lattice.errors import CapExceeded, NegativeValuation
 from schur_lattice.fields import (MAX_NONPRIME_Q, MAX_TABLE_ENTRIES,
                                   _prime_factors, _prime_power,
@@ -290,13 +290,8 @@ def test_laurent_val_is_multiplicative(v, c0, c1, w, d0):
 
 
 # ---------------------------------------------------------------------------
-# descriptors and unit samples
+# unit samples
 # ---------------------------------------------------------------------------
-
-def test_field_descriptor_roundtrip():
-    for spec in [RationalAtP(3), RationalFunctionOverFq(4)]:
-        assert field_from_descriptor(spec.describe()) == spec
-
 
 def test_unit_sample_set_padic():
     spec = RationalAtP(5)
